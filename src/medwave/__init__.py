@@ -14,7 +14,6 @@ from importlib import import_module
 from .errors import (
     BadCovariance,
     BadExponent,
-    BadLength,
     BadPrimaryLevel,
     BadShape,
     BadValue,
@@ -50,14 +49,10 @@ from .wavelets import (
     besov_sequence_norm,
     build_filter,
     default_primary_level,
-    dwt_1d_periodized,
     dwt_qd,
-    idwt_1d_periodized,
     idwt_qd,
 )
 from .shrinkage import (
-    Block,
-    BlockPartition,
     ShrinkageConfig,
     ShrinkageDiagnostics,
     default_block_cardinality,

@@ -23,10 +23,6 @@ import sys
 __all__ = ["main", "build_parser"]
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="medwave",
@@ -106,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 def _run_estimate(args) -> int:
-    from .dataio import read_grid_csv, write_estimate_csv
+    from .dataio import _fmt, read_grid_csv, write_estimate_csv
     from .errors import BadValue
     from .estimator import EstimatorConfig, evaluate_on_grid, fit
 
@@ -195,6 +191,7 @@ def _run_rate_study(args) -> int:
     import os
 
     from .config import parse_config
+    from .dataio import _fmt
     from .simulate import rate_study
 
     config = parse_config(args.config)

@@ -30,15 +30,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from .dataio import _fmt
 from .errors import BadValue, ParseError, UnknownKey
 from .estimator import EstimatorConfig
 from .simulate import DesignDist, ErrorDist, SimulationConfig
 
 __all__ = ["parse_config", "parse_config_text", "emit_config"]
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 _CONFIG_KEYS = (

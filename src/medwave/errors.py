@@ -17,7 +17,6 @@ __all__ = [
     "DegenerateNoise",
     # wavelet transform
     "UnknownFilter",
-    "BadLength",
     "BadShape",
     "BadPrimaryLevel",
     "BadExponent",
@@ -69,10 +68,6 @@ class DegenerateNoise(MedwaveError):
 
 class UnknownFilter(MedwaveError):
     """Wavelet filter name is not in the registry."""
-
-
-class BadLength(MedwaveError):
-    """Signal length is not a power of two, or is too short for j0."""
 
 
 class BadShape(MedwaveError):

@@ -26,13 +26,12 @@ Conventions
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .errors import (
+    BadValue,
     DegenerateBinning,
-    EmptyBin,
     IncompleteGrid,
     NonGridSampleSize,
     OffGridPoint,
@@ -159,9 +158,8 @@ class BinnedData:
     """Observations grouped by bin.
 
     The heavy lifting downstream (medians per bin) wants flat arrays, so the
-    canonical storage is ``order`` (a permutation sorting observations by
-    lexicographic bin code) plus per-bin counts. The mapping views ``bins``
-    and ``halfbins`` are materialized lazily for inspection and tests.
+    storage is ``order`` (a permutation sorting observations by
+    lexicographic bin code) plus per-bin counts.
     """
 
     design: GridDesign
@@ -171,36 +169,6 @@ class BinnedData:
     order: np.ndarray        # argsort of bin_codes (stable)
     counts: np.ndarray       # observations per bin, length V
     half_counts: np.ndarray  # half-bin observations per bin, length V
-
-    def _code_tuple(self, code: int) -> tuple:
-        idx = np.unravel_index(code, self.design.tensor_shape())
-        return tuple(int(v) + 1 for v in idx)
-
-    @cached_property
-    def bins(self) -> dict:
-        """Map 1-based bin multi-index -> response values (sorted into bins)."""
-        sorted_y = self.y[self.order]
-        offsets = np.concatenate(([0], np.cumsum(self.counts)))
-        return {
-            self._code_tuple(c): sorted_y[offsets[c]:offsets[c + 1]]
-            for c in range(self.design.V)
-        }
-
-    @cached_property
-    def halfbins(self) -> dict:
-        """Map 1-based bin multi-index -> half-bin response values."""
-        hm = self.half_mask[self.order]
-        sorted_y = self.y[self.order][hm]
-        codes = self.bin_codes[self.order][hm]
-        offsets = np.concatenate(([0], np.cumsum(self.half_counts)))
-        out = {}
-        for c in range(self.design.V):
-            out[self._code_tuple(c)] = sorted_y[offsets[c]:offsets[c + 1]]
-        if codes.size and not np.array_equal(
-            codes, np.repeat(np.arange(self.design.V), self.half_counts)
-        ):  # pragma: no cover - internal consistency check
-            raise EmptyBin("half-bin bookkeeping out of order")
-        return out
 
 
 def bin_observations(u: np.ndarray, y: np.ndarray, design: GridDesign) -> BinnedData:
@@ -215,6 +183,8 @@ def bin_observations(u: np.ndarray, y: np.ndarray, design: GridDesign) -> Binned
 
     Raises
     ------
+    BadValue
+        If some response is NaN or infinite; names the first such row.
     OffGridPoint
         If some coordinate is farther than 1e-9 from a multiple of 1/m.
     IncompleteGrid
@@ -230,6 +200,11 @@ def bin_observations(u: np.ndarray, y: np.ndarray, design: GridDesign) -> Binned
             f"expected {design.n} observations in {design.q} dims, "
             f"got u{u.shape}, y{y.shape}"
         )
+    finite = np.isfinite(y)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise BadValue(f"response y[{row}] = {y[row]} is not finite (rows "
+                       f"count from 0); every response must be finite")
     m = design.m
 
     scaled = u * m

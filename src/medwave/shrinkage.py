@@ -1,9 +1,11 @@
 """Block James-Stein shrinkage of detail coefficients.
 
 Detail subbands are tiled into axis-aligned hypercube blocks of side
-len = max(1, floor(L^{1/q})) (trailing blocks truncated at subband edges;
-a subband with at most L coefficients forms a single block). Each block is
-scaled by the nonnegative James-Stein factor
+len = max(1, floor(L^{1/q})). The tiling of level j is one array of tile
+starts, arange(0, 2^j, len), shared by every axis and every subband of the
+level; the last tile of an axis is truncated at 2^j, so a subband with at
+most L coefficients forms a single block. Each block is scaled by the
+nonnegative James-Stein factor
 
     c_B = max(0, 1 - lambda* L_B / (4 hhat^2(0) n S_B^2)),
 
@@ -15,7 +17,8 @@ the root of
     lambda - ln(lambda) = 3,    lambda* ~ 4.50524...
 
 Blocks with S_B^2 = 0 are zeroed outright. Gross (approximation)
-coefficients pass through untouched.
+coefficients pass through untouched. Block energies, cardinalities and
+factors are computed per subband with array operations over the starts.
 """
 
 from __future__ import annotations
@@ -31,8 +34,6 @@ from .errors import ShapeMismatch
 from .wavelets import CoefficientPyramid
 
 __all__ = [
-    "Block",
-    "BlockPartition",
     "ShrinkageConfig",
     "ShrinkageDiagnostics",
     "solve_lambda_star",
@@ -59,32 +60,6 @@ def solve_lambda_star() -> float:
 def default_block_cardinality(n: int) -> int:
     """Default block size target L = max(1, floor(ln n))."""
     return max(1, int(math.floor(math.log(n))))
-
-
-@dataclass(frozen=True)
-class Block:
-    """Axis-aligned hyper-rectangle inside one subband tensor."""
-
-    bounds: tuple            # ((start, stop), ...) per axis
-    cardinality: int
-
-    def slices(self) -> tuple:
-        return tuple(slice(a, b) for a, b in self.bounds)
-
-
-@dataclass(frozen=True)
-class BlockPartition:
-    """Disjoint cover of every detail subband by blocks."""
-
-    q: int
-    side: int
-    target_cardinality: int
-    blocks: dict = field(repr=False)   # (level, subband) -> list[Block]
-
-    def all_blocks(self):
-        for key in sorted(self.blocks):
-            for b in self.blocks[key]:
-                yield key, b
 
 
 def _block_side(L: int, q: int) -> int:
@@ -125,34 +100,15 @@ class ShrinkageConfig:
 
 
 def partition_blocks(pyramid: CoefficientPyramid,
-                     config: ShrinkageConfig) -> BlockPartition:
-    """Tile every detail subband of ``pyramid`` into blocks.
+                     config: ShrinkageConfig) -> dict:
+    """Tile starts of every detail level: level j -> ``arange(0, 2^j, side)``.
 
-    Only the pyramid's level/subband geometry is consulted, never the
-    coefficient values; energies are computed at shrink time.
+    The starts are shared by every axis and every subband of a level; the
+    last tile of an axis is truncated at 2^j. Only the pyramid's geometry is
+    consulted, never the coefficient values.
     """
     side = _block_side(config.block_cardinality, pyramid.q)
-    blocks = {}
-    for j in pyramid.levels():
-        size = 2 ** j
-        starts = list(range(0, size, side))
-        for i in pyramid.subband_indices():
-            subband_blocks = []
-            # cartesian product of per-axis tile starts
-            def walk(axis, bounds):
-                if axis == pyramid.q:
-                    card = 1
-                    for a, b in bounds:
-                        card *= (b - a)
-                    subband_blocks.append(Block(tuple(bounds), card))
-                    return
-                for st in starts:
-                    walk(axis + 1, bounds + [(st, min(st + side, size))])
-            walk(0, [])
-            blocks[(j, i)] = subband_blocks
-    return BlockPartition(q=pyramid.q, side=side,
-                          target_cardinality=config.block_cardinality,
-                          blocks=blocks)
+    return {j: np.arange(0, 2 ** j, side) for j in pyramid.levels()}
 
 
 @dataclass
@@ -168,45 +124,57 @@ class ShrinkageDiagnostics:
     factor_mean: float = 1.0
     total_blocks: int = 0
 
-    def record(self, level: int, factor: float) -> None:
-        self.blocks_per_level[level] = self.blocks_per_level.get(level, 0) + 1
-        if factor == 0.0:
-            self.zeroed_per_level[level] = self.zeroed_per_level.get(level, 0) + 1
-        self.factor_histogram[min(int(factor * 10), 9)] += 1
-        self.factor_min = min(self.factor_min, factor)
-        # running mean
-        self.factor_mean += (factor - self.factor_mean) / (self.total_blocks + 1)
-        self.total_blocks += 1
 
-
-def shrink(pyramid: CoefficientPyramid, partition: BlockPartition,
+def shrink(pyramid: CoefficientPyramid, partition: dict,
            config: ShrinkageConfig):
     """Apply the block James-Stein rule; returns (new pyramid, diagnostics).
 
     The gross tensor is passed through bit-identically; every detail block
     is multiplied by its factor c_B (with S_B^2 = 0 forcing c_B = 0).
     """
-    for j in pyramid.levels():
-        for i in pyramid.subband_indices():
-            if (j, i) not in partition.blocks:
-                raise ShapeMismatch(f"partition lacks subband ({j}, {i})")
-    out = pyramid.copy()
-    diag = ShrinkageDiagnostics()
+    if sorted(partition) != list(pyramid.levels()):
+        raise ShapeMismatch(
+            f"partition levels {sorted(partition)} do not match pyramid "
+            f"levels {list(pyramid.levels())}"
+        )
     lam = config.lambda_star
     scale = 4.0 * config.n / config.h_inv_sq   # = 4 hhat^2(0) n
-    for (j, i), block_list in sorted(partition.blocks.items()):
-        src = pyramid.details[(j, i)]
-        dst = out.details[(j, i)]
-        for block in block_list:
-            sl = block.slices()
-            s2 = float(np.sum(src[sl] ** 2))
-            if s2 <= 0.0:
-                factor = 0.0
-            else:
-                factor = max(0.0, 1.0 - lam * block.cardinality / (scale * s2))
-            if factor == 0.0:
-                dst[sl] = 0.0
-            elif factor != 1.0:
-                dst[sl] = src[sl] * factor
-            diag.record(j, factor)
-    return out, diag
+    details = {}
+    factors = {}
+    for j in pyramid.levels():
+        starts = partition[j]
+        lengths = np.diff(starts, append=2 ** j)
+        card = np.ones((), dtype=np.int64)
+        for _ in range(pyramid.q):
+            card = np.multiply.outer(card, lengths)
+        level_factors = []
+        for i in pyramid.subband_indices():
+            src = pyramid.details[(j, i)]
+            s2 = src * src
+            for ax in range(pyramid.q):
+                s2 = np.add.reduceat(s2, starts, axis=ax)
+            with np.errstate(divide="ignore"):
+                c = np.where(s2 > 0.0,
+                             np.maximum(0.0, 1.0 - lam * card / (scale * s2)),
+                             0.0)
+            level_factors.append(c.ravel())
+            for ax in range(pyramid.q):
+                c = np.repeat(c, lengths, axis=ax)
+            details[(j, i)] = src * c
+        factors[j] = np.concatenate(level_factors)
+
+    out = CoefficientPyramid(q=pyramid.q, j0=pyramid.j0, J=pyramid.J,
+                             gross=pyramid.gross.copy(), details=details)
+    if not factors:
+        return out, ShrinkageDiagnostics()
+    every = np.concatenate(list(factors.values()))
+    return out, ShrinkageDiagnostics(
+        blocks_per_level={j: int(f.size) for j, f in factors.items()},
+        zeroed_per_level={j: int(z) for j, f in factors.items()
+                          if (z := np.count_nonzero(f == 0.0))},
+        factor_histogram=np.bincount(
+            np.minimum((every * 10).astype(int), 9), minlength=10),
+        factor_min=float(every.min()),
+        factor_mean=float(every.mean()),
+        total_blocks=int(every.size),
+    )

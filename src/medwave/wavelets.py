@@ -40,7 +40,6 @@ import numpy as np
 
 from .errors import (
     BadExponent,
-    BadLength,
     BadPrimaryLevel,
     BadShape,
     ShapeMismatch,
@@ -53,8 +52,6 @@ __all__ = [
     "build_filter",
     "available_filters",
     "default_primary_level",
-    "dwt_1d_periodized",
-    "idwt_1d_periodized",
     "dwt_qd",
     "idwt_qd",
     "besov_sequence_norm",
@@ -210,9 +207,6 @@ class CoefficientPyramid:
             e += float(np.sum(arr * arr))
         return e
 
-    def level_tensors(self, j: int) -> list:
-        return [self.details[(j, i)] for i in self.subband_indices()]
-
     def to_vector(self) -> np.ndarray:
         """Canonical flattening: gross first, then levels ascending and
         subbands ascending, each tensor in C order."""
@@ -221,12 +215,6 @@ class CoefficientPyramid:
             for i in self.subband_indices():
                 parts.append(self.details[(j, i)].ravel())
         return np.concatenate(parts)
-
-    def copy(self) -> "CoefficientPyramid":
-        return CoefficientPyramid(
-            q=self.q, j0=self.j0, J=self.J, gross=self.gross.copy(),
-            details={k: v.copy() for k, v in self.details.items()},
-        )
 
     def validate(self) -> None:
         if self.gross.shape != (2 ** self.j0,) * self.q:
@@ -354,39 +342,6 @@ def idwt_qd(pyramid: CoefficientPyramid, filt: WaveletFilter) -> np.ndarray:
             parts[i] = pyramid.details[(j, i)]
         a = _level_inverse(parts, filt, pyramid.q)
     return a
-
-
-def dwt_1d_periodized(signal: np.ndarray, filt: WaveletFilter,
-                      j0: int) -> CoefficientPyramid:
-    """1-D pyramid transform. Unlike :func:`dwt_qd`, j0 == J is allowed
-    (the pyramid is then the signal itself as gross, with no details).
-
-    Raises
-    ------
-    BadLength
-        Unless the length is a power of two >= 2^{j0}.
-    BadPrimaryLevel
-        For negative j0.
-    """
-    signal = np.asarray(signal, dtype=float)
-    if signal.ndim != 1:
-        raise BadLength(f"expected a 1-D signal, got shape {signal.shape}")
-    try:
-        J = _check_dyadic(signal.shape)
-    except BadShape as exc:
-        raise BadLength(str(exc)) from None
-    if j0 < 0:
-        raise BadPrimaryLevel(f"j0 must be >= 0, got {j0}")
-    if j0 > J:
-        raise BadLength(f"length {signal.size} is below 2^j0 = {2 ** j0}")
-    return _pyramid(signal, filt, j0, J, 1)
-
-
-def idwt_1d_periodized(pyramid: CoefficientPyramid,
-                       filt: WaveletFilter) -> np.ndarray:
-    if pyramid.q != 1:
-        raise ShapeMismatch(f"expected a 1-D pyramid, got q={pyramid.q}")
-    return idwt_qd(pyramid, filt)
 
 
 def besov_sequence_norm(pyramid: CoefficientPyramid, alpha: float,

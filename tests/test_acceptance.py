@@ -266,7 +266,7 @@ def test_criterion_9_property_suites():
         ("grid bin/interval agreement", test_grid.test_axis_bins_match_interval_definition),
         ("grid order invariance", test_grid.test_observation_order_irrelevant),
         ("median breakdown", test_medians.test_median_breakdown),
-        ("partition coverage", test_shrinkage.test_partition_covers_each_coefficient_exactly_once),
+        ("shrinkage against the blockwise oracle", test_shrinkage.test_shrink_matches_blockwise_oracle),
         ("shrinkage factor bounds", test_shrinkage.test_shrinkage_properties_random),
         ("transform round-trip/Parseval", tw.test_round_trip_and_parseval_across_sizes),
         ("transform linearity", tw.test_linearity),

@@ -96,6 +96,18 @@ def test_estimate_malformed_input(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_estimate_non_finite_response_exits_2(tmp_path, capsys):
+    data, u, y = make_dataset(tmp_path)
+    y[5] = np.nan
+    write_dataset_csv(data, u, y)
+    out = tmp_path / "est.csv"
+    rc = main(["estimate", "--input", str(data), "--output", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "y[5] = nan" in err
+    assert not out.exists()
+
+
 def test_estimate_degenerate_noise_warns(tmp_path, capsys):
     data, _, _ = make_dataset(tmp_path, n=16, constant=5.0)
     out = tmp_path / "est.csv"
@@ -288,6 +300,29 @@ def test_estimate_runs_without_simulation_modules(tmp_path):
         f"'--output', {str(out)!r}])\n"
         "assert rc == 0, rc\n"
         "assert 'medwave.simulate' not in sys.modules\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_public_names_resolve():
+    # every exported name resolves: the eager ones without loading the
+    # simulation machinery, the lazy ones on first access, and all of them
+    # through a star import
+    code = (
+        "import sys\n"
+        "import medwave\n"
+        "eager = [n for n in medwave.__all__ if n not in medwave._LAZY]\n"
+        "missing = [n for n in eager if n not in vars(medwave)]\n"
+        "assert not missing, missing\n"
+        "assert 'medwave.simulate' not in sys.modules\n"
+        "for name in medwave._LAZY:\n"
+        "    assert name in medwave.__all__, name\n"
+        "    getattr(medwave, name)\n"
+        "ns = {}\n"
+        "exec('from medwave import *', ns)\n"
+        "assert set(medwave.__all__) <= set(ns)\n"
     )
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True)

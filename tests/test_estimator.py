@@ -16,9 +16,27 @@ def grid_1d(n):
 
 
 def grid_2d(n_axis):
+    return grid_nd(n_axis, 2)
+
+
+def grid_nd(n_axis, q):
+    """All n_axis**q product grid points, C order."""
     pts = grid_1d(n_axis)
-    return np.stack(np.meshgrid(pts, pts, indexing="ij"),
-                    axis=-1).reshape(-1, 2)
+    return np.stack(np.meshgrid(*[pts] * q, indexing="ij"),
+                    axis=-1).reshape(-1, q)
+
+
+def equivariance_designs():
+    """(u, noiseless response, case count) at q = 1, 2 and 3.
+
+    q = 2 (17 points per axis, unequal bin counts) and q = 3 cover the
+    block sums taken along several axes.
+    """
+    u = grid_1d(256)
+    yield u, np.sin(2 * np.pi * u), 110
+    for n_axis, q in ((17, 2), (16, 3)):
+        u = grid_nd(n_axis, q)
+        yield u, np.prod(np.sin(2 * np.pi * u), axis=1), 30
 
 
 def naive_bin_medians_1d(u, y, n, T):
@@ -81,33 +99,41 @@ def test_constant_response_exact_with_degenerate_noise():
 
 def test_shift_equivariance():
     rng = np.random.default_rng(3)
-    n = 256
-    u = grid_1d(n)
-    for case in range(110):
-        y = np.sin(2 * np.pi * u) + 0.3 * rng.standard_normal(n)
-        c = float(rng.uniform(-100.0, 100.0))
-        base = fit(u, y)
-        shifted = fit(u, y + c)
-        np.testing.assert_allclose(shifted.f_hat, base.f_hat + c, atol=1e-9)
-        assert shifted.b_hat == pytest.approx(base.b_hat, abs=1e-10)
-        assert shifted.noise.h_inv_sq == pytest.approx(
-            base.noise.h_inv_sq, rel=1e-10)
+    for u, f, cases in equivariance_designs():
+        for case in range(cases):
+            y = f + 0.3 * rng.standard_normal(f.size)
+            c = float(rng.uniform(-100.0, 100.0))
+            base = fit(u, y)
+            shifted = fit(u, y + c)
+            np.testing.assert_allclose(shifted.f_hat, base.f_hat + c,
+                                       atol=1e-9)
+            assert shifted.b_hat == pytest.approx(base.b_hat, abs=1e-10)
+            assert shifted.noise.h_inv_sq == pytest.approx(
+                base.noise.h_inv_sq, rel=1e-10)
 
 
 def test_scale_equivariance():
     # medians, the paired noise statistic, and the shrinkage factors all
     # commute with positive scaling of the responses
     rng = np.random.default_rng(4)
-    n = 256
-    u = grid_1d(n)
-    for case in range(110):
-        y = np.sin(2 * np.pi * u) + 0.3 * rng.standard_normal(n)
-        c = float(rng.choice([0.01, 0.5, 3.0, 1000.0]))
-        base = fit(u, y)
-        scaled = fit(u, c * y)
-        np.testing.assert_allclose(
-            scaled.f_hat, c * base.f_hat, rtol=1e-9, atol=1e-12 * c)
-        assert scaled.b_hat == pytest.approx(c * base.b_hat, rel=1e-9)
+    for u, f, cases in equivariance_designs():
+        for case in range(cases):
+            y = f + 0.3 * rng.standard_normal(f.size)
+            c = float(rng.choice([0.01, 0.5, 3.0, 1000.0]))
+            base = fit(u, y)
+            scaled = fit(u, c * y)
+            np.testing.assert_allclose(
+                scaled.f_hat, c * base.f_hat, rtol=1e-9, atol=1e-12 * c)
+            assert scaled.b_hat == pytest.approx(c * base.b_hat, rel=1e-9)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_response_rejected(bad):
+    u = grid_2d(17)
+    y = np.sin(2 * np.pi * u[:, 0])
+    y[[40, 200]] = bad
+    with pytest.raises(BadValue, match=rf"y\[40\] = {bad}"):
+        fit(u, y)
 
 
 def test_determinism():

@@ -102,12 +102,12 @@ def test_bin_observations_small_by_hand():
     # grid point (0,0) -> bin (1,1) -> code 0; (1.0,1.0) -> bin (2,2) -> code 3
     assert b.bin_codes[0] == 0
     assert b.bin_codes[-1] == 3
-    # bins view: responses grouped as expected (C-order grid enumeration:
-    # rows are u1 blocks of 4). u1 in {0,1/3} x u2 in {0,1/3} -> y 0,1,4,5
-    assert sorted(b.bins[(1, 1)].tolist()) == [0.0, 1.0, 4.0, 5.0]
-    assert sorted(b.bins[(2, 2)].tolist()) == [10.0, 11.0, 14.0, 15.0]
-    # half-bin of (1,1) is the single grid point (0, 0)
-    assert b.halfbins[(1, 1)].tolist() == [0.0]
+    # responses grouped as expected (C-order grid enumeration: rows are u1
+    # blocks of 4). u1 in {0,1/3} x u2 in {0,1/3} -> y 0,1,4,5
+    assert sorted(y[b.bin_codes == 0].tolist()) == [0.0, 1.0, 4.0, 5.0]
+    assert sorted(y[b.bin_codes == 3].tolist()) == [10.0, 11.0, 14.0, 15.0]
+    # half-bin of bin (1,1) is the single grid point (0, 0)
+    assert y[(b.bin_codes == 0) & b.half_mask].tolist() == [0.0]
 
 
 def test_bin_codes_are_lexicographic():
@@ -142,8 +142,11 @@ def test_observation_order_irrelevant():
         b = bin_observations(u[perm], y[perm], d)
         assert np.array_equal(b.counts, base.counts)
         assert np.array_equal(b.half_counts, base.half_counts)
-        for key in base.bins:
-            assert sorted(b.bins[key]) == sorted(base.bins[key])
+        for c in range(d.V):
+            assert sorted(y[perm][b.bin_codes == c]) \
+                == sorted(y[base.bin_codes == c])
+            assert sorted(y[perm][(b.bin_codes == c) & b.half_mask]) \
+                == sorted(y[(base.bin_codes == c) & base.half_mask])
 
 
 def test_determinism():

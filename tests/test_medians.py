@@ -99,9 +99,10 @@ def test_bin_medians_equal_counts_match_ragged_path():
     y = rng.standard_normal(64)
     b = bin_observations(u, y, d)
     med = bin_medians(b)
-    for code, key in enumerate(sorted(b.bins)):
-        assert med.q_full.ravel()[code] == np.median(b.bins[key])
-        assert med.q_half.ravel()[code] == np.median(b.halfbins[key])
+    for code in range(d.V):
+        assert med.q_full.ravel()[code] == np.median(y[b.bin_codes == code])
+        assert med.q_half.ravel()[code] \
+            == np.median(y[(b.bin_codes == code) & b.half_mask])
 
 
 def test_empty_half_bin_is_named():

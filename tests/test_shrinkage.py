@@ -1,5 +1,6 @@
 """Block James-Stein shrinkage: threshold constant, tiling, factors."""
 
+import itertools
 import math
 
 import numpy as np
@@ -55,6 +56,63 @@ def test_default_block_cardinality():
 
 
 # ---------------------------------------------------------------------------
+# brute-force reference: the per-block loop, tile by tile
+# ---------------------------------------------------------------------------
+
+def oracle_side(L, q):
+    """Largest side s >= 1 with s**q <= L, by counting up."""
+    s = 1
+    while (s + 1) ** q <= L:
+        s += 1
+    return s
+
+
+def oracle_tiles(size, side, q):
+    """Every block of a (size,)*q subband as a tuple of slices, C order."""
+    axis = [slice(a, min(a + side, size)) for a in range(0, size, side)]
+    return list(itertools.product(axis, repeat=q))
+
+
+def oracle_shrink(pyr, cfg):
+    """Shrink ``pyr`` one explicitly sliced block at a time.
+
+    Returns the shrunk details and, per level, the list of block factors in
+    subband-then-tile order.
+    """
+    side = oracle_side(cfg.block_cardinality, pyr.q)
+    scale = 4.0 * cfg.n / cfg.h_inv_sq
+    details, factors = {}, {}
+    for (j, i) in sorted(pyr.details):
+        src = pyr.details[(j, i)]
+        dst = np.zeros_like(src)
+        for sl in oracle_tiles(2 ** j, side, pyr.q):
+            card = int(np.prod([s.stop - s.start for s in sl]))
+            s2 = float(np.sum(src[sl] ** 2))
+            c = 0.0 if s2 <= 0.0 else max(
+                0.0, 1.0 - cfg.lambda_star * card / (scale * s2))
+            dst[sl] = src[sl] * c
+            factors.setdefault(j, []).append(c)
+        details[(j, i)] = dst
+    return details, factors
+
+
+def random_case(rng):
+    """A random pyramid and config whose factors span zeroed to near 1."""
+    q = int(rng.integers(1, 4))
+    T = int(rng.choice({1: [8, 16, 32, 64], 2: [4, 8, 16], 3: [4, 8]}[q]))
+    j0 = int(rng.integers(0, int(math.log2(T))))
+    cfg = ShrinkageConfig(n=int(rng.integers(4, 10000)),
+                          h_inv_sq=float(rng.uniform(0.1, 10.0)),
+                          block_cardinality=int(rng.integers(1, 41)))
+    sigma = math.sqrt(cfg.h_inv_sq / (4.0 * cfg.n))
+    pyr = zero_pyramid(q, T, j0)
+    for key in pyr.details:
+        amp = sigma * float(rng.choice([0.0, 0.5, 1.0, 2.0, 3.0, 10.0]))
+        pyr.details[key][:] = amp * rng.standard_normal(pyr.details[key].shape)
+    return pyr, cfg
+
+
+# ---------------------------------------------------------------------------
 # partition geometry
 # ---------------------------------------------------------------------------
 
@@ -63,21 +121,20 @@ def test_partition_known_shapes_1d():
     pyr = zero_pyramid(1, 16, 3)           # single detail level of size 8
     cfg = ShrinkageConfig(n=16, h_inv_sq=1.0, block_cardinality=3)
     part = partition_blocks(pyr, cfg)
-    blocks = part.blocks[(3, 1)]
-    assert [b.bounds for b in blocks] == [((0, 3),), ((3, 6),), ((6, 8),)]
-    assert [b.cardinality for b in blocks] == [3, 3, 2]
+    assert list(part) == [3]
+    assert part[3].tolist() == [0, 3, 6]
+    _, diag = shrink(pyr, part, cfg)
+    assert diag.blocks_per_level == {3: 3}
 
 
 def test_partition_known_shapes_2d():
-    # level-2 subbands (4x4), target L=4 -> side 2 -> four 2x2 blocks
+    # level-2 subbands (4x4), target L=4 -> side 2 -> four 2x2 blocks each
     pyr = zero_pyramid(2, 8, 2)
     cfg = ShrinkageConfig(n=64, h_inv_sq=1.0, block_cardinality=4)
     part = partition_blocks(pyr, cfg)
-    assert part.side == 2
-    for i in (1, 2, 3):
-        blocks = part.blocks[(2, i)]
-        assert len(blocks) == 4
-        assert all(b.cardinality == 4 for b in blocks)
+    assert part[2].tolist() == [0, 2]
+    _, diag = shrink(pyr, part, cfg)
+    assert diag.blocks_per_level == {2: 3 * 4}
 
 
 def test_partition_large_target_single_block():
@@ -85,38 +142,40 @@ def test_partition_large_target_single_block():
     pyr = zero_pyramid(1, 8, 1)
     cfg = ShrinkageConfig(n=8, h_inv_sq=1.0, block_cardinality=64)
     part = partition_blocks(pyr, cfg)
-    for (j, i), blocks in part.blocks.items():
-        assert len(blocks) == 1
-        assert blocks[0].cardinality == 2 ** j
+    assert {j: s.tolist() for j, s in part.items()} == {1: [0], 2: [0]}
+    _, diag = shrink(pyr, part, cfg)
+    assert diag.blocks_per_level == {1: 1, 2: 1}
 
 
-def test_partition_covers_each_coefficient_exactly_once():
+def test_shrink_matches_blockwise_oracle():
+    # the array path against the per-block loop over >= 100 random cases:
+    # coefficients to 1e-12 of the subband's largest input, diagnostics exact
+    rng = np.random.default_rng(17)
     cases = 0
-    for q, T_list in [(1, (8, 16, 32)), (2, (4, 8, 16)), (3, (4, 8))]:
-        for T in T_list:
-            J = int(math.log2(T))
-            for j0 in range(J):
-                pyr = zero_pyramid(q, T, j0)
-                for L in (1, 2, 3, 4, 5, 7, 8, 16):
-                    cfg = ShrinkageConfig(n=T ** q, h_inv_sq=1.0,
-                                          block_cardinality=L)
-                    part = partition_blocks(pyr, cfg)
-                    assert set(part.blocks) == set(pyr.details)
-                    for (j, i), blocks in part.blocks.items():
-                        paint = np.zeros((2 ** j,) * q, dtype=int)
-                        total = 0
-                        for b in blocks:
-                            paint[b.slices()] += 1
-                            extent = 1
-                            for a, z in b.bounds:
-                                assert 0 <= a < z <= 2 ** j
-                                extent *= z - a
-                            assert extent == b.cardinality
-                            assert b.cardinality <= max(L, 1) or q > 1
-                            total += b.cardinality
-                        assert np.all(paint == 1)
-                        assert total == (2 ** j) ** q
-                    cases += 1
+    for _ in range(150):
+        pyr, cfg = random_case(rng)
+        part = partition_blocks(pyr, cfg)
+        side = oracle_side(cfg.block_cardinality, pyr.q)
+        for j, starts in part.items():
+            assert starts.tolist() == list(range(0, 2 ** j, side))
+        out, diag = shrink(pyr, part, cfg)
+        want, factors = oracle_shrink(pyr, cfg)
+        assert set(out.details) == set(want)
+        for key, arr in want.items():
+            tol = 1e-12 * max(float(np.max(np.abs(pyr.details[key]))), 1e-300)
+            assert np.max(np.abs(out.details[key] - arr)) <= tol
+        every = np.concatenate([factors[j] for j in sorted(factors)])
+        assert diag.blocks_per_level == {j: len(f) for j, f in factors.items()}
+        assert diag.zeroed_per_level == {
+            j: f.count(0.0) for j, f in factors.items() if 0.0 in f}
+        assert diag.total_blocks == every.size
+        hist = np.zeros(10, dtype=int)
+        for c in every:
+            hist[min(int(c * 10), 9)] += 1
+        assert np.array_equal(diag.factor_histogram, hist)
+        assert diag.factor_min == pytest.approx(every.min(), abs=1e-12)
+        assert diag.factor_mean == pytest.approx(every.mean(), abs=1e-12)
+        cases += 1
     assert cases >= 100
 
 
@@ -193,15 +252,14 @@ def test_shrinkage_properties_random():
         cfg = ShrinkageConfig(n=int(rng.integers(4, 10000)),
                               h_inv_sq=float(rng.uniform(0.1, 10.0)),
                               block_cardinality=L)
-        part = partition_blocks(pyr, cfg)
-        out, diag = shrink(pyr, part, cfg)
-        for (j, i), block_list in part.blocks.items():
-            src = pyr.details[(j, i)]
+        out, diag = shrink(pyr, partition_blocks(pyr, cfg), cfg)
+        side = oracle_side(L, q)
+        for (j, i), src in pyr.details.items():
             dst = out.details[(j, i)]
             assert np.all(np.abs(dst) <= np.abs(src) + 1e-15)
             assert np.all((dst == 0) | (np.sign(dst) == np.sign(src)))
-            for b in block_list:
-                s, d = src[b.slices()], dst[b.slices()]
+            for sl in oracle_tiles(2 ** j, side, q):
+                s, d = src[sl], dst[sl]
                 nz = np.abs(s) > 1e-12
                 if np.any(nz):
                     ratios = d[nz] / s[nz]
@@ -219,9 +277,9 @@ def test_factor_monotone_in_signal_scale():
     pyr1 = zero_pyramid(1, 32, 2)
     for key in pyr1.details:
         pyr1.details[key][:] = rng.standard_normal(pyr1.details[key].shape)
-    pyr2 = pyr1.copy()
-    for key in pyr2.details:
-        pyr2.details[key][:] *= 2.0
+    pyr2 = CoefficientPyramid(
+        q=1, j0=2, J=5, gross=pyr1.gross.copy(),
+        details={key: 2.0 * v for key, v in pyr1.details.items()})
     cfg = ShrinkageConfig(n=32, h_inv_sq=1.0, block_cardinality=3)
     part = partition_blocks(pyr1, cfg)
     out1, _ = shrink(pyr1, part, cfg)

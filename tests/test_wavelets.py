@@ -7,7 +7,6 @@ import pytest
 
 from medwave.errors import (
     BadExponent,
-    BadLength,
     BadPrimaryLevel,
     BadShape,
     ShapeMismatch,
@@ -19,9 +18,7 @@ from medwave.wavelets import (
     besov_sequence_norm,
     build_filter,
     default_primary_level,
-    dwt_1d_periodized,
     dwt_qd,
-    idwt_1d_periodized,
     idwt_qd,
 )
 
@@ -207,7 +204,7 @@ def test_haar_ramp_matches_matrix():
     # length-8 ramp with haar at j0=0 against the 8x8 explicit matrix
     x = np.arange(8.0)
     M = oracle_matrix(1, 8, "haar", 0)
-    pyr = dwt_1d_periodized(x, build_filter("haar"), 0)
+    pyr = dwt_qd(x, build_filter("haar"), 0)
     np.testing.assert_allclose(pyr.to_vector(), M @ x, atol=1e-12)
 
 
@@ -283,24 +280,14 @@ def test_unit_coefficient_gives_unit_energy_basis_vector():
     name, q, T, j0 = "db2", 2, 8, 1
     filt = build_filter(name)
     M = oracle_matrix(q, T, name, j0)
-    template = dwt_qd(np.zeros((T,) * q), filt, j0)
+    pyr = dwt_qd(np.zeros((T,) * q), filt, j0)
     # position: gross block, flat offset 2 -> vector index 2
-    pyr = template.copy()
     pyr.gross.ravel()[2] = 1.0
     vec = np.zeros(T ** q)
     vec[2] = 1.0
     back = idwt_qd(pyr, filt)
     np.testing.assert_allclose(back.ravel(), M.T @ vec, atol=1e-10)
     assert float(np.sum(back ** 2)) == pytest.approx(1.0, abs=1e-10)
-
-
-def test_dwt_1d_allows_j0_equal_J():
-    x = np.arange(4.0)
-    pyr = dwt_1d_periodized(x, build_filter("haar"), 2)
-    assert pyr.details == {}
-    np.testing.assert_allclose(pyr.gross, x)
-    np.testing.assert_allclose(
-        idwt_1d_periodized(pyr, build_filter("haar")), x)
 
 
 def test_shape_and_level_errors():
@@ -313,24 +300,22 @@ def test_shape_and_level_errors():
         dwt_qd(np.zeros((8, 8)), filt, 3)   # j0 == J
     with pytest.raises(BadPrimaryLevel):
         dwt_qd(np.zeros((8, 8)), filt, -1)
-    with pytest.raises(BadLength):
-        dwt_1d_periodized(np.zeros(12), filt, 0)
-    with pytest.raises(BadLength):
-        dwt_1d_periodized(np.zeros((4, 4)).ravel()[:12], filt, 0)
-    with pytest.raises(BadLength):
-        dwt_1d_periodized(np.zeros(4), filt, 3)  # j0 > J
-    with pytest.raises(ShapeMismatch):
-        idwt_1d_periodized(dwt_qd(np.zeros((4, 4)), filt, 0), filt)
+    # 1-D signals go through the same checks
+    with pytest.raises(BadShape):
+        dwt_qd(np.zeros(12), filt, 0)
+    with pytest.raises(BadPrimaryLevel):
+        dwt_qd(np.zeros(4), filt, 2)   # j0 == J
+    with pytest.raises(BadPrimaryLevel):
+        dwt_qd(np.zeros(4), filt, 3)   # j0 > J
 
 
 def test_pyramid_validate_catches_corruption():
     filt = build_filter("haar")
-    pyr = dwt_qd(np.zeros((8, 8)), filt, 1)
-    bad = pyr.copy()
+    bad = dwt_qd(np.zeros((8, 8)), filt, 1)
     del bad.details[(1, 2)]
     with pytest.raises(ShapeMismatch):
         bad.validate()
-    bad2 = pyr.copy()
+    bad2 = dwt_qd(np.zeros((8, 8)), filt, 1)
     bad2.details[(1, 2)] = np.zeros((4, 4))
     with pytest.raises(ShapeMismatch):
         bad2.validate()
@@ -353,7 +338,7 @@ def besov_pyramid(q, j0, J, fill):
 def test_besov_single_coefficient_example():
     # one unit coefficient at level 2, alpha=1, s=t=2, q=1:
     # w = 1, term = 2^{jw} * 1 = 4; gross contributes 0 -> norm 4
-    pyr = dwt_1d_periodized(np.zeros(16), build_filter("haar"), 1)
+    pyr = dwt_qd(np.zeros(16), build_filter("haar"), 1)
     pyr.details[(2, 1)][1] = 1.0
     assert besov_sequence_norm(pyr, alpha=1.0, s=2.0, t=2.0) \
         == pytest.approx(4.0, abs=1e-12)
