@@ -13,7 +13,6 @@ from importlib import import_module
 
 from .errors import (
     BadCovariance,
-    BadExponent,
     BadPrimaryLevel,
     BadShape,
     BadValue,
@@ -46,7 +45,6 @@ from .wavelets import (
     CoefficientPyramid,
     WaveletFilter,
     available_filters,
-    besov_sequence_norm,
     build_filter,
     default_primary_level,
     dwt_qd,

@@ -102,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 def _run_estimate(args) -> int:
-    from .dataio import _fmt, read_grid_csv, write_estimate_csv
+    from .dataio import read_grid_csv, write_estimate_csv, write_rows
     from .errors import BadValue
     from .estimator import EstimatorConfig, evaluate_on_grid, fit
 
@@ -144,10 +144,7 @@ def _run_estimate(args) -> int:
     if args.output:
         write_estimate_csv(args.output, table)
     else:
-        header = ",".join([f"u{i}" for i in range(1, q + 1)] + ["fhat"])
-        sys.stdout.write(header + "\n")
-        for row in table:
-            sys.stdout.write(",".join(_fmt(v) for v in row) + "\n")
+        write_rows(sys.stdout, table[:, :-1], table[:, -1], "fhat")
     print(f"medwave: n={len(y)} q={q} T={design.T} wavelet={config.wavelet} "
           f"b_hat={result.b_hat:.6g} h_inv_sq={result.noise.h_inv_sq:.6g}",
           file=sys.stderr)
@@ -159,8 +156,8 @@ def _run_simulate(args) -> int:
 
     from .config import parse_config
     from .dataio import write_dataset_csv, write_estimate_csv
-    from .grid import plan_grid
-    from .simulate import estimation_grid, generate_dataset, replication_rng
+    from .grid import plan_grid, product_grid
+    from .simulate import generate_dataset, replication_rng
 
     config = parse_config(args.config)
     os.makedirs(args.output_dir, exist_ok=True)
@@ -178,7 +175,8 @@ def _run_simulate(args) -> int:
             if not wrote_truth:
                 import numpy as np
 
-                coords = estimation_grid(design)
+                coords = product_grid(
+                    np.arange(1, design.T + 1) / design.T, design.q)
                 table = np.column_stack([coords, f_grid.reshape(-1)])
                 truth_path = os.path.join(args.output_dir, f"truth_n{n}.csv")
                 write_estimate_csv(truth_path, table)

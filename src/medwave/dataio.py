@@ -23,6 +23,7 @@ __all__ = [
     "write_dataset_csv",
     "write_estimate_csv",
     "read_estimate_csv",
+    "write_rows",
 ]
 
 
@@ -77,18 +78,25 @@ def read_estimate_csv(path):
     return _read_numeric_csv(path, "fhat")
 
 
-def _write_numeric_csv(path, u: np.ndarray, values: np.ndarray,
-                       value_column: str) -> None:
+def write_rows(fh, u: np.ndarray, values: np.ndarray,
+               value_column: str) -> None:
+    """Write the ``u1..uq,<value_column>`` header and one row per point to
+    the open text stream ``fh`` (17 significant digits, LF line ends)."""
     u = np.asarray(u, dtype=float)
     values = np.asarray(values, dtype=float)
     if u.ndim == 1:
         u = u[:, None]
     q = u.shape[1]
     header = ",".join([f"u{i}" for i in range(1, q + 1)] + [value_column])
+    fh.write(header + "\n")
+    for row, v in zip(u, values):
+        fh.write(",".join([_fmt(c) for c in row] + [_fmt(v)]) + "\n")
+
+
+def _write_numeric_csv(path, u: np.ndarray, values: np.ndarray,
+                       value_column: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for row, v in zip(u, values):
-            fh.write(",".join([_fmt(c) for c in row] + [_fmt(v)]) + "\n")
+        write_rows(fh, u, values, value_column)
 
 
 def write_dataset_csv(path, u: np.ndarray, y: np.ndarray) -> None:

@@ -19,7 +19,6 @@ __all__ = [
     "UnknownFilter",
     "BadShape",
     "BadPrimaryLevel",
-    "BadExponent",
     # shrinkage / estimator
     "ShapeMismatch",
     # simulation
@@ -78,10 +77,6 @@ class BadPrimaryLevel(MedwaveError):
     """Primary resolution level j0 is out of range for the data."""
 
 
-class BadExponent(MedwaveError):
-    """Besov exponents violate w = alpha + q(1/2 - 1/s) > 0 or s,t >= 1."""
-
-
 class ShapeMismatch(MedwaveError):
     """Pyramid/partition/result shapes are inconsistent."""
 
@@ -107,4 +102,5 @@ class UnknownKey(MedwaveError):
 
 
 class BadValue(MedwaveError):
-    """Config value fails validation."""
+    """A value fails validation: a config or option value, a non-finite
+    input, or a parameter outside its valid range."""

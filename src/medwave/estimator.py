@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import BadPrimaryLevel, BadValue, ShapeMismatch
-from .grid import GridDesign, bin_observations, plan_grid
+from .grid import GridDesign, bin_observations, plan_grid, product_grid
 from .medians import (
     NOISE_FLOOR,
     MedianSummary,
@@ -206,8 +206,5 @@ def evaluate_on_grid(result: FitResult, design: GridDesign) -> np.ndarray:
             f"result shape {result.f_hat.shape} does not match design "
             f"{design.tensor_shape()}"
         )
-    T, q = design.T, design.q
-    axes = [np.arange(1, T + 1) / T] * q
-    mesh = np.meshgrid(*axes, indexing="ij")
-    coords = np.stack([m.ravel() for m in mesh], axis=1)
+    coords = product_grid(np.arange(1, design.T + 1) / design.T, design.q)
     return np.column_stack([coords, result.f_hat.ravel()])

@@ -37,7 +37,8 @@ from .errors import (
     OffGridPoint,
 )
 
-__all__ = ["GridDesign", "BinnedData", "plan_grid", "bin_observations"]
+__all__ = ["GridDesign", "BinnedData", "plan_grid", "bin_observations",
+           "product_grid"]
 
 #: tolerance for deciding that a coordinate sits on the grid
 GRID_TOL = 1e-9
@@ -153,6 +154,13 @@ def plan_grid(n: int, q: int) -> GridDesign:
     )
 
 
+def product_grid(axis: np.ndarray, q: int) -> np.ndarray:
+    """Every q-tuple of the 1-D ``axis`` points in lexicographic order,
+    shape (len(axis)^q, q)."""
+    mesh = np.meshgrid(*([axis] * q), indexing="ij")
+    return np.stack([g.ravel() for g in mesh], axis=1)
+
+
 @dataclass
 class BinnedData:
     """Observations grouped by bin.
@@ -184,7 +192,8 @@ def bin_observations(u: np.ndarray, y: np.ndarray, design: GridDesign) -> Binned
     Raises
     ------
     BadValue
-        If some response is NaN or infinite; names the first such row.
+        If some coordinate or response is NaN or infinite; names the first
+        such entry.
     OffGridPoint
         If some coordinate is farther than 1e-9 from a multiple of 1/m.
     IncompleteGrid
@@ -200,11 +209,13 @@ def bin_observations(u: np.ndarray, y: np.ndarray, design: GridDesign) -> Binned
             f"expected {design.n} observations in {design.q} dims, "
             f"got u{u.shape}, y{y.shape}"
         )
-    finite = np.isfinite(y)
-    if not finite.all():
-        row = int(np.argmin(finite))
-        raise BadValue(f"response y[{row}] = {y[row]} is not finite (rows "
-                       f"count from 0); every response must be finite")
+    for name, what, arr in (("u", "coordinate", u), ("y", "response", y)):
+        finite = np.isfinite(arr)
+        if not finite.all():
+            at = np.unravel_index(np.argmin(finite), arr.shape)
+            raise BadValue(
+                f"{what} {name}[{', '.join(map(str, at))}] = {arr[at]} is not "
+                f"finite (rows count from 0); every {what} must be finite")
     m = design.m
 
     scaled = u * m

@@ -18,7 +18,9 @@ the root of
 
 Blocks with S_B^2 = 0 are zeroed outright. Gross (approximation)
 coefficients pass through untouched. Block energies, cardinalities and
-factors are computed per subband with array operations over the starts.
+factors of a level are computed with array operations over the whole cube
+[:2^{j+1}]^q of the Mallat layout, whose tile starts along every axis are
+the level's starts followed by 2^j plus them.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import ShapeMismatch
+from .errors import BadValue, ShapeMismatch
 from .wavelets import CoefficientPyramid
 
 __all__ = [
@@ -88,15 +90,15 @@ class ShrinkageConfig:
         if self.lambda_star is None:
             object.__setattr__(self, "lambda_star", solve_lambda_star())
         if not 4.505 < self.lambda_star < 4.506:
-            raise ShapeMismatch(
+            raise BadValue(
                 f"lambda_star={self.lambda_star} outside (4.505, 4.506)"
             )
         if self.block_cardinality < 1:
-            raise ShapeMismatch("block_cardinality must be >= 1")
+            raise BadValue("block_cardinality must be >= 1")
         if self.n < 1:
-            raise ShapeMismatch("n must be >= 1")
+            raise BadValue("n must be >= 1")
         if not (np.isfinite(self.h_inv_sq) and self.h_inv_sq > 0):
-            raise ShapeMismatch("h_inv_sq must be positive and finite")
+            raise BadValue("h_inv_sq must be positive and finite")
 
 
 def partition_blocks(pyramid: CoefficientPyramid,
@@ -129,8 +131,8 @@ def shrink(pyramid: CoefficientPyramid, partition: dict,
            config: ShrinkageConfig):
     """Apply the block James-Stein rule; returns (new pyramid, diagnostics).
 
-    The gross tensor is passed through bit-identically; every detail block
-    is multiplied by its factor c_B (with S_B^2 = 0 forcing c_B = 0).
+    The gross coefficients are passed through bit-identically; every detail
+    block is multiplied by its factor c_B (with S_B^2 = 0 forcing c_B = 0).
     """
     if sorted(partition) != list(pyramid.levels()):
         raise ShapeMismatch(
@@ -139,36 +141,35 @@ def shrink(pyramid: CoefficientPyramid, partition: dict,
         )
     lam = config.lambda_star
     scale = 4.0 * config.n / config.h_inv_sq   # = 4 hhat^2(0) n
-    details = {}
+    q = pyramid.q
+    out = pyramid.coeffs.copy()
     factors = {}
     for j in pyramid.levels():
-        starts = partition[j]
-        lengths = np.diff(starts, append=2 ** j)
+        # level j's 2^q - 1 subbands and the coarse corner [:2^j]^q tile the
+        # cube [:2^{j+1}]^q; the corner's tiles get factor 1
+        n = 2 ** j
+        starts = np.concatenate([partition[j], n + partition[j]])
+        lengths = np.diff(starts, append=2 * n)
+        cube = out[(slice(0, 2 * n),) * q]
+        s2 = cube * cube
         card = np.ones((), dtype=np.int64)
-        for _ in range(pyramid.q):
+        for ax in range(q):
+            s2 = np.add.reduceat(s2, starts, axis=ax)
             card = np.multiply.outer(card, lengths)
-        level_factors = []
-        for i in pyramid.subband_indices():
-            src = pyramid.details[(j, i)]
-            s2 = src * src
-            for ax in range(pyramid.q):
-                s2 = np.add.reduceat(s2, starts, axis=ax)
-            with np.errstate(divide="ignore"):
-                c = np.where(s2 > 0.0,
-                             np.maximum(0.0, 1.0 - lam * card / (scale * s2)),
-                             0.0)
-            level_factors.append(c.ravel())
-            for ax in range(pyramid.q):
-                c = np.repeat(c, lengths, axis=ax)
-            details[(j, i)] = src * c
-        factors[j] = np.concatenate(level_factors)
+        with np.errstate(divide="ignore"):
+            c = np.where(s2 > 0.0,
+                         np.maximum(0.0, 1.0 - lam * card / (scale * s2)),
+                         0.0)
+        corner = np.zeros(c.shape, dtype=bool)
+        corner[(slice(0, partition[j].size),) * q] = True
+        c[corner] = 1.0
+        factors[j] = c[~corner]
+        for ax in range(q):
+            c = np.repeat(c, lengths, axis=ax)
+        cube *= c
 
-    out = CoefficientPyramid(q=pyramid.q, j0=pyramid.j0, J=pyramid.J,
-                             gross=pyramid.gross.copy(), details=details)
-    if not factors:
-        return out, ShrinkageDiagnostics()
     every = np.concatenate(list(factors.values()))
-    return out, ShrinkageDiagnostics(
+    return CoefficientPyramid(out, pyramid.j0), ShrinkageDiagnostics(
         blocks_per_level={j: int(f.size) for j, f in factors.items()},
         zeroed_per_level={j: int(z) for j, f in factors.items()
                           if (z := np.count_nonzero(f == 0.0))},

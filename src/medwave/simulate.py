@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import BadCovariance, BadValue, ShapeMismatch, UnknownDensityValue
 from .estimator import EstimatorConfig, FitResult, fit
-from .grid import GridDesign, plan_grid
+from .grid import GridDesign, plan_grid, product_grid
 
 __all__ = [
     "ErrorDist",
@@ -328,20 +328,6 @@ def replication_rng(seed: int, n: int, index: int) -> np.random.Generator:
 # data generation and risk
 # ---------------------------------------------------------------------------
 
-def observation_grid(design: GridDesign) -> np.ndarray:
-    """The full (m+1)^q product grid in lexicographic order, shape (n, q)."""
-    pts = np.arange(design.m + 1) / design.m
-    mesh = np.meshgrid(*([pts] * design.q), indexing="ij")
-    return np.stack([g.ravel() for g in mesh], axis=1)
-
-
-def estimation_grid(design: GridDesign) -> np.ndarray:
-    """The V bin grid points (l/T per axis), lexicographic, shape (V, q)."""
-    pts = np.arange(1, design.T + 1) / design.T
-    mesh = np.meshgrid(*([pts] * design.q), indexing="ij")
-    return np.stack([g.ravel() for g in mesh], axis=1)
-
-
 def generate_dataset(config: SimulationConfig, n: int,
                      rng: np.random.Generator):
     """One synthetic dataset of size n.
@@ -355,13 +341,14 @@ def generate_dataset(config: SimulationConfig, n: int,
     """
     design = plan_grid(n, config.q)
     fn = test_function(config.test_function)
-    u = observation_grid(design)
+    u = product_grid(np.arange(design.m + 1) / design.m, design.q)
     y = fn(u)
     if config.design_dist is not None:
         x = sample_elliptical(config.design_dist, n, rng)
         y = y + x @ np.asarray(config.beta)
     y = y + sample_errors(config.error_dist, n, rng)
-    f_grid = fn(estimation_grid(design)).reshape(design.tensor_shape())
+    f_grid = fn(product_grid(np.arange(1, design.T + 1) / design.T,
+                             design.q)).reshape(design.tensor_shape())
     return u, y, f_grid
 
 

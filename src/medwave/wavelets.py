@@ -14,21 +14,15 @@ at every dyadic length (folding preserves the even-lag orthogonality
 relations), so Parseval and perfect reconstruction hold to round-off at any
 primary level j0 >= 0.
 
-In q dimensions each level applies the 1-D step along every axis in turn,
-splitting a (2^{j+1},)^q approximation tensor into 2^q orthants. The orthant
-with subband index i (1 <= i <= 2^q - 1) took the high-pass branch exactly
-along the axes s whose bit is set in i (bit s of i == 1 iff numpy axis s was
-high-passed); i = 0 is the approximation that recurses. Recursion stops at
-level j0, leaving the "gross" tensor of shape (2^{j0},)^q.
-
-The Besov sequence norm of a pyramid with smoothness alpha and integrability
-(s, t) aggregates level energies as
-
-    ||gross||_s + ( sum_j ( 2^{j w} ||theta_j||_s )^t )^{1/t},
-    w = alpha + q (1/2 - 1/s) > 0,
-
-with ||theta_j||_s taken over all subbands of level j together and the sum
-replaced by a supremum when t = inf.
+In q dimensions the transform is stored in place, in the standard Mallat
+layout: one (2^J,)^q array. Level j (from J-1 down to j0) works on the cube
+c[:2^{j+1}, ..., :2^{j+1}] and applies the 1-D step along every axis in
+turn, writing the low half of each axis to [0, 2^j) and the high half to
+[2^j, 2^{j+1}). Detail subband i (1 <= i <= 2^q - 1) of level j is the
+orthant that takes [2^j, 2^{j+1}) on the axes s whose bit is set in i (bit
+s of i == 1 iff numpy axis s was high-passed) and [0, 2^j) on the others;
+the low orthant recurses. Recursion stops at level j0, leaving the "gross"
+coefficients in the corner [:2^{j0}]^q.
 """
 
 from __future__ import annotations
@@ -38,13 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    BadExponent,
-    BadPrimaryLevel,
-    BadShape,
-    ShapeMismatch,
-    UnknownFilter,
-)
+from .errors import BadPrimaryLevel, BadShape, BadValue, UnknownFilter
 
 __all__ = [
     "WaveletFilter",
@@ -54,7 +42,6 @@ __all__ = [
     "default_primary_level",
     "dwt_qd",
     "idwt_qd",
-    "besov_sequence_norm",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -126,7 +113,7 @@ class WaveletFilter:
         if (res["unit_energy"] > 1e-12 or res["sum_sqrt2"] > 1e-12
                 or res["shift_orthogonality"] > 1e-12
                 or res["vanishing_moments"] > 1e-10):
-            raise ShapeMismatch(
+            raise BadValue(
                 f"filter {self.name!r} violates its invariants: {res}"
             )
 
@@ -166,127 +153,6 @@ def default_primary_level(filt: WaveletFilter) -> int:
     return j0
 
 
-@dataclass
-class CoefficientPyramid:
-    """Multiresolution coefficient set of a q-dimensional dyadic tensor.
-
-    Attributes
-    ----------
-    q, j0, J : int
-        Dimension, primary (coarsest stored) level and data level; the
-        source tensor had shape (2^J,)^q.
-    gross : np.ndarray
-        Approximation coefficients at level j0, shape (2^{j0},)^q.
-    details : dict
-        (level j, subband i) -> tensor of shape (2^j,)^q for
-        j0 <= j < J, 1 <= i <= 2^q - 1. Bit s of i set means numpy axis s
-        took the high-pass branch at that level.
-    """
-
-    q: int
-    j0: int
-    J: int
-    gross: np.ndarray
-    details: dict
-
-    def subband_indices(self) -> range:
-        return range(1, 2 ** self.q)
-
-    def levels(self) -> range:
-        return range(self.j0, self.J)
-
-    def total_coefficients(self) -> int:
-        total = self.gross.size
-        for arr in self.details.values():
-            total += arr.size
-        return total
-
-    def energy(self) -> float:
-        e = float(np.sum(self.gross * self.gross))
-        for arr in self.details.values():
-            e += float(np.sum(arr * arr))
-        return e
-
-    def to_vector(self) -> np.ndarray:
-        """Canonical flattening: gross first, then levels ascending and
-        subbands ascending, each tensor in C order."""
-        parts = [self.gross.ravel()]
-        for j in self.levels():
-            for i in self.subband_indices():
-                parts.append(self.details[(j, i)].ravel())
-        return np.concatenate(parts)
-
-    def validate(self) -> None:
-        if self.gross.shape != (2 ** self.j0,) * self.q:
-            raise ShapeMismatch("gross tensor has wrong shape")
-        for j in self.levels():
-            for i in self.subband_indices():
-                arr = self.details.get((j, i))
-                if arr is None or arr.shape != (2 ** j,) * self.q:
-                    raise ShapeMismatch(f"subband ({j}, {i}) missing or misshapen")
-        if self.total_coefficients() != (2 ** self.J) ** self.q:
-            raise ShapeMismatch("coefficient count does not match source size")
-
-
-def _analysis_step(x: np.ndarray, h: np.ndarray, g: np.ndarray, axis: int):
-    """One periodized analysis step along ``axis``; returns (low, high)."""
-    xm = np.moveaxis(x, axis, -1)
-    N = xm.shape[-1]
-    idx = (2 * np.arange(N // 2)[:, None] + np.arange(h.size)[None, :]) % N
-    windows = xm[..., idx]                      # (..., N/2, L)
-    lo = windows @ h
-    hi = windows @ g
-    return np.moveaxis(lo, -1, axis), np.moveaxis(hi, -1, axis)
-
-
-def _synthesis_step(lo: np.ndarray, hi: np.ndarray, h: np.ndarray,
-                    g: np.ndarray, axis: int) -> np.ndarray:
-    """Adjoint of :func:`_analysis_step` (exact inverse by orthogonality)."""
-    lom = np.moveaxis(lo, axis, -1)
-    him = np.moveaxis(hi, axis, -1)
-    half = lom.shape[-1]
-    N = 2 * half
-    out = np.zeros(lom.shape[:-1] + (N,), dtype=float)
-    base = 2 * np.arange(half)
-    for k in range(h.size):
-        pos = (base + k) % N        # distinct positions: stride 2 mod even N
-        out[..., pos] += h[k] * lom + g[k] * him
-    return np.moveaxis(out, -1, axis)
-
-
-def _level_forward(a: np.ndarray, filt: WaveletFilter) -> dict:
-    """Split an approximation tensor into its 2^q orthants."""
-    parts = {0: a}
-    for ax in range(a.ndim):
-        nxt = {}
-        for bits, arr in parts.items():
-            lo, hi = _analysis_step(arr, filt.taps_scaling, filt.taps_wavelet, ax)
-            nxt[bits] = lo
-            nxt[bits | (1 << ax)] = hi
-        parts = nxt
-    return parts
-
-
-def _level_inverse(parts: dict, filt: WaveletFilter, q: int) -> np.ndarray:
-    """Merge 2^q orthants back into the parent approximation tensor."""
-    current = dict(parts)
-    for ax in reversed(range(q)):
-        nxt = {}
-        done = set()
-        for bits in current:
-            low_bits = bits & ~(1 << ax)
-            if low_bits in done:
-                continue
-            done.add(low_bits)
-            lo = current[low_bits]
-            hi = current[low_bits | (1 << ax)]
-            nxt[low_bits] = _synthesis_step(
-                lo, hi, filt.taps_scaling, filt.taps_wavelet, ax
-            )
-        current = nxt
-    return current[0]
-
-
 def _check_dyadic(shape: tuple) -> int:
     """Return J for a (2^J,)^q shape, raising BadShape otherwise."""
     if len(shape) == 0:
@@ -300,6 +166,82 @@ def _check_dyadic(shape: tuple) -> int:
     return J
 
 
+def _along(axis: int, index) -> tuple:
+    """Index that applies ``index`` to ``axis`` and keeps earlier axes."""
+    return (slice(None),) * axis + (index,)
+
+
+@dataclass(frozen=True)
+class CoefficientPyramid:
+    """Multiresolution coefficients of a q-dimensional dyadic tensor, held
+    in one (2^J,)^q array in the Mallat layout (see the module docstring).
+
+    Raises
+    ------
+    BadShape
+        Unless every axis of ``coeffs`` has the same dyadic length 2^J.
+    BadPrimaryLevel
+        Unless 0 <= j0 < J.
+    """
+
+    coeffs: np.ndarray
+    j0: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=float))
+        J = _check_dyadic(self.coeffs.shape)
+        if not 0 <= self.j0 < J:
+            raise BadPrimaryLevel(f"need 0 <= j0 < J={J}, got j0={self.j0}")
+
+    @property
+    def q(self) -> int:
+        return self.coeffs.ndim
+
+    @property
+    def J(self) -> int:
+        return self.coeffs.shape[0].bit_length() - 1
+
+    def levels(self) -> range:
+        return range(self.j0, self.J)
+
+    @property
+    def gross(self) -> np.ndarray:
+        """Writeable view of the level-j0 approximation, (2^{j0},)^q."""
+        return self.coeffs[(slice(0, 2 ** self.j0),) * self.q]
+
+    def subband(self, j: int, i: int) -> np.ndarray:
+        """Writeable view of detail subband i of level j, (2^j,)^q."""
+        n = 2 ** j
+        return self.coeffs[tuple(slice(n, 2 * n) if i >> s & 1 else
+                                 slice(0, n) for s in range(self.q))]
+
+
+def _analysis_step(x: np.ndarray, h: np.ndarray, g: np.ndarray, axis: int):
+    """One periodized analysis step along ``axis``; returns (low, high)."""
+    N = x.shape[axis]
+    base = 2 * np.arange(N // 2)
+    shape = x.shape[:axis] + (N // 2,) + x.shape[axis + 1:]
+    lo, hi = np.zeros(shape), np.zeros(shape)
+    for k in range(h.size):
+        xk = x.take((base + k) % N, axis=axis)
+        lo += h[k] * xk
+        hi += g[k] * xk
+    return lo, hi
+
+
+def _synthesis_step(lo: np.ndarray, hi: np.ndarray, h: np.ndarray,
+                    g: np.ndarray, axis: int) -> np.ndarray:
+    """Adjoint of :func:`_analysis_step` (exact inverse by orthogonality)."""
+    half = lo.shape[axis]
+    N = 2 * half
+    out = np.zeros(lo.shape[:axis] + (N,) + lo.shape[axis + 1:])
+    base = 2 * np.arange(half)
+    for k in range(h.size):
+        pos = (base + k) % N        # distinct positions: stride 2 mod even N
+        out[_along(axis, pos)] += h[k] * lo + g[k] * hi
+    return out
+
+
 def dwt_qd(tensor: np.ndarray, filt: WaveletFilter, j0: int) -> CoefficientPyramid:
     """Full q-dimensional periodized transform down to level j0.
 
@@ -310,71 +252,27 @@ def dwt_qd(tensor: np.ndarray, filt: WaveletFilter, j0: int) -> CoefficientPyram
     BadPrimaryLevel
         Unless 0 <= j0 < J.
     """
-    tensor = np.asarray(tensor, dtype=float)
-    J = _check_dyadic(tensor.shape)
-    q = tensor.ndim
-    if not 0 <= j0 < J:
-        raise BadPrimaryLevel(f"need 0 <= j0 < J={J}, got j0={j0}")
-    return _pyramid(tensor, filt, j0, J, q)
-
-
-def _pyramid(tensor: np.ndarray, filt: WaveletFilter, j0: int, J: int,
-             q: int) -> CoefficientPyramid:
-    details = {}
-    a = tensor
-    for j in range(J - 1, j0 - 1, -1):
-        parts = _level_forward(a, filt)
-        for i in range(1, 2 ** q):
-            details[(j, i)] = parts[i]
-        a = parts[0]
-    pyr = CoefficientPyramid(q=q, j0=j0, J=J, gross=a, details=details)
-    pyr.validate()
-    return pyr
+    pyramid = CoefficientPyramid(np.array(tensor, dtype=float), j0)
+    h, g = filt.taps_scaling, filt.taps_wavelet
+    for j in reversed(pyramid.levels()):
+        n = 2 ** j
+        cube = pyramid.coeffs[(slice(0, 2 * n),) * pyramid.q]
+        for ax in range(pyramid.q):
+            lo, hi = _analysis_step(cube, h, g, ax)
+            cube[_along(ax, slice(0, n))] = lo
+            cube[_along(ax, slice(n, 2 * n))] = hi
+    return pyramid
 
 
 def idwt_qd(pyramid: CoefficientPyramid, filt: WaveletFilter) -> np.ndarray:
     """Invert :func:`dwt_qd`; exact up to round-off."""
-    pyramid.validate()
-    a = pyramid.gross
+    out = pyramid.coeffs.copy()
+    h, g = filt.taps_scaling, filt.taps_wavelet
     for j in pyramid.levels():
-        parts = {0: a}
-        for i in pyramid.subband_indices():
-            parts[i] = pyramid.details[(j, i)]
-        a = _level_inverse(parts, filt, pyramid.q)
-    return a
-
-
-def besov_sequence_norm(pyramid: CoefficientPyramid, alpha: float,
-                        s: float, t: float) -> float:
-    """Sequence-space Besov norm of the pyramid (see module docstring).
-
-    Raises
-    ------
-    BadExponent
-        If s < 1, t < 1, or w = alpha + q(1/2 - 1/s) <= 0.
-    """
-    if not (s >= 1.0 and math.isfinite(s)):
-        raise BadExponent(f"s must be a finite real >= 1, got {s}")
-    if not t >= 1.0:
-        raise BadExponent(f"t must be >= 1 (inf allowed), got {t}")
-    w = alpha + pyramid.q * (0.5 - 1.0 / s)
-    if w <= 0:
-        raise BadExponent(
-            f"alpha + q(1/2 - 1/s) = {w} must be positive (alpha={alpha}, "
-            f"q={pyramid.q}, s={s})"
-        )
-    gross_norm = float(np.sum(np.abs(pyramid.gross) ** s)) ** (1.0 / s)
-
-    level_terms = []
-    for j in pyramid.levels():
-        e = 0.0
-        for i in pyramid.subband_indices():
-            e += float(np.sum(np.abs(pyramid.details[(j, i)]) ** s))
-        level_terms.append(2.0 ** (j * w) * e ** (1.0 / s))
-    if not level_terms:
-        detail_part = 0.0
-    elif math.isinf(t):
-        detail_part = max(level_terms)
-    else:
-        detail_part = float(np.sum(np.asarray(level_terms) ** t)) ** (1.0 / t)
-    return gross_norm + detail_part
+        n = 2 ** j
+        cube = out[(slice(0, 2 * n),) * pyramid.q]
+        for ax in reversed(range(pyramid.q)):
+            cube[...] = _synthesis_step(cube[_along(ax, slice(0, n))],
+                                        cube[_along(ax, slice(n, 2 * n))],
+                                        h, g, ax)
+    return out

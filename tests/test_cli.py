@@ -108,6 +108,27 @@ def test_estimate_non_finite_response_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_estimate_non_finite_coordinate_exits_2(tmp_path, capsys):
+    data, u, y = make_dataset(tmp_path)
+    u[7] = np.inf
+    write_dataset_csv(data, u, y)
+    out = tmp_path / "est.csv"
+    rc = main(["estimate", "--input", str(data), "--output", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "u[7, 0] = inf" in err
+    assert not out.exists()
+
+
+def test_estimate_stdout_matches_output_file(tmp_path, capsys):
+    data, _, _ = make_dataset(tmp_path)
+    out = tmp_path / "est.csv"
+    assert main(["estimate", "--input", str(data), "--output", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["estimate", "--input", str(data)]) == 0
+    assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
+
+
 def test_estimate_degenerate_noise_warns(tmp_path, capsys):
     data, _, _ = make_dataset(tmp_path, n=16, constant=5.0)
     out = tmp_path / "est.csv"

@@ -136,6 +136,18 @@ def test_non_finite_response_rejected(bad):
         fit(u, y)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_coordinate_rejected(bad):
+    # checked before the coordinates are cast to grid indices, so no
+    # invalid-cast warning is raised on the way to the error
+    u = grid_2d(17)
+    y = np.sin(2 * np.pi * u[:, 0])
+    u[[40, 200], 1] = bad
+    with pytest.raises(BadValue, match=rf"u\[40, 1\] = {bad}"):
+        fit(u, y)
+
+
 def test_determinism():
     rng = np.random.default_rng(5)
     n = 4096

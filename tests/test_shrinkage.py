@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from medwave.errors import ShapeMismatch
+from medwave.errors import BadValue, ShapeMismatch
 from medwave.shrinkage import (
     ShrinkageConfig,
     default_block_cardinality,
@@ -15,6 +15,8 @@ from medwave.shrinkage import (
     solve_lambda_star,
 )
 from medwave.wavelets import CoefficientPyramid, build_filter, dwt_qd
+
+from test_wavelets import subbands
 
 HAAR = build_filter("haar")
 
@@ -82,8 +84,7 @@ def oracle_shrink(pyr, cfg):
     side = oracle_side(cfg.block_cardinality, pyr.q)
     scale = 4.0 * cfg.n / cfg.h_inv_sq
     details, factors = {}, {}
-    for (j, i) in sorted(pyr.details):
-        src = pyr.details[(j, i)]
+    for (j, i), src in subbands(pyr):
         dst = np.zeros_like(src)
         for sl in oracle_tiles(2 ** j, side, pyr.q):
             card = int(np.prod([s.stop - s.start for s in sl]))
@@ -106,9 +107,9 @@ def random_case(rng):
                           block_cardinality=int(rng.integers(1, 41)))
     sigma = math.sqrt(cfg.h_inv_sq / (4.0 * cfg.n))
     pyr = zero_pyramid(q, T, j0)
-    for key in pyr.details:
+    for _, v in subbands(pyr):
         amp = sigma * float(rng.choice([0.0, 0.5, 1.0, 2.0, 3.0, 10.0]))
-        pyr.details[key][:] = amp * rng.standard_normal(pyr.details[key].shape)
+        v[...] = amp * rng.standard_normal(v.shape)
     return pyr, cfg
 
 
@@ -160,10 +161,10 @@ def test_shrink_matches_blockwise_oracle():
             assert starts.tolist() == list(range(0, 2 ** j, side))
         out, diag = shrink(pyr, part, cfg)
         want, factors = oracle_shrink(pyr, cfg)
-        assert set(out.details) == set(want)
+        assert np.array_equal(out.gross, pyr.gross)
         for key, arr in want.items():
-            tol = 1e-12 * max(float(np.max(np.abs(pyr.details[key]))), 1e-300)
-            assert np.max(np.abs(out.details[key] - arr)) <= tol
+            tol = 1e-12 * max(float(np.max(np.abs(pyr.subband(*key)))), 1e-300)
+            assert np.max(np.abs(out.subband(*key) - arr)) <= tol
         every = np.concatenate([factors[j] for j in sorted(factors)])
         assert diag.blocks_per_level == {j: len(f) for j, f in factors.items()}
         assert diag.zeroed_per_level == {
@@ -188,15 +189,15 @@ def test_exact_factor_worked_example():
     # S^2 = 8 lambda* and cardinality 4 gives factor exactly 1/2
     lam = solve_lambda_star()
     pyr = zero_pyramid(2, 4, 1)
-    pyr.details[(1, 1)][:] = math.sqrt(2.0 * lam)
+    pyr.subband(1, 1)[...] = math.sqrt(2.0 * lam)
     cfg = ShrinkageConfig(n=1, h_inv_sq=4.0, block_cardinality=4)
     part = partition_blocks(pyr, cfg)
     out, diag = shrink(pyr, part, cfg)
     np.testing.assert_allclose(
-        out.details[(1, 1)], 0.5 * math.sqrt(2.0 * lam), rtol=1e-12)
+        out.subband(1, 1), 0.5 * math.sqrt(2.0 * lam), rtol=1e-12)
     # the other two subbands are all-zero -> factor 0
-    assert np.all(out.details[(1, 2)] == 0.0)
-    assert np.all(out.details[(1, 3)] == 0.0)
+    assert np.all(out.subband(1, 2) == 0.0)
+    assert np.all(out.subband(1, 3) == 0.0)
     assert diag.factor_min == 0.0
 
 
@@ -204,13 +205,13 @@ def test_zero_energy_block_is_zeroed_and_subthreshold_clamps():
     lam = solve_lambda_star()
     pyr = zero_pyramid(1, 8, 1)
     # level 2 (size 4): two blocks of 2 with L=2
-    pyr.details[(2, 1)][:] = [1e-9, 0.0, 0.0, 0.0]   # tiny energy block + zero block
+    pyr.subband(2, 1)[:] = [1e-9, 0.0, 0.0, 0.0]   # tiny energy block + zero block
     cfg = ShrinkageConfig(n=4, h_inv_sq=1.0, block_cardinality=2)
     part = partition_blocks(pyr, cfg)
     out, _ = shrink(pyr, part, cfg)
     # s2 = 1e-18 << lam*2/16 -> factor clamps to 0, not negative
-    assert np.all(out.details[(2, 1)] == 0.0)
-    assert np.all(out.details[(1, 1)] == 0.0)
+    assert np.all(out.subband(2, 1) == 0.0)
+    assert np.all(out.subband(1, 1) == 0.0)
     assert lam * 2 / 16.0 > 1e-18
 
 
@@ -220,19 +221,17 @@ def test_gross_passes_through_bit_identical():
     cfg = ShrinkageConfig(n=64, h_inv_sq=3.7, block_cardinality=4)
     out, _ = shrink(pyr, partition_blocks(pyr, cfg), cfg)
     assert np.array_equal(out.gross, pyr.gross)
-    assert out.gross is not pyr.gross          # still an independent copy
+    assert not np.shares_memory(out.coeffs, pyr.coeffs)  # an independent copy
 
 
 def test_input_pyramid_not_mutated():
     rng = np.random.default_rng(8)
     pyr = zero_pyramid(1, 16, 1)
-    for key in pyr.details:
-        pyr.details[key][:] = rng.standard_normal(pyr.details[key].shape)
-    before = {k: v.copy() for k, v in pyr.details.items()}
+    pyr.coeffs[...] = rng.standard_normal(pyr.coeffs.shape)
+    before = pyr.coeffs.copy()
     cfg = ShrinkageConfig(n=16, h_inv_sq=1.0, block_cardinality=2)
     shrink(pyr, partition_blocks(pyr, cfg), cfg)
-    for k in before:
-        np.testing.assert_array_equal(pyr.details[k], before[k])
+    np.testing.assert_array_equal(pyr.coeffs, before)
 
 
 def test_shrinkage_properties_random():
@@ -245,17 +244,17 @@ def test_shrinkage_properties_random():
         T = {1: 16, 2: 8, 3: 4}[q]
         j0 = int(rng.integers(0, int(math.log2(T))))
         pyr = zero_pyramid(q, T, j0)
-        for key in pyr.details:
-            pyr.details[key][:] = rng.standard_normal(
-                pyr.details[key].shape) * rng.choice([0.01, 1.0, 100.0])
+        for _, v in subbands(pyr):
+            v[...] = rng.standard_normal(v.shape) * rng.choice(
+                [0.01, 1.0, 100.0])
         L = int(rng.integers(1, 9))
         cfg = ShrinkageConfig(n=int(rng.integers(4, 10000)),
                               h_inv_sq=float(rng.uniform(0.1, 10.0)),
                               block_cardinality=L)
         out, diag = shrink(pyr, partition_blocks(pyr, cfg), cfg)
         side = oracle_side(L, q)
-        for (j, i), src in pyr.details.items():
-            dst = out.details[(j, i)]
+        for (j, i), src in subbands(pyr):
+            dst = out.subband(j, i)
             assert np.all(np.abs(dst) <= np.abs(src) + 1e-15)
             assert np.all((dst == 0) | (np.sign(dst) == np.sign(src)))
             for sl in oracle_tiles(2 ** j, side, q):
@@ -275,18 +274,17 @@ def test_factor_monotone_in_signal_scale():
     # doubling every coefficient at least doubles every output coefficient
     rng = np.random.default_rng(13)
     pyr1 = zero_pyramid(1, 32, 2)
-    for key in pyr1.details:
-        pyr1.details[key][:] = rng.standard_normal(pyr1.details[key].shape)
-    pyr2 = CoefficientPyramid(
-        q=1, j0=2, J=5, gross=pyr1.gross.copy(),
-        details={key: 2.0 * v for key, v in pyr1.details.items()})
+    for _, v in subbands(pyr1):
+        v[...] = rng.standard_normal(v.shape)
+    pyr2 = CoefficientPyramid(2.0 * pyr1.coeffs, 2)
+    pyr2.gross[...] = pyr1.gross
     cfg = ShrinkageConfig(n=32, h_inv_sq=1.0, block_cardinality=3)
     part = partition_blocks(pyr1, cfg)
     out1, _ = shrink(pyr1, part, cfg)
     out2, _ = shrink(pyr2, part, cfg)
-    for key in out1.details:
-        a = np.abs(out1.details[key])
-        b = np.abs(out2.details[key])
+    for key, v in subbands(out1):
+        a = np.abs(v)
+        b = np.abs(out2.subband(*key))
         assert np.all(b + 1e-12 >= 2.0 * a)
 
 
@@ -302,7 +300,7 @@ def test_shrink_requires_full_partition():
 def test_diagnostics_counts():
     # q=1, T=8, j0=0: subband sizes 1, 2, 4; L=2 -> blocks 1, 1, 2
     pyr = zero_pyramid(1, 8, 0)
-    pyr.details[(2, 1)][:] = 1000.0      # huge energy: factor ~ 1
+    pyr.subband(2, 1)[...] = 1000.0      # huge energy: factor ~ 1
     cfg = ShrinkageConfig(n=8, h_inv_sq=1.0, block_cardinality=2)
     out, diag = shrink(pyr, partition_blocks(pyr, cfg), cfg)
     assert diag.blocks_per_level == {0: 1, 1: 1, 2: 2}
@@ -313,21 +311,21 @@ def test_diagnostics_counts():
     assert diag.factor_histogram[0] == 2          # the two zeroed blocks
     assert diag.factor_histogram[9] == 2          # the two near-1 blocks
     assert 0.4 < diag.factor_mean < 0.6
-    assert np.all(np.abs(out.details[(2, 1)]) <= 1000.0)
+    assert np.all(np.abs(out.subband(2, 1)) <= 1000.0)
 
 
 def test_config_validation():
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(BadValue):
         ShrinkageConfig(n=0, h_inv_sq=1.0, block_cardinality=2)
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(BadValue):
         ShrinkageConfig(n=8, h_inv_sq=0.0, block_cardinality=2)
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(BadValue):
         ShrinkageConfig(n=8, h_inv_sq=float("nan"), block_cardinality=2)
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(BadValue):
         ShrinkageConfig(n=8, h_inv_sq=float("inf"), block_cardinality=2)
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(BadValue):
         ShrinkageConfig(n=8, h_inv_sq=1.0, block_cardinality=0)
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(BadValue):
         ShrinkageConfig(n=8, h_inv_sq=1.0, block_cardinality=2,
                         lambda_star=4.0)
     # valid explicit lambda accepted

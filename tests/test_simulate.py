@@ -15,10 +15,8 @@ from medwave.simulate import (
     available_test_functions,
     coupling_check,
     density_at_median,
-    estimation_grid,
     generate_dataset,
     mise,
-    observation_grid,
     rate_study,
     replication_rng,
     run_replication,
@@ -26,7 +24,7 @@ from medwave.simulate import (
     sample_errors,
     test_function as regression_function,
 )
-from medwave.grid import plan_grid
+from medwave.grid import plan_grid, product_grid
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +157,8 @@ def test_function_registry():
 def test_functions_are_centered_on_both_grids(name, q, n):
     fn = regression_function(name)
     design = plan_grid(n, q)
-    for grid in (observation_grid(design), estimation_grid(design)):
+    for grid in (product_grid(np.arange(design.m + 1) / design.m, q),
+                 product_grid(np.arange(1, design.T + 1) / design.T, q)):
         assert abs(float(np.mean(fn(grid)))) <= 1e-9
 
 
@@ -211,7 +210,8 @@ def test_noiseless_dataset_equals_truth():
     assert u.shape == (4096, 2)
     assert f_grid.shape == design.tensor_shape()
     np.testing.assert_array_equal(
-        f_grid.ravel(), fn(estimation_grid(design)))
+        f_grid.ravel(),
+        fn(product_grid(np.arange(1, design.T + 1) / design.T, 2)))
 
 
 def test_zero_beta_leaves_regression_untouched():

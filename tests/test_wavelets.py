@@ -1,21 +1,14 @@
-"""Periodized wavelet pyramid: filters, transforms, matrix oracle, Besov."""
+"""Periodized wavelet pyramid: filters, transforms, matrix oracle, layout."""
 
 import math
 
 import numpy as np
 import pytest
 
-from medwave.errors import (
-    BadExponent,
-    BadPrimaryLevel,
-    BadShape,
-    ShapeMismatch,
-    UnknownFilter,
-)
+from medwave.errors import BadPrimaryLevel, BadShape, UnknownFilter
 from medwave.wavelets import (
     CoefficientPyramid,
     available_filters,
-    besov_sequence_norm,
     build_filter,
     default_primary_level,
     dwt_qd,
@@ -113,6 +106,21 @@ def naive_vector(tensor, h, j0):
     return np.concatenate(parts)
 
 
+def subbands(pyr):
+    """Every detail subband view of ``pyr``: ((level, subband), view),
+    levels ascending, subbands ascending."""
+    for j in pyr.levels():
+        for i in range(1, 2 ** pyr.q):
+            yield (j, i), pyr.subband(j, i)
+
+
+def to_vector(pyr):
+    """The package transform in the canonical order naive_vector uses:
+    gross first, then levels and subbands ascending, each in C order."""
+    return np.concatenate([pyr.gross.ravel()]
+                          + [v.ravel() for _, v in subbands(pyr)])
+
+
 def oracle_matrix(q, T, name, j0):
     """Explicit transform matrix built through the naive implementation."""
     h = naive_taps(name)
@@ -193,7 +201,7 @@ def test_matrix_oracle_all_small_instances():
                 x = rng.standard_normal((T,) * q)
                 pyr = dwt_qd(x, filt, j0)
                 np.testing.assert_allclose(
-                    pyr.to_vector(), M @ x.ravel(), atol=1e-10)
+                    to_vector(pyr), M @ x.ravel(), atol=1e-10)
                 # and the inverse equals the transpose action
                 back = idwt_qd(pyr, filt)
                 np.testing.assert_allclose(
@@ -205,7 +213,7 @@ def test_haar_ramp_matches_matrix():
     x = np.arange(8.0)
     M = oracle_matrix(1, 8, "haar", 0)
     pyr = dwt_qd(x, build_filter("haar"), 0)
-    np.testing.assert_allclose(pyr.to_vector(), M @ x, atol=1e-12)
+    np.testing.assert_allclose(to_vector(pyr), M @ x, atol=1e-12)
 
 
 def test_round_trip_and_parseval_across_sizes():
@@ -223,7 +231,7 @@ def test_round_trip_and_parseval_across_sizes():
                         back = idwt_qd(pyr, filt)
                         assert np.max(np.abs(back - x)) < 1e-10
                         ex = float(np.sum(x * x))
-                        rel = abs(pyr.energy() - ex) / ex
+                        rel = abs(float(np.sum(pyr.coeffs ** 2)) - ex) / ex
                         assert rel < 1e-10
                         cases += 1
     assert cases >= 100
@@ -239,9 +247,8 @@ def test_linearity():
         x = rng.standard_normal((T,) * q)
         y = rng.standard_normal((T,) * q)
         a, b = rng.standard_normal(2)
-        lhs = dwt_qd(a * x + b * y, filt, j0).to_vector()
-        rhs = a * dwt_qd(x, filt, j0).to_vector() \
-            + b * dwt_qd(y, filt, j0).to_vector()
+        lhs = dwt_qd(a * x + b * y, filt, j0).coeffs
+        rhs = a * dwt_qd(x, filt, j0).coeffs + b * dwt_qd(y, filt, j0).coeffs
         assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
@@ -253,19 +260,26 @@ def test_constant_signal(name):
         J = int(math.log2(T))
         j0 = min(default_primary_level(filt), J - 1)
         pyr = dwt_qd(np.full((T,) * q, c), filt, j0)
-        for arr in pyr.details.values():
+        for _, arr in subbands(pyr):
             assert np.max(np.abs(arr)) < 1e-10
         expected = c * 2 ** (q * (J - j0) / 2.0)
         np.testing.assert_allclose(pyr.gross, expected, atol=1e-10)
 
 
 def test_subband_count():
+    # the gross corner and the subband views tile the array exactly once
     filt = build_filter("haar")
     for q, T, j0 in [(1, 16, 1), (2, 8, 0), (3, 4, 1), (2, 16, 2)]:
         J = int(math.log2(T))
         pyr = dwt_qd(np.zeros((T,) * q), filt, j0)
-        assert len(pyr.details) == (2 ** q - 1) * (J - j0)
-        assert pyr.total_coefficients() == T ** q
+        views = list(subbands(pyr))
+        assert len(views) == (2 ** q - 1) * (J - j0)
+        for (j, _), v in views:
+            assert v.shape == (2 ** j,) * q
+        pyr.gross[...] += 1.0
+        for _, v in views:
+            v[...] += 1.0
+        assert np.all(pyr.coeffs == 1.0)
 
 
 def test_zero_pyramid_inverts_to_zero():
@@ -282,7 +296,7 @@ def test_unit_coefficient_gives_unit_energy_basis_vector():
     M = oracle_matrix(q, T, name, j0)
     pyr = dwt_qd(np.zeros((T,) * q), filt, j0)
     # position: gross block, flat offset 2 -> vector index 2
-    pyr.gross.ravel()[2] = 1.0
+    pyr.gross[np.unravel_index(2, pyr.gross.shape)] = 1.0
     vec = np.zeros(T ** q)
     vec[2] = 1.0
     back = idwt_qd(pyr, filt)
@@ -310,73 +324,16 @@ def test_shape_and_level_errors():
 
 
 def test_pyramid_validate_catches_corruption():
-    filt = build_filter("haar")
-    bad = dwt_qd(np.zeros((8, 8)), filt, 1)
-    del bad.details[(1, 2)]
-    with pytest.raises(ShapeMismatch):
-        bad.validate()
-    bad2 = dwt_qd(np.zeros((8, 8)), filt, 1)
-    bad2.details[(1, 2)] = np.zeros((4, 4))
-    with pytest.raises(ShapeMismatch):
-        bad2.validate()
-
-
-# ---------------------------------------------------------------------------
-# Besov sequence norm
-# ---------------------------------------------------------------------------
-
-def besov_pyramid(q, j0, J, fill):
-    """Pyramid whose every subband is filled by fill(j) scalars."""
-    gross = np.zeros((2 ** j0,) * q)
-    details = {}
-    for j in range(j0, J):
-        for i in range(1, 2 ** q):
-            details[(j, i)] = np.full((2 ** j,) * q, fill(j))
-    return CoefficientPyramid(q=q, j0=j0, J=J, gross=gross, details=details)
-
-
-def test_besov_single_coefficient_example():
-    # one unit coefficient at level 2, alpha=1, s=t=2, q=1:
-    # w = 1, term = 2^{jw} * 1 = 4; gross contributes 0 -> norm 4
-    pyr = dwt_qd(np.zeros(16), build_filter("haar"), 1)
-    pyr.details[(2, 1)][1] = 1.0
-    assert besov_sequence_norm(pyr, alpha=1.0, s=2.0, t=2.0) \
-        == pytest.approx(4.0, abs=1e-12)
-
-
-def test_besov_gross_plus_levels():
-    pyr = besov_pyramid(1, 1, 3, lambda j: 0.0)
-    pyr.gross[:] = [3.0, 4.0]
-    # only the gross term: l2 norm 5
-    assert besov_sequence_norm(pyr, 1.0, 2.0, 2.0) == pytest.approx(5.0)
-    # add level terms with known l2 norms
-    pyr.details[(1, 1)][:] = 1.0          # ||theta_1||_2 = sqrt(2)
-    pyr.details[(2, 1)][:] = 0.5          # ||theta_2||_2 = 1
-    w = 1.0
-    expected = 5.0 + math.sqrt(
-        (2 ** (1 * w) * math.sqrt(2)) ** 2 + (2 ** (2 * w) * 1.0) ** 2)
-    assert besov_sequence_norm(pyr, 1.0, 2.0, 2.0) == pytest.approx(expected)
-
-
-def test_besov_t_infinity_is_supremum():
-    pyr = besov_pyramid(1, 1, 4, lambda j: 2.0 ** (-j))
-    w = 1.0 + 1.0 * (0.5 - 0.5)
-    terms = []
-    for j in range(1, 4):
-        norm_j = math.sqrt(2 ** j) * 2.0 ** (-j)
-        terms.append(2 ** (j * w) * norm_j)
-    assert besov_sequence_norm(pyr, 1.0, 2.0, math.inf) \
-        == pytest.approx(max(terms))
-
-
-def test_besov_exponent_validation():
-    pyr = besov_pyramid(2, 1, 3, lambda j: 1.0)
-    with pytest.raises(BadExponent):
-        besov_sequence_norm(pyr, alpha=0.0, s=1.0, t=2.0)  # w = -1
-    with pytest.raises(BadExponent):
-        besov_sequence_norm(pyr, alpha=1.0, s=0.5, t=2.0)
-    with pytest.raises(BadExponent):
-        besov_sequence_norm(pyr, alpha=1.0, s=2.0, t=0.5)
-    # boundary: w must be strictly positive
-    with pytest.raises(BadExponent):
-        besov_sequence_norm(pyr, alpha=1.0, s=1.0, t=1.0)  # w = 0
+    # the constructor checks the geometry a pyramid is built with
+    with pytest.raises(BadShape):
+        CoefficientPyramid(np.zeros((8, 4)), 1)
+    with pytest.raises(BadShape):
+        CoefficientPyramid(np.zeros((6, 6)), 1)
+    with pytest.raises(BadShape):
+        CoefficientPyramid(np.zeros(()), 0)
+    with pytest.raises(BadPrimaryLevel):
+        CoefficientPyramid(np.zeros((8, 8)), 3)
+    with pytest.raises(BadPrimaryLevel):
+        CoefficientPyramid(np.zeros((8, 8)), -1)
+    pyr = CoefficientPyramid(np.zeros((8, 8)), 1)
+    assert (pyr.q, pyr.J, list(pyr.levels())) == (2, 3, [1, 2])
