@@ -30,6 +30,7 @@ middle order statistics).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -53,18 +54,23 @@ NOISE_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class MedianSummary:
-    """Medians of every bin and half-bin, as (T,)*q tensors in C order."""
+    """Medians of every bin and half-bin, as (T,)*q tensors in C order.
+
+    ``q_half`` is None when the half-bins are empty: only the bias
+    correction reads it, and it raises then.
+    """
 
     design: GridDesign
     q_full: np.ndarray
-    q_half: np.ndarray
+    q_half: Optional[np.ndarray]
 
     def __post_init__(self):
         shape = self.design.tensor_shape()
-        if self.q_full.shape != shape or self.q_half.shape != shape:
+        half_shape = shape if self.q_half is None else self.q_half.shape
+        if self.q_full.shape != shape or half_shape != shape:
             raise EmptyBin(
                 f"median tensors must have shape {shape}, got "
-                f"{self.q_full.shape} / {self.q_half.shape}"
+                f"{self.q_full.shape} / {half_shape}"
             )
 
 
@@ -116,26 +122,41 @@ def _grouped_medians(sorted_values: np.ndarray, counts: np.ndarray,
 def bin_medians(binned: BinnedData) -> MedianSummary:
     """Compute the bin-median tensor Q and the half-bin tensor Q*.
 
+    Q* is left as None when some half-bin is empty, which happens on every
+    design with fewer than 2T points per axis.
+
     Raises
     ------
     EmptyBin
-        If any bin or half-bin holds no observations (the message names the
-        offending multi-index).
+        If any bin holds no observations (the message names the offending
+        multi-index).
     """
     design = binned.design
     shape = design.tensor_shape()
     sorted_y = binned.y[binned.order]
     q_full = _grouped_medians(sorted_y, binned.counts, shape, "bin")
 
-    half_sorted = binned.half_mask[binned.order]
-    q_half = _grouped_medians(
-        sorted_y[half_sorted], binned.half_counts, shape, "half-bin"
-    )
+    q_half = None
+    if binned.half_counts.min() > 0:
+        half_sorted = binned.half_mask[binned.order]
+        q_half = _grouped_medians(
+            sorted_y[half_sorted], binned.half_counts, shape, "half-bin"
+        )
     return MedianSummary(design=design, q_full=q_full, q_half=q_half)
 
 
 def bias_correction(summary: MedianSummary) -> float:
-    """Global scalar bias estimate: mean over bins of (Q* - Q)."""
+    """Global scalar bias estimate: mean over bins of (Q* - Q).
+
+    Raises
+    ------
+    EmptyBin
+        If the half-bins are empty (``q_half`` is None).
+    """
+    if summary.q_half is None:
+        # every axis interval has the same half length floor((m+1)/(2T)),
+        # so the half-bins are empty all at once and the first is (1,...,1)
+        raise EmptyBin(f"half-bin {(1,) * summary.design.q} is empty")
     return float(np.mean(summary.q_half - summary.q_full))
 
 

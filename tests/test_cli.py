@@ -120,6 +120,20 @@ def test_estimate_non_finite_coordinate_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_estimate_without_half_bins_needs_no_bias_correction(tmp_path,
+                                                             capsys):
+    # 7 rows: every half-bin is empty, which only the bias correction reads
+    data, _, _ = make_dataset(tmp_path, n=7)
+    out = tmp_path / "est.csv"
+    rc = main(["estimate", "--input", str(data), "--output", str(out),
+               "--no-bias-correction"])
+    assert rc == 0
+    assert read_estimate_csv(out)[1].shape == (4,)
+    capsys.readouterr()
+    assert main(["estimate", "--input", str(data)]) == 2
+    assert "half-bin (1,) is empty" in capsys.readouterr().err
+
+
 def test_estimate_stdout_matches_output_file(tmp_path, capsys):
     data, _, _ = make_dataset(tmp_path)
     out = tmp_path / "est.csv"

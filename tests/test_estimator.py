@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from medwave.errors import BadPrimaryLevel, BadValue, ShapeMismatch
+from medwave.errors import BadPrimaryLevel, BadValue, EmptyBin, ShapeMismatch
 from medwave.estimator import EstimatorConfig, evaluate_on_grid, fit
 from medwave.grid import plan_grid
 
@@ -208,6 +208,18 @@ def test_single_bin_design_accepts_known_noise():
     result = fit(u, y, cfg)
     assert not result.noise.degenerate
     assert result.noise.h_inv_sq == 2.0
+
+
+def test_empty_half_bins_matter_only_with_bias_correction():
+    # 7 points on one axis: T = 4, so floor(7 / 8) = 0 points per half-bin
+    u = grid_1d(7)
+    y = np.array([3.0, -1.0, 4.0, 1.0, -5.0, 9.0, 2.0])
+    result = fit(u, y, RAW)
+    assert result.b_hat == 0.0
+    # bins hold points {0, 1}, {2, 3}, {4}, {5, 6}
+    assert np.allclose(result.f_hat, [1.0, 2.5, -5.0, 5.5], rtol=0, atol=1e-12)
+    with pytest.raises(EmptyBin, match=r"half-bin \(1,\) is empty"):
+        fit(u, y, EstimatorConfig(shrinkage_enabled=False))
 
 
 def test_default_primary_level_follows_filter():

@@ -1,16 +1,21 @@
 """CSV round-trips and the key = value experiment config dialect."""
 
+import io
 import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from medwave.config import emit_config, parse_config, parse_config_text
 from medwave.dataio import (
+    _parse_lines,
     read_estimate_csv,
     read_grid_csv,
     write_dataset_csv,
     write_estimate_csv,
+    write_rows,
 )
 from medwave.errors import (
     BadValue,
@@ -100,6 +105,128 @@ def test_dataset_row_errors_name_the_line(tmp_path):
 def test_dataset_missing_file(tmp_path):
     with pytest.raises(OSError):
         read_grid_csv(tmp_path / "nope.csv")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("body", ["", "\n", "\r\n\n", "  \n"])
+def test_header_only_file_raises_without_warning(tmp_path, body):
+    path = tmp_path / "h.csv"
+    path.write_bytes(("u1,u2,y\n" + body).encode())
+    with pytest.raises(ParseError) as exc:
+        read_grid_csv(path)
+    assert "no data rows" in str(exc.value)
+
+
+# ---------------------------------------------------------------------------
+# the whole-body parse against the line parser
+# ---------------------------------------------------------------------------
+
+def line_parser(path):
+    """The reference: the header's width, then every body line parsed on
+    its own."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        q = fh.readline().count(",")
+        return _parse_lines(fh, path, q)
+
+
+FLOAT_FORMATS = ("%.17g", "%r", "%.6g", "%.20e")
+SPECIAL_FIELDS = ("nan", "-nan", "NaN", "inf", "-inf", "+inf", "-Infinity",
+                  "1e5", "+.5", "5.", "-0", " 1 ", "\t2")
+BAD_FIELDS = ("1_000", "\u0661", "two", "", "#", '"1"', "\x00", "0x10",
+              "1d5", "1 2")
+LINE_ENDS = ("\n", "\r\n", "\r")
+
+
+@st.composite
+def csv_bodies(draw):
+    """(q, body): rows of a drawn width (mostly q+1) and blank lines, in
+    half the bodies mixed with whitespace-only, short, long, odd-field and
+    trailing-comma lines."""
+    q = draw(st.integers(1, 3))
+    width = draw(st.sampled_from((q + 1,) * 8 + (q, q + 2)))
+    value = st.tuples(st.sampled_from(FLOAT_FORMATS), st.floats()).map(
+        lambda fx: fx[0] % fx[1]) | st.sampled_from(SPECIAL_FIELDS)
+    row = st.lists(value, min_size=width, max_size=width)
+    odd = st.one_of(
+        st.sampled_from(("  ", "\t", " \t ")),
+        st.lists(value, min_size=1, max_size=q + 3).map(",".join),
+        st.tuples(row, st.integers(0, width - 1),
+                  st.sampled_from(BAD_FIELDS)).map(
+            lambda r: ",".join(r[0][:r[1]] + [r[2]] + r[0][r[1] + 1:])),
+        row.map(lambda r: ",".join(r) + ","),
+    )
+    line = row.map(",".join) | st.just("")
+    if draw(st.booleans()):
+        line = line | odd
+    lines = draw(st.lists(line, max_size=12))
+    ends = draw(st.lists(st.sampled_from(LINE_ENDS), min_size=len(lines),
+                         max_size=len(lines)))
+    body = "".join(line + end for line, end in zip(lines, ends))
+    if body and draw(st.booleans()):
+        body = body.rstrip("\r\n")
+    return q, body
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(csv_bodies())
+@example((1, "0,1\n0.5,2\n"))
+@example((1, "0,1,7\n0.5,2,8\n"))          # every row one field too long
+@example((2, "0,1\n0.5,2\n"))              # every row one field short
+@example((1, "0,1\n\n  \n0.5,1_000\r"))
+def test_body_parse_matches_line_parser(tmp_path, case):
+    q, body = case
+    path = tmp_path / "d.csv"
+    header = ",".join([f"u{i}" for i in range(1, q + 1)] + ["y"])
+    path.write_bytes((header + "\n" + body).encode("utf-8"))
+    try:
+        expected = line_parser(path)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as got:
+            read_grid_csv(path)
+        assert str(got.value) == str(exc)
+        assert str(got.value).startswith(f"{path}:")
+        return
+    u, y = read_grid_csv(path)
+    assert u.shape == expected[0].shape and y.shape == expected[1].shape
+    assert np.array_equal(u.view(np.uint64), expected[0].view(np.uint64))
+    assert np.array_equal(y.view(np.uint64), expected[1].view(np.uint64))
+
+
+# ---------------------------------------------------------------------------
+# the chunked writer against formatting every field
+# ---------------------------------------------------------------------------
+
+def rows_oracle(u, values, value_column):
+    """The per-row writer: each field through format(x, ".17g")."""
+    q = u.shape[1]
+    out = [",".join([f"u{i}" for i in range(1, q + 1)] + [value_column])]
+    for row, v in zip(u, values):
+        out.append(",".join([format(float(c), ".17g") for c in row]
+                            + [format(float(v), ".17g")]))
+    return "".join(line + "\n" for line in out)
+
+
+SPECIAL_VALUES = np.array([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                           np.inf, -np.inf, np.nan, 1.7976931348623157e308])
+
+
+@pytest.mark.parametrize("rows", [0, 1, 8191, 8192, 8193])
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_write_rows_matches_per_field_format(q, rows):
+    rng = np.random.default_rng(1000 * q + rows)
+    table = rng.integers(0, 2 ** 64, size=(rows, q + 1),
+                         dtype=np.uint64).view(np.float64)
+    if rows:
+        at = rng.integers(0, table.size, size=len(SPECIAL_VALUES))
+        table.ravel()[at] = SPECIAL_VALUES
+        table.ravel()[:min(table.size, len(AWKWARD))] = AWKWARD[:table.size]
+    out = io.StringIO()
+    write_rows(out, table[:, :q], table[:, q], "y")
+    got = out.getvalue().split("\n")
+    want = rows_oracle(table[:, :q], table[:, q], "y").split("\n")
+    diff = [(i, a, b) for i, (a, b) in enumerate(zip(got, want)) if a != b]
+    assert len(got) == len(want) and not diff, diff[:1]
 
 
 # ---------------------------------------------------------------------------

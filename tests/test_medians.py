@@ -110,10 +110,11 @@ def test_empty_half_bin_is_named():
     d = plan_grid(27, 3)
     assert (d.m + 1) // (2 * d.T) == 0
     u = full_grid(2, 3)
-    b = bin_observations(u, np.zeros(27), d)
+    summary = bin_medians(bin_observations(u, np.zeros(27), d))
+    assert summary.q_half is None
     with pytest.raises(EmptyBin) as exc:
-        bin_medians(b)
-    assert "half-bin (1, 1, 1)" in str(exc.value)
+        bias_correction(summary)
+    assert "half-bin (1, 1, 1) is empty" in str(exc.value)
 
 
 def test_median_summary_shape_guard():
