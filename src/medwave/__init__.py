@@ -16,7 +16,6 @@ from .errors import (
     BadPrimaryLevel,
     BadShape,
     BadValue,
-    DegenerateBinning,
     DegenerateNoise,
     EmptyBin,
     HeaderMismatch,
@@ -39,7 +38,6 @@ from .medians import (
     bin_medians,
     estimate_noise_level,
     known_noise_level,
-    sample_median,
 )
 from .wavelets import (
     CoefficientPyramid,

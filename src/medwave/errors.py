@@ -9,7 +9,6 @@ __all__ = [
     "MedwaveError",
     # grid / binning
     "NonGridSampleSize",
-    "DegenerateBinning",
     "IncompleteGrid",
     "OffGridPoint",
     # medians / noise
@@ -38,10 +37,6 @@ class MedwaveError(Exception):
 
 class NonGridSampleSize(MedwaveError):
     """Sample size n is not a perfect q-th power (m+1)^q with m >= 1."""
-
-
-class DegenerateBinning(MedwaveError):
-    """Requested bin count per axis exceeds the grid resolution (T > m+1)."""
 
 
 class IncompleteGrid(MedwaveError):

@@ -21,21 +21,24 @@ Conventions
   multi-index (l1, ..., lq).
 * Half-bins take the first floor((m+1)/(2T)) grid points of each axis
   interval, counted in increasing coordinate order.
+
+Binning needs no sort. Once the checks have passed, the flat grid code of
+the rows is a permutation of range(n), so one scatter puts the responses in
+lexicographic grid order, an (m+1,)*q array. Every axis interval is a run
+of consecutive grid points, so a bin is a product of such runs and its
+members follow from the interval starts and lengths alone. No bin is empty:
+T^q <= n^(3/4) < n gives T < m+1, and every axis interval holds at least
+one grid point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
-from .errors import (
-    BadValue,
-    DegenerateBinning,
-    IncompleteGrid,
-    NonGridSampleSize,
-    OffGridPoint,
-)
+from .errors import BadValue, IncompleteGrid, NonGridSampleSize, OffGridPoint
 
 __all__ = ["GridDesign", "BinnedData", "plan_grid", "bin_observations",
            "product_grid"]
@@ -64,9 +67,6 @@ class GridDesign:
         floor(n / (V * 2^q)), observations per half-bin.
     axis_bins : np.ndarray
         axis_bins[i] is the 1-based interval index of grid coordinate i/m.
-    axis_half : np.ndarray
-        axis_half[i] is True when i/m belongs to the lower half of its
-        interval (first floor((m+1)/(2T)) points).
     """
 
     n: int
@@ -78,11 +78,11 @@ class GridDesign:
     kappa: int
     nu: int
     axis_bins: np.ndarray = field(repr=False, compare=False)
-    axis_half: np.ndarray = field(repr=False, compare=False)
 
     @property
-    def points_per_axis(self) -> int:
-        return self.m + 1
+    def axis_lengths(self) -> np.ndarray:
+        """Grid points in each of the T axis intervals; at most two values."""
+        return np.bincount(self.axis_bins, minlength=self.T + 1)[1:]
 
     def tensor_shape(self) -> tuple:
         return (self.T,) * self.q
@@ -115,9 +115,6 @@ def plan_grid(n: int, q: int) -> GridDesign:
     ------
     NonGridSampleSize
         If n is not a perfect q-th power (m+1)^q with m >= 1.
-    DegenerateBinning
-        If the planned T exceeds the points per axis (cannot happen for
-        valid inputs; kept as a defensive guard).
     """
     if q < 1:
         raise NonGridSampleSize(f"dimension q must be >= 1, got {q}")
@@ -130,8 +127,6 @@ def plan_grid(n: int, q: int) -> GridDesign:
     J = _dyadic_depth(int(n), int(q))
     T = 2 ** J
     V = T ** q
-    if T > m + 1:
-        raise DegenerateBinning(f"T={T} exceeds grid points per axis {m + 1}")
     kappa = n // V
     nu = n // (V * 2 ** q)
 
@@ -140,17 +135,9 @@ def plan_grid(n: int, q: int) -> GridDesign:
     i = np.arange(m + 1)
     axis_bins = np.maximum(-((-i * T) // m), 1).astype(np.int64)
 
-    # Lower-half membership: first floor((m+1)/(2T)) points of each interval,
-    # by rank inside the interval in increasing coordinate order.
-    half_len = (m + 1) // (2 * T)
-    start = np.searchsorted(axis_bins, np.arange(1, T + 1), side="left")
-    rank = i - start[axis_bins - 1]
-    axis_half = rank < half_len
-
     return GridDesign(
         n=int(n), q=int(q), m=int(m), J=int(J), T=int(T), V=int(V),
-        kappa=int(kappa), nu=int(nu),
-        axis_bins=axis_bins, axis_half=axis_half,
+        kappa=int(kappa), nu=int(nu), axis_bins=axis_bins,
     )
 
 
@@ -161,26 +148,27 @@ def product_grid(axis: np.ndarray, q: int) -> np.ndarray:
     return np.stack([g.ravel() for g in mesh], axis=1)
 
 
-@dataclass
+@dataclass(frozen=True)
 class BinnedData:
-    """Observations grouped by bin.
+    """Responses in lexicographic grid order, shape (m+1,)*q.
 
-    The heavy lifting downstream (medians per bin) wants flat arrays, so the
-    storage is ``order`` (a permutation sorting observations by
-    lexicographic bin code) plus per-bin counts.
+    ``y_grid[i1, ..., iq]`` is the response at (i1/m, ..., iq/m); the bins
+    are products of the design's axis intervals.
     """
 
     design: GridDesign
-    y: np.ndarray            # responses, original order
-    bin_codes: np.ndarray    # flat 0-based lexicographic bin code per obs
-    half_mask: np.ndarray    # True when the observation lies in a half-bin
-    order: np.ndarray        # argsort of bin_codes (stable)
-    counts: np.ndarray       # observations per bin, length V
-    half_counts: np.ndarray  # half-bin observations per bin, length V
+    y_grid: np.ndarray
+
+    @property
+    def counts(self) -> np.ndarray:
+        """Observations per bin, a (T,)*q tensor: the outer product of the
+        axis interval lengths."""
+        lengths = self.design.axis_lengths
+        return reduce(np.multiply.outer, [lengths] * self.design.q)
 
 
 def bin_observations(u: np.ndarray, y: np.ndarray, design: GridDesign) -> BinnedData:
-    """Assign grid observations to bins and half-bins.
+    """Check a grid sample and put its responses in grid order.
 
     Parameters
     ----------
@@ -248,17 +236,7 @@ def bin_observations(u: np.ndarray, y: np.ndarray, design: GridDesign) -> Binned
             f"grid point {tuple(p / m for p in pt)} is {what}"
         )
 
-    axis_bin = design.axis_bins[idx]          # (n, q), 1-based
-    bin_codes = (axis_bin[:, 0] - 1).astype(np.int64)
-    for s in range(1, q):
-        bin_codes = bin_codes * design.T + (axis_bin[:, s] - 1)
-    half_mask = design.axis_half[idx].all(axis=1)
-
-    order = np.argsort(bin_codes, kind="stable")
-    counts = np.bincount(bin_codes, minlength=design.V)
-    half_counts = np.bincount(bin_codes[half_mask], minlength=design.V)
-
-    return BinnedData(
-        design=design, y=y, bin_codes=bin_codes, half_mask=half_mask,
-        order=order, counts=counts, half_counts=half_counts,
-    )
+    # grid_code is now a permutation of range(n): scatter into grid order
+    y_grid = np.empty(n)
+    y_grid[grid_code] = y
+    return BinnedData(design=design, y_grid=y_grid.reshape((m + 1,) * q))

@@ -25,22 +25,29 @@ Given the binned responses, three quantities feed the estimation pipeline:
 
 Medians use the usual midpoint convention for even counts (mean of the two
 middle order statistics).
+
+The responses arrive in grid order (see :mod:`medwave.grid`), where a bin is
+a product of axis intervals. An axis has at most two interval lengths, so
+the bins fall into at most 2^q count classes. Each class is gathered with
+one ``np.ix_`` over its intervals' grid points and reduced with one
+``np.median``; the half-bins, which take the same length
+floor((m+1)/(2T)) on every axis, are always one class.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Optional
 
 import numpy as np
 
-from .errors import DegenerateNoise, EmptyBin
+from .errors import DegenerateNoise, EmptyBin, ShapeMismatch
 from .grid import BinnedData, GridDesign
 
 __all__ = [
     "MedianSummary",
     "NoiseEstimate",
-    "sample_median",
     "bin_medians",
     "bias_correction",
     "estimate_noise_level",
@@ -68,7 +75,7 @@ class MedianSummary:
         shape = self.design.tensor_shape()
         half_shape = shape if self.q_half is None else self.q_half.shape
         if self.q_full.shape != shape or half_shape != shape:
-            raise EmptyBin(
+            raise ShapeMismatch(
                 f"median tensors must have shape {shape}, got "
                 f"{self.q_full.shape} / {half_shape}"
             )
@@ -89,59 +96,45 @@ class NoiseEstimate:
     source: str = "estimate"
 
 
-def sample_median(values) -> float:
-    """Median with midpoint convention for even counts.
+def _interval_medians(y_grid: np.ndarray, starts: np.ndarray,
+                      lengths: np.ndarray) -> np.ndarray:
+    """Median over every product of the axis intervals
+    ``[starts[l], starts[l] + lengths[l])``, as a (T,)*q tensor.
 
-    Raises
-    ------
-    EmptyBin
-        On an empty input.
+    Intervals of equal length are gathered together, one pass per class of
+    equal-count bins.
     """
-    values = np.asarray(values, dtype=float)
-    if values.size == 0:
-        raise EmptyBin("median of empty set")
-    return float(np.median(values))
-
-
-def _grouped_medians(sorted_values: np.ndarray, counts: np.ndarray,
-                     shape: tuple, what: str) -> np.ndarray:
-    """Median per group of a value array already sorted by group code."""
-    V = counts.size
-    if counts.min() == 0:
-        code = int(np.argmin(counts))
-        idx = tuple(int(v) + 1 for v in np.unravel_index(code, shape))
-        raise EmptyBin(f"{what} {idx} is empty")
-    if counts.max() == counts.min():
-        meds = np.median(sorted_values.reshape(V, counts[0]), axis=1)
-    else:
-        offsets = np.cumsum(counts)[:-1]
-        meds = np.array([np.median(g) for g in np.split(sorted_values, offsets)])
-    return meds.reshape(shape)
+    q = y_grid.ndim
+    out = np.empty((starts.size,) * q)
+    axis_classes = [(np.flatnonzero(lengths == length), length)
+                    for length in np.unique(lengths)]
+    for combo in product(axis_classes, repeat=q):
+        points = [(starts[ls, None] + np.arange(length)).ravel()
+                  for ls, length in combo]
+        block = y_grid[np.ix_(*points)].reshape(
+            [d for ls, length in combo for d in (ls.size, length)])
+        # block is a gathered copy, so the median may partition it in place
+        out[np.ix_(*(ls for ls, _ in combo))] = np.median(
+            block, axis=tuple(range(1, 2 * q, 2)), overwrite_input=True)
+    return out
 
 
 def bin_medians(binned: BinnedData) -> MedianSummary:
     """Compute the bin-median tensor Q and the half-bin tensor Q*.
 
-    Q* is left as None when some half-bin is empty, which happens on every
+    Q* is left as None when the half-bins are empty, which happens on every
     design with fewer than 2T points per axis.
-
-    Raises
-    ------
-    EmptyBin
-        If any bin holds no observations (the message names the offending
-        multi-index).
     """
     design = binned.design
-    shape = design.tensor_shape()
-    sorted_y = binned.y[binned.order]
-    q_full = _grouped_medians(sorted_y, binned.counts, shape, "bin")
+    lengths = design.axis_lengths
+    starts = np.cumsum(lengths) - lengths
+    q_full = _interval_medians(binned.y_grid, starts, lengths)
 
+    half = (design.m + 1) // (2 * design.T)
     q_half = None
-    if binned.half_counts.min() > 0:
-        half_sorted = binned.half_mask[binned.order]
-        q_half = _grouped_medians(
-            sorted_y[half_sorted], binned.half_counts, shape, "half-bin"
-        )
+    if half > 0:
+        q_half = _interval_medians(binned.y_grid, starts,
+                                   np.full_like(lengths, half))
     return MedianSummary(design=design, q_full=q_full, q_half=q_half)
 
 

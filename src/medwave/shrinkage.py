@@ -27,10 +27,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import BadValue, ShapeMismatch
 from .wavelets import CoefficientPyramid
@@ -45,18 +43,14 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=1)
 def solve_lambda_star() -> float:
     """Root of lambda - ln(lambda) = 3 on (1, 10), to full precision.
 
-    The residual of the returned value is below 1e-12; the function is
-    strictly increasing on the bracket so the root is unique.
+    The literal is the root scipy's ``brentq`` finds on that bracket with
+    xtol=1e-14, rtol=8.9e-16, to the bit (a Newton solve lands one ulp
+    higher); its residual is below 1e-12. The tests re-solve and compare.
     """
-    root = float(brentq(lambda x: x - math.log(x) - 3.0, 1.0, 10.0,
-                        xtol=1e-14, rtol=8.9e-16))
-    if abs(root - math.log(root) - 3.0) > 1e-12:  # pragma: no cover
-        raise ArithmeticError("lambda* solve failed to converge")
-    return root
+    return 4.505241495792882
 
 
 def default_block_cardinality(n: int) -> int:

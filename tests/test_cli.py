@@ -364,6 +364,17 @@ def test_public_names_resolve():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_import_leaves_scipy_unloaded():
+    # estimation needs numpy only; scipy is a test dependency
+    code = ("import sys\n"
+            "import medwave, medwave.cli\n"
+            "assert 'scipy' not in sys.modules, "
+            "sorted(m for m in sys.modules if m.startswith('scipy'))\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_module_entry_point(tmp_path):
     data, _, _ = make_dataset(tmp_path)
     proc = subprocess.run(

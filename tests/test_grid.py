@@ -1,10 +1,13 @@
 """Binning geometry and observation assignment."""
 
+from functools import reduce
+
 import numpy as np
 import pytest
 
 from medwave.errors import IncompleteGrid, NonGridSampleSize, OffGridPoint
 from medwave.grid import bin_observations, plan_grid
+from medwave.medians import bin_medians
 
 
 def full_grid(m, q):
@@ -12,6 +15,32 @@ def full_grid(m, q):
     axes = [np.arange(m + 1) / m] * q
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([g.ravel() for g in mesh], axis=1)
+
+
+def oracle_bins(d, u):
+    """Brute-force membership of each row: its lexicographic bin code, from
+    ``axis_bins``, and whether it lies in its bin's half-bin, from the rank
+    of each coordinate among the grid points of its axis interval."""
+    idx = np.rint(np.reshape(u, (d.n, d.q)) * d.m).astype(np.int64)
+    axis = d.axis_bins[idx] - 1
+    codes = np.ravel_multi_index(tuple(axis.T), (d.T,) * d.q)
+    first = np.array([np.flatnonzero(d.axis_bins == l)[0]
+                      for l in range(1, d.T + 1)])
+    half = (idx - first[axis] < (d.m + 1) // (2 * d.T)).all(axis=1)
+    return codes, half
+
+
+def oracle_medians(d, u, y):
+    """Bin and half-bin medians, one np.median per bin over the members
+    :func:`oracle_bins` names; the half tensor is None without half-bins."""
+    codes, half = oracle_bins(d, u)
+    shape = (d.T,) * d.q
+    q_full = np.array([np.median(y[codes == c]) for c in range(d.V)])
+    if not half.any():
+        return q_full.reshape(shape), None
+    q_half = np.array([np.median(y[(codes == c) & half])
+                       for c in range(d.V)])
+    return q_full.reshape(shape), q_half.reshape(shape)
 
 
 # a spread of valid (n, q) pairs used by the sweep tests
@@ -55,6 +84,9 @@ def test_binning_never_degenerate():
         d = plan_grid(n, q)
         assert d.T <= d.m + 1
         assert np.bincount(d.axis_bins, minlength=d.T + 1)[1:].min() >= 1
+        assert np.array_equal(d.axis_lengths,
+                              np.bincount(d.axis_bins, minlength=d.T + 1)[1:])
+        assert np.unique(d.axis_lengths).size <= 2
 
 
 def test_axis_bins_match_interval_definition():
@@ -73,16 +105,25 @@ def test_axis_bins_match_interval_definition():
 
 
 def test_axis_half_counts():
-    # exactly floor((m+1)/(2T)) lower-half points in every axis interval
+    # the half-bin of every axis interval is its first floor((m+1)/(2T))
+    # points. With y the lexicographic grid code, a half-bin is a box of
+    # codes symmetric about its centre, so its median is the code of the
+    # centre: the interval starts plus (half_len - 1)/2 on every axis.
     for n, q in valid_designs():
         d = plan_grid(n, q)
         half_len = (d.m + 1) // (2 * d.T)
-        for l in range(1, d.T + 1):
-            members = np.flatnonzero(d.axis_bins == l)
-            in_half = d.axis_half[members]
-            assert in_half.sum() == half_len
-            # and they are the *first* points of the interval
-            assert np.all(in_half[:half_len])
+        assert d.axis_lengths.min() >= half_len
+        u = full_grid(d.m, q)
+        s = bin_medians(bin_observations(u, np.arange(float(n)), d))
+        if half_len == 0:
+            assert s.q_half is None
+            continue
+        first = np.array([np.flatnonzero(d.axis_bins == l)[0]
+                          for l in range(1, d.T + 1)])
+        centre = first + (half_len - 1) / 2
+        centre = reduce(np.add.outer, [centre * (d.m + 1) ** (q - 1 - k)
+                                       for k in range(q)])
+        assert np.array_equal(s.q_half, centre)
 
 
 def test_zero_coordinate_joins_bin_one():
@@ -97,27 +138,35 @@ def test_bin_observations_small_by_hand():
     u = full_grid(3, 2)
     y = np.arange(16.0)
     b = bin_observations(u, y, d)
-    assert np.array_equal(b.counts, [4, 4, 4, 4])
-    assert np.array_equal(b.half_counts, [1, 1, 1, 1])
+    assert np.array_equal(b.counts, [[4, 4], [4, 4]])
+    # u is already in grid order, so the scatter only reshapes
+    assert np.array_equal(b.y_grid, y.reshape(4, 4))
     # grid point (0,0) -> bin (1,1) -> code 0; (1.0,1.0) -> bin (2,2) -> code 3
-    assert b.bin_codes[0] == 0
-    assert b.bin_codes[-1] == 3
+    codes, half = oracle_bins(d, u)
+    assert codes[0] == 0
+    assert codes[-1] == 3
     # responses grouped as expected (C-order grid enumeration: rows are u1
     # blocks of 4). u1 in {0,1/3} x u2 in {0,1/3} -> y 0,1,4,5
-    assert sorted(y[b.bin_codes == 0].tolist()) == [0.0, 1.0, 4.0, 5.0]
-    assert sorted(y[b.bin_codes == 3].tolist()) == [10.0, 11.0, 14.0, 15.0]
+    assert sorted(y[codes == 0].tolist()) == [0.0, 1.0, 4.0, 5.0]
+    assert sorted(y[codes == 3].tolist()) == [10.0, 11.0, 14.0, 15.0]
     # half-bin of bin (1,1) is the single grid point (0, 0)
-    assert y[(b.bin_codes == 0) & b.half_mask].tolist() == [0.0]
+    assert y[(codes == 0) & half].tolist() == [0.0]
+    s = bin_medians(b)
+    assert s.q_full.tolist() == [[2.5, 4.5], [10.5, 12.5]]
+    assert s.q_half.tolist() == [[0.0, 2.0], [8.0, 10.0]]
 
 
 def test_bin_codes_are_lexicographic():
+    # each response is its row's bin code, so every bin median is the code
+    # of its bin: the median tensor is laid out in lexicographic order
     d = plan_grid(81, 2)  # m=8, T=4
     u = full_grid(8, 2)
-    y = np.zeros(81)
-    b = bin_observations(u, y, d)
+    codes, _ = oracle_bins(d, u)
     axis = d.axis_bins[np.rint(u * 8).astype(int)]
-    expected = (axis[:, 0] - 1) * d.T + (axis[:, 1] - 1)
-    assert np.array_equal(b.bin_codes, expected)
+    assert np.array_equal(codes, (axis[:, 0] - 1) * d.T + (axis[:, 1] - 1))
+    perm = np.random.default_rng(2).permutation(81)
+    s = bin_medians(bin_observations(u[perm], codes[perm].astype(float), d))
+    assert np.array_equal(s.q_full, np.arange(16.0).reshape(4, 4))
 
 
 def test_counts_partition_sample():
@@ -125,28 +174,36 @@ def test_counts_partition_sample():
         d = plan_grid(n, q)
         u = full_grid(d.m, q)
         b = bin_observations(u, np.zeros(n), d)
+        codes, half = oracle_bins(d, u)
+        assert b.counts.shape == (d.T,) * q
+        assert np.array_equal(b.counts.ravel(),
+                              np.bincount(codes, minlength=d.V))
         assert b.counts.sum() == n
         assert b.counts.min() >= 1
-        assert b.half_counts.sum() == ((d.m + 1) // (2 * d.T)) ** q * d.V
+        half_len = (d.m + 1) // (2 * d.T)
+        assert np.array_equal(np.bincount(codes[half], minlength=d.V),
+                              np.full(d.V, half_len ** q))
 
 
 def test_observation_order_irrelevant():
     # binning is a property of the set of (u, y) pairs, not their order
     rng = np.random.default_rng(7)
-    d = plan_grid(49, 2)
-    u = full_grid(6, 2)
-    y = rng.standard_normal(49)
-    base = bin_observations(u, y, d)
-    for _ in range(100):
-        perm = rng.permutation(49)
-        b = bin_observations(u[perm], y[perm], d)
-        assert np.array_equal(b.counts, base.counts)
-        assert np.array_equal(b.half_counts, base.half_counts)
-        for c in range(d.V):
-            assert sorted(y[perm][b.bin_codes == c]) \
-                == sorted(y[base.bin_codes == c])
-            assert sorted(y[perm][(b.bin_codes == c) & b.half_mask]) \
-                == sorted(y[(base.bin_codes == c) & base.half_mask])
+    for n, q in ((49, 2), (81, 2)):  # without and with half-bins
+        d = plan_grid(n, q)
+        u = full_grid(d.m, q)
+        y = rng.standard_normal(n)
+        base = bin_observations(u, y, d)
+        ref_full, ref_half = oracle_medians(d, u, y)
+        for _ in range(100):
+            perm = rng.permutation(n)
+            b = bin_observations(u[perm], y[perm], d)
+            assert np.array_equal(b.y_grid, base.y_grid)
+            s = bin_medians(b)
+            assert np.array_equal(s.q_full, ref_full)
+            if ref_half is None:
+                assert s.q_half is None
+            else:
+                assert np.array_equal(s.q_half, ref_half)
 
 
 def test_determinism():
@@ -155,8 +212,9 @@ def test_determinism():
     y = np.random.default_rng(0).standard_normal(64)
     a = bin_observations(u, y, d)
     b = bin_observations(u, y, d)
-    assert np.array_equal(a.bin_codes, b.bin_codes)
-    assert np.array_equal(a.order, b.order)
+    assert np.array_equal(a.y_grid.view(np.uint64), b.y_grid.view(np.uint64))
+    sa, sb = bin_medians(a), bin_medians(b)
+    assert np.array_equal(sa.q_full.view(np.uint64), sb.q_full.view(np.uint64))
 
 
 def test_non_grid_sample_sizes_rejected():

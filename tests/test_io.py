@@ -135,13 +135,14 @@ SPECIAL_FIELDS = ("nan", "-nan", "NaN", "inf", "-inf", "+inf", "-Infinity",
 BAD_FIELDS = ("1_000", "\u0661", "two", "", "#", '"1"', "\x00", "0x10",
               "1d5", "1 2")
 LINE_ENDS = ("\n", "\r\n", "\r")
+BLANK_LINES = ("", "  ", "\t", " \t ", "\x0c", "\xa0", "\v ")
 
 
 @st.composite
 def csv_bodies(draw):
-    """(q, body): rows of a drawn width (mostly q+1) and blank lines, in
-    half the bodies mixed with whitespace-only, short, long, odd-field and
-    trailing-comma lines."""
+    """(q, body): rows of a drawn width (mostly q+1) and blank or
+    whitespace-only lines, in half the bodies mixed with short, long,
+    odd-field and trailing-comma lines."""
     q = draw(st.integers(1, 3))
     width = draw(st.sampled_from((q + 1,) * 8 + (q, q + 2)))
     value = st.tuples(st.sampled_from(FLOAT_FORMATS), st.floats()).map(
@@ -155,7 +156,7 @@ def csv_bodies(draw):
             lambda r: ",".join(r[0][:r[1]] + [r[2]] + r[0][r[1] + 1:])),
         row.map(lambda r: ",".join(r) + ","),
     )
-    line = row.map(",".join) | st.just("")
+    line = row.map(",".join) | st.sampled_from(BLANK_LINES)
     if draw(st.booleans()):
         line = line | odd
     lines = draw(st.lists(line, max_size=12))
@@ -174,6 +175,8 @@ def csv_bodies(draw):
 @example((1, "0,1,7\n0.5,2,8\n"))          # every row one field too long
 @example((2, "0,1\n0.5,2\n"))              # every row one field short
 @example((1, "0,1\n\n  \n0.5,1_000\r"))
+@example((1, "0,1\n   \n0.5,2\n   "))      # whitespace-only lines, else valid
+@example((2, "\t\r\n0,0,1\r\n \x0c\r0,1,2\r\n"))
 def test_body_parse_matches_line_parser(tmp_path, case):
     q, body = case
     path = tmp_path / "d.csv"
@@ -191,6 +194,21 @@ def test_body_parse_matches_line_parser(tmp_path, case):
     assert u.shape == expected[0].shape and y.shape == expected[1].shape
     assert np.array_equal(u.view(np.uint64), expected[0].view(np.uint64))
     assert np.array_equal(y.view(np.uint64), expected[1].view(np.uint64))
+
+
+def test_whitespace_only_lines_skip_the_line_parser(tmp_path, monkeypatch):
+    # a whitespace-only line makes loadtxt refuse the body; the second
+    # loadtxt pass over the other lines reads it without the line parser
+    path = tmp_path / "d.csv"
+    path.write_text("u1,y\n0,1\n   \n0.5,2\n\t\n")
+    expected = line_parser(path)
+
+    def refuse(*args):
+        raise AssertionError("line parser ran")
+
+    monkeypatch.setattr("medwave.dataio._parse_lines", refuse)
+    u, y = read_grid_csv(path)
+    assert np.array_equal(u, expected[0]) and np.array_equal(y, expected[1])
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from scipy import integrate
 from scipy.special import gammaln, ndtri
 
-from medwave.errors import DegenerateNoise, EmptyBin
+from medwave.errors import DegenerateNoise, EmptyBin, ShapeMismatch
 from medwave.grid import bin_observations, plan_grid
 from medwave.medians import (
     NOISE_FLOOR,
@@ -16,8 +16,9 @@ from medwave.medians import (
     bin_medians,
     estimate_noise_level,
     known_noise_level,
-    sample_median,
 )
+
+from test_grid import oracle_medians
 
 
 #: quantile functions F^{-1} of the standard laws the exact target covers
@@ -70,16 +71,19 @@ def full_grid(m, q):
 
 
 def test_sample_median_midpoint_convention():
-    assert sample_median([3.0]) == 3.0
-    assert sample_median([1.0, 2.0]) == 1.5
-    assert sample_median([1.0, 2.0, 10.0]) == 2.0
-    assert sample_median([4.0, 1.0, 2.0, 10.0]) == 3.0  # (2+4)/2
-    with pytest.raises(EmptyBin):
-        sample_median([])
+    # n=25, q=1: bins hold (4, 3, ..., 3) points, half-bins (1, ..., 1)
+    d = plan_grid(25, 1)
+    y = np.zeros(25)
+    y[0:4] = [4.0, 1.0, 2.0, 10.0]   # even count: (2+4)/2
+    y[4:7] = [1.0, 10.0, 2.0]        # odd count: the middle value
+    y[7:10] = [3.0, 3.0, 7.0]        # ties
+    med = bin_medians(bin_observations(grid_1d(25), y, d))
+    assert med.q_full[:3].tolist() == [3.0, 2.0, 3.0]
+    assert med.q_half[:3].tolist() == [4.0, 1.0, 3.0]
 
 
 def test_bin_medians_by_hand_unequal_counts():
-    # n=25, q=1: T=8, counts (4,3,3,3,3,3,3,3) exercise the ragged path
+    # n=25, q=1: T=8, counts (4,3,3,3,3,3,3,3) make two count classes
     d = plan_grid(25, 1)
     assert d.T == 8
     u = grid_1d(25)
@@ -97,12 +101,49 @@ def test_bin_medians_equal_counts_match_ragged_path():
     d = plan_grid(64, 1)  # T=16, kappa=4, equal counts
     u = grid_1d(64)
     y = rng.standard_normal(64)
-    b = bin_observations(u, y, d)
-    med = bin_medians(b)
-    for code in range(d.V):
-        assert med.q_full.ravel()[code] == np.median(y[b.bin_codes == code])
-        assert med.q_half.ravel()[code] \
-            == np.median(y[(b.bin_codes == code) & b.half_mask])
+    med = bin_medians(bin_observations(u, y, d))
+    q_full, q_half = oracle_medians(d, u, y)
+    assert np.array_equal(med.q_full, q_full)
+    assert np.array_equal(med.q_half, q_half)
+
+
+def medians_cases(rng):
+    """Designs (r points per axis, q) covering T | r, T not dividing r and
+    empty half-bins, then random ones of every dimension."""
+    pinned = [(64, 1), (25, 1), (7, 1), (8, 2), (9, 2), (7, 2), (16, 3),
+              (9, 3), (7, 3), (2, 2), (3, 3)]
+    limits = {1: 3000, 2: 100, 3: 25}
+    drawn = []
+    for _ in range(40):
+        q = int(rng.integers(1, 4))
+        drawn.append((int(rng.integers(2, limits[q] + 1)), q))
+    return pinned + drawn
+
+
+def test_bin_medians_match_brute_force_oracle():
+    # q_full and q_half equal one np.median per bin over the oracle's
+    # members, bit for bit, with the rows in random order
+    rng = np.random.default_rng(20)
+    seen = set()
+    for r, q in medians_cases(rng):
+        d = plan_grid(r ** q, q)
+        seen.add("divides" if r % d.T == 0 else "uneven")
+        u = full_grid(r - 1, q)
+        y = rng.standard_cauchy(d.n)
+        if rng.random() < 0.5:
+            y = np.round(y)  # ties
+        perm = rng.permutation(d.n)
+        med = bin_medians(bin_observations(u[perm], y[perm], d))
+        q_full, q_half = oracle_medians(d, u, y)
+        assert np.array_equal(med.q_full.view(np.uint64),
+                              q_full.view(np.uint64)), (r, q)
+        if q_half is None:
+            seen.add("no half-bins")
+            assert med.q_half is None, (r, q)
+        else:
+            assert np.array_equal(med.q_half.view(np.uint64),
+                                  q_half.view(np.uint64)), (r, q)
+    assert seen == {"divides", "uneven", "no half-bins"}
 
 
 def test_empty_half_bin_is_named():
@@ -119,7 +160,7 @@ def test_empty_half_bin_is_named():
 
 def test_median_summary_shape_guard():
     d = plan_grid(16, 1)
-    with pytest.raises(EmptyBin):
+    with pytest.raises(ShapeMismatch):
         MedianSummary(design=d, q_full=np.zeros(4), q_half=np.zeros(8))
 
 
@@ -173,7 +214,7 @@ def test_median_coupling_variance_across_groups():
     kappa, groups = 1001, 4000
     rng = np.random.default_rng(99)
     x = rng.standard_normal((groups, kappa))
-    meds = np.array([sample_median(row) for row in x])
+    meds = np.median(x, axis=1)
     h0 = 1.0 / math.sqrt(2 * math.pi)
     z = math.sqrt(4 * kappa) * h0 * meds
     assert z.var(ddof=1) == pytest.approx(1.0, abs=0.05)
@@ -205,7 +246,7 @@ def test_median_breakdown():
         corrupted = clean.copy()
         idx = rng.choice(kappa, size=k_bad, replace=False)
         corrupted[idx] = rng.choice([-1e12, 1e12], size=k_bad)
-        med = sample_median(corrupted)
+        med = np.median(corrupted)
         keep = np.delete(clean, idx)
         assert keep.min() <= med <= keep.max()
 

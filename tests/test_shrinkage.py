@@ -50,6 +50,16 @@ def test_lambda_star_against_bisection():
     assert 4.505 < lam < 4.506
 
 
+def test_lambda_star_is_the_brentq_root():
+    # the constant is scipy's brentq root on (1, 10) to the bit
+    from scipy.optimize import brentq
+    root = brentq(lambda x: x - math.log(x) - 3.0, 1.0, 10.0,
+                  xtol=1e-14, rtol=8.9e-16)
+    lam = solve_lambda_star()
+    assert lam == root
+    assert abs(lam - math.log(lam) - 3.0) < 1e-12
+
+
 def test_default_block_cardinality():
     assert default_block_cardinality(1024) == 6
     assert default_block_cardinality(65536) == 11
