@@ -9,11 +9,9 @@ byte-identical file.
 
 Reading checks the header line, then parses the whole body in one
 ``np.loadtxt`` call, which converts each field as ``float()`` does. When
-loadtxt refuses the body or returns the wrong number of columns, loadtxt
-runs once more over the lines that do not strip to nothing, since a single
-whitespace-only line makes it refuse the whole body. When that fails too
-(``1_000``, non-ASCII digits, a short row, a word, an empty body), the body
-is parsed again line by line. That parser skips lines that
+loadtxt refuses the body (a whitespace-only line, ``1_000``, non-ASCII
+digits, a short row, a word, an empty body) or returns the wrong number of
+columns, the body is parsed again line by line. That parser skips lines that
 strip to nothing, accepts every field ``float()`` accepts, and names the
 offending ``path:line`` in its ``ParseError``. On a body that loadtxt
 accepts, both parsers give bit-identical values.
@@ -80,22 +78,6 @@ def _parse_lines(fh, path, q: int):
     return np.asarray(u_rows, dtype=float), np.asarray(v_rows, dtype=float)
 
 
-def _load_table(lines, q: int):
-    """The body as an (n, q+1) table in one ``np.loadtxt`` call, or None
-    when loadtxt refuses it or it has no rows or the wrong width."""
-    try:
-        with warnings.catch_warnings():
-            # an empty body is left to the line parser to report
-            warnings.simplefilter("ignore", UserWarning)
-            table = np.loadtxt(lines, delimiter=",", dtype=float,
-                               comments=None, ndmin=2)
-    except ValueError:
-        return None
-    if table.shape[0] == 0 or table.shape[1] != q + 1:
-        return None
-    return table
-
-
 def _read_numeric_csv(path, value_column: str):
     """Shared reader for ``u1..uq,<value_column>`` files."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -110,13 +92,15 @@ def _read_numeric_csv(path, value_column: str):
                 f"{path}: header {cols} does not match u1,...,uq,{value_column}"
             )
         body = fh.tell()
-        table = _load_table(fh, q)
-        if table is None:
-            # loadtxt refuses a body with a whitespace-only line: retry once
-            # without the lines that strip to nothing, which both parsers skip
-            fh.seek(body)
-            table = _load_table([line for line in fh if line.strip()], q)
-        if table is None:
+        try:
+            with warnings.catch_warnings():
+                # an empty body is left to the line parser to report
+                warnings.simplefilter("ignore", UserWarning)
+                table = np.loadtxt(fh, delimiter=",", dtype=float,
+                                   comments=None, ndmin=2)
+        except ValueError:
+            table = None
+        if table is None or table.shape[0] == 0 or table.shape[1] != q + 1:
             fh.seek(body)
             return _parse_lines(fh, path, q)
     return table[:, :q], table[:, q]

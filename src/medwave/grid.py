@@ -162,7 +162,8 @@ class BinnedData:
     @property
     def counts(self) -> np.ndarray:
         """Observations per bin, a (T,)*q tensor: the outer product of the
-        axis interval lengths."""
+        axis interval lengths. Only the benchmark tracer reads it, for its
+        ``medians.count_classes`` counter (``perfbench/spans.py``)."""
         lengths = self.design.axis_lengths
         return reduce(np.multiply.outer, [lengths] * self.design.q)
 

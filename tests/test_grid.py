@@ -105,10 +105,12 @@ def test_axis_bins_match_interval_definition():
 
 
 def test_axis_half_counts():
-    # the half-bin of every axis interval is its first floor((m+1)/(2T))
-    # points. With y the lexicographic grid code, a half-bin is a box of
-    # codes symmetric about its centre, so its median is the code of the
-    # centre: the interval starts plus (half_len - 1)/2 on every axis.
+    # (named after the deleted GridDesign.axis_half, the per-axis half-bin
+    # lengths.) The half-bin of every axis interval is its first
+    # floor((m+1)/(2T)) points. With y the lexicographic grid code, a
+    # half-bin is a box of codes symmetric about its centre, so its median
+    # is the code of the centre: the interval starts plus (half_len - 1)/2
+    # on every axis.
     for n, q in valid_designs():
         d = plan_grid(n, q)
         half_len = (d.m + 1) // (2 * d.T)
@@ -162,8 +164,18 @@ def test_bin_codes_are_lexicographic():
     d = plan_grid(81, 2)  # m=8, T=4
     u = full_grid(8, 2)
     codes, _ = oracle_bins(d, u)
-    axis = d.axis_bins[np.rint(u * 8).astype(int)]
-    assert np.array_equal(codes, (axis[:, 0] - 1) * d.T + (axis[:, 1] - 1))
+    # axis intervals of 0..8 are 000 11 22 33: the codes row by row in u1
+    assert np.array_equal(codes.reshape(9, 9), [
+        [0, 0, 0, 1, 1, 2, 2, 3, 3],
+        [0, 0, 0, 1, 1, 2, 2, 3, 3],
+        [0, 0, 0, 1, 1, 2, 2, 3, 3],
+        [4, 4, 4, 5, 5, 6, 6, 7, 7],
+        [4, 4, 4, 5, 5, 6, 6, 7, 7],
+        [8, 8, 8, 9, 9, 10, 10, 11, 11],
+        [8, 8, 8, 9, 9, 10, 10, 11, 11],
+        [12, 12, 12, 13, 13, 14, 14, 15, 15],
+        [12, 12, 12, 13, 13, 14, 14, 15, 15],
+    ])
     perm = np.random.default_rng(2).permutation(81)
     s = bin_medians(bin_observations(u[perm], codes[perm].astype(float), d))
     assert np.array_equal(s.q_full, np.arange(16.0).reshape(4, 4))

@@ -196,21 +196,6 @@ def test_body_parse_matches_line_parser(tmp_path, case):
     assert np.array_equal(y.view(np.uint64), expected[1].view(np.uint64))
 
 
-def test_whitespace_only_lines_skip_the_line_parser(tmp_path, monkeypatch):
-    # a whitespace-only line makes loadtxt refuse the body; the second
-    # loadtxt pass over the other lines reads it without the line parser
-    path = tmp_path / "d.csv"
-    path.write_text("u1,y\n0,1\n   \n0.5,2\n\t\n")
-    expected = line_parser(path)
-
-    def refuse(*args):
-        raise AssertionError("line parser ran")
-
-    monkeypatch.setattr("medwave.dataio._parse_lines", refuse)
-    u, y = read_grid_csv(path)
-    assert np.array_equal(u, expected[0]) and np.array_equal(y, expected[1])
-
-
 # ---------------------------------------------------------------------------
 # the chunked writer against formatting every field
 # ---------------------------------------------------------------------------

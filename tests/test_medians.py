@@ -71,7 +71,8 @@ def full_grid(m, q):
 
 
 def test_sample_median_midpoint_convention():
-    # n=25, q=1: bins hold (4, 3, ..., 3) points, half-bins (1, ..., 1)
+    # the even-count midpoint convention, once of the deleted sample_median,
+    # now checked through bin_medians. n=25, q=1: bins hold (4, 3, ..., 3) points, half-bins (1, ..., 1)
     d = plan_grid(25, 1)
     y = np.zeros(25)
     y[0:4] = [4.0, 1.0, 2.0, 10.0]   # even count: (2+4)/2
@@ -97,6 +98,7 @@ def test_bin_medians_by_hand_unequal_counts():
 
 
 def test_bin_medians_equal_counts_match_ragged_path():
+    # the per-bin oracle stands in for the deleted ragged-median path
     rng = np.random.default_rng(3)
     d = plan_grid(64, 1)  # T=16, kappa=4, equal counts
     u = grid_1d(64)
