@@ -56,7 +56,8 @@ from .shrinkage import (
     shrink,
     solve_lambda_star,
 )
-from .estimator import EstimatorConfig, FitResult, evaluate_on_grid, fit
+from .estimator import (EstimatorConfig, FitPlan, FitResult, evaluate_on_grid,
+                        fit, plan_fit)
 from .dataio import (
     read_estimate_csv,
     read_grid_csv,

@@ -20,6 +20,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
 __all__ = ["main", "build_parser"]
 
 
@@ -156,32 +158,24 @@ def _run_simulate(args) -> int:
 
     from .config import parse_config
     from .dataio import write_dataset_csv, write_estimate_csv
-    from .grid import plan_grid, product_grid
-    from .simulate import generate_dataset, replication_rng
+    from .simulate import _SizeContext, replication_rng
 
     config = parse_config(args.config)
     os.makedirs(args.output_dir, exist_ok=True)
 
     for n in config.sample_sizes:
-        design = plan_grid(n, config.q)
-        wrote_truth = False
+        ctx = _SizeContext(config, n)
         for rep in range(config.replications):
-            rng = replication_rng(config.seed, n, rep)
-            u, y, f_grid = generate_dataset(config, n, rng)
+            y = ctx.responses(replication_rng(config.seed, n, rep))
             path = os.path.join(args.output_dir,
                                 f"dataset_n{n}_rep{rep}.csv")
-            write_dataset_csv(path, u, y)
+            write_dataset_csv(path, ctx.u, y)
             print(path)
-            if not wrote_truth:
-                import numpy as np
-
-                coords = product_grid(
-                    np.arange(1, design.T + 1) / design.T, design.q)
-                table = np.column_stack([coords, f_grid.reshape(-1)])
+            if rep == 0:
+                table = np.column_stack([ctx.grid_points, ctx.f_grid.ravel()])
                 truth_path = os.path.join(args.output_dir, f"truth_n{n}.csv")
                 write_estimate_csv(truth_path, table)
                 print(truth_path)
-                wrote_truth = True
     return 0
 
 

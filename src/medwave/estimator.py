@@ -1,17 +1,29 @@
 """End-to-end estimation pipeline on a gridded design.
 
-The pipeline glues the pieces together:
+A fit runs in two steps. :func:`plan_fit` takes the design points u alone:
 
 1. plan the dyadic binning for n = (m+1)^q observations,
-2. take per-bin medians Q (and half-bin medians for the bias estimate),
-3. estimate the noise level 1/h^2(0) from paired medians (or accept a
-   known value),
-4. transform Q / sqrt(V) with a periodized orthonormal wavelet down to the
-   primary level j0,
-5. block-James-Stein shrink the detail coefficients,
-6. reconstruct, rescale by sqrt(V), and subtract the global bias estimate.
+2. check u (finite, on the grid, every grid point once) and fix the grid
+   position of each row,
+3. build the wavelet filter and fix the primary level j0 and the block
+   size L.
 
-With shrinkage disabled and the bias term forced to zero, steps 4-6 are an
+:meth:`FitPlan.fit` then takes one response vector y:
+
+4. check y and scatter it into grid order,
+5. take per-bin medians Q (and half-bin medians for the bias estimate),
+6. estimate the noise level 1/h^2(0) from paired medians (or accept a
+   known value),
+7. transform Q / sqrt(V) with a periodized orthonormal wavelet down to the
+   primary level j0,
+8. block-James-Stein shrink the detail coefficients,
+9. reconstruct, rescale by sqrt(V), and subtract the global bias estimate.
+
+:func:`fit` is the two in one call. A plan can be reused for any number of
+response vectors on the same u; each result is bit-identical to that of a
+fresh :func:`fit`.
+
+With shrinkage disabled and the bias term forced to zero, steps 7-9 are an
 exact round trip: f_hat equals the bin-median tensor Q to round-off.
 
 The reconstruction lives on the V grid points (l1/T, ..., lq/T); use
@@ -26,7 +38,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import BadPrimaryLevel, BadValue, ShapeMismatch
-from .grid import GridDesign, bin_observations, plan_grid, product_grid
+from .grid import (BinnedData, GridDesign, bin_observations, plan_grid,
+                   product_grid)
 from .medians import (
     NOISE_FLOOR,
     MedianSummary,
@@ -51,7 +64,8 @@ from .wavelets import (
     idwt_qd,
 )
 
-__all__ = ["EstimatorConfig", "FitResult", "fit", "evaluate_on_grid"]
+__all__ = ["EstimatorConfig", "FitPlan", "FitResult", "plan_fit", "fit",
+           "evaluate_on_grid"]
 
 
 @dataclass(frozen=True)
@@ -135,64 +149,108 @@ def _resolve_noise(config: EstimatorConfig, summary: MedianSummary,
     return estimate_noise_level(summary)
 
 
+@dataclass(frozen=True)
+class FitPlan:
+    """Everything a fit takes from u alone, made once by :func:`plan_fit`.
+
+    ``binned`` holds the design and the checked grid code of u, without
+    responses; ``j0`` is None on single-bin designs (J = 0), which have no
+    detail levels, and ``L`` is None when shrinkage is off.
+    """
+
+    config: EstimatorConfig
+    binned: BinnedData
+    filt: WaveletFilter
+    j0: Optional[int]
+    L: Optional[int]
+
+    @property
+    def design(self) -> GridDesign:
+        return self.binned.design
+
+    def fit(self, y: np.ndarray) -> FitResult:
+        """Run the pipeline on responses ``y``, in the row order of u.
+
+        Deterministic: identical responses produce bit-identical results,
+        equal to those of :func:`fit` on (u, y).
+        """
+        config, design = self.config, self.design
+        n = design.n
+        summary = bin_medians(self.binned.with_responses(y))
+        b_hat = bias_correction(summary) if config.bias_correction else 0.0
+
+        if self.j0 is None:
+            # Single bin per axis: no detail levels exist, the transform is
+            # the identity on the 1-point-per-axis tensor. Noise cannot be
+            # estimated from a single bin; mark it degenerate unless supplied.
+            if config.noise_mode == "known":
+                noise = known_noise_level(config.known_h_inv_sq, n)
+            else:
+                noise = NoiseEstimate(
+                    h_inv_sq=NOISE_FLOOR,
+                    sigma=float(np.sqrt(NOISE_FLOOR) / (2.0 * np.sqrt(n))),
+                    degenerate=True,
+                )
+            f_hat = summary.q_full - b_hat
+            return FitResult(f_hat=f_hat, b_hat=float(b_hat), noise=noise,
+                             diagnostics=None, design=design, config=config)
+
+        noise = _resolve_noise(config, summary, n)
+        tensor = summary.q_full / np.sqrt(design.V)
+        pyramid = dwt_qd(tensor, self.filt, self.j0)
+
+        diagnostics = None
+        if config.shrinkage_enabled:
+            shrink_cfg = ShrinkageConfig(n=n, h_inv_sq=noise.h_inv_sq,
+                                         block_cardinality=self.L)
+            partition = partition_blocks(pyramid, shrink_cfg)
+            pyramid, diagnostics = shrink(pyramid, partition, shrink_cfg)
+
+        recon = idwt_qd(pyramid, self.filt) * np.sqrt(design.V)
+        f_hat = recon - b_hat
+        if f_hat.shape != design.tensor_shape():  # pragma: no cover
+            raise ShapeMismatch("reconstruction shape drifted from design")
+        return FitResult(f_hat=f_hat, b_hat=float(b_hat), noise=noise,
+                         diagnostics=diagnostics, design=design, config=config)
+
+
+def plan_fit(u: np.ndarray,
+             config: EstimatorConfig = EstimatorConfig()) -> FitPlan:
+    """Check the design points u once and fix what every fit on them shares.
+
+    ``u`` must be an (n, q) array (or (n,) for q = 1) covering the full
+    equispaced product grid exactly once. Every error in u (and in the
+    wavelet or primary level of ``config``) raises here, before any
+    response is seen.
+    """
+    u = np.asarray(u, dtype=float)
+    if u.ndim == 1:
+        u = u[:, None]
+    n, q = u.shape
+
+    design = plan_grid(n, q)
+    binned = bin_observations(u, None, design)
+    filt = build_filter(config.wavelet)
+    j0 = L = None
+    if design.J > 0:
+        j0 = _resolve_primary_level(config, filt, design.J)
+        if config.shrinkage_enabled:
+            L = (config.block_cardinality
+                 if config.block_cardinality is not None
+                 else default_block_cardinality(n))
+    return FitPlan(config=config, binned=binned, filt=filt, j0=j0, L=L)
+
+
 def fit(u: np.ndarray, y: np.ndarray,
         config: EstimatorConfig = EstimatorConfig()) -> FitResult:
     """Run the full pipeline on grid observations (u, y).
 
     ``u`` must be an (n, q) array (or (n,) for q = 1) covering the full
     equispaced product grid exactly once; ``y`` the matching responses.
-    Deterministic: identical inputs produce bit-identical results.
+    Deterministic: identical inputs produce bit-identical results. To fit
+    many response vectors on one u, build :func:`plan_fit` once instead.
     """
-    u = np.asarray(u, dtype=float)
-    if u.ndim == 1:
-        u = u[:, None]
-    y = np.asarray(y, dtype=float)
-    n, q = u.shape
-
-    design = plan_grid(n, q)
-    binned = bin_observations(u, y, design)
-    summary = bin_medians(binned)
-    b_hat = bias_correction(summary) if config.bias_correction else 0.0
-    filt = build_filter(config.wavelet)
-
-    if design.J == 0:
-        # Single bin per axis: no detail levels exist, the transform is the
-        # identity on the 1-point-per-axis tensor. Noise cannot be estimated
-        # from a single bin; mark it degenerate unless supplied.
-        if config.noise_mode == "known":
-            noise = known_noise_level(config.known_h_inv_sq, n)
-        else:
-            noise = NoiseEstimate(
-                h_inv_sq=NOISE_FLOOR,
-                sigma=float(np.sqrt(NOISE_FLOOR) / (2.0 * np.sqrt(n))),
-                degenerate=True,
-            )
-        f_hat = summary.q_full - b_hat
-        return FitResult(f_hat=f_hat, b_hat=float(b_hat), noise=noise,
-                         diagnostics=None, design=design, config=config)
-
-    noise = _resolve_noise(config, summary, n)
-    j0 = _resolve_primary_level(config, filt, design.J)
-
-    tensor = summary.q_full / np.sqrt(design.V)
-    pyramid = dwt_qd(tensor, filt, j0)
-
-    diagnostics = None
-    if config.shrinkage_enabled:
-        L = (config.block_cardinality
-             if config.block_cardinality is not None
-             else default_block_cardinality(n))
-        shrink_cfg = ShrinkageConfig(n=n, h_inv_sq=noise.h_inv_sq,
-                                     block_cardinality=L)
-        partition = partition_blocks(pyramid, shrink_cfg)
-        pyramid, diagnostics = shrink(pyramid, partition, shrink_cfg)
-
-    recon = idwt_qd(pyramid, filt) * np.sqrt(design.V)
-    f_hat = recon - b_hat
-    if f_hat.shape != design.tensor_shape():  # pragma: no cover
-        raise ShapeMismatch("reconstruction shape drifted from design")
-    return FitResult(f_hat=f_hat, b_hat=float(b_hat), noise=noise,
-                     diagnostics=diagnostics, design=design, config=config)
+    return plan_fit(u, config).fit(y)
 
 
 def evaluate_on_grid(result: FitResult, design: GridDesign) -> np.ndarray:

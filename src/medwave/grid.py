@@ -28,13 +28,16 @@ lexicographic grid order, an (m+1,)*q array. Every axis interval is a run
 of consecutive grid points, so a bin is a product of such runs and its
 members follow from the interval starts and lengths alone. No bin is empty:
 T^q <= n^(3/4) < n gives T < m+1, and every axis interval holds at least
-one grid point.
+one grid point. The checks and the grid code depend on u alone, so a u
+binned once without responses bins any number of response vectors
+(:meth:`BinnedData.with_responses`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
+from typing import Optional
 
 import numpy as np
 
@@ -153,11 +156,15 @@ class BinnedData:
     """Responses in lexicographic grid order, shape (m+1,)*q.
 
     ``y_grid[i1, ..., iq]`` is the response at (i1/m, ..., iq/m); the bins
-    are products of the design's axis intervals.
+    are products of the design's axis intervals. ``grid_code[i]`` is the
+    flat grid position of row i of the checked u, so the same u bins any
+    number of response vectors through :meth:`with_responses`. ``y_grid``
+    is None when u was binned without responses.
     """
 
     design: GridDesign
-    y_grid: np.ndarray
+    y_grid: Optional[np.ndarray]
+    grid_code: np.ndarray = field(repr=False, compare=False)
 
     @property
     def counts(self) -> np.ndarray:
@@ -167,16 +174,51 @@ class BinnedData:
         lengths = self.design.axis_lengths
         return reduce(np.multiply.outer, [lengths] * self.design.q)
 
+    def with_responses(self, y: np.ndarray) -> BinnedData:
+        """Check responses ``y``, given in the row order of u, and put them
+        in grid order.
 
-def bin_observations(u: np.ndarray, y: np.ndarray, design: GridDesign) -> BinnedData:
+        Raises
+        ------
+        IncompleteGrid
+            If ``y`` is not an (n,) vector.
+        BadValue
+            If some response is NaN or infinite; names the first one.
+        """
+        d = self.design
+        y = np.asarray(y, dtype=float)
+        if y.shape != (d.n,):
+            raise IncompleteGrid(
+                f"expected {d.n} observations in {d.q} dims, "
+                f"got u{(d.n, d.q)}, y{y.shape}"
+            )
+        _check_finite("y", "response", y)
+        y_grid = np.empty(d.n)
+        y_grid[self.grid_code] = y
+        return BinnedData(design=d, y_grid=y_grid.reshape((d.m + 1,) * d.q),
+                          grid_code=self.grid_code)
+
+
+def _check_finite(name: str, what: str, arr: np.ndarray) -> None:
+    finite = np.isfinite(arr)
+    if not finite.all():
+        at = np.unravel_index(np.argmin(finite), arr.shape)
+        raise BadValue(
+            f"{what} {name}[{', '.join(map(str, at))}] = {arr[at]} is not "
+            f"finite (rows count from 0); every {what} must be finite")
+
+
+def bin_observations(u: np.ndarray, y: Optional[np.ndarray],
+                     design: GridDesign) -> BinnedData:
     """Check a grid sample and put its responses in grid order.
 
     Parameters
     ----------
     u : array (n, q)
         Covariate locations; every row must lie on the design grid.
-    y : array (n,)
-        Responses.
+    y : array (n,) or None
+        Responses. With None, only u is checked; the result carries its
+        grid code and no responses.
 
     Raises
     ------
@@ -186,33 +228,30 @@ def bin_observations(u: np.ndarray, y: np.ndarray, design: GridDesign) -> Binned
     OffGridPoint
         If some coordinate is farther than 1e-9 from a multiple of 1/m.
     IncompleteGrid
-        If any grid point is missing or appears more than once.
+        If any grid point is missing or appears more than once, or the
+        shapes do not match the design.
     """
     u = np.asarray(u, dtype=float)
-    y = np.asarray(y, dtype=float)
     if u.ndim == 1:
         u = u[:, None]
     n, q = u.shape
-    if n != design.n or q != design.q or y.shape != (n,):
+    if n != design.n or q != design.q:
         raise IncompleteGrid(
             f"expected {design.n} observations in {design.q} dims, "
-            f"got u{u.shape}, y{y.shape}"
+            f"got u{u.shape}" + ("" if y is None else f", y{np.shape(y)}")
         )
-    for name, what, arr in (("u", "coordinate", u), ("y", "response", y)):
-        finite = np.isfinite(arr)
-        if not finite.all():
-            at = np.unravel_index(np.argmin(finite), arr.shape)
-            raise BadValue(
-                f"{what} {name}[{', '.join(map(str, at))}] = {arr[at]} is not "
-                f"finite (rows count from 0); every {what} must be finite")
+    _check_finite("u", "coordinate", u)
     m = design.m
 
-    scaled = u * m
-    idx = np.rint(scaled).astype(np.int64)
-    if idx.min() < 0 or idx.max() > m:
-        bad = np.argwhere((idx < 0) | (idx > m))[0]
+    # nearest grid index, range-checked as floats before the one int cast
+    near = u * m
+    np.rint(near, out=near)
+    if near.min() < 0 or near.max() > m:
+        bad = np.argwhere((near < 0) | (near > m))[0]
         raise OffGridPoint(f"coordinate {u[bad[0], bad[1]]} outside [0, 1]")
-    err = np.abs(u - idx / m)
+    err = np.divide(near, m)
+    np.subtract(u, err, out=err)
+    np.abs(err, out=err)
     if err.max() > GRID_TOL:
         r, c = np.unravel_index(np.argmax(err), err.shape)
         raise OffGridPoint(
@@ -221,9 +260,8 @@ def bin_observations(u: np.ndarray, y: np.ndarray, design: GridDesign) -> Binned
         )
 
     # completeness: every grid point exactly once
-    grid_code = idx[:, 0].copy()
-    for s in range(1, q):
-        grid_code = grid_code * (m + 1) + idx[:, s]
+    grid_code = np.ravel_multi_index(tuple(near.astype(np.int64).T),
+                                     (m + 1,) * q)
     occur = np.bincount(grid_code, minlength=(m + 1) ** q)
     if occur.max() > 1 or occur.min() < 1:
         if occur.max() > 1:
@@ -237,7 +275,6 @@ def bin_observations(u: np.ndarray, y: np.ndarray, design: GridDesign) -> Binned
             f"grid point {tuple(p / m for p in pt)} is {what}"
         )
 
-    # grid_code is now a permutation of range(n): scatter into grid order
-    y_grid = np.empty(n)
-    y_grid[grid_code] = y
-    return BinnedData(design=design, y_grid=y_grid.reshape((m + 1,) * q))
+    # grid_code is now a permutation of range(n)
+    binned = BinnedData(design=design, y_grid=None, grid_code=grid_code)
+    return binned if y is None else binned.with_responses(y)

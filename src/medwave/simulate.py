@@ -18,20 +18,27 @@ absorb, so the harness exists to measure how well f is recovered:
 
 Reproducibility: every replication derives its own numpy Generator from the
 tuple (seed, n, replication index); nothing touches global RNG state, and
-identical triples give bit-identical datasets. Replications are independent
-and could run concurrently; this implementation runs them sequentially.
+identical triples give bit-identical datasets. Everything that depends on
+the sample size alone is made once per n and shared by its replications:
+the design points u, the truth f at them and at the V estimation points,
+and the fit plan of u (the grid checks, the filter, j0 and L). Each
+replication draws only its X and xi and fits them through that plan; the
+replications run one after another.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import BadCovariance, BadValue, ShapeMismatch, UnknownDensityValue
-from .estimator import EstimatorConfig, FitResult, fit
+# ``fit`` is not called here; it stays bound because the benchmark tracer's
+# tests (perfbench/test_checks.py) check that every binding of it is wrapped.
+from .estimator import EstimatorConfig, FitPlan, FitResult, fit, plan_fit  # noqa: F401
 from .grid import GridDesign, plan_grid, product_grid
 
 __all__ = [
@@ -339,17 +346,8 @@ def generate_dataset(config: SimulationConfig, n: int,
     Draw order is fixed (X first when present, then xi) so a given generator
     state yields a bit-identical dataset.
     """
-    design = plan_grid(n, config.q)
-    fn = test_function(config.test_function)
-    u = product_grid(np.arange(design.m + 1) / design.m, design.q)
-    y = fn(u)
-    if config.design_dist is not None:
-        x = sample_elliptical(config.design_dist, n, rng)
-        y = y + x @ np.asarray(config.beta)
-    y = y + sample_errors(config.error_dist, n, rng)
-    f_grid = fn(product_grid(np.arange(1, design.T + 1) / design.T,
-                             design.q)).reshape(design.tensor_shape())
-    return u, y, f_grid
+    ctx = _SizeContext(config, n)
+    return ctx.u, ctx.responses(rng), ctx.f_grid
 
 
 def mise(f_hat: np.ndarray, f_true: np.ndarray) -> float:
@@ -382,23 +380,61 @@ class ReplicationOutcome:
     result: FitResult = field(repr=False, compare=False, default=None)
 
 
+class _SizeContext:
+    """What every replication at one sample size n shares.
+
+    The design points ``u`` (n, q), the truth ``f_u`` at them, the V
+    estimation points ``grid_points`` (V, q) with the truth ``f_grid`` on
+    them as a (T,)*q tensor, and, made on first use, the fit plan of u.
+    Replications draw only their X and xi.
+    """
+
+    def __init__(self, config: SimulationConfig, n: int):
+        self.config = config
+        self.n = n
+        self.design = design = plan_grid(n, config.q)
+        self.fn = fn = test_function(config.test_function)
+        self.u = product_grid(np.arange(design.m + 1) / design.m, design.q)
+        self.f_u = fn(self.u)
+        self.grid_points = product_grid(
+            np.arange(1, design.T + 1) / design.T, design.q)
+        self.f_grid = fn(self.grid_points).reshape(design.tensor_shape())
+
+    @cached_property
+    def plan(self) -> FitPlan:
+        return plan_fit(self.u, self.config.estimator)
+
+    def responses(self, rng: np.random.Generator) -> np.ndarray:
+        """One replication's y; X is drawn first when present, then xi."""
+        config = self.config
+        y = self.f_u
+        if config.design_dist is not None:
+            x = sample_elliptical(config.design_dist, self.n, rng)
+            y = y + x @ np.asarray(config.beta)
+        return y + sample_errors(config.error_dist, self.n, rng)
+
+    def replicate(self, index: int) -> ReplicationOutcome:
+        """Draw, fit and score replication ``index``."""
+        config = self.config
+        rng = replication_rng(config.seed, self.n, index)
+        result = self.plan.fit(self.responses(rng))
+        risk = mise(result.f_hat, self.f_grid)
+        ptw = None
+        if config.u0 is not None:
+            # The fitted function is piecewise constant on bins, so its value
+            # at u0 is the estimate in the covering bin; the error is taken
+            # against f at u0 itself (discretization offset included).
+            pos = tuple(l - 1 for l in _covering_bin(config.u0, self.design))
+            f_u0 = float(self.fn(np.asarray(config.u0, dtype=float)[None, :])[0])
+            ptw = float((result.f_hat[pos] - f_u0) ** 2)
+        return ReplicationOutcome(mise=risk, pointwise_sq_error=ptw,
+                                  result=result)
+
+
 def run_replication(config: SimulationConfig, n: int,
                     index: int) -> ReplicationOutcome:
     """Generate, fit and score replication ``index`` at sample size n."""
-    rng = replication_rng(config.seed, n, index)
-    u, y, f_grid = generate_dataset(config, n, rng)
-    result = fit(u, y, config.estimator)
-    risk = mise(result.f_hat, f_grid)
-    ptw = None
-    if config.u0 is not None:
-        # The fitted function is piecewise constant on bins, so its value at
-        # u0 is the estimate in the covering bin; the error is taken against
-        # f at u0 itself (discretization offset included).
-        pos = tuple(l - 1 for l in _covering_bin(config.u0, result.design))
-        fn = test_function(config.test_function)
-        f_u0 = float(fn(np.asarray(config.u0, dtype=float)[None, :])[0])
-        ptw = float((result.f_hat[pos] - f_u0) ** 2)
-    return ReplicationOutcome(mise=risk, pointwise_sq_error=ptw, result=result)
+    return _SizeContext(config, n).replicate(index)
 
 
 # ---------------------------------------------------------------------------
@@ -466,8 +502,9 @@ def rate_study(config: SimulationConfig) -> RateStudyReport:
     for n in config.sample_sizes:
         m = np.empty(config.replications)
         p = np.empty(config.replications) if config.u0 is not None else None
+        ctx = _SizeContext(config, n)
         for r in range(config.replications):
-            out = run_replication(config, n, r)
+            out = ctx.replicate(r)
             m[r] = out.mise
             if p is not None:
                 p[r] = out.pointwise_sq_error

@@ -1,10 +1,14 @@
 """End-to-end pipeline: identity paths, equivariances, denoising value."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from medwave.errors import BadPrimaryLevel, BadValue, EmptyBin, ShapeMismatch
-from medwave.estimator import EstimatorConfig, evaluate_on_grid, fit
+from medwave.errors import (BadPrimaryLevel, BadValue, EmptyBin,
+                            IncompleteGrid, OffGridPoint, ShapeMismatch)
+from medwave.estimator import (EstimatorConfig, FitPlan, evaluate_on_grid,
+                               fit, plan_fit)
 from medwave.grid import plan_grid
 
 RAW = EstimatorConfig(shrinkage_enabled=False, bias_correction=False)
@@ -304,3 +308,123 @@ def test_evaluate_on_grid_rejects_foreign_design():
     res = fit(u, rng.standard_normal(256))
     with pytest.raises(ShapeMismatch):
         evaluate_on_grid(res, plan_grid(16, 1))
+
+
+# ---------------------------------------------------------------------------
+# one plan, many responses
+# ---------------------------------------------------------------------------
+
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+def assert_same_record(a, b):
+    """Two records (noise or shrinkage) agree field by field, floats bit
+    for bit."""
+    assert type(a) is type(b)
+    if a is None:
+        return
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, float):
+            assert bits(x) == bits(y), f.name
+        elif isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype and np.array_equal(x, y), f.name
+        else:
+            assert x == y, f.name
+
+
+def assert_same_fit(a, b):
+    assert np.array_equal(bits(a.f_hat), bits(b.f_hat))
+    assert bits(a.b_hat) == bits(b.b_hat)
+    assert_same_record(a.noise, b.noise)
+    assert_same_record(a.diagnostics, b.diagnostics)
+    assert a.design == b.design
+
+
+KNOWN = EstimatorConfig(noise_mode="known", known_h_inv_sq=2.5)
+NO_SHRINK = EstimatorConfig(shrinkage_enabled=False)
+NO_BIAS = EstimatorConfig(bias_correction=False)
+
+# (points per axis, q, configs); T divides m+1 for 256, 64 and 16 points
+# per axis, not for 250, 17 and 13; 7 points have empty half-bins; 2x2 has
+# J = 0
+PLAN_CASES = [
+    (256, 1, (EstimatorConfig(), KNOWN, NO_SHRINK, RAW)),
+    (250, 1, (EstimatorConfig(wavelet="haar"), KNOWN, NO_SHRINK)),
+    (64, 2, (EstimatorConfig(wavelet="db2"), KNOWN, RAW)),
+    (17, 2, (EstimatorConfig(), NO_SHRINK, EstimatorConfig(j0=1))),
+    (16, 3, (EstimatorConfig(), KNOWN, NO_SHRINK)),
+    (13, 3, (EstimatorConfig(wavelet="haar"), RAW)),
+    (7, 1, (NO_BIAS, RAW, EstimatorConfig(noise_mode="known",
+                                          known_h_inv_sq=1.0,
+                                          bias_correction=False))),
+    (2, 2, (EstimatorConfig(), KNOWN, NO_BIAS)),
+]
+
+
+@pytest.mark.parametrize("side,q,configs", PLAN_CASES,
+                         ids=[f"{s}^{q}" for s, q, _ in PLAN_CASES])
+def test_plan_reused_over_responses_matches_fresh_fits(side, q, configs):
+    rng = np.random.default_rng(side * 10 + q)
+    u = grid_nd(side, q)
+    perm = rng.permutation(len(u))
+    u = u[perm]                       # rows out of grid order
+    f = np.prod(np.sin(2 * np.pi * u), axis=1)
+    ys = [f + rng.standard_cauchy(len(u)) for _ in range(4)]
+    ys.append(np.round(ys[0]))        # tied medians
+    for config in configs:
+        plan = plan_fit(u, config)
+        assert isinstance(plan, FitPlan)
+        assert (plan.j0 is None) == (plan.design.J == 0)
+        for y in ys:
+            assert_same_fit(plan.fit(y), fit(u, y, config))
+
+
+def test_empty_half_bins_raise_from_the_fit_not_the_plan():
+    plan = plan_fit(grid_1d(7))
+    with pytest.raises(EmptyBin, match=r"half-bin \(1,\) is empty"):
+        plan.fit(np.zeros(7))
+
+
+def test_errors_in_u_raise_from_the_plan():
+    u = grid_2d(17)
+    bad = u.copy()
+    bad[40, 1] = np.nan
+    with pytest.raises(BadValue, match=r"coordinate u\[40, 1\] = nan"):
+        plan_fit(bad)
+    bad = u.copy()
+    bad[5, 0] += 1e-6
+    with pytest.raises(OffGridPoint, match="is not a multiple of 1/16"):
+        plan_fit(bad)
+    bad = u.copy()
+    bad[5, 0] = 1.5
+    with pytest.raises(OffGridPoint, match=r"coordinate 1.5 outside \[0, 1\]"):
+        plan_fit(bad)
+    bad = u.copy()
+    bad[3] = bad[4]
+    with pytest.raises(IncompleteGrid, match="is duplicated"):
+        plan_fit(bad)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_errors_in_y_raise_from_the_plan_fit(bad):
+    u = grid_2d(17)
+    plan = plan_fit(u)
+    y = np.sin(2 * np.pi * u[:, 0])
+    y[[40, 200]] = bad
+    with pytest.raises(BadValue) as from_plan:
+        plan.fit(y)
+    with pytest.raises(BadValue) as from_fit:
+        fit(u, y)
+    assert str(from_plan.value) == str(from_fit.value) == (
+        f"response y[40] = {bad} is not finite (rows count from 0); every "
+        "response must be finite")
+    for short in (np.zeros(288), np.zeros((289, 1))):
+        with pytest.raises(IncompleteGrid) as from_plan:
+            plan.fit(short)
+        with pytest.raises(IncompleteGrid) as from_fit:
+            fit(u, short)
+        assert str(from_plan.value) == str(from_fit.value) == (
+            f"expected 289 observations in 2 dims, got u(289, 2), "
+            f"y{short.shape}")

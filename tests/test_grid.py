@@ -229,6 +229,23 @@ def test_determinism():
     assert np.array_equal(sa.q_full.view(np.uint64), sb.q_full.view(np.uint64))
 
 
+def test_u_binned_once_bins_many_responses():
+    # rows out of grid order; each response vector lands where a full
+    # bin_observations call puts it, and u alone carries no responses
+    d = plan_grid(81, 2)
+    rng = np.random.default_rng(1)
+    u = full_grid(8, 2)[rng.permutation(81)]
+    plain = bin_observations(u, None, d)
+    assert plain.y_grid is None
+    for _ in range(3):
+        y = rng.standard_cauchy(81)
+        got = plain.with_responses(y).y_grid
+        want = bin_observations(u, y, d).y_grid
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    with pytest.raises(IncompleteGrid, match=r"got u\(81, 2\), y\(80,\)"):
+        plain.with_responses(np.zeros(80))
+
+
 def test_non_grid_sample_sizes_rejected():
     with pytest.raises(NonGridSampleSize):
         plan_grid(5, 2)

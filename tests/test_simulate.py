@@ -416,6 +416,88 @@ def test_rate_study_theory_warnings():
     assert "discretization" in report.warnings[0]
 
 
+def old_rate_study_loop(cfg):
+    """The study as one dataset + fit + mise per replication: (n, mean, se,
+    pointwise mean, pointwise se) per size and both slopes. Each dataset is
+    drawn here, X before xi, and must equal generate_dataset's."""
+    fn = regression_function(cfg.test_function)
+    f_u0 = float(fn(np.asarray(cfg.u0)[None, :])[0])
+    rows = []
+    for n in cfg.sample_sizes:
+        risks, ptw = [], []
+        design = plan_grid(n, cfg.q)
+        u = product_grid(np.arange(design.m + 1) / design.m, cfg.q)
+        for r in range(cfg.replications):
+            rng = replication_rng(cfg.seed, n, r)
+            x = sample_elliptical(cfg.design_dist, n, rng)
+            y = fn(u) + x @ np.asarray(cfg.beta)
+            y = y + sample_errors(cfg.error_dist, n, rng)
+            u_gen, y_gen, f_grid = generate_dataset(
+                cfg, n, replication_rng(cfg.seed, n, r))
+            assert np.array_equal(u_gen, u)
+            assert np.array_equal(y_gen.view(np.uint64), y.view(np.uint64))
+            res = fit(u, y, cfg.estimator)
+            risks.append(mise(res.f_hat, f_grid))
+            T = res.design.T
+            pos = tuple(min(max(math.ceil(v * T), 1), T) - 1 for v in cfg.u0)
+            ptw.append(float((res.f_hat[pos] - f_u0) ** 2))
+        root = np.sqrt(cfg.replications)
+        risks, ptw = np.array(risks), np.array(ptw)
+        rows.append((n, float(risks.mean()),
+                     float(np.std(risks, ddof=1) / root),
+                     float(ptw.mean()), float(np.std(ptw, ddof=1) / root)))
+
+    def slope(y):
+        x = np.log([row[0] for row in rows])
+        y = np.log(y)
+        xc = x - x.mean()
+        return float(np.sum(xc * (y - y.mean())) / np.sum(xc * xc))
+
+    return (rows, slope([row[1] for row in rows]),
+            slope([row[3] for row in rows]))
+
+
+def test_rate_study_matches_the_per_replication_loop():
+    # X is drawn before xi, and u0 takes the pointwise branch
+    cfg = SimulationConfig(
+        q=2, sample_sizes=(256, 1024, 4096), replications=10, seed=11,
+        error_dist=ErrorDist("cauchy", 1.0),
+        design_dist=DesignDist("student_t", np.array([[1.0, 0.3],
+                                                      [0.3, 2.0]]), nu=3.0),
+        beta=(1.0, -0.5), u0=(0.3, 0.7),
+        estimator=EstimatorConfig(wavelet="db2"))
+    report = rate_study(cfg)
+    rows, slope, ptw_slope = old_rate_study_loop(cfg)
+    got = [(pt.n, pt.mean_mise, pt.se_mise, pt.mean_pointwise,
+            pt.se_pointwise) for pt in report.points]
+    assert [row[0] for row in got] == [row[0] for row in rows]
+    bits = lambda v: np.asarray(v, dtype=float).view(np.uint64).tolist()
+    assert bits([row[1:] for row in got]) == bits([row[1:] for row in rows])
+    assert bits([report.slope, report.pointwise_slope]) \
+        == bits([slope, ptw_slope])
+
+
+def test_rate_study_checks_u_once_per_size(monkeypatch):
+    # the u checks run in bin_observations, through the estimator's binding;
+    # a plan rebuilt per replication would check u 30 times here
+    import medwave.estimator
+
+    checked = []
+    binner = medwave.estimator.bin_observations
+
+    def counting(u, y, design):
+        checked.append((design.n, y is None))
+        return binner(u, y, design)
+
+    monkeypatch.setattr(medwave.estimator, "bin_observations", counting)
+    cfg = SimulationConfig(q=2, error_dist=ErrorDist("gaussian", 1.0),
+                           sample_sizes=(256, 1024, 4096), replications=10,
+                           seed=0)
+    report = rate_study(cfg)
+    assert len(report.points) == 3
+    assert checked == [(256, True), (1024, True), (4096, True)]
+
+
 # ---------------------------------------------------------------------------
 # coupling check
 # ---------------------------------------------------------------------------
