@@ -240,13 +240,13 @@ def bin_observations(u: np.ndarray, y: Optional[np.ndarray],
             f"expected {design.n} observations in {design.q} dims, "
             f"got u{u.shape}" + ("" if y is None else f", y{np.shape(y)}")
         )
-    _check_finite("u", "coordinate", u)
     m = design.m
 
-    # nearest grid index, range-checked as floats before the one int cast
+    # nearest grid index, range-checked (NaN and inf fail) before the cast
     near = u * m
     np.rint(near, out=near)
-    if near.min() < 0 or near.max() > m:
+    if not (near.min() >= 0 and near.max() <= m):
+        _check_finite("u", "coordinate", u)
         bad = np.argwhere((near < 0) | (near > m))[0]
         raise OffGridPoint(f"coordinate {u[bad[0], bad[1]]} outside [0, 1]")
     err = np.divide(near, m)

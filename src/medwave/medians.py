@@ -28,9 +28,9 @@ middle order statistics).
 
 The responses arrive in grid order (see :mod:`medwave.grid`), where a bin is
 a product of axis intervals. An axis has at most two interval lengths, so
-the bins fall into at most 2^q count classes. Each class is gathered with
-one ``np.ix_`` over its intervals' grid points and reduced with one
-``np.median``; the half-bins, which take the same length
+the bins fall into at most 2^q count classes. Each class is gathered
+into a copy with one row per bin, the rows are sorted in place, and their
+middle values are the medians. The half-bins, which take the same length
 floor((m+1)/(2T)) on every axis, are always one class.
 """
 
@@ -96,26 +96,37 @@ class NoiseEstimate:
     source: str = "estimate"
 
 
+def _row_medians(rows: np.ndarray) -> np.ndarray:
+    """``np.median(rows, axis=-1)`` bit for bit, for rows without NaN.
+
+    Sorts ``rows`` in place. The middle values are averaged as ``np.mean``
+    does in ``np.median``: its leading ``0.0 +`` turns -0.0 into +0.0.
+    """
+    rows.sort(axis=-1)
+    k = rows.shape[-1] // 2
+    if rows.shape[-1] % 2:
+        return 0.0 + rows[..., k]
+    return (0.0 + rows[..., k - 1] + rows[..., k]) / 2.0
+
+
 def _interval_medians(y_grid: np.ndarray, starts: np.ndarray,
                       lengths: np.ndarray) -> np.ndarray:
     """Median over every product of the axis intervals
-    ``[starts[l], starts[l] + lengths[l])``, as a (T,)*q tensor.
-
-    Intervals of equal length are gathered together, one pass per class of
-    equal-count bins.
+    ``[starts[l], starts[l] + lengths[l])``, as a (T,)*q tensor; one
+    gather and one row sort per class of equal-count bins.
     """
     q = y_grid.ndim
     out = np.empty((starts.size,) * q)
     axis_classes = [(np.flatnonzero(lengths == length), length)
                     for length in np.unique(lengths)]
     for combo in product(axis_classes, repeat=q):
-        points = [(starts[ls, None] + np.arange(length)).ravel()
-                  for ls, length in combo]
-        block = y_grid[np.ix_(*points)].reshape(
-            [d for ls, length in combo for d in (ls.size, length)])
-        # block is a gathered copy, so the median may partition it in place
-        out[np.ix_(*(ls for ls, _ in combo))] = np.median(
-            block, axis=tuple(range(1, 2 * q, 2)), overwrite_input=True)
+        # axis a's (k_a, L_a) index spans dims a and q + a: a (k.., L..) copy
+        block = y_grid[tuple(
+            np.expand_dims(starts[ls, None] + np.arange(length),
+                           [d for d in range(2 * q) if d not in (a, q + a)])
+            for a, (ls, length) in enumerate(combo))]
+        out[np.ix_(*(ls for ls, _ in combo))] = _row_medians(
+            block.reshape(block.shape[:q] + (-1,)))
     return out
 
 

@@ -40,6 +40,7 @@ from .errors import BadCovariance, BadValue, ShapeMismatch, UnknownDensityValue
 # tests (perfbench/test_checks.py) check that every binding of it is wrapped.
 from .estimator import EstimatorConfig, FitPlan, FitResult, fit, plan_fit  # noqa: F401
 from .grid import GridDesign, plan_grid, product_grid
+from .medians import _row_medians
 
 __all__ = [
     "ErrorDist",
@@ -569,7 +570,7 @@ def coupling_check(error_dist: ErrorDist, kappa: int, repetitions: int,
     while done < repetitions:
         take = min(chunk, repetitions - done)
         draws = sample_errors(error_dist, take * kappa, rng).reshape(take, kappa)
-        meds[done:done + take] = np.median(draws, axis=1)
+        meds[done:done + take] = _row_medians(draws)
         done += take
     meds *= scale
     return CouplingResult(

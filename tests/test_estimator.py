@@ -381,6 +381,24 @@ def test_plan_reused_over_responses_matches_fresh_fits(side, q, configs):
             assert_same_fit(plan.fit(y), fit(u, y, config))
 
 
+@pytest.mark.parametrize("side,q", [(64, 1), (250, 1), (17, 2), (13, 3)])
+def test_fits_leave_the_callers_y_unchanged(side, q):
+    # the medians sort gathered copies: neither the caller's y nor a
+    # plan's earlier responses change, whatever order a plan sees them in
+    rng = np.random.default_rng(side + q)
+    u = grid_nd(side, q)[rng.permutation(side ** q)]
+    ys = [np.round(rng.standard_cauchy(len(u))) for _ in range(5)]
+    before = [y.copy() for y in ys]
+    plan = plan_fit(u)
+    forward = [plan.fit(y) for y in ys]
+    backward = [plan.fit(y) for y in ys[::-1]][::-1]
+    for y, y0, a, b in zip(ys, before, forward, backward):
+        assert np.array_equal(bits(y), bits(y0))
+        assert_same_fit(a, b)
+        fit(u, y)
+        assert np.array_equal(bits(y), bits(y0))
+
+
 def test_empty_half_bins_raise_from_the_fit_not_the_plan():
     plan = plan_fit(grid_1d(7))
     with pytest.raises(EmptyBin, match=r"half-bin \(1,\) is empty"):

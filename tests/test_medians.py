@@ -12,6 +12,7 @@ from medwave.grid import bin_observations, plan_grid
 from medwave.medians import (
     NOISE_FLOOR,
     MedianSummary,
+    _row_medians,
     bias_correction,
     bin_medians,
     estimate_noise_level,
@@ -146,6 +147,58 @@ def test_bin_medians_match_brute_force_oracle():
             assert np.array_equal(med.q_half.view(np.uint64),
                                   q_half.view(np.uint64)), (r, q)
     assert seen == {"divides", "uneven", "no half-bins"}
+
+
+def row_median_cases(rng, count):
+    """Rows of ``count`` values: rounded Cauchy ties, only -0.0, and -0.0
+    mixed with +0.0 (alone and among other values)."""
+    ties = np.round(rng.standard_cauchy((6, count)))
+    zeros = np.zeros((4, count))
+    zeros[0] = -0.0
+    zeros[1:] *= np.where(rng.random((3, count)) < 0.5, -1.0, 1.0)
+    mixed = np.round(rng.standard_cauchy((4, count))) * np.sign(
+        rng.standard_normal((4, count)))   # -0.0 where a tie rounds to 0
+    return np.concatenate([ties, zeros, mixed])
+
+
+@pytest.mark.parametrize("parity", ["odd", "even"])
+def test_row_medians_match_np_median_bitwise(parity):
+    # counts from 1 to 200, far beyond the ~16 of the design-driven oracle
+    rng = np.random.default_rng(41 if parity == "odd" else 42)
+    counts = range(1 if parity == "odd" else 2, 201, 2)
+    for count in counts:
+        rows = row_median_cases(rng, count)
+        assert np.signbit(rows).any()
+        expected = np.array([np.median(row) for row in rows])
+        got = _row_medians(rows.copy())
+        assert np.array_equal(got.view(np.uint64),
+                              expected.view(np.uint64)), count
+        assert not np.signbit(got[(rows == 0).all(axis=1)]).any(), count
+
+
+def test_bin_medians_of_negative_zeros_are_positive_zero():
+    # np.median never returns -0.0; neither do the bin or half-bin medians,
+    # on equal counts (64 points) and on two or three count classes
+    for r, q in ((64, 1), (25, 1), (17, 2), (13, 3)):
+        d = plan_grid(r ** q, q)
+        med = bin_medians(bin_observations(full_grid(r - 1, q),
+                                           np.full(d.n, -0.0), d))
+        for tensor in (med.q_full, med.q_half):
+            assert np.array_equal(tensor.view(np.uint64),
+                                  np.zeros(d.tensor_shape()).view(np.uint64))
+
+
+def test_bin_medians_leave_y_grid_unchanged():
+    # the medians sort gathered copies, never the binned responses
+    rng = np.random.default_rng(43)
+    for r, q in ((64, 1), (25, 1), (64, 2), (17, 2), (13, 3), (3, 3)):
+        d = plan_grid(r ** q, q)
+        y = np.round(rng.standard_cauchy(d.n))
+        binned = bin_observations(full_grid(r - 1, q), y, d)
+        before = binned.y_grid.copy()
+        bin_medians(binned)
+        assert np.array_equal(binned.y_grid.view(np.uint64),
+                              before.view(np.uint64)), (r, q)
 
 
 def test_empty_half_bin_is_named():

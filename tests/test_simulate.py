@@ -522,3 +522,23 @@ def test_coupling_check_determinism_and_validation():
         coupling_check(ErrorDist("gaussian", 1.0), kappa=-3, repetitions=100)
     with pytest.raises(BadValue):
         coupling_check(ErrorDist("gaussian", 1.0), kappa=101, repetitions=1)
+
+
+@pytest.mark.parametrize("dist", [ErrorDist("gaussian", 1.0),
+                                  ErrorDist("cauchy", 2.0),
+                                  ErrorDist("student_t", nu=3.0),
+                                  ErrorDist("laplace", 1.0),
+                                  ErrorDist("shifted_exponential")],
+                         ids=lambda d: d.kind)
+def test_coupling_check_matches_an_np_median_loop(dist):
+    # the same draws as coupling_check, one np.median per repetition
+    for kappa, reps in ((1, 50), (3, 400), (15, 300), (101, 200)):
+        res = coupling_check(dist, kappa, reps, seed=kappa)
+        rng = np.random.default_rng([kappa, kappa, reps])
+        draws = sample_errors(dist, reps * kappa, rng).reshape(reps, kappa)
+        meds = np.array([np.median(row) for row in draws])
+        meds *= math.sqrt(4.0 * kappa) * density_at_median(dist)
+        assert res == CouplingResult(
+            variance=float(np.var(meds, ddof=1)), target=1.0,
+            mean=float(meds.mean()), kappa=kappa, repetitions=reps,
+            h0=density_at_median(dist)), kappa
