@@ -49,7 +49,6 @@ from .wavelets import (
     idwt_qd,
 )
 from .shrinkage import (
-    ShrinkageConfig,
     ShrinkageDiagnostics,
     default_block_cardinality,
     partition_blocks,

@@ -105,33 +105,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run_estimate(args) -> int:
     from .dataio import read_grid_csv, write_estimate_csv, write_rows
-    from .errors import BadValue
-    from .estimator import EstimatorConfig, evaluate_on_grid, fit
+    from .estimator import (EstimatorConfig, _parse_noise_mode,
+                            evaluate_on_grid, fit)
 
     u, y = read_grid_csv(args.input)
     q = u.shape[1]
-
-    mode = args.noise_mode.strip()
-    known = None
-    if mode.startswith("known:"):
-        try:
-            known = float(mode.partition(":")[2])
-        except ValueError:
-            raise BadValue(f"--noise-mode: bad numeric value in {mode!r}") \
-                from None
-        mode = "known"
-    elif mode != "estimate":
-        raise BadValue(f"--noise-mode must be 'estimate' or 'known:VALUE', "
-                       f"got {mode!r}")
 
     config = EstimatorConfig(
         wavelet=args.wavelet,
         j0=args.j0,
         block_cardinality=args.block_cardinality,
-        noise_mode=mode,
-        known_h_inv_sq=known,
         shrinkage_enabled=not args.no_shrinkage,
         bias_correction=not args.no_bias_correction,
+        **_parse_noise_mode(args.noise_mode, "--noise-mode"),
     )
     result = fit(u, y, config)
     design = result.design

@@ -32,7 +32,7 @@ import numpy as np
 
 from .dataio import _fmt
 from .errors import BadValue, ParseError, UnknownKey
-from .estimator import EstimatorConfig
+from .estimator import EstimatorConfig, _parse_noise_mode
 from .simulate import DesignDist, ErrorDist, SimulationConfig
 
 __all__ = ["parse_config", "parse_config_text", "emit_config"]
@@ -164,26 +164,13 @@ def parse_config_text(text: str, source: str = "<config>") -> SimulationConfig:
             f"{raw['sample_sizes']!r}"
         ) from None
 
-    noise_mode = raw.get("noise_mode", "estimate") or "estimate"
-    kind, param = _parse_kind_param(noise_mode, "noise_mode")
-    if kind == "estimate":
-        if param is not None:
-            raise BadValue("noise_mode estimate takes no parameter")
-        est_noise = {"noise_mode": "estimate"}
-    elif kind == "known":
-        if param is None:
-            raise BadValue("noise_mode known requires :value")
-        est_noise = {"noise_mode": "known", "known_h_inv_sq": param}
-    else:
-        raise BadValue(f"unknown noise_mode {kind!r}")
-
     j0 = raw.get("j0", "")
     block = raw.get("block_cardinality", "")
     estimator = EstimatorConfig(
         wavelet=raw.get("wavelet", "db4") or "db4",
         j0=_int_value("j0", j0) if j0 else None,
         block_cardinality=_int_value("block_cardinality", block) if block else None,
-        **est_noise,
+        **_parse_noise_mode(raw.get("noise_mode") or "estimate", "noise_mode"),
     )
 
     u0_text = raw.get("u0", "")

@@ -49,13 +49,7 @@ from .medians import (
     estimate_noise_level,
     known_noise_level,
 )
-from .shrinkage import (
-    ShrinkageConfig,
-    ShrinkageDiagnostics,
-    default_block_cardinality,
-    partition_blocks,
-    shrink,
-)
+from .shrinkage import ShrinkageDiagnostics, default_block_cardinality, shrink
 from .wavelets import (
     WaveletFilter,
     build_filter,
@@ -84,7 +78,7 @@ class EstimatorConfig:
     noise_mode : str
         "estimate" (from paired medians) or "known".
     known_h_inv_sq : float, optional
-        The value 1/h^2(0) when noise_mode == "known".
+        The value 1/h^2(0) when noise_mode == "known"; finite and positive.
     shrinkage_enabled : bool
         Disable to get the raw median pipeline (diagnostic use).
     bias_correction : bool
@@ -103,10 +97,12 @@ class EstimatorConfig:
         if self.noise_mode not in ("estimate", "known"):
             raise BadValue(f"noise_mode must be 'estimate' or 'known', "
                            f"got {self.noise_mode!r}")
-        if self.noise_mode == "known" and (
-            self.known_h_inv_sq is None or not self.known_h_inv_sq > 0
+        known = self.known_h_inv_sq
+        if self.noise_mode == "known" and not (
+            known is not None and np.isfinite(known) and known > 0
         ):
-            raise BadValue("noise_mode 'known' requires a positive known_h_inv_sq")
+            raise BadValue("noise_mode 'known' requires a finite positive "
+                           f"known_h_inv_sq, got {known}")
         if self.j0 is not None and self.j0 < 0:
             raise BadPrimaryLevel(f"j0 must be >= 0, got {self.j0}")
         if self.block_cardinality is not None and self.block_cardinality < 1:
@@ -142,10 +138,35 @@ def _resolve_primary_level(config: EstimatorConfig, filt: WaveletFilter,
     return min(default_primary_level(filt), J - 1)
 
 
+def _parse_noise_mode(text: str, key: str) -> dict:
+    """``estimate`` or ``known:VALUE`` as :class:`EstimatorConfig` keywords.
+
+    Whitespace around the kind and the value is ignored. ``key`` names the
+    option (``--noise-mode`` or ``noise_mode``) in the error message.
+    """
+    kind, colon, value = text.partition(":")
+    kind = kind.strip()
+    if kind == "estimate" and not colon:
+        return {"noise_mode": "estimate"}
+    if kind == "known" and colon:
+        try:
+            return {"noise_mode": "known", "known_h_inv_sq": float(value)}
+        except ValueError:
+            raise BadValue(f"{key}: bad numeric value in {text!r}") from None
+    raise BadValue(f"{key} must be 'estimate' or 'known:VALUE', got {text!r}")
+
+
 def _resolve_noise(config: EstimatorConfig, summary: MedianSummary,
                    n: int) -> NoiseEstimate:
     if config.noise_mode == "known":
         return known_noise_level(config.known_h_inv_sq, n)
+    if summary.design.J == 0:
+        # a single bin has no pair to estimate from: flag the clamp floor
+        return NoiseEstimate(
+            h_inv_sq=NOISE_FLOOR,
+            sigma=float(np.sqrt(NOISE_FLOOR) / (2.0 * np.sqrt(n))),
+            degenerate=True,
+        )
     return estimate_noise_level(summary)
 
 
@@ -178,36 +199,19 @@ class FitPlan:
         n = design.n
         summary = bin_medians(self.binned.with_responses(y))
         b_hat = bias_correction(summary) if config.bias_correction else 0.0
-
+        noise = _resolve_noise(config, summary, n)
+        diagnostics = None
         if self.j0 is None:
             # Single bin per axis: no detail levels exist, the transform is
-            # the identity on the 1-point-per-axis tensor. Noise cannot be
-            # estimated from a single bin; mark it degenerate unless supplied.
-            if config.noise_mode == "known":
-                noise = known_noise_level(config.known_h_inv_sq, n)
-            else:
-                noise = NoiseEstimate(
-                    h_inv_sq=NOISE_FLOOR,
-                    sigma=float(np.sqrt(NOISE_FLOOR) / (2.0 * np.sqrt(n))),
-                    degenerate=True,
-                )
+            # the identity on the 1-point-per-axis tensor.
             f_hat = summary.q_full - b_hat
-            return FitResult(f_hat=f_hat, b_hat=float(b_hat), noise=noise,
-                             diagnostics=None, design=design, config=config)
-
-        noise = _resolve_noise(config, summary, n)
-        tensor = summary.q_full / np.sqrt(design.V)
-        pyramid = dwt_qd(tensor, self.filt, self.j0)
-
-        diagnostics = None
-        if config.shrinkage_enabled:
-            shrink_cfg = ShrinkageConfig(n=n, h_inv_sq=noise.h_inv_sq,
-                                         block_cardinality=self.L)
-            partition = partition_blocks(pyramid, shrink_cfg)
-            pyramid, diagnostics = shrink(pyramid, partition, shrink_cfg)
-
-        recon = idwt_qd(pyramid, self.filt) * np.sqrt(design.V)
-        f_hat = recon - b_hat
+        else:
+            pyramid = dwt_qd(summary.q_full / np.sqrt(design.V), self.filt,
+                             self.j0)
+            if config.shrinkage_enabled:
+                pyramid, diagnostics = shrink(pyramid, n, noise.h_inv_sq,
+                                              self.L)
+            f_hat = idwt_qd(pyramid, self.filt) * np.sqrt(design.V) - b_hat
         if f_hat.shape != design.tensor_shape():  # pragma: no cover
             raise ShapeMismatch("reconstruction shape drifted from design")
         return FitResult(f_hat=f_hat, b_hat=float(b_hat), noise=noise,

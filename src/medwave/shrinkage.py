@@ -1,18 +1,19 @@
 """Block James-Stein shrinkage of detail coefficients.
 
-Detail subbands are tiled into axis-aligned hypercube blocks of side
-len = max(1, floor(L^{1/q})). The tiling of level j is one array of tile
-starts, arange(0, 2^j, len), shared by every axis and every subband of the
-level; the last tile of an axis is truncated at 2^j, so a subband with at
-most L coefficients forms a single block. Each block is scaled by the
-nonnegative James-Stein factor
+:func:`shrink` is the one entry point: the rule depends only on the sample
+size n, the noise level h_inv_sq = 1/hhat^2(0), the target block size L and
+the constant lambda*. Detail subbands are tiled by :func:`partition_blocks`
+into axis-aligned hypercube blocks of side len = max(1, floor(L^{1/q})).
+The tiling of level j is one array of tile starts, arange(0, 2^j, len),
+shared by every axis and every subband of the level; the last tile of an
+axis is truncated at 2^j, so a subband with at most L coefficients forms a
+single block. Each block is scaled by the nonnegative James-Stein factor
 
     c_B = max(0, 1 - lambda* L_B / (4 hhat^2(0) n S_B^2)),
 
 where L_B is the actual block cardinality, S_B^2 the sum of squared
-coefficients in the block, n the sample size and hhat^2(0) the error density
-at its median (supplied as h_inv_sq = 1/hhat^2(0)). The constant lambda* is
-the root of
+coefficients in the block and hhat^2(0) the error density at its median.
+The constant lambda* (Cai 1999) is the root of
 
     lambda - ln(lambda) = 3,    lambda* ~ 4.50524...
 
@@ -26,15 +27,14 @@ the level's starts followed by 2^j plus them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadValue, ShapeMismatch
+from .errors import BadValue
 from .wavelets import CoefficientPyramid
 
 __all__ = [
-    "ShrinkageConfig",
     "ShrinkageDiagnostics",
     "solve_lambda_star",
     "default_block_cardinality",
@@ -68,42 +68,14 @@ def _block_side(L: int, q: int) -> int:
     return side
 
 
-@dataclass(frozen=True)
-class ShrinkageConfig:
-    """Parameters of the shrinkage rule.
-
-    ``h_inv_sq`` is 1/hhat^2(0); ``block_cardinality`` is the target L.
-    """
-
-    n: int
-    h_inv_sq: float
-    block_cardinality: int
-    lambda_star: float = None
-
-    def __post_init__(self):
-        if self.lambda_star is None:
-            object.__setattr__(self, "lambda_star", solve_lambda_star())
-        if not 4.505 < self.lambda_star < 4.506:
-            raise BadValue(
-                f"lambda_star={self.lambda_star} outside (4.505, 4.506)"
-            )
-        if self.block_cardinality < 1:
-            raise BadValue("block_cardinality must be >= 1")
-        if self.n < 1:
-            raise BadValue("n must be >= 1")
-        if not (np.isfinite(self.h_inv_sq) and self.h_inv_sq > 0):
-            raise BadValue("h_inv_sq must be positive and finite")
-
-
-def partition_blocks(pyramid: CoefficientPyramid,
-                     config: ShrinkageConfig) -> dict:
+def partition_blocks(pyramid: CoefficientPyramid, L: int) -> dict:
     """Tile starts of every detail level: level j -> ``arange(0, 2^j, side)``.
 
     The starts are shared by every axis and every subband of a level; the
     last tile of an axis is truncated at 2^j. Only the pyramid's geometry is
     consulted, never the coefficient values.
     """
-    side = _block_side(config.block_cardinality, pyramid.q)
+    side = _block_side(L, pyramid.q)
     return {j: np.arange(0, 2 ** j, side) for j in pyramid.levels()}
 
 
@@ -111,40 +83,47 @@ def partition_blocks(pyramid: CoefficientPyramid,
 class ShrinkageDiagnostics:
     """What the shrinkage step did, per level and overall."""
 
-    blocks_per_level: dict = field(default_factory=dict)
-    zeroed_per_level: dict = field(default_factory=dict)
-    factor_histogram: np.ndarray = field(
-        default_factory=lambda: np.zeros(10, dtype=int)
-    )  # 10 equal bins on [0, 1]; factor 1.0 counts in the last bin
-    factor_min: float = 1.0
-    factor_mean: float = 1.0
-    total_blocks: int = 0
+    blocks_per_level: dict
+    zeroed_per_level: dict
+    factor_histogram: np.ndarray  # 10 equal bins on [0, 1]; 1.0 in the last
+    factor_min: float
+    factor_mean: float
+    total_blocks: int
 
 
-def shrink(pyramid: CoefficientPyramid, partition: dict,
-           config: ShrinkageConfig):
+def shrink(pyramid: CoefficientPyramid, n: int, h_inv_sq: float, L: int):
     """Apply the block James-Stein rule; returns (new pyramid, diagnostics).
 
-    The gross coefficients are passed through bit-identically; every detail
-    block is multiplied by its factor c_B (with S_B^2 = 0 forcing c_B = 0).
+    ``n`` is the sample size, ``h_inv_sq`` the noise level 1/hhat^2(0) and
+    ``L`` the target block size; the blocks are those of
+    :func:`partition_blocks`. The gross coefficients are passed through
+    bit-identically; every detail block is multiplied by its factor c_B
+    (with S_B^2 = 0 forcing c_B = 0).
+
+    Raises
+    ------
+    BadValue
+        If n < 1, L < 1, or h_inv_sq is not positive and finite.
     """
-    if sorted(partition) != list(pyramid.levels()):
-        raise ShapeMismatch(
-            f"partition levels {sorted(partition)} do not match pyramid "
-            f"levels {list(pyramid.levels())}"
-        )
-    lam = config.lambda_star
-    scale = 4.0 * config.n / config.h_inv_sq   # = 4 hhat^2(0) n
+    if L < 1:
+        raise BadValue("block_cardinality must be >= 1")
+    if n < 1:
+        raise BadValue("n must be >= 1")
+    if not (np.isfinite(h_inv_sq) and h_inv_sq > 0):
+        raise BadValue("h_inv_sq must be positive and finite")
+    partition = partition_blocks(pyramid, L)
+    lam = solve_lambda_star()
+    scale = 4.0 * n / h_inv_sq   # = 4 hhat^2(0) n
     q = pyramid.q
     out = pyramid.coeffs.copy()
     factors = {}
     for j in pyramid.levels():
         # level j's 2^q - 1 subbands and the coarse corner [:2^j]^q tile the
         # cube [:2^{j+1}]^q; the corner's tiles get factor 1
-        n = 2 ** j
-        starts = np.concatenate([partition[j], n + partition[j]])
-        lengths = np.diff(starts, append=2 * n)
-        cube = out[(slice(0, 2 * n),) * q]
+        size = 2 ** j
+        starts = np.concatenate([partition[j], size + partition[j]])
+        lengths = np.diff(starts, append=2 * size)
+        cube = out[(slice(0, 2 * size),) * q]
         s2 = cube * cube
         card = np.ones((), dtype=np.int64)
         for ax in range(q):

@@ -77,7 +77,7 @@ class ErrorDist:
     """Univariate error distribution with median zero.
 
     kind in {gaussian, cauchy, laplace} takes a ``scale`` >= 0;
-    student_t takes ``nu`` > 0; shifted_exponential has no parameters
+    student_t takes a finite ``nu`` > 0; shifted_exponential has no parameters
     (density h(x) = exp(-(x + ln 2)) on x >= -ln 2, asymmetric).
     """
 
@@ -91,8 +91,9 @@ class ErrorDist:
         if self.kind in ("gaussian", "cauchy", "laplace"):
             if not (np.isfinite(self.scale) and self.scale >= 0):
                 raise BadValue(f"scale must be >= 0, got {self.scale}")
-        if self.kind == "student_t" and not self.nu > 0:
-            raise BadValue(f"student_t needs nu > 0, got {self.nu}")
+        if self.kind == "student_t" and not (np.isfinite(self.nu)
+                                             and self.nu > 0):
+            raise BadValue(f"student_t needs a finite nu > 0, got {self.nu}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,8 +131,9 @@ class DesignDist:
             raise BadCovariance("sigma is not positive definite") from None
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "_chol", chol)
-        if self.kind == "student_t" and not self.nu > 0:
-            raise BadValue(f"student_t needs nu > 0, got {self.nu}")
+        if self.kind == "student_t" and not (np.isfinite(self.nu)
+                                             and self.nu > 0):
+            raise BadValue(f"student_t needs a finite nu > 0, got {self.nu}")
 
     @property
     def p(self) -> int:
@@ -188,10 +190,10 @@ def density_at_median(dist: ErrorDist) -> float:
             raise UnknownDensityValue("cauchy with scale 0 is degenerate")
         return 1.0 / (math.pi * dist.scale)
     if dist.kind == "student_t":
+        # log-gamma: math.gamma overflows from nu = 343 on
         nu = dist.nu
-        return math.gamma((nu + 1) / 2) / (
-            math.sqrt(nu * math.pi) * math.gamma(nu / 2)
-        )
+        return math.exp(math.lgamma((nu + 1) / 2) - math.lgamma(nu / 2)) / (
+            math.sqrt(nu * math.pi))
     if dist.kind == "laplace":
         if dist.scale <= 0:
             raise UnknownDensityValue("laplace with scale 0 is degenerate")
@@ -216,7 +218,6 @@ class TestFunction:
     name: str
     evaluator: Callable = field(repr=False)
     nominal_alpha: Optional[float]
-    centered: bool = True
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)

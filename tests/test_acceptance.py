@@ -17,12 +17,7 @@ import numpy as np
 
 from conftest import record_acceptance
 from medwave.estimator import EstimatorConfig, fit
-from medwave.shrinkage import (
-    ShrinkageConfig,
-    partition_blocks,
-    shrink,
-    solve_lambda_star,
-)
+from medwave.shrinkage import shrink, solve_lambda_star
 from medwave.simulate import (
     DesignDist,
     ErrorDist,
@@ -222,8 +217,6 @@ def test_criterion_8_blockwise_oracle_inequality():
     lam = solve_lambda_star()
     n, L = 1024, 8
     sigma = 1.0 / (2.0 * math.sqrt(n))
-    cfg = ShrinkageConfig(n=n, h_inv_sq=1.0, block_cardinality=L)
-    part = partition_blocks(CoefficientPyramid(np.zeros(16), 3), cfg)
     thetas = {
         "sparse": np.array([sigma / 2, sigma / 2, 0, 0, 0, 0, 0, 0]),
         "boundary": np.full(8, math.sqrt((lam - 1.0) * L * sigma ** 2 / 8.0)),
@@ -238,7 +231,7 @@ def test_criterion_8_blockwise_oracle_inequality():
         for _ in range(draws):
             y = theta + sigma * rng.standard_normal(8)
             pyr = CoefficientPyramid(np.concatenate([np.zeros(8), y]), 3)
-            out, _ = shrink(pyr, part, cfg)
+            out, _ = shrink(pyr, n, 1.0, L)
             total += float(np.sum((out.subband(3, 1) - theta) ** 2))
         risk = total / draws
         bound = 1.25 * min(4.0 * float(np.sum(theta ** 2)),

@@ -8,6 +8,7 @@ import pytest
 
 from medwave.cli import main
 from medwave.dataio import read_estimate_csv, read_grid_csv, write_dataset_csv
+from medwave.errors import BadValue
 from medwave.estimator import EstimatorConfig, fit
 
 CONFIG = ("q = 1\nsample_sizes = 256, 1024\nreplications = 2\n"
@@ -168,10 +169,44 @@ def test_estimate_bad_options(tmp_path, capsys):
                  "--noise-mode", "known:abc"]) == 2
     assert main(["estimate", "--input", str(data),
                  "--noise-mode", "oracle"]) == 2
+    for value in ("inf", "1e400"):
+        assert main(["estimate", "--input", str(data),
+                     "--noise-mode", f"known:{value}"]) == 2
     assert main(["estimate", "--input", str(data),
                  "--wavelet", "sym8"]) == 2
     assert main(["estimate", "--input", str(data), "--j0", "99"]) == 2
     capsys.readouterr()
+
+
+# accepted, malformed and out-of-range spellings of the noise mode
+NOISE_SPELLINGS = ("estimate", " estimate ", "known:2", "known: 2.5 ",
+                   " known :2", "known:1e-3", "known", "known:", "known:abc",
+                   "known:2:3", "estimate:1", "estimate:", "oracle", "KNOWN:2",
+                   "known:0", "known:-1", "known:nan", "known:inf",
+                   "known:1e400")
+
+
+@pytest.mark.parametrize("spelling", NOISE_SPELLINGS)
+def test_noise_mode_flag_and_config_key_agree(tmp_path, capsys, monkeypatch,
+                                              spelling):
+    from medwave.config import parse_config_text
+    data, _, _ = make_dataset(tmp_path, n=64)
+    seen = []
+    monkeypatch.setattr("medwave.estimator.fit", lambda u, y, config: (
+        seen.append(config) or fit(u, y, config)))
+    rc = main(["estimate", "--input", str(data), "--output",
+               str(tmp_path / "est.csv"), "--noise-mode", spelling])
+    err = capsys.readouterr().err
+    try:
+        from_file = parse_config_text(
+            CONFIG + f"noise_mode = {spelling}\n").estimator
+    except BadValue as exc:
+        assert rc == 2 and not seen
+        assert "noise_mode" in str(exc) and "--noise-mode" not in str(exc)
+        if "known_h_inv_sq" not in str(exc):     # malformed, not out of range
+            assert "--noise-mode" in err
+    else:
+        assert rc == 0 and seen == [from_file]
 
 
 # ---------------------------------------------------------------------------
@@ -294,8 +329,20 @@ def test_coupling_check_output(capsys):
     assert "target 1" in line
 
 
+def test_coupling_check_student_t_with_large_nu(capsys):
+    # h(0) at nu = 400 overflows math.gamma; the log-gamma form does not
+    rc = main(["coupling-check", "--error-dist", "student_t:400",
+               "--kappa", "101", "--repetitions", "2000", "--seed", "0"])
+    captured = capsys.readouterr()
+    assert rc == 0
+    line = [l for l in captured.out.split("\n") if "variance" in l][0]
+    variance = float(line.split(":")[1].split("(")[0])
+    assert abs(variance - 1.0) < 0.15
+
+
 def test_coupling_check_validation(capsys):
     assert main(["coupling-check", "--error-dist", "uniform"]) == 2
+    assert main(["coupling-check", "--error-dist", "student_t:inf"]) == 2
     assert main(["coupling-check", "--error-dist", "gaussian",
                  "--kappa", "100", "--repetitions", "100"]) == 2
     capsys.readouterr()

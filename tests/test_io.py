@@ -384,6 +384,9 @@ def test_config_value_errors():
         parse_config_text(MINIMAL + "noise_mode = known\n")
     with pytest.raises(BadValue):
         parse_config_text(MINIMAL + "noise_mode = estimate:1\n")
+    for value in ("inf", "1e400"):
+        with pytest.raises(BadValue):
+            parse_config_text(MINIMAL + f"noise_mode = known:{value}\n")
     with pytest.raises(BadValue):
         parse_config_text(MINIMAL + "u0 = 0.3, 0.7\n")      # wrong length
     with pytest.raises(BadValue):

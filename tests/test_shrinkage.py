@@ -6,9 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from medwave.errors import BadValue, ShapeMismatch
+from medwave.errors import BadValue
 from medwave.shrinkage import (
-    ShrinkageConfig,
     default_block_cardinality,
     partition_blocks,
     shrink,
@@ -85,14 +84,15 @@ def oracle_tiles(size, side, q):
     return list(itertools.product(axis, repeat=q))
 
 
-def oracle_shrink(pyr, cfg):
+def oracle_shrink(pyr, n, h_inv_sq, L):
     """Shrink ``pyr`` one explicitly sliced block at a time.
 
     Returns the shrunk details and, per level, the list of block factors in
     subband-then-tile order.
     """
-    side = oracle_side(cfg.block_cardinality, pyr.q)
-    scale = 4.0 * cfg.n / cfg.h_inv_sq
+    lam = solve_lambda_star()
+    side = oracle_side(L, pyr.q)
+    scale = 4.0 * n / h_inv_sq
     details, factors = {}, {}
     for (j, i), src in subbands(pyr):
         dst = np.zeros_like(src)
@@ -100,7 +100,7 @@ def oracle_shrink(pyr, cfg):
             card = int(np.prod([s.stop - s.start for s in sl]))
             s2 = float(np.sum(src[sl] ** 2))
             c = 0.0 if s2 <= 0.0 else max(
-                0.0, 1.0 - cfg.lambda_star * card / (scale * s2))
+                0.0, 1.0 - lam * card / (scale * s2))
             dst[sl] = src[sl] * c
             factors.setdefault(j, []).append(c)
         details[(j, i)] = dst
@@ -108,19 +108,20 @@ def oracle_shrink(pyr, cfg):
 
 
 def random_case(rng):
-    """A random pyramid and config whose factors span zeroed to near 1."""
+    """A random pyramid and (n, h_inv_sq, L) whose factors span zeroed to
+    near 1."""
     q = int(rng.integers(1, 4))
     T = int(rng.choice({1: [8, 16, 32, 64], 2: [4, 8, 16], 3: [4, 8]}[q]))
     j0 = int(rng.integers(0, int(math.log2(T))))
-    cfg = ShrinkageConfig(n=int(rng.integers(4, 10000)),
-                          h_inv_sq=float(rng.uniform(0.1, 10.0)),
-                          block_cardinality=int(rng.integers(1, 41)))
-    sigma = math.sqrt(cfg.h_inv_sq / (4.0 * cfg.n))
+    n = int(rng.integers(4, 10000))
+    h_inv_sq = float(rng.uniform(0.1, 10.0))
+    L = int(rng.integers(1, 41))
+    sigma = math.sqrt(h_inv_sq / (4.0 * n))
     pyr = zero_pyramid(q, T, j0)
     for _, v in subbands(pyr):
         amp = sigma * float(rng.choice([0.0, 0.5, 1.0, 2.0, 3.0, 10.0]))
         v[...] = amp * rng.standard_normal(v.shape)
-    return pyr, cfg
+    return pyr, (n, h_inv_sq, L)
 
 
 # ---------------------------------------------------------------------------
@@ -130,31 +131,28 @@ def random_case(rng):
 def test_partition_known_shapes_1d():
     # length-8 subband, target L=3 -> tiles [0:3], [3:6], [6:8]
     pyr = zero_pyramid(1, 16, 3)           # single detail level of size 8
-    cfg = ShrinkageConfig(n=16, h_inv_sq=1.0, block_cardinality=3)
-    part = partition_blocks(pyr, cfg)
+    part = partition_blocks(pyr, 3)
     assert list(part) == [3]
     assert part[3].tolist() == [0, 3, 6]
-    _, diag = shrink(pyr, part, cfg)
+    _, diag = shrink(pyr, 16, 1.0, 3)
     assert diag.blocks_per_level == {3: 3}
 
 
 def test_partition_known_shapes_2d():
     # level-2 subbands (4x4), target L=4 -> side 2 -> four 2x2 blocks each
     pyr = zero_pyramid(2, 8, 2)
-    cfg = ShrinkageConfig(n=64, h_inv_sq=1.0, block_cardinality=4)
-    part = partition_blocks(pyr, cfg)
+    part = partition_blocks(pyr, 4)
     assert part[2].tolist() == [0, 2]
-    _, diag = shrink(pyr, part, cfg)
+    _, diag = shrink(pyr, 64, 1.0, 4)
     assert diag.blocks_per_level == {2: 3 * 4}
 
 
 def test_partition_large_target_single_block():
     # L >= subband size -> exactly one block covering the whole subband
     pyr = zero_pyramid(1, 8, 1)
-    cfg = ShrinkageConfig(n=8, h_inv_sq=1.0, block_cardinality=64)
-    part = partition_blocks(pyr, cfg)
+    part = partition_blocks(pyr, 64)
     assert {j: s.tolist() for j, s in part.items()} == {1: [0], 2: [0]}
-    _, diag = shrink(pyr, part, cfg)
+    _, diag = shrink(pyr, 8, 1.0, 64)
     assert diag.blocks_per_level == {1: 1, 2: 1}
 
 
@@ -164,13 +162,13 @@ def test_shrink_matches_blockwise_oracle():
     rng = np.random.default_rng(17)
     cases = 0
     for _ in range(150):
-        pyr, cfg = random_case(rng)
-        part = partition_blocks(pyr, cfg)
-        side = oracle_side(cfg.block_cardinality, pyr.q)
+        pyr, args = random_case(rng)
+        part = partition_blocks(pyr, args[2])
+        side = oracle_side(args[2], pyr.q)
         for j, starts in part.items():
             assert starts.tolist() == list(range(0, 2 ** j, side))
-        out, diag = shrink(pyr, part, cfg)
-        want, factors = oracle_shrink(pyr, cfg)
+        out, diag = shrink(pyr, *args)
+        want, factors = oracle_shrink(pyr, *args)
         assert np.array_equal(out.gross, pyr.gross)
         for key, arr in want.items():
             tol = 1e-12 * max(float(np.max(np.abs(pyr.subband(*key)))), 1e-300)
@@ -200,9 +198,7 @@ def test_exact_factor_worked_example():
     lam = solve_lambda_star()
     pyr = zero_pyramid(2, 4, 1)
     pyr.subband(1, 1)[...] = math.sqrt(2.0 * lam)
-    cfg = ShrinkageConfig(n=1, h_inv_sq=4.0, block_cardinality=4)
-    part = partition_blocks(pyr, cfg)
-    out, diag = shrink(pyr, part, cfg)
+    out, diag = shrink(pyr, 1, 4.0, 4)
     np.testing.assert_allclose(
         out.subband(1, 1), 0.5 * math.sqrt(2.0 * lam), rtol=1e-12)
     # the other two subbands are all-zero -> factor 0
@@ -216,9 +212,7 @@ def test_zero_energy_block_is_zeroed_and_subthreshold_clamps():
     pyr = zero_pyramid(1, 8, 1)
     # level 2 (size 4): two blocks of 2 with L=2
     pyr.subband(2, 1)[:] = [1e-9, 0.0, 0.0, 0.0]   # tiny energy block + zero block
-    cfg = ShrinkageConfig(n=4, h_inv_sq=1.0, block_cardinality=2)
-    part = partition_blocks(pyr, cfg)
-    out, _ = shrink(pyr, part, cfg)
+    out, _ = shrink(pyr, 4, 1.0, 2)
     # s2 = 1e-18 << lam*2/16 -> factor clamps to 0, not negative
     assert np.all(out.subband(2, 1) == 0.0)
     assert np.all(out.subband(1, 1) == 0.0)
@@ -228,8 +222,7 @@ def test_zero_energy_block_is_zeroed_and_subthreshold_clamps():
 def test_gross_passes_through_bit_identical():
     rng = np.random.default_rng(7)
     pyr = dwt_qd(rng.standard_normal((8, 8)), build_filter("db2"), 1)
-    cfg = ShrinkageConfig(n=64, h_inv_sq=3.7, block_cardinality=4)
-    out, _ = shrink(pyr, partition_blocks(pyr, cfg), cfg)
+    out, _ = shrink(pyr, 64, 3.7, 4)
     assert np.array_equal(out.gross, pyr.gross)
     assert not np.shares_memory(out.coeffs, pyr.coeffs)  # an independent copy
 
@@ -239,8 +232,7 @@ def test_input_pyramid_not_mutated():
     pyr = zero_pyramid(1, 16, 1)
     pyr.coeffs[...] = rng.standard_normal(pyr.coeffs.shape)
     before = pyr.coeffs.copy()
-    cfg = ShrinkageConfig(n=16, h_inv_sq=1.0, block_cardinality=2)
-    shrink(pyr, partition_blocks(pyr, cfg), cfg)
+    shrink(pyr, 16, 1.0, 2)
     np.testing.assert_array_equal(pyr.coeffs, before)
 
 
@@ -258,10 +250,8 @@ def test_shrinkage_properties_random():
             v[...] = rng.standard_normal(v.shape) * rng.choice(
                 [0.01, 1.0, 100.0])
         L = int(rng.integers(1, 9))
-        cfg = ShrinkageConfig(n=int(rng.integers(4, 10000)),
-                              h_inv_sq=float(rng.uniform(0.1, 10.0)),
-                              block_cardinality=L)
-        out, diag = shrink(pyr, partition_blocks(pyr, cfg), cfg)
+        out, diag = shrink(pyr, int(rng.integers(4, 10000)),
+                           float(rng.uniform(0.1, 10.0)), L)
         side = oracle_side(L, q)
         for (j, i), src in subbands(pyr):
             dst = out.subband(j, i)
@@ -288,31 +278,19 @@ def test_factor_monotone_in_signal_scale():
         v[...] = rng.standard_normal(v.shape)
     pyr2 = CoefficientPyramid(2.0 * pyr1.coeffs, 2)
     pyr2.gross[...] = pyr1.gross
-    cfg = ShrinkageConfig(n=32, h_inv_sq=1.0, block_cardinality=3)
-    part = partition_blocks(pyr1, cfg)
-    out1, _ = shrink(pyr1, part, cfg)
-    out2, _ = shrink(pyr2, part, cfg)
+    out1, _ = shrink(pyr1, 32, 1.0, 3)
+    out2, _ = shrink(pyr2, 32, 1.0, 3)
     for key, v in subbands(out1):
         a = np.abs(v)
         b = np.abs(out2.subband(*key))
         assert np.all(b + 1e-12 >= 2.0 * a)
 
 
-def test_shrink_requires_full_partition():
-    pyr_full = zero_pyramid(1, 8, 0)     # levels 0,1,2
-    pyr_part = zero_pyramid(1, 8, 1)     # levels 1,2 only
-    cfg = ShrinkageConfig(n=8, h_inv_sq=1.0, block_cardinality=2)
-    partial = partition_blocks(pyr_part, cfg)
-    with pytest.raises(ShapeMismatch):
-        shrink(pyr_full, partial, cfg)
-
-
 def test_diagnostics_counts():
     # q=1, T=8, j0=0: subband sizes 1, 2, 4; L=2 -> blocks 1, 1, 2
     pyr = zero_pyramid(1, 8, 0)
     pyr.subband(2, 1)[...] = 1000.0      # huge energy: factor ~ 1
-    cfg = ShrinkageConfig(n=8, h_inv_sq=1.0, block_cardinality=2)
-    out, diag = shrink(pyr, partition_blocks(pyr, cfg), cfg)
+    out, diag = shrink(pyr, 8, 1.0, 2)
     assert diag.blocks_per_level == {0: 1, 1: 1, 2: 2}
     assert diag.zeroed_per_level == {0: 1, 1: 1}
     assert diag.total_blocks == 4
@@ -325,20 +303,8 @@ def test_diagnostics_counts():
 
 
 def test_config_validation():
-    with pytest.raises(BadValue):
-        ShrinkageConfig(n=0, h_inv_sq=1.0, block_cardinality=2)
-    with pytest.raises(BadValue):
-        ShrinkageConfig(n=8, h_inv_sq=0.0, block_cardinality=2)
-    with pytest.raises(BadValue):
-        ShrinkageConfig(n=8, h_inv_sq=float("nan"), block_cardinality=2)
-    with pytest.raises(BadValue):
-        ShrinkageConfig(n=8, h_inv_sq=float("inf"), block_cardinality=2)
-    with pytest.raises(BadValue):
-        ShrinkageConfig(n=8, h_inv_sq=1.0, block_cardinality=0)
-    with pytest.raises(BadValue):
-        ShrinkageConfig(n=8, h_inv_sq=1.0, block_cardinality=2,
-                        lambda_star=4.0)
-    # valid explicit lambda accepted
-    cfg = ShrinkageConfig(n=8, h_inv_sq=1.0, block_cardinality=2,
-                          lambda_star=solve_lambda_star())
-    assert cfg.lambda_star == solve_lambda_star()
+    pyr = zero_pyramid(1, 8, 0)
+    for args in ((0, 1.0, 2), (8, 0.0, 2), (8, float("nan"), 2),
+                 (8, float("inf"), 2), (8, 1.0, 0)):
+        with pytest.raises(BadValue):
+            shrink(pyr, *args)

@@ -72,8 +72,9 @@ def test_design_covariance_validation():
         DesignDist("gaussian", np.array([[1.0, 2.0], [2.0, 1.0]]))
     with pytest.raises(BadValue):
         DesignDist("uniform", np.eye(2))
-    with pytest.raises(BadValue):
-        DesignDist("student_t", np.eye(2), nu=0.0)
+    for nu in (0.0, math.inf, math.nan):
+        with pytest.raises(BadValue):
+            DesignDist("student_t", np.eye(2), nu=nu)
 
 
 # ---------------------------------------------------------------------------
@@ -92,6 +93,15 @@ def test_density_at_median_values():
     # student_t at nu=1 is cauchy
     assert density_at_median(ErrorDist("student_t", nu=1.0)) \
         == pytest.approx(1.0 / math.pi)
+    # the gamma-function form where math.gamma does not overflow
+    for nu in (0.5, 2.0, 3.0, 30.0, 300.0):
+        assert density_at_median(ErrorDist("student_t", nu=nu)) \
+            == pytest.approx(math.gamma((nu + 1) / 2) / (
+                math.sqrt(nu * math.pi) * math.gamma(nu / 2)), rel=1e-12)
+    # large nu: finite, and near the gaussian value
+    assert math.isfinite(density_at_median(ErrorDist("student_t", nu=400.0)))
+    assert density_at_median(ErrorDist("student_t", nu=1e6)) \
+        == pytest.approx(1.0 / math.sqrt(2 * math.pi), rel=1e-6)
 
 
 def test_density_at_median_degenerate():
@@ -107,8 +117,9 @@ def test_error_dist_validation():
         ErrorDist("uniform")
     with pytest.raises(BadValue):
         ErrorDist("gaussian", -1.0)
-    with pytest.raises(BadValue):
-        ErrorDist("student_t", nu=0.0)
+    for nu in (0.0, math.inf, math.nan):
+        with pytest.raises(BadValue):
+            ErrorDist("student_t", nu=nu)
 
 
 @pytest.mark.parametrize("dist", [
