@@ -155,7 +155,7 @@ def _run_simulate(args) -> int:
             y = ctx.responses(replication_rng(config.seed, n, rep))
             path = os.path.join(args.output_dir,
                                 f"dataset_n{n}_rep{rep}.csv")
-            write_dataset_csv(path, ctx.u, y)
+            write_dataset_csv(path, ctx.row_template, y)
             print(path)
             if rep == 0:
                 table = np.column_stack([ctx.grid_points, ctx.f_grid.ravel()])

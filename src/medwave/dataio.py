@@ -16,9 +16,14 @@ strip to nothing, accepts every field ``float()`` accepts, and names the
 offending ``path:line`` in its ``ParseError``. On a body that loadtxt
 accepts, both parsers give bit-identical values.
 
-Writing formats blocks of 8192 rows with one ``%`` operation each. That
-gives the same bytes as formatting every field with ``format(x, ".17g")``,
-and holds only one block's text at a time.
+Writing goes through a :class:`RowTemplate`: the text of every row's
+coordinates followed by a ``%.17g`` slot for its value. Each column's
+distinct values are formatted once, keyed on their bits so that -0.0 and 0.0
+(and NaN payloads) stay apart, and the template is built and filled in
+blocks of 8192 rows, one ``%`` operation per block. Files that share a
+design (the replications of one sample size) can share one template, so
+their coordinates are formatted once. The bytes are those of formatting
+every field with ``format(x, ".17g")``.
 
 This module deliberately imports nothing beyond numpy and the error types,
 so the estimation entry point can read and write files without dragging in
@@ -31,9 +36,10 @@ import warnings
 
 import numpy as np
 
-from .errors import BadValue, HeaderMismatch, ParseError
+from .errors import BadValue, HeaderMismatch, ParseError, ShapeMismatch
 
 __all__ = [
+    "RowTemplate",
     "read_grid_csv",
     "write_dataset_csv",
     "write_estimate_csv",
@@ -42,8 +48,8 @@ __all__ = [
 ]
 
 
-#: rows formatted per write: bounds the formatted text and the tuple of
-#: Python floats held at once
+#: rows per template block: bounds the object arrays and the tuples of
+#: Python objects held at once while a block is built or filled
 _WRITE_CHUNK_ROWS = 8192
 
 
@@ -116,32 +122,72 @@ def read_estimate_csv(path):
     return _read_numeric_csv(path, "fhat")
 
 
-def write_rows(fh, u: np.ndarray, values: np.ndarray,
-               value_column: str) -> None:
+def _distinct_texts(column: np.ndarray):
+    """The ``%.17g`` text of each distinct value of a float column, as an
+    object array, and the index into it of every entry. Values are keyed
+    on their bits, so -0.0 and 0.0 get their own texts."""
+    keys, inverse = np.unique(column.view(np.uint64), return_inverse=True)
+    values = keys.view(np.float64)
+    texts = ("%.17g\n" * len(values) % tuple(values.tolist())).split("\n")
+    return np.array(texts[:-1], dtype=object), inverse
+
+
+class RowTemplate:
+    """The rows of a ``u1..uq,<value>`` body with their values left open.
+
+    Built once from the points u (n, q), or (n,) for q = 1; :func:`write_rows`
+    fills it with any n values. ``blocks`` holds one ``%`` format string per
+    8192 rows: each row's coordinates, then a ``%.17g`` slot and a newline.
+    """
+
+    def __init__(self, u: np.ndarray):
+        u = np.asarray(u, dtype=float)
+        if u.ndim == 1:
+            u = u[:, None]
+        if u.ndim != 2:
+            raise ShapeMismatch(f"points must be (n, q), got {u.shape}")
+        self.n, self.q = u.shape
+        columns = [_distinct_texts(u[:, k]) for k in range(self.q)]
+        row = "%s," * self.q + "%%.17g\n"
+        self.blocks = []
+        for start in range(0, self.n, _WRITE_CHUNK_ROWS):
+            stop = min(start + _WRITE_CHUNK_ROWS, self.n)
+            fields = np.empty((stop - start, self.q), dtype=object)
+            for k, (texts, inverse) in enumerate(columns):
+                fields[:, k] = texts[inverse[start:stop]]
+            self.blocks.append(row * len(fields)
+                               % tuple(fields.ravel().tolist()))
+
+
+def write_rows(fh, u, values: np.ndarray, value_column: str) -> None:
     """Write the ``u1..uq,<value_column>`` header and one row per point to
-    the open text stream ``fh`` (17 significant digits, LF line ends)."""
-    u = np.asarray(u, dtype=float)
+    the open text stream ``fh`` (17 significant digits, LF line ends).
+
+    ``u`` is the points (n, q) or a :class:`RowTemplate` built from them.
+    """
+    rows = u if isinstance(u, RowTemplate) else RowTemplate(u)
     values = np.asarray(values, dtype=float)
-    if u.ndim == 1:
-        u = u[:, None]
-    q = u.shape[1]
-    header = ",".join([f"u{i}" for i in range(1, q + 1)] + [value_column])
+    if values.shape != (rows.n,):
+        raise ShapeMismatch(
+            f"{rows.n} points but values of shape {values.shape}")
+    header = ",".join([f"u{i}" for i in range(1, rows.q + 1)] + [value_column])
     fh.write(header + "\n")
-    table = np.column_stack([u, values])
-    row = ",".join(["%.17g"] * (q + 1)) + "\n"
-    for start in range(0, len(table), _WRITE_CHUNK_ROWS):
-        chunk = table[start:start + _WRITE_CHUNK_ROWS]
-        fh.write(row * len(chunk) % tuple(chunk.ravel().tolist()))
+    for start, block in zip(range(0, rows.n, _WRITE_CHUNK_ROWS), rows.blocks):
+        fh.write(block % tuple(
+            values[start:start + _WRITE_CHUNK_ROWS].tolist()))
 
 
-def _write_numeric_csv(path, u: np.ndarray, values: np.ndarray,
+def _write_numeric_csv(path, u, values: np.ndarray,
                        value_column: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         write_rows(fh, u, values, value_column)
 
 
-def write_dataset_csv(path, u: np.ndarray, y: np.ndarray) -> None:
-    """Write observations as ``u1..uq,y`` rows (17 significant digits)."""
+def write_dataset_csv(path, u, y: np.ndarray) -> None:
+    """Write observations as ``u1..uq,y`` rows (17 significant digits).
+
+    ``u`` is the points (n, q) or a :class:`RowTemplate` built from them.
+    """
     _write_numeric_csv(path, u, y, "y")
 
 

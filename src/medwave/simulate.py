@@ -21,9 +21,11 @@ tuple (seed, n, replication index); nothing touches global RNG state, and
 identical triples give bit-identical datasets. Everything that depends on
 the sample size alone is made once per n and shared by its replications:
 the design points u, the truth f at them and at the V estimation points,
-and the fit plan of u (the grid checks, the filter, j0 and L). Each
-replication draws only its X and xi and fits them through that plan; the
-replications run one after another.
+the fit plan of u (the grid checks, the filter, j0 and L) and the row
+template that ``medwave simulate`` fills to write each dataset (the text of
+u). Each replication draws only its X and xi and fits them through that
+plan, or is written through that template; the replications run one after
+another.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .dataio import RowTemplate
 from .errors import BadCovariance, BadValue, ShapeMismatch, UnknownDensityValue
 # ``fit`` is not called here; it stays bound because the benchmark tracer's
 # tests (perfbench/test_checks.py) check that every binding of it is wrapped.
@@ -173,6 +176,10 @@ def sample_errors(dist: ErrorDist, count: int,
     raise BadValue(f"unknown error distribution {dist.kind!r}")  # pragma: no cover
 
 
+#: above this nu the student-t h(0) is taken from its asymptotic series
+_T_SERIES_NU = 400.0
+
+
 def density_at_median(dist: ErrorDist) -> float:
     """Analytic h(0), the error density at its median.
 
@@ -190,10 +197,19 @@ def density_at_median(dist: ErrorDist) -> float:
             raise UnknownDensityValue("cauchy with scale 0 is degenerate")
         return 1.0 / (math.pi * dist.scale)
     if dist.kind == "student_t":
-        # log-gamma: math.gamma overflows from nu = 343 on
         nu = dist.nu
-        return math.exp(math.lgamma((nu + 1) / 2) - math.lgamma(nu / 2)) / (
-            math.sqrt(nu * math.pi))
+        if nu <= _T_SERIES_NU:
+            # log-gamma: math.gamma overflows from nu = 343 on
+            return math.exp(math.lgamma((nu + 1) / 2)
+                            - math.lgamma(nu / 2)) / math.sqrt(nu * math.pi)
+        # The lgamma difference cancels as nu grows (it is 1.5e-5 off at
+        # 1e10), so use the asymptotic series of
+        # Gamma((nu+1)/2) / (Gamma(nu/2) sqrt(nu pi)); its first omitted
+        # term is below 1e-14 relative from nu = 400 on.
+        x = 1.0 / nu
+        series = 1.0 - x / 4 + x ** 2 / 32 + 5 * x ** 3 / 128 \
+            - 21 * x ** 4 / 2048
+        return series / math.sqrt(2.0 * math.pi)
     if dist.kind == "laplace":
         if dist.scale <= 0:
             raise UnknownDensityValue("laplace with scale 0 is degenerate")
@@ -387,8 +403,9 @@ class _SizeContext:
 
     The design points ``u`` (n, q), the truth ``f_u`` at them, the V
     estimation points ``grid_points`` (V, q) with the truth ``f_grid`` on
-    them as a (T,)*q tensor, and, made on first use, the fit plan of u.
-    Replications draw only their X and xi.
+    them as a (T,)*q tensor, and, made on first use, the fit plan of u and
+    the row template of u for writing datasets. Replications draw only
+    their X and xi.
     """
 
     def __init__(self, config: SimulationConfig, n: int):
@@ -405,6 +422,10 @@ class _SizeContext:
     @cached_property
     def plan(self) -> FitPlan:
         return plan_fit(self.u, self.config.estimator)
+
+    @cached_property
+    def row_template(self) -> RowTemplate:
+        return RowTemplate(self.u)
 
     def responses(self, rng: np.random.Generator) -> np.ndarray:
         """One replication's y; X is drawn first when present, then xi."""

@@ -237,18 +237,35 @@ def test_simulate_writes_datasets_and_truth(tmp_path, capsys):
 
 
 def test_simulate_datasets_are_replication_streams(tmp_path, capsys):
+    """Every file is byte for byte what the library writers make of
+    ``generate_dataset`` for its (seed, n, rep), whatever is shared per n."""
     from medwave.config import parse_config_text
+    from medwave.dataio import write_estimate_csv
+    from medwave.grid import plan_grid, product_grid
     from medwave.simulate import generate_dataset, replication_rng
+    text = ("q = 2\nsample_sizes = 289, 1089\nreplications = 2\n"
+            "error_dist = student_t:2\ndesign_dist = cauchy\n"
+            "beta = 1, -0.5\nseed = 11\n")
     cfg = tmp_path / "exp.cfg"
-    cfg.write_text(CONFIG)
+    cfg.write_text(text)
     outdir = tmp_path / "out"
     assert main(["simulate", "--config", str(cfg),
                  "--output-dir", str(outdir)]) == 0
     capsys.readouterr()
-    config = parse_config_text(CONFIG)
-    _, y_expected, _ = generate_dataset(config, 256, replication_rng(0, 256, 1))
-    _, y_written = read_grid_csv(outdir / "dataset_n256_rep1.csv")
-    assert np.array_equal(y_written, y_expected)
+    config = parse_config_text(text)
+    want = tmp_path / "want.csv"
+    for n in (289, 1089):
+        for rep in range(2):
+            u, y, f_grid = generate_dataset(config, n,
+                                            replication_rng(11, n, rep))
+            write_dataset_csv(want, u, y)
+            got = (outdir / f"dataset_n{n}_rep{rep}.csv").read_bytes()
+            assert got == want.read_bytes(), (n, rep)
+        T = plan_grid(n, 2).T
+        points = product_grid(np.arange(1, T + 1) / T, 2)
+        write_estimate_csv(want, np.column_stack([points, f_grid.ravel()]))
+        assert (outdir / f"truth_n{n}.csv").read_bytes() \
+            == want.read_bytes(), n
 
 
 def test_simulate_bad_config(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from medwave.config import emit_config, parse_config, parse_config_text
 from medwave.dataio import (
+    RowTemplate,
     _parse_lines,
     read_estimate_csv,
     read_grid_csv,
@@ -21,8 +23,10 @@ from medwave.errors import (
     BadValue,
     HeaderMismatch,
     ParseError,
+    ShapeMismatch,
     UnknownKey,
 )
+from medwave.grid import product_grid
 from medwave.simulate import DesignDist, ErrorDist, SimulationConfig
 
 AWKWARD = np.array([1.0 / 3.0, math.pi, -1.2345678901234567e-8,
@@ -214,22 +218,67 @@ SPECIAL_VALUES = np.array([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
                            np.inf, -np.inf, np.nan, 1.7976931348623157e308])
 
 
+def assert_rows_match_oracle(rows, u, values):
+    """write_rows(rows, values) equals the per-field oracle, line by line."""
+    out = io.StringIO()
+    write_rows(out, rows, values, "y")
+    got = out.getvalue().split("\n")
+    want = rows_oracle(u, values, "y").split("\n")
+    diff = [(i, a, b) for i, (a, b) in enumerate(zip(got, want)) if a != b]
+    assert len(got) == len(want) and not diff, diff[:1]
+
+
 @pytest.mark.parametrize("rows", [0, 1, 8191, 8192, 8193])
 @pytest.mark.parametrize("q", [1, 2, 3])
 def test_write_rows_matches_per_field_format(q, rows):
     rng = np.random.default_rng(1000 * q + rows)
-    table = rng.integers(0, 2 ** 64, size=(rows, q + 1),
+    table = rng.integers(0, 2 ** 64, size=(rows, q + 2),
                          dtype=np.uint64).view(np.float64)
     if rows:
         at = rng.integers(0, table.size, size=len(SPECIAL_VALUES))
         table.ravel()[at] = SPECIAL_VALUES
         table.ravel()[:min(table.size, len(AWKWARD))] = AWKWARD[:table.size]
-    out = io.StringIO()
-    write_rows(out, table[:, :q], table[:, q], "y")
-    got = out.getvalue().split("\n")
-    want = rows_oracle(table[:, :q], table[:, q], "y").split("\n")
-    diff = [(i, a, b) for i, (a, b) in enumerate(zip(got, want)) if a != b]
-    assert len(got) == len(want) and not diff, diff[:1]
+    u = table[:, :q]
+    assert_rows_match_oracle(u, u, table[:, q])
+    # one template, filled with two value vectors
+    template = RowTemplate(u)
+    for values in (table[:, q], table[:, q + 1]):
+        assert_rows_match_oracle(template, u, values)
+
+
+@pytest.mark.parametrize("rows", [8191, 8192, 8193])
+def test_row_template_keys_coordinates_on_their_bits(rows):
+    # -0.0 and 0.0 compare equal but print apart; NaN payloads differ in
+    # bits but print alike; every coordinate repeats across blocks
+    nans = np.array([0x7FF8000000000001, 0xFFF8000000000000],
+                    dtype=np.uint64).view(np.float64)
+    first = np.array([-0.0, 0.0, nans[0], 0.25, nans[1], 0.0, -0.0])
+    second = np.array([0.0, 0.5, -0.0, nans[1], 1.0])
+    u = np.column_stack([np.resize(first, rows), np.resize(second, rows)])
+    rng = np.random.default_rng(rows)
+    template = RowTemplate(u)
+    for values in (rng.standard_cauchy(rows), np.resize(first, rows)):
+        assert_rows_match_oracle(template, u, values)
+
+
+def test_row_template_build_holds_one_block_at_a_time():
+    # 256^2 points at q = 2, the size of one simulate_csv dataset
+    u = product_grid(np.arange(256) / 255, 2)
+    tracemalloc.start()
+    try:
+        template = RowTemplate(u)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(template.blocks) == 8
+    assert peak <= 3 * retained, (peak, retained)
+
+
+def test_write_rows_rejects_values_of_another_length():
+    template = RowTemplate(np.zeros((4, 2)))
+    for values in (np.zeros(3), np.zeros((4, 1))):
+        with pytest.raises(ShapeMismatch):
+            write_rows(io.StringIO(), template, values, "y")
 
 
 # ---------------------------------------------------------------------------

@@ -104,6 +104,22 @@ def test_density_at_median_values():
         == pytest.approx(1.0 / math.sqrt(2 * math.pi), rel=1e-6)
 
 
+def test_density_at_median_student_t_at_huge_nu():
+    gauss = 1.0 / math.sqrt(2 * math.pi)
+    for nu in (1e13, 1e16, 1e20):
+        assert density_at_median(ErrorDist("student_t", nu=nu)) \
+            == pytest.approx(gauss, rel=1e-12)
+    # the first correction, 1/(4 nu) = 2.5e-11, must survive
+    assert density_at_median(ErrorDist("student_t", nu=1e10)) \
+        == pytest.approx((1 - 1 / 4e10) * gauss, rel=1e-12)
+    # where the lgamma form still holds, the series agrees with it
+    for nu in (400.0, math.nextafter(400.0, math.inf), 401.0, 500.0):
+        lgamma_form = math.exp(math.lgamma((nu + 1) / 2)
+                               - math.lgamma(nu / 2)) / math.sqrt(nu * math.pi)
+        assert density_at_median(ErrorDist("student_t", nu=nu)) \
+            == pytest.approx(lgamma_form, rel=1e-12)
+
+
 def test_density_at_median_degenerate():
     from medwave.errors import UnknownDensityValue
     with pytest.raises(UnknownDensityValue):
