@@ -22,6 +22,15 @@ Conventions
 * Half-bins take the first floor((m+1)/(2T)) grid points of each axis
   interval, counted in increasing coordinate order.
 
+The checks of u are a few whole-array passes. A coordinate's grid index is
+rint(u*m), range-checked first, which NaN and +-inf fail. The on-grid test
+|u - index/m| <= GRID_TOL is screened by |u*m - index| <= GRID_TOL*m/2,
+which implies it despite rounding; only when the screen fails does the
+exact form run, and it decides and words the error. The flat grid code is
+one float dot with the place values (m+1)^k, exact as n < 2^53, and a
+boolean scatter checks that the codes cover range(n); only a grid that
+fails is counted, to name the repeated or missing point.
+
 Binning needs no sort. Once the checks have passed, the flat grid code of
 the rows is a permutation of range(n), so one scatter puts the responses in
 lexicographic grid order, an (m+1,)*q array. Every axis interval is a run
@@ -220,16 +229,22 @@ def bin_observations(u: np.ndarray, y: Optional[np.ndarray],
         Responses. With None, only u is checked; the result carries its
         grid code and no responses.
 
+    Coordinates are screened on u*m at half the tolerance; the exact
+    off-grid test runs only when the screen fails (see the module notes).
+
     Raises
     ------
     BadValue
         If some coordinate or response is NaN or infinite; names the first
-        such entry.
+        such entry. A non-finite coordinate is reported before any other
+        fault of u.
     OffGridPoint
-        If some coordinate is farther than 1e-9 from a multiple of 1/m.
+        If some coordinate is farther than 1e-9 from a multiple of 1/m
+        (names the farthest), or rounds to a grid index outside [0, m].
     IncompleteGrid
-        If any grid point is missing or appears more than once, or the
-        shapes do not match the design.
+        If any grid point is missing or appears more than once (names the
+        most repeated point, else the first missing one), or the shapes do
+        not match the design.
     """
     u = np.asarray(u, dtype=float)
     if u.ndim == 1:
@@ -242,28 +257,35 @@ def bin_observations(u: np.ndarray, y: Optional[np.ndarray],
         )
     m = design.m
 
-    # nearest grid index, range-checked (NaN and inf fail) before the cast
-    near = u * m
-    np.rint(near, out=near)
+    # nearest grid index, range-checked (NaN and inf fail) before any use
+    w = u * m
+    near = np.rint(w)
     if not (near.min() >= 0 and near.max() <= m):
         _check_finite("u", "coordinate", u)
         bad = np.argwhere((near < 0) | (near > m))[0]
         raise OffGridPoint(f"coordinate {u[bad[0], bad[1]]} outside [0, 1]")
-    err = np.divide(near, m)
-    np.subtract(u, err, out=err)
-    np.abs(err, out=err)
-    if err.max() > GRID_TOL:
-        r, c = np.unravel_index(np.argmax(err), err.shape)
-        raise OffGridPoint(
-            f"coordinate {u[r, c]!r} is not a multiple of 1/{m} "
-            f"(off by {err[r, c]:.3e})"
-        )
+    # the screen implies the exact test; near the tolerance the exact decides
+    np.subtract(w, near, out=w)
+    np.abs(w, out=w)
+    if w.max() > 0.5 * GRID_TOL * m:
+        err = np.abs(u - near / m)
+        if err.max() > GRID_TOL:
+            r, c = np.unravel_index(np.argmax(err), err.shape)
+            raise OffGridPoint(
+                f"coordinate {u[r, c]!r} is not a multiple of 1/{m} "
+                f"(off by {err[r, c]:.3e})"
+            )
+    del w  # freed before the code arrays, to lower the peak
 
-    # completeness: every grid point exactly once
-    grid_code = np.ravel_multi_index(tuple(near.astype(np.int64).T),
-                                     (m + 1,) * q)
-    occur = np.bincount(grid_code, minlength=(m + 1) ** q)
-    if occur.max() > 1 or occur.min() < 1:
+    # flat C-order grid code; every partial sum is an integer below n < 2^53
+    place = float(m + 1) ** np.arange(q - 1, -1, -1)
+    grid_code = (near @ place).astype(np.int64)
+    del near
+    # completeness: n codes in range(n) cover it only if none repeats
+    seen = np.zeros(design.n, dtype=bool)
+    seen[grid_code] = True
+    if not seen.all():
+        occur = np.bincount(grid_code, minlength=design.n)
         if occur.max() > 1:
             code = int(np.argmax(occur))
             what = "duplicated"

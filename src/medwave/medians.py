@@ -28,10 +28,14 @@ middle order statistics).
 
 The responses arrive in grid order (see :mod:`medwave.grid`), where a bin is
 a product of axis intervals. An axis has at most two interval lengths, so
-the bins fall into at most 2^q count classes. Each class is gathered
-into a copy with one row per bin, the rows are sorted in place, and their
-middle values are the medians. The half-bins, which take the same length
-floor((m+1)/(2T)) on every axis, are always one class.
+the bins fall into at most 2^q count classes. Each class is selected
+axis by axis: a plain slice, reshaped to (intervals, step) and cut to the
+interval length, where the class's intervals are an evenly spaced run (so
+every full-bin class when T divides m or m+1), otherwise a ``take`` of
+their points. One copy then lays the class out with one row per bin, the
+rows are sorted in place, and their middle values are the medians. The
+half-bins, which take the same length floor((m+1)/(2T)) on every axis,
+are always one class.
 """
 
 from __future__ import annotations
@@ -109,24 +113,53 @@ def _row_medians(rows: np.ndarray) -> np.ndarray:
     return (0.0 + rows[..., k - 1] + rows[..., k]) / 2.0
 
 
+def _even_step(starts: np.ndarray, length: int, size: int):
+    """The step of the axis intervals ``[starts[i], starts[i] + length)``
+    when they are an evenly spaced run whose last step ends within the
+    axis of ``size`` points, else None."""
+    step = int(starts[1] - starts[0]) if starts.size > 1 else length
+    if starts[0] + starts.size * step > size:
+        return None
+    return step if (np.diff(starts) == step).all() else None
+
+
 def _interval_medians(y_grid: np.ndarray, starts: np.ndarray,
                       lengths: np.ndarray) -> np.ndarray:
     """Median over every product of the axis intervals
-    ``[starts[l], starts[l] + lengths[l])``, as a (T,)*q tensor; one
-    gather and one row sort per class of equal-count bins.
+    ``[starts[l], starts[l] + lengths[l])``, as a (T,)*q tensor.
+
+    Each class of equal-count bins is selected axis by axis: where the
+    class's intervals are an evenly spaced run, a slice reshaped to
+    (k, step) and cut to the interval length; otherwise a ``take`` of
+    their points. One copy then lays the class out as (bins..., count)
+    rows, which are sorted in place. The copy is needed even where the
+    selection is a contiguous view, so ``y_grid`` is never sorted.
     """
     q = y_grid.ndim
     out = np.empty((starts.size,) * q)
-    axis_classes = [(np.flatnonzero(lengths == length), length)
+    axis_classes = [(np.flatnonzero(lengths == length), int(length))
                     for length in np.unique(lengths)]
     for combo in product(axis_classes, repeat=q):
-        # axis a's (k_a, L_a) index spans dims a and q + a: a (k.., L..) copy
-        block = y_grid[tuple(
-            np.expand_dims(starts[ls, None] + np.arange(length),
-                           [d for d in range(2 * q) if d not in (a, q + a)])
-            for a, (ls, length) in enumerate(combo))]
+        block = y_grid
+        for a, (ls, length) in enumerate(combo):
+            # axis 2a becomes the class's k intervals, 2a + 1 their points
+            sel, lead = starts[ls], (slice(None),) * (2 * a)
+            head, tail = block.shape[:2 * a], block.shape[2 * a + 1:]
+            step = _even_step(sel, length, block.shape[2 * a])
+            if step is None:
+                points = (sel[:, None] + np.arange(length)).ravel()
+                block = block.take(points, axis=2 * a).reshape(
+                    head + (sel.size, length) + tail)
+            else:
+                run = slice(sel[0], sel[0] + sel.size * step)
+                block = block[lead + (run,)].reshape(
+                    head + (sel.size, step) + tail)
+                block = block[lead + (slice(None), slice(0, length))]
+        # (k1, L1, ..., kq, Lq) -> one C-order copy of (k1..kq, L1..Lq)
+        rows = block.transpose([*range(0, 2 * q, 2),
+                                *range(1, 2 * q, 2)]).copy()
         out[np.ix_(*(ls for ls, _ in combo))] = _row_medians(
-            block.reshape(block.shape[:q] + (-1,)))
+            rows.reshape(rows.shape[:q] + (-1,)))
     return out
 
 

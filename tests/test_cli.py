@@ -225,8 +225,8 @@ def test_simulate_writes_datasets_and_truth(tmp_path, capsys):
     assert names == [
         "dataset_n1024_rep0.csv", "dataset_n1024_rep1.csv",
         "dataset_n256_rep0.csv", "dataset_n256_rep1.csv",
-        "truth_n256.csv", "truth_n1024.csv",
-    ] or len(names) == 6
+        "truth_n1024.csv", "truth_n256.csv",
+    ]
     u, y = read_grid_csv(outdir / "dataset_n256_rep0.csv")
     assert u.shape == (256, 1)
     coords, truth = read_estimate_csv(outdir / "truth_n256.csv")

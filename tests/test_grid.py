@@ -5,8 +5,9 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from medwave.errors import IncompleteGrid, NonGridSampleSize, OffGridPoint
-from medwave.grid import bin_observations, plan_grid
+from medwave.errors import (BadValue, IncompleteGrid, NonGridSampleSize,
+                            OffGridPoint)
+from medwave.grid import GRID_TOL, bin_observations, plan_grid
 from medwave.medians import bin_medians
 
 
@@ -288,3 +289,112 @@ def test_tiny_perturbations_within_tolerance_accepted():
     u = np.arange(25) / 24.0 + 1e-12
     b = bin_observations(u, np.zeros(25), d)
     assert b.counts.sum() == 25
+
+
+def oracle_off_grid(u, m):
+    """The exact off-grid test, |u - rint(u m)/m| <= GRID_TOL, per entry:
+    its decision and the ``OffGridPoint`` text of its worst entry."""
+    err = np.abs(u - np.rint(u * m) / m)
+    if err.max() <= GRID_TOL:
+        return None
+    at = np.unravel_index(np.argmax(err), err.shape)
+    return (f"coordinate {u[at]!r} is not a multiple of 1/{m} "
+            f"(off by {err[at]:.3e})")
+
+
+def near_tolerance(x, sign, ulps=6):
+    """Floats within ``ulps`` steps either side of x + sign * GRID_TOL."""
+    edge = x + sign * GRID_TOL
+    out = [edge]
+    for direction in (-np.inf, np.inf):
+        v = edge
+        for _ in range(ulps):
+            v = np.nextafter(v, direction)
+            out.append(v)
+    return out
+
+
+@pytest.mark.parametrize("r, q", [(4, 1), (17, 1), (1001, 1), (9999, 1),
+                                  (17, 2), (5, 3)])
+def test_off_grid_decision_matches_the_exact_test(r, q):
+    # coordinates a few ulps either side of j/m +- GRID_TOL, on both sides
+    # of 0 and 1 too: bin_observations accepts exactly what the exact test
+    # accepts and words each rejection as it does; m = 9998 rounds u*m to
+    # a coarser ulp than u
+    d = plan_grid(r ** q, q)
+    m = d.m
+    u = full_grid(m, q)
+    rng = np.random.default_rng(r * 10 + q)
+    outcomes = set()
+    for j in sorted({0, 1, m // 3, m - 1, m}):
+        for sign in (-1.0, 1.0):
+            for x in near_tolerance(j / m, sign):
+                # a row at j/m on the axis moves to x, so an accepted x
+                # leaves the grid complete
+                col = int(rng.integers(q))
+                row = rng.choice(np.flatnonzero(u[:, col] == j / m))
+                bad = u.copy()
+                bad[row, col] = x
+                want = oracle_off_grid(bad, m)
+                outcomes.add(want is None)
+                if want is None:
+                    b = bin_observations(bad, None, d)
+                    assert np.array_equal(b.grid_code, np.arange(d.n))
+                else:
+                    with pytest.raises(OffGridPoint) as exc:
+                        bin_observations(bad, None, d)
+                    assert str(exc.value) == want
+    assert outcomes == {True, False}
+
+
+def test_off_grid_names_the_worst_of_several_coordinates():
+    d = plan_grid(33 ** 2, 2)
+    u = full_grid(d.m, 2)
+    u[[5, 700], 1] += [2e-9, 5e-9]
+    u[300, 0] -= 3e-9
+    with pytest.raises(OffGridPoint) as exc:
+        bin_observations(u, None, d)
+    assert str(exc.value) == oracle_off_grid(u, d.m)
+    assert repr(u[700, 1]) in str(exc.value)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_coordinate_wins_over_every_other_fault(bad):
+    # an off-grid, an out-of-range and a duplicated row come first; the
+    # non-finite coordinate is still the one named
+    d = plan_grid(17 ** 2, 2)
+    u = full_grid(d.m, 2)
+    u[3, 0] += 1e-6
+    u[7, 1] = 1.5
+    u[9] = u[10]
+    u[40, 1] = bad
+    with pytest.raises(BadValue, match=rf"u\[40, 1\] = {bad} is not finite"):
+        bin_observations(u, None, d)
+
+
+def oracle_incomplete(u, d):
+    """The ``IncompleteGrid`` text of a grid-aligned u with repeats: the
+    most repeated point is named, else the first missing one."""
+    idx = np.rint(u * d.m).astype(np.int64)
+    occur = np.bincount(np.ravel_multi_index(tuple(idx.T), (d.m + 1,) * d.q),
+                        minlength=d.n)
+    what = "duplicated" if occur.max() > 1 else "missing"
+    code = np.argmax(occur) if occur.max() > 1 else np.argmin(occur)
+    pt = np.unravel_index(code, (d.m + 1,) * d.q)
+    return f"grid point {tuple(p / d.m for p in pt)} is {what}"
+
+
+@pytest.mark.parametrize("r, q", [(17, 1), (9, 2), (5, 3)])
+def test_incomplete_grid_names_the_same_point(r, q):
+    d = plan_grid(r ** q, q)
+    rng = np.random.default_rng(r + q)
+    for copies in (2, 3):
+        for _ in range(10):
+            u = full_grid(d.m, q)
+            rows = rng.choice(d.n, size=copies + 2, replace=False)
+            u[rows[1:copies]] = u[rows[0]]      # one point `copies` times
+            u[rows[copies + 1]] = u[rows[copies]]  # another one twice
+            u = u[rng.permutation(d.n)]
+            with pytest.raises(IncompleteGrid) as exc:
+                bin_observations(u, None, d)
+            assert str(exc.value) == oracle_incomplete(u, d)

@@ -7,6 +7,7 @@ import pytest
 from scipy import integrate
 from scipy.special import gammaln, ndtri
 
+import medwave.medians as medians_module
 from medwave.errors import DegenerateNoise, EmptyBin, ShapeMismatch
 from medwave.grid import bin_observations, plan_grid
 from medwave.medians import (
@@ -199,6 +200,62 @@ def test_bin_medians_leave_y_grid_unchanged():
         bin_medians(binned)
         assert np.array_equal(binned.y_grid.view(np.uint64),
                               before.view(np.uint64)), (r, q)
+
+
+#: (r, q) -> route of each full-bin length class, route of the half-bins.
+#: T | r: one evenly spaced run per axis. T | m = r - 1: the long first
+#: interval and the rest are runs, the half-bins are not. r = 100, 19, 21:
+#: the classes interleave; at 21 the short class is still evenly spaced.
+MEDIAN_ROUTES = {
+    (64, 1): ({4: "slice"}, "slice"),
+    (65, 1): ({4: "slice", 5: "slice"}, "take"),
+    (100, 1): ({6: "take", 7: "take"}, "take"),
+    (16, 2): ({2: "slice"}, "slice"),
+    (33, 2): ({4: "slice", 5: "slice"}, "take"),
+    (100, 2): ({6: "take", 7: "take"}, "take"),
+    (16, 3): ({2: "slice"}, "slice"),
+    (17, 3): ({2: "slice", 3: "slice"}, "take"),
+    (19, 3): ({2: "take", 3: "take"}, "take"),
+    (21, 3): ({2: "slice", 3: "take"}, "take"),
+}
+
+
+@pytest.mark.parametrize("r, q", list(MEDIAN_ROUTES))
+def test_bin_medians_take_each_selection_route(r, q, monkeypatch):
+    # each class is selected by the route its design calls for, and both
+    # routes give the oracle's medians bit for bit: rows in random order,
+    # rounded Cauchy ties, -0.0 mixed with +0.0
+    routes = {}
+    even_step = medians_module._even_step
+
+    def recording(starts, length, size):
+        step = even_step(starts, length, size)
+        routes.setdefault(length, set()).add(
+            "take" if step is None else "slice")
+        return step
+
+    monkeypatch.setattr(medians_module, "_even_step", recording)
+    rng = np.random.default_rng(r * 3 + q)
+    d = plan_grid(r ** q, q)
+    u = full_grid(r - 1, q)
+    y = np.round(rng.standard_cauchy(d.n))
+    y[rng.random(d.n) < 0.2] = -0.0
+    perm = rng.permutation(d.n)
+    binned = bin_observations(u[perm], y[perm], d)
+    before = binned.y_grid.copy()
+    med = bin_medians(binned)
+
+    full, half = MEDIAN_ROUTES[r, q]
+    half_length = (d.m + 1) // (2 * d.T)
+    assert half_length not in full
+    assert sorted(full) == np.unique(d.axis_lengths).tolist()
+    assert routes == {**{k: {v} for k, v in full.items()},
+                      half_length: {half}}
+    q_full, q_half = oracle_medians(d, u, y)
+    assert np.array_equal(med.q_full.view(np.uint64), q_full.view(np.uint64))
+    assert np.array_equal(med.q_half.view(np.uint64), q_half.view(np.uint64))
+    assert np.array_equal(binned.y_grid.view(np.uint64),
+                          before.view(np.uint64))
 
 
 def test_empty_half_bin_is_named():
