@@ -234,6 +234,9 @@ def plan_fit(u: np.ndarray,
 
     design = plan_grid(n, q)
     binned = bin_observations(u, None, design)
+    # the median classes, built before any response array: built mid-fit,
+    # they were kept between its large temporaries and raised the peak RSS
+    design.median_selections
     filt = build_filter(config.wavelet)
     j0 = L = None
     if design.J > 0:

@@ -29,7 +29,7 @@ which implies it despite rounding; only when the screen fails does the
 exact form run, and it decides and words the error. The flat grid code is
 one float dot with the place values (m+1)^k, exact as n < 2^53, and a
 boolean scatter checks that the codes cover range(n); only a grid that
-fails is counted, to name the repeated or missing point.
+fails is counted, to name its most repeated point.
 
 Binning needs no sort. Once the checks have passed, the flat grid code of
 the rows is a permutation of range(n), so one scatter puts the responses in
@@ -45,7 +45,7 @@ binned once without responses bins any number of response vectors
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Optional
 
 import numpy as np
@@ -98,6 +98,12 @@ class GridDesign:
 
     def tensor_shape(self) -> tuple:
         return (self.T,) * self.q
+
+    @cached_property
+    def median_selections(self) -> tuple:
+        """The bin-median count classes, built on first use and kept."""
+        from .medians import median_selections
+        return median_selections(self)
 
 
 def _integer_root(n: int, q: int):
@@ -242,9 +248,9 @@ def bin_observations(u: np.ndarray, y: Optional[np.ndarray],
         If some coordinate is farther than 1e-9 from a multiple of 1/m
         (names the farthest), or rounds to a grid index outside [0, m].
     IncompleteGrid
-        If any grid point is missing or appears more than once (names the
-        most repeated point, else the first missing one), or the shapes do
-        not match the design.
+        If any grid point appears more than once (names the most repeated
+        one; as u has n rows, a missing point always comes with a repeated
+        one), or the shapes do not match the design.
     """
     u = np.asarray(u, dtype=float)
     if u.ndim == 1:
@@ -285,16 +291,11 @@ def bin_observations(u: np.ndarray, y: Optional[np.ndarray],
     seen = np.zeros(design.n, dtype=bool)
     seen[grid_code] = True
     if not seen.all():
-        occur = np.bincount(grid_code, minlength=design.n)
-        if occur.max() > 1:
-            code = int(np.argmax(occur))
-            what = "duplicated"
-        else:
-            code = int(np.argmin(occur))
-            what = "missing"
+        # with n codes in range(n), a missing point implies a repeated one
+        code = int(np.argmax(np.bincount(grid_code, minlength=design.n)))
         pt = np.unravel_index(code, (m + 1,) * q)
         raise IncompleteGrid(
-            f"grid point {tuple(p / m for p in pt)} is {what}"
+            f"grid point {tuple(p / m for p in pt)} is duplicated"
         )
 
     # grid_code is now a permutation of range(n)

@@ -32,10 +32,12 @@ the bins fall into at most 2^q count classes. Each class is selected
 axis by axis: a plain slice, reshaped to (intervals, step) and cut to the
 interval length, where the class's intervals are an evenly spaced run (so
 every full-bin class when T divides m or m+1), otherwise a ``take`` of
-their points. One copy then lays the class out with one row per bin, the
-rows are sorted in place, and their middle values are the medians. The
-half-bins, which take the same length floor((m+1)/(2T)) on every axis,
-are always one class.
+their points. The half-bins, which take the same length
+floor((m+1)/(2T)) on every axis, are always one class. These selections
+depend on the design alone: they are built once, by the fit plan or on
+first use, and kept on the :class:`GridDesign` (``median_selections``).
+A fit then makes one copy per class with one row per bin, sorts the rows
+in place, and their middle values are the medians.
 """
 
 from __future__ import annotations
@@ -123,43 +125,59 @@ def _even_step(starts: np.ndarray, length: int, size: int):
     return step if (np.diff(starts) == step).all() else None
 
 
-def _interval_medians(y_grid: np.ndarray, starts: np.ndarray,
-                      lengths: np.ndarray) -> np.ndarray:
-    """Median over every product of the axis intervals
-    ``[starts[l], starts[l] + lengths[l])``, as a (T,)*q tensor.
+def _class_selections(starts: np.ndarray, lengths: np.ndarray, size: int,
+                      q: int) -> list:
+    """Per count class of the bins ``[starts[l], starts[l] + lengths[l])``:
+    on each axis (k intervals, their length, a run slice and its step where
+    :func:`_even_step` finds one, else a ``take`` index and None), and the
+    ``np.ix_`` index of the class's medians in the (T,)*q tensor."""
+    axis_classes = []
+    for length in np.unique(lengths).tolist():
+        ls = np.flatnonzero(lengths == length)
+        step = _even_step(starts[ls], length, size)
+        sel = ((starts[ls, None] + np.arange(length)).ravel() if step is None
+               else slice(starts[ls[0]], starts[ls[0]] + ls.size * step))
+        axis_classes.append((ls, (ls.size, length, sel, step)))
+    return [(tuple(sel for _, sel in combo), np.ix_(*(ls for ls, _ in combo)))
+            for combo in product(axis_classes, repeat=q)]
 
-    Each class of equal-count bins is selected axis by axis: where the
-    class's intervals are an evenly spaced run, a slice reshaped to
-    (k, step) and cut to the interval length; otherwise a ``take`` of
-    their points. One copy then lays the class out as (bins..., count)
-    rows, which are sorted in place. The copy is needed even where the
-    selection is a contiguous view, so ``y_grid`` is never sorted.
-    """
+
+def median_selections(design: GridDesign) -> tuple:
+    """The count classes of the full bins and of the half-bins (None when
+    empty), built once per design as :attr:`GridDesign.median_selections`."""
+    lengths = design.axis_lengths
+    starts = np.cumsum(lengths) - lengths
+    half = (design.m + 1) // (2 * design.T)
+    return (_class_selections(starts, lengths, design.m + 1, design.q),
+            None if half == 0 else _class_selections(
+                starts, np.full_like(lengths, half), design.m + 1, design.q))
+
+
+def _interval_medians(y_grid: np.ndarray, classes: list,
+                      shape: tuple) -> np.ndarray:
+    """Median over every bin of the count ``classes``, as a tensor of
+    ``shape``. Each class is selected axis by axis, then one copy lays it
+    out as (bins..., count) rows, which are sorted in place. The copy is
+    needed even where the selection is a view, so ``y_grid`` is never
+    sorted."""
     q = y_grid.ndim
-    out = np.empty((starts.size,) * q)
-    axis_classes = [(np.flatnonzero(lengths == length), int(length))
-                    for length in np.unique(lengths)]
-    for combo in product(axis_classes, repeat=q):
+    out = np.empty(shape)
+    for axes, index in classes:
         block = y_grid
-        for a, (ls, length) in enumerate(combo):
+        for a, (k, length, sel, step) in enumerate(axes):
             # axis 2a becomes the class's k intervals, 2a + 1 their points
-            sel, lead = starts[ls], (slice(None),) * (2 * a)
+            lead = (slice(None),) * (2 * a)
             head, tail = block.shape[:2 * a], block.shape[2 * a + 1:]
-            step = _even_step(sel, length, block.shape[2 * a])
             if step is None:
-                points = (sel[:, None] + np.arange(length)).ravel()
-                block = block.take(points, axis=2 * a).reshape(
-                    head + (sel.size, length) + tail)
+                block = block.take(sel, axis=2 * a).reshape(
+                    head + (k, length) + tail)
             else:
-                run = slice(sel[0], sel[0] + sel.size * step)
-                block = block[lead + (run,)].reshape(
-                    head + (sel.size, step) + tail)
+                block = block[lead + (sel,)].reshape(head + (k, step) + tail)
                 block = block[lead + (slice(None), slice(0, length))]
         # (k1, L1, ..., kq, Lq) -> one C-order copy of (k1..kq, L1..Lq)
         rows = block.transpose([*range(0, 2 * q, 2),
                                 *range(1, 2 * q, 2)]).copy()
-        out[np.ix_(*(ls for ls, _ in combo))] = _row_medians(
-            rows.reshape(rows.shape[:q] + (-1,)))
+        out[index] = _row_medians(rows.reshape(rows.shape[:q] + (-1,)))
     return out
 
 
@@ -167,18 +185,14 @@ def bin_medians(binned: BinnedData) -> MedianSummary:
     """Compute the bin-median tensor Q and the half-bin tensor Q*.
 
     Q* is left as None when the half-bins are empty, which happens on every
-    design with fewer than 2T points per axis.
+    design with fewer than 2T points per axis. The count classes are those
+    the design keeps (:attr:`GridDesign.median_selections`).
     """
     design = binned.design
-    lengths = design.axis_lengths
-    starts = np.cumsum(lengths) - lengths
-    q_full = _interval_medians(binned.y_grid, starts, lengths)
-
-    half = (design.m + 1) // (2 * design.T)
-    q_half = None
-    if half > 0:
-        q_half = _interval_medians(binned.y_grid, starts,
-                                   np.full_like(lengths, half))
+    q_full, q_half = (
+        None if classes is None else
+        _interval_medians(binned.y_grid, classes, design.tensor_shape())
+        for classes in design.median_selections)
     return MedianSummary(design=design, q_full=q_full, q_half=q_half)
 
 

@@ -21,13 +21,17 @@ Blocks with S_B^2 = 0 are zeroed outright. Gross (approximation)
 coefficients pass through untouched. Block energies, cardinalities and
 factors of a level are computed with array operations over the whole cube
 [:2^{j+1}]^q of the Mallat layout, whose tile starts along every axis are
-the level's starts followed by 2^j plus them.
+the level's starts followed by 2^j plus them. What depends on the tiling
+alone (those starts, lambda* L_B, the coarse corner's mask and the index
+that spreads each factor over its block) is built once per level size, q
+and tiling, memoized read-only; a call computes only energies and factors.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -79,6 +83,27 @@ def partition_blocks(pyramid: CoefficientPyramid, L: int) -> dict:
     return {j: np.arange(0, 2 ** j, side) for j in pyramid.levels()}
 
 
+@lru_cache(maxsize=256)
+def _level_tiles(size: int, q: int, tiles: tuple) -> tuple:
+    """Read-only geometry of level j (``size`` = 2^j) tiled from ``tiles``:
+    the starts of the cube [:2^{j+1}]^q along every axis, lambda* L_B, the
+    masks of the coarse corner's tiles (factor 1) and of the 2^q - 1
+    subbands' tiles, and the ``np.ix_`` index spreading factors on blocks.
+    """
+    starts = np.concatenate([tiles, size + np.asarray(tiles)])
+    lengths = np.diff(starts, append=2 * size)
+    card = np.ones((), dtype=np.int64)
+    for _ in range(q):
+        card = np.multiply.outer(card, lengths)
+    corner = np.zeros(card.shape, dtype=bool)
+    corner[(slice(0, len(tiles)),) * q] = True
+    expand = np.ix_(*[np.repeat(np.arange(starts.size), lengths)] * q)
+    arrays = (starts, solve_lambda_star() * card, corner, ~corner, *expand)
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays[:4] + (expand,)
+
+
 @dataclass
 class ShrinkageDiagnostics:
     """What the shrinkage step did, per level and overall."""
@@ -112,34 +137,25 @@ def shrink(pyramid: CoefficientPyramid, n: int, h_inv_sq: float, L: int):
     if not (np.isfinite(h_inv_sq) and h_inv_sq > 0):
         raise BadValue("h_inv_sq must be positive and finite")
     partition = partition_blocks(pyramid, L)
-    lam = solve_lambda_star()
     scale = 4.0 * n / h_inv_sq   # = 4 hhat^2(0) n
     q = pyramid.q
     out = pyramid.coeffs.copy()
     factors = {}
     for j in pyramid.levels():
-        # level j's 2^q - 1 subbands and the coarse corner [:2^j]^q tile the
-        # cube [:2^{j+1}]^q; the corner's tiles get factor 1
         size = 2 ** j
-        starts = np.concatenate([partition[j], size + partition[j]])
-        lengths = np.diff(starts, append=2 * size)
+        starts, lam_card, corner, detail, expand = _level_tiles(
+            size, q, tuple(partition[j].tolist()))
         cube = out[(slice(0, 2 * size),) * q]
         s2 = cube * cube
-        card = np.ones((), dtype=np.int64)
         for ax in range(q):
             s2 = np.add.reduceat(s2, starts, axis=ax)
-            card = np.multiply.outer(card, lengths)
         with np.errstate(divide="ignore"):
             c = np.where(s2 > 0.0,
-                         np.maximum(0.0, 1.0 - lam * card / (scale * s2)),
+                         np.maximum(0.0, 1.0 - lam_card / (scale * s2)),
                          0.0)
-        corner = np.zeros(c.shape, dtype=bool)
-        corner[(slice(0, partition[j].size),) * q] = True
         c[corner] = 1.0
-        factors[j] = c[~corner]
-        for ax in range(q):
-            c = np.repeat(c, lengths, axis=ax)
-        cube *= c
+        factors[j] = c[detail]
+        cube *= c[expand]
 
     every = np.concatenate(list(factors.values()))
     return CoefficientPyramid(out, pyramid.j0), ShrinkageDiagnostics(

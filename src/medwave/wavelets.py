@@ -12,7 +12,8 @@ quadrature mirror. Decimation keeps the even-indexed output phase. Because
 the filters are orthonormal, the periodized step is an exact orthogonal map
 at every dyadic length (folding preserves the even-lag orthogonality
 relations), so Parseval and perfect reconstruction hold to round-off at any
-primary level j0 >= 0.
+primary level j0 >= 0. The inverse step adds tap k's h[k] a + g[k] d into
+the output phase k mod 2 at a circular shift of k//2: two slice adds.
 
 In q dimensions the transform is stored in place, in the standard Mallat
 layout: one (2^J,)^q array. Level j (from J-1 down to j0) works on the cube
@@ -231,14 +232,19 @@ def _analysis_step(x: np.ndarray, h: np.ndarray, g: np.ndarray, axis: int):
 
 def _synthesis_step(lo: np.ndarray, hi: np.ndarray, h: np.ndarray,
                     g: np.ndarray, axis: int) -> np.ndarray:
-    """Adjoint of :func:`_analysis_step` (exact inverse by orthogonality)."""
+    """Adjoint of :func:`_analysis_step` (exact inverse by orthogonality):
+    tap k adds at 2i + k mod N = 2 ((i + k//2) mod N/2) + k mod 2."""
     half = lo.shape[axis]
-    N = 2 * half
-    out = np.zeros(lo.shape[:axis] + (N,) + lo.shape[axis + 1:])
-    base = 2 * np.arange(half)
+    out = np.zeros(lo.shape[:axis] + (2 * half,) + lo.shape[axis + 1:])
+    lead = (slice(None),) * axis
     for k in range(h.size):
-        pos = (base + k) % N        # distinct positions: stride 2 mod even N
-        out[_along(axis, pos)] += h[k] * lo + g[k] * hi
+        at, shift = k % 2, (k // 2) % half
+        term = h[k] * lo + g[k] * hi
+        out[lead + (slice(at + 2 * shift, None, 2),)] += term[
+            lead + (slice(0, half - shift),)]
+        if shift:
+            out[lead + (slice(at, 2 * shift, 2),)] += term[
+                lead + (slice(half - shift, None),)]
     return out
 
 

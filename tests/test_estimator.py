@@ -381,6 +381,37 @@ def test_plan_reused_over_responses_matches_fresh_fits(side, q, configs):
             assert_same_fit(plan.fit(y), fit(u, y, config))
 
 
+# pairs of designs with equal T and q but not equal m, so their bin-median
+# classes differ while their level geometry is shared
+REUSE_PAIRS = [((65, 2), (64, 2)), ((17, 3), (16, 3)), ((257, 1), (256, 1))]
+
+
+@pytest.mark.parametrize("first,second", REUSE_PAIRS,
+                         ids=[f"{a}^{q}-{b}^{p}" for (a, q), (b, p)
+                              in REUSE_PAIRS])
+def test_plan_reuse_interleaved_with_another_design(first, second):
+    # a plan's three fits, each followed by a plan fit and a fresh fit on
+    # another design, equal fresh fits bit for bit; the plan's design
+    # builds its median classes once
+    rng = np.random.default_rng(first[0] + second[0])
+    us = [grid_nd(*first)[rng.permutation(first[0] ** first[1])],
+          grid_nd(*second)]
+    plans = [plan_fit(u, EstimatorConfig(wavelet="db2")) for u in us]
+    assert plans[0].design.T == plans[1].design.T
+    classes = []
+    for _ in range(3):
+        for plan, u in zip(plans, us):
+            y = np.round(np.sin(3 * u.sum(axis=1))
+                         + rng.standard_cauchy(len(u)), 1)
+            assert_same_fit(plan.fit(y), fit(u, y, plan.config))
+            classes.append(plan.design.median_selections)
+        other = us[1]
+        fit(other, rng.standard_normal(len(other)), plans[1].config)
+    assert all(c is classes[0] for c in classes[0::2])
+    assert all(c is classes[1] for c in classes[1::2])
+    assert classes[0] is not classes[1]
+
+
 @pytest.mark.parametrize("side,q", [(64, 1), (250, 1), (17, 2), (13, 3)])
 def test_fits_leave_the_callers_y_unchanged(side, q):
     # the medians sort gathered copies: neither the caller's y nor a

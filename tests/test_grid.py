@@ -278,7 +278,8 @@ def test_incomplete_grid_rejected():
     u[3] = u[4]  # duplicate + missing
     with pytest.raises(IncompleteGrid) as exc:
         bin_observations(u, np.zeros(16), d)
-    assert "missing" in str(exc.value) or "duplicated" in str(exc.value)
+    assert str(exc.value) == oracle_incomplete(u[:, None], d)
+    assert str(exc.value).endswith(f"{4 / 15!r}),) is duplicated")
     # wrong count
     with pytest.raises(IncompleteGrid):
         bin_observations(np.arange(15) / 14.0, np.zeros(15), d)
@@ -374,14 +375,12 @@ def test_non_finite_coordinate_wins_over_every_other_fault(bad):
 
 def oracle_incomplete(u, d):
     """The ``IncompleteGrid`` text of a grid-aligned u with repeats: the
-    most repeated point is named, else the first missing one."""
+    most repeated point is named."""
     idx = np.rint(u * d.m).astype(np.int64)
     occur = np.bincount(np.ravel_multi_index(tuple(idx.T), (d.m + 1,) * d.q),
                         minlength=d.n)
-    what = "duplicated" if occur.max() > 1 else "missing"
-    code = np.argmax(occur) if occur.max() > 1 else np.argmin(occur)
-    pt = np.unravel_index(code, (d.m + 1,) * d.q)
-    return f"grid point {tuple(p / d.m for p in pt)} is {what}"
+    pt = np.unravel_index(np.argmax(occur), (d.m + 1,) * d.q)
+    return f"grid point {tuple(p / d.m for p in pt)} is duplicated"
 
 
 @pytest.mark.parametrize("r, q", [(17, 1), (9, 2), (5, 3)])

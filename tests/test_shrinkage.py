@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from medwave import shrinkage as shrinkage_module
 from medwave.errors import BadValue
 from medwave.shrinkage import (
     default_block_cardinality,
@@ -186,6 +187,74 @@ def test_shrink_matches_blockwise_oracle():
         assert diag.factor_mean == pytest.approx(every.mean(), abs=1e-12)
         cases += 1
     assert cases >= 100
+
+
+def oracle_cube_shrink(pyr, n, h_inv_sq, L):
+    """The rule a whole level cube [:2^{j+1}]^q at a time, its geometry
+    rebuilt on every call: block energies and cardinalities by one
+    ``reduceat`` and one outer product per axis, factors spread by one
+    ``np.repeat`` per axis. Returns the coefficients and every detail
+    block's factor, level by level."""
+    lam, q = solve_lambda_star(), pyr.q
+    scale = 4.0 * n / h_inv_sq
+    out, factors = pyr.coeffs.copy(), []
+    for j in pyr.levels():
+        size = 2 ** j
+        tiles = np.arange(0, size, oracle_side(L, q))
+        starts = np.concatenate([tiles, size + tiles])
+        lengths = np.diff(starts, append=2 * size)
+        cube = out[(slice(0, 2 * size),) * q]
+        s2, card = cube * cube, np.ones((), dtype=np.int64)
+        for ax in range(q):
+            s2 = np.add.reduceat(s2, starts, axis=ax)
+            card = np.multiply.outer(card, lengths)
+        with np.errstate(divide="ignore"):
+            c = np.where(s2 > 0.0,
+                         np.maximum(0.0, 1.0 - lam * card / (scale * s2)),
+                         0.0)
+        corner = np.zeros(c.shape, dtype=bool)
+        corner[(slice(0, tiles.size),) * q] = True
+        c[corner] = 1.0
+        factors.append(c[~corner])
+        for ax in range(q):
+            c = np.repeat(c, lengths, axis=ax)
+        cube *= c
+    return out, np.concatenate(factors)
+
+
+def test_shrink_reuses_read_only_level_geometry_bit_for_bit():
+    # two pyramids of one geometry after another, geometries interleaved
+    # (same level sizes in other q, same q with other L): each result is
+    # the oracle's bit for bit, and the memoized arrays cannot be written
+    rng = np.random.default_rng(29)
+    geometries = [(q, T, j0, L) for q, T in ((1, 64), (2, 16), (3, 8))
+                  for j0 in (0, 1) for L in (1, 3, 9, 40)]
+    for q, T, j0, L in geometries + geometries[::-1]:
+        for draw in range(2):
+            pyr = zero_pyramid(q, T, j0)
+            pyr.coeffs[...] = rng.standard_normal(pyr.coeffs.shape)
+            pyr.coeffs[rng.random(pyr.coeffs.shape) < 0.5] = 0.0
+            pyr.coeffs[rng.random(pyr.coeffs.shape) < 0.2] = -0.0
+            n, h_inv_sq = int(rng.integers(4, 10000)), float(
+                rng.uniform(0.1, 10.0))
+            out, diag = shrink(pyr, n, h_inv_sq, L)
+            want, every = oracle_cube_shrink(pyr, n, h_inv_sq, L)
+            assert np.array_equal(out.coeffs.view(np.uint64),
+                                  want.view(np.uint64)), (q, T, j0, L)
+            assert diag.factor_min == every.min()
+            assert diag.factor_mean == every.mean()
+            assert diag.total_blocks == every.size
+        for j, tiles in partition_blocks(pyr, L).items():
+            geometry = shrinkage_module._level_tiles(2 ** j, q,
+                                                     tuple(tiles.tolist()))
+            assert geometry is shrinkage_module._level_tiles(
+                2 ** j, q, tuple(tiles.tolist()))
+            arrays = [*geometry[:4], *geometry[4]]
+            assert len(arrays) == 4 + q
+            for a in arrays:
+                assert not a.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    a.flat[0] = a.flat[0]
 
 
 # ---------------------------------------------------------------------------

@@ -237,6 +237,54 @@ def test_round_trip_and_parseval_across_sizes():
     assert cases >= 100
 
 
+def oracle_synthesis_step(lo, hi, h, g, axis):
+    """The inverse step as a fancy-index scatter per tap: tap k adds
+    h[k] lo + g[k] hi at positions (2i + k) mod N, taps in order."""
+    half = lo.shape[axis]
+    N = 2 * half
+    out = np.zeros(lo.shape[:axis] + (N,) + lo.shape[axis + 1:])
+    for k in range(h.size):
+        pos = (2 * np.arange(half) + k) % N
+        out[(slice(None),) * axis + (pos,)] += h[k] * lo + g[k] * hi
+    return out
+
+
+def oracle_idwt(pyr, filt):
+    """:func:`idwt_qd` through :func:`oracle_synthesis_step`."""
+    out = pyr.coeffs.copy()
+    h, g = filt.taps_scaling, filt.taps_wavelet
+    for j in pyr.levels():
+        n = 2 ** j
+        cube = out[(slice(0, 2 * n),) * pyr.q]
+        for ax in reversed(range(pyr.q)):
+            low = (slice(None),) * ax + (slice(0, n),)
+            high = (slice(None),) * ax + (slice(n, 2 * n),)
+            cube[...] = oracle_synthesis_step(cube[low], cube[high], h, g, ax)
+    return out
+
+
+@pytest.mark.parametrize("name", FILTERS)
+def test_inverse_matches_scatter_oracle_bit_for_bit(name):
+    # every q, every j0 down to 0 (where N < L for db2 and db4), with
+    # +0.0 and -0.0 among the coefficients
+    filt = build_filter(name)
+    rng = np.random.default_rng(len(name))
+    cases = 0
+    for q, sizes in ((1, (2, 4, 8, 32, 128)), (2, (2, 4, 8, 32)),
+                     (3, (2, 4, 8))):
+        for T in sizes:
+            for j0 in range(int(math.log2(T))):
+                coeffs = rng.standard_normal((T,) * q)
+                coeffs[rng.random(coeffs.shape) < 0.2] = 0.0
+                coeffs[rng.random(coeffs.shape) < 0.2] = -0.0
+                pyr = CoefficientPyramid(coeffs, j0)
+                got = idwt_qd(pyr, filt)
+                assert np.array_equal(got.view(np.uint64),
+                                      oracle_idwt(pyr, filt).view(np.uint64))
+                cases += 1
+    assert cases == 35
+
+
 def test_linearity():
     rng = np.random.default_rng(5)
     filt = build_filter("db2")
