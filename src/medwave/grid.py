@@ -22,14 +22,18 @@ Conventions
 * Half-bins take the first floor((m+1)/(2T)) grid points of each axis
   interval, counted in increasing coordinate order.
 
-The checks of u are a few whole-array passes. A coordinate's grid index is
-rint(u*m), range-checked first, which NaN and +-inf fail. The on-grid test
-|u - index/m| <= GRID_TOL is screened by |u*m - index| <= GRID_TOL*m/2,
-which implies it despite rounding; only when the screen fails does the
-exact form run, and it decides and words the error. The flat grid code is
-one float dot with the place values (m+1)^k, exact as n < 2^53, and a
-boolean scatter checks that the codes cover range(n); only a grid that
-fails is counted, to name its most repeated point.
+The checks of u run over blocks of rows, so that a block's temporaries
+stay in cache and no whole-array temporary is made. In a block, a
+coordinate's grid index is rint(u*m), range-checked first, which NaN and
++-inf fail. The on-grid test |u - index/m| <= GRID_TOL is screened by
+|u*m - index| <= GRID_TOL*m/2, which implies it despite rounding; only
+when the screen fails does the exact form run. The flat grid code is one
+float dot with the place values (m+1)^k, exact as n < 2^53, written into
+one preallocated array and marked in a boolean ``seen``; after the last
+block, ``seen.all()`` checks that the codes cover range(n). Every entry
+takes the same operations as in one whole-array pass, so no decision and
+no code depends on the blocks. A u that fails any check goes whole to one
+fault path, which decides and words the error over the full array.
 
 Binning needs no sort. Once the checks have passed, the flat grid code of
 the rows is a permutation of range(n), so one scatter puts the responses in
@@ -46,7 +50,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from typing import Optional
+from typing import NoReturn, Optional
 
 import numpy as np
 
@@ -57,6 +61,9 @@ __all__ = ["GridDesign", "BinnedData", "plan_grid", "bin_observations",
 
 #: tolerance for deciding that a coordinate sits on the grid
 GRID_TOL = 1e-9
+
+#: rows of u checked per block, so that a block's temporaries stay in cache
+_BLOCK_ROWS = 16_384
 
 
 @dataclass(frozen=True)
@@ -235,8 +242,11 @@ def bin_observations(u: np.ndarray, y: Optional[np.ndarray],
         Responses. With None, only u is checked; the result carries its
         grid code and no responses.
 
-    Coordinates are screened on u*m at half the tolerance; the exact
-    off-grid test runs only when the screen fails (see the module notes).
+    u is checked in blocks of ``_BLOCK_ROWS`` rows: each coordinate is
+    screened on u*m at half the tolerance, and the exact off-grid test runs
+    only where the screen fails (see the module notes). A u that fails a
+    block, or whose codes miss a grid point, is checked again whole, and
+    that pass decides and words every error below.
 
     Raises
     ------
@@ -262,42 +272,57 @@ def bin_observations(u: np.ndarray, y: Optional[np.ndarray],
             f"got u{u.shape}" + ("" if y is None else f", y{np.shape(y)}")
         )
     m = design.m
-
-    # nearest grid index, range-checked (NaN and inf fail) before any use
-    w = u * m
-    near = np.rint(w)
-    if not (near.min() >= 0 and near.max() <= m):
-        _check_finite("u", "coordinate", u)
-        bad = np.argwhere((near < 0) | (near > m))[0]
-        raise OffGridPoint(f"coordinate {u[bad[0], bad[1]]} outside [0, 1]")
-    # the screen implies the exact test; near the tolerance the exact decides
-    np.subtract(w, near, out=w)
-    np.abs(w, out=w)
-    if w.max() > 0.5 * GRID_TOL * m:
-        err = np.abs(u - near / m)
-        if err.max() > GRID_TOL:
-            r, c = np.unravel_index(np.argmax(err), err.shape)
-            raise OffGridPoint(
-                f"coordinate {u[r, c]!r} is not a multiple of 1/{m} "
-                f"(off by {err[r, c]:.3e})"
-            )
-    del w  # freed before the code arrays, to lower the peak
-
-    # flat C-order grid code; every partial sum is an integer below n < 2^53
     place = float(m + 1) ** np.arange(q - 1, -1, -1)
-    grid_code = (near @ place).astype(np.int64)
-    del near
-    # completeness: n codes in range(n) cover it only if none repeats
-    seen = np.zeros(design.n, dtype=bool)
-    seen[grid_code] = True
+    grid_code = np.empty(n, dtype=np.int64)
+    seen = np.zeros(n, dtype=bool)
+    for start in range(0, n, _BLOCK_ROWS):
+        ub = u[start:start + _BLOCK_ROWS]
+        w = ub * m
+        near = np.rint(w)
+        # range first (NaN and inf fail it); then the screen, which implies
+        # the exact test, and near the tolerance the exact test itself
+        if not (near.min() >= 0 and near.max() <= m):
+            _raise_u_fault(u, m)
+        np.subtract(w, near, out=w)
+        np.abs(w, out=w)
+        if (w.max() > 0.5 * GRID_TOL * m
+                and np.abs(ub - near / m).max() > GRID_TOL):
+            _raise_u_fault(u, m)
+        # flat C-order grid code; every partial sum is an integer below
+        # n < 2^53, so the float dot is exact
+        code = grid_code[start:start + _BLOCK_ROWS]
+        code[...] = near @ place
+        seen[code] = True
+    # n codes in range(n) cover it only if none repeats
     if not seen.all():
-        # with n codes in range(n), a missing point implies a repeated one
-        code = int(np.argmax(np.bincount(grid_code, minlength=design.n)))
-        pt = np.unravel_index(code, (m + 1,) * q)
-        raise IncompleteGrid(
-            f"grid point {tuple(p / m for p in pt)} is duplicated"
-        )
+        _raise_u_fault(u, m)
 
     # grid_code is now a permutation of range(n)
     binned = BinnedData(design=design, y_grid=None, grid_code=grid_code)
     return binned if y is None else binned.with_responses(y)
+
+
+def _raise_u_fault(u: np.ndarray, m: int) -> NoReturn:
+    """Raise the error of a u that failed the blocked check, decided and
+    worded over the whole array: the first non-finite entry, else the first
+    coordinate out of range, else the farthest off the grid, else the most
+    repeated grid point."""
+    near = np.rint(u * m)
+    if not (near.min() >= 0 and near.max() <= m):
+        _check_finite("u", "coordinate", u)
+        bad = np.argwhere((near < 0) | (near > m))[0]
+        raise OffGridPoint(f"coordinate {u[bad[0], bad[1]]} outside [0, 1]")
+    err = np.abs(u - near / m)
+    if err.max() > GRID_TOL:
+        r, c = np.unravel_index(np.argmax(err), err.shape)
+        raise OffGridPoint(
+            f"coordinate {u[r, c]!r} is not a multiple of 1/{m} "
+            f"(off by {err[r, c]:.3e})"
+        )
+    # every coordinate is on the grid, so n rows miss a point only by
+    # repeating another
+    shape = (m + 1,) * u.shape[1]
+    codes = np.ravel_multi_index(tuple(near.astype(np.int64).T), shape)
+    pt = np.unravel_index(int(np.argmax(np.bincount(codes))), shape)
+    raise IncompleteGrid(
+        f"grid point {tuple(int(p) / m for p in pt)} is duplicated")

@@ -1,5 +1,6 @@
 """Binning geometry and observation assignment."""
 
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 
 from medwave.errors import (BadValue, IncompleteGrid, NonGridSampleSize,
                             OffGridPoint)
-from medwave.grid import GRID_TOL, bin_observations, plan_grid
+from medwave.estimator import plan_fit
+from medwave.grid import _BLOCK_ROWS, GRID_TOL, bin_observations, plan_grid
 from medwave.medians import bin_medians
 
 
@@ -279,7 +281,7 @@ def test_incomplete_grid_rejected():
     with pytest.raises(IncompleteGrid) as exc:
         bin_observations(u, np.zeros(16), d)
     assert str(exc.value) == oracle_incomplete(u[:, None], d)
-    assert str(exc.value).endswith(f"{4 / 15!r}),) is duplicated")
+    assert str(exc.value).endswith(f"({4 / 15!r},) is duplicated")
     # wrong count
     with pytest.raises(IncompleteGrid):
         bin_observations(np.arange(15) / 14.0, np.zeros(15), d)
@@ -375,12 +377,12 @@ def test_non_finite_coordinate_wins_over_every_other_fault(bad):
 
 def oracle_incomplete(u, d):
     """The ``IncompleteGrid`` text of a grid-aligned u with repeats: the
-    most repeated point is named."""
+    most repeated point is named, its coordinates as plain floats."""
     idx = np.rint(u * d.m).astype(np.int64)
     occur = np.bincount(np.ravel_multi_index(tuple(idx.T), (d.m + 1,) * d.q),
                         minlength=d.n)
     pt = np.unravel_index(np.argmax(occur), (d.m + 1,) * d.q)
-    return f"grid point {tuple(p / d.m for p in pt)} is duplicated"
+    return f"grid point {tuple(int(p) / d.m for p in pt)} is duplicated"
 
 
 @pytest.mark.parametrize("r, q", [(17, 1), (9, 2), (5, 3)])
@@ -397,3 +399,125 @@ def test_incomplete_grid_names_the_same_point(r, q):
             with pytest.raises(IncompleteGrid) as exc:
                 bin_observations(u, None, d)
             assert str(exc.value) == oracle_incomplete(u, d)
+
+
+# designs that the blocked u check splits into several blocks of
+# _BLOCK_ROWS rows and a partial last one
+MULTI_BLOCK = [(300, 2), (50001, 1)]
+
+
+def multi_block_grid(r, q):
+    d = plan_grid(r ** q, q)
+    assert d.n > 2 * _BLOCK_ROWS and d.n % _BLOCK_ROWS
+    return d, full_grid(d.m, q)
+
+
+def oracle_grid_code(u, d):
+    """Flat C-order grid position of every row of a valid u."""
+    idx = np.rint(np.reshape(u, (d.n, d.q)) * d.m).astype(np.int64)
+    return np.ravel_multi_index(tuple(idx.T), (d.m + 1,) * d.q)
+
+
+@pytest.mark.parametrize("r, q", MULTI_BLOCK)
+def test_valid_permuted_u_codes_every_block(r, q):
+    # rows in every block, the partial last one too, get their grid code
+    d, u = multi_block_grid(r, q)
+    rng = np.random.default_rng(r)
+    y = rng.standard_cauchy(d.n)
+    for _ in range(2):
+        perm = rng.permutation(d.n)
+        b = bin_observations(u[perm], y[perm], d)
+        assert np.array_equal(b.grid_code, oracle_grid_code(u[perm], d))
+        assert np.array_equal(b.y_grid.ravel().view(np.uint64),
+                              y.view(np.uint64))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("r, q", MULTI_BLOCK)
+def test_non_finite_in_last_block_wins_over_first_block_range(r, q, bad):
+    d, u = multi_block_grid(r, q)
+    u[5, 0] = 1.5
+    u[_BLOCK_ROWS - 1, q - 1] += 1e-6
+    row = d.n - 3
+    u[row, q - 1] = bad
+    with pytest.raises(BadValue,
+                       match=rf"u\[{row}, {q - 1}\] = {bad} is not finite"):
+        bin_observations(u, None, d)
+
+
+@pytest.mark.parametrize("r, q", MULTI_BLOCK)
+def test_off_grid_in_several_blocks_names_the_farthest(r, q):
+    # the farthest coordinate lies in a later block than the first fault,
+    # then in the first block, then alone in the partial last block
+    d, u = multi_block_grid(r, q)
+    last = d.n - d.n % _BLOCK_ROWS
+    for rows, offsets in (([7, last + 2], [2e-9, 5e-9]),
+                          ([7, 2 * _BLOCK_ROWS + 1], [-6e-9, 3e-9]),
+                          ([d.n - 1], [-4e-9])):
+        bad = u.copy()
+        bad[rows, 0] += offsets
+        with pytest.raises(OffGridPoint) as exc:
+            bin_observations(bad, None, d)
+        assert str(exc.value) == oracle_off_grid(bad, d.m)
+        far = rows[int(np.argmax(np.abs(offsets)))]
+        assert repr(bad[far, 0]) in str(exc.value)
+
+
+@pytest.mark.parametrize("r, q", MULTI_BLOCK)
+def test_off_grid_decision_at_block_boundaries(r, q):
+    # the first and last row of a block, and the first of the partial last
+    # block, moved a few ulps either side of j/m +- GRID_TOL
+    d, u = multi_block_grid(r, q)
+    m = d.m
+    last = d.n - d.n % _BLOCK_ROWS
+    outcomes = set()
+    for row in (_BLOCK_ROWS - 1, _BLOCK_ROWS, last - 1, last):
+        for col in range(q):
+            j = round(u[row, col] * m)
+            for sign in (-1.0, 1.0):
+                for x in near_tolerance(j / m, sign):
+                    bad = u.copy()
+                    bad[row, col] = x
+                    want = oracle_off_grid(bad, m)
+                    outcomes.add(want is None)
+                    if want is None:
+                        b = bin_observations(bad, None, d)
+                        assert np.array_equal(b.grid_code, np.arange(d.n))
+                    else:
+                        with pytest.raises(OffGridPoint) as exc:
+                            bin_observations(bad, None, d)
+                        assert str(exc.value) == want
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("r, q", MULTI_BLOCK)
+def test_point_repeated_across_blocks_is_named(r, q):
+    d, u = multi_block_grid(r, q)
+    rng = np.random.default_rng(q)
+    last = d.n - d.n % _BLOCK_ROWS
+    cases = ([(3, [last + 1])],                        # first and last block
+             [(last + 4, [1, _BLOCK_ROWS]),             # three times
+              (2 * _BLOCK_ROWS, [last + 9])])           # and another twice
+    for case in cases:
+        bad = u.copy()
+        for src, dsts in case:
+            bad[dsts] = bad[src]
+        bad = bad[rng.permutation(d.n)]
+        with pytest.raises(IncompleteGrid) as exc:
+            bin_observations(bad, None, d)
+        assert str(exc.value) == oracle_incomplete(bad, d)
+
+
+def test_plan_fit_peak_memory_stays_below_u():
+    # the u check holds one block of temporaries at a time, so planning a
+    # 513^2 design allocates less than u itself
+    u = full_grid(512, 2)
+    u = u[np.random.default_rng(0).permutation(len(u))]
+    plan_fit(u)  # warm lazy imports and caches
+    tracemalloc.start()
+    try:
+        plan_fit(u)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < u.nbytes, (peak, u.nbytes)
