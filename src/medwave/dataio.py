@@ -7,14 +7,18 @@ round-trips IEEE doubles exactly; lines end with a single LF and the file
 ends with a newline. Writing is deterministic: the same data produces a
 byte-identical file.
 
-Reading checks the header line, then parses the whole body in one
-``np.loadtxt`` call, which converts each field as ``float()`` does. When
-loadtxt refuses the body (a whitespace-only line, ``1_000``, non-ASCII
-digits, a short row, a word, an empty body) or returns the wrong number of
-columns, the body is parsed again line by line. That parser skips lines that
-strip to nothing, accepts every field ``float()`` accepts, and names the
-offending ``path:line`` in its ``ParseError``. On a body that loadtxt
-accepts, both parsers give bit-identical values.
+Reading checks the header line, then parses the body with ``np.loadtxt``,
+which converts each field as ``float()`` does. A ``str`` or ``os.PathLike``
+path is handed to loadtxt, which reads the file in blocks. A ``bytes`` path,
+or a name that numpy would decompress for its ``.gz``, ``.bz2``, ``.xz`` or
+``.lzma`` suffix or download for its ``://``, is fed to it as the open file,
+one line at a time. If loadtxt refuses the body or returns the wrong number
+of columns, it runs again over the lines that do not strip to nothing (it
+refuses whitespace-only lines); if that is refused too, the body is parsed
+line by line. That parser skips lines that strip to nothing, accepts every
+field ``float()`` accepts, and names the offending ``path:line`` in its
+``ParseError``. On a body that loadtxt accepts, the parsers give
+bit-identical values.
 
 Writing goes through a :class:`RowTemplate`: the text of every row's
 coordinates followed by a ``%.17g`` slot for its value. Each column's
@@ -32,6 +36,7 @@ the simulation machinery (see :mod:`medwave.config` for config files).
 
 from __future__ import annotations
 
+import os
 import warnings
 
 import numpy as np
@@ -84,9 +89,25 @@ def _parse_lines(fh, path, q: int):
     return np.asarray(u_rows, dtype=float), np.asarray(v_rows, dtype=float)
 
 
+def _load_table(source, skiprows: int, q: int):
+    """The body as loadtxt parses it, or None where loadtxt refuses it or
+    returns no rows or the wrong number of columns."""
+    try:
+        with warnings.catch_warnings():
+            # an empty body is left to the line parser to report
+            warnings.simplefilter("ignore", UserWarning)
+            table = np.loadtxt(source, delimiter=",", dtype=float,
+                               comments=None, ndmin=2, skiprows=skiprows,
+                               encoding="utf-8")
+    except ValueError:
+        return None
+    return table if table.shape[0] and table.shape[1] == q + 1 else None
+
+
 def _read_numeric_csv(path, value_column: str):
     """Shared reader for ``u1..uq,<value_column>`` files."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape",
+              newline="") as fh:
         header = fh.readline()
         if not header:
             raise HeaderMismatch(f"{path}: empty file")
@@ -98,15 +119,14 @@ def _read_numeric_csv(path, value_column: str):
                 f"{path}: header {cols} does not match u1,...,uq,{value_column}"
             )
         body = fh.tell()
-        try:
-            with warnings.catch_warnings():
-                # an empty body is left to the line parser to report
-                warnings.simplefilter("ignore", UserWarning)
-                table = np.loadtxt(fh, delimiter=",", dtype=float,
-                                   comments=None, ndmin=2)
-        except ValueError:
-            table = None
-        if table is None or table.shape[0] == 0 or table.shape[1] != q + 1:
+        name = os.fspath(path) if isinstance(path, os.PathLike) else path
+        direct = (isinstance(name, str) and "://" not in name
+                  and not name.endswith((".gz", ".bz2", ".xz", ".lzma")))
+        table = _load_table(name if direct else fh, int(direct), q)
+        if table is None:
+            fh.seek(body)
+            table = _load_table([ln for ln in fh if ln.strip()], 0, q)
+        if table is None:
             fh.seek(body)
             return _parse_lines(fh, path, q)
     return table[:, :q], table[:, q]

@@ -97,6 +97,19 @@ def test_estimate_malformed_input(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("raw", [b"u1,y\n0,1\n0.5,\xff\n1,3\n",
+                                 b"u1,y\xff\n0,1\n0.5,2\n1,3\n"],
+                         ids=["body", "header"])
+def test_estimate_non_utf8_input_exits_2(tmp_path, capsys, raw):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(raw)
+    rc = main(["estimate", "--input", str(bad)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"medwave: error: {bad}" in err
+    assert "Traceback" not in err
+
+
 def test_estimate_non_finite_response_exits_2(tmp_path, capsys):
     data, u, y = make_dataset(tmp_path)
     y[5] = np.nan

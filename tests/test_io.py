@@ -2,6 +2,8 @@
 
 import io
 import math
+import os
+import shutil
 import tracemalloc
 
 import numpy as np
@@ -198,6 +200,108 @@ def test_body_parse_matches_line_parser(tmp_path, case):
     assert u.shape == expected[0].shape and y.shape == expected[1].shape
     assert np.array_equal(u.view(np.uint64), expected[0].view(np.uint64))
     assert np.array_equal(y.view(np.uint64), expected[1].view(np.uint64))
+
+
+def assert_bits_equal(got, expected):
+    for a, b in zip(got, expected):
+        assert a.shape == b.shape
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.fixture
+def loadtxt_sources(monkeypatch):
+    """Record what each np.loadtxt call reads, fail any call that would
+    hand numpy a URL, and fail if the line parser runs."""
+    sources = []
+    real = np.loadtxt
+
+    def spy(source, *args, **kwargs):
+        assert not (isinstance(source, str) and "://" in source)
+        sources.append(source)
+        return real(source, *args, **kwargs)
+
+    def no_line_parser(*args):
+        raise AssertionError("the line parser ran")
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    monkeypatch.setattr("medwave.dataio._parse_lines", no_line_parser)
+    return sources
+
+
+def test_block_read_matches_line_parser(tmp_path, loadtxt_sources):
+    """A body far beyond numpy's read block, read from the path: a CRLF
+    straddles every multiple of 8 KiB, and a lone CR ends the line just
+    before every odd multiple of 4 KiB."""
+    rng = np.random.default_rng(16)
+    fields = ["%.17g" % x for x in rng.standard_cauchy(3 * 6000)]
+    rows = [",".join(fields[i:i + 3]) for i in range(0, len(fields), 3)]
+    widest = max(map(len, rows))
+    text, edge = "u1,u2,y\n", 4096
+    for k, row in enumerate(rows):
+        gap = edge - 1 - len(text)
+        if gap < len(row) + widest + 2:     # the last row before the edge
+            row = " " * (gap - len(row)) + row
+            text += row + ("\r\n" if edge % 8192 == 0 else "\r")
+            edge += 4096
+        else:
+            text += row + LINE_ENDS[k % 3]
+    assert len(text) >= 256 * 1024
+    path = tmp_path / "d.csv"
+    path.write_bytes(text.encode())
+    assert_bits_equal(read_grid_csv(path), line_parser(path))
+    assert loadtxt_sources == [str(path)]
+    assert text[8191:8193] == "\r\n" and text[4095] == "\r"
+
+
+PATH_KINDS = ("str", "Path", "bytes", "d.csv.gz", "d.csv.bz2", "d.csv.xz",
+              "d.csv.lzma", "http://host/d.csv")
+
+
+@pytest.mark.parametrize("kind", PATH_KINDS)
+def test_every_kind_of_path_reads_the_same(tmp_path, monkeypatch, kind,
+                                           loadtxt_sources):
+    """Plain text under any name: numpy must not decompress it or
+    download it."""
+    body = ("u1,u2,y\n0,0,1.5\r\n0,1,-2e-300\r1,0,nan\n"
+            "1,1,0.30000000000000004\n")
+    monkeypatch.chdir(tmp_path)
+    plain = tmp_path / "plain.csv"
+    plain.write_bytes(body.encode())
+    expected = line_parser(plain)
+    if kind in ("str", "Path", "bytes"):
+        path = {"str": str(plain), "Path": plain,
+                "bytes": os.fsencode(plain)}[kind]
+    else:
+        os.makedirs(os.path.dirname(kind) or ".", exist_ok=True)
+        shutil.copy(plain, kind)
+        path = kind
+    assert_bits_equal(read_grid_csv(path), expected)
+    assert isinstance(loadtxt_sources[0], str) == (kind in ("str", "Path"))
+
+
+def test_whitespace_only_line_takes_one_more_loadtxt_pass(tmp_path,
+                                                           loadtxt_sources):
+    path = tmp_path / "d.csv"
+    path.write_bytes(b"u1,y\n0,1\n \t \n0.5,2\r\n\x0c\r\n1,3\n   ")
+    assert_bits_equal(read_grid_csv(path), line_parser(path))
+    assert len(loadtxt_sources) == 2
+    assert isinstance(loadtxt_sources[0], str)
+    assert loadtxt_sources[1] == ["0,1\n", "0.5,2\r\n", "1,3\n"]
+
+
+@pytest.mark.parametrize("where", ["body", "header"])
+def test_non_utf8_byte_is_a_medwave_error(tmp_path, where):
+    path = tmp_path / "d.csv"
+    if where == "body":
+        path.write_bytes(b"u1,y\n0,1\n0.5,2\xff\n1,3\n")
+        with pytest.raises(ParseError) as exc:
+            read_grid_csv(path)
+        assert str(exc.value).startswith(f"{path}:3: non-numeric field")
+    else:
+        path.write_bytes(b"u1,\xffy\n0,1\n")
+        with pytest.raises(HeaderMismatch) as exc:
+            read_grid_csv(path)
+        assert str(exc.value).startswith(f"{path}: header")
 
 
 # ---------------------------------------------------------------------------
