@@ -9,16 +9,17 @@ byte-identical file.
 
 Reading checks the header line, then parses the body with ``np.loadtxt``,
 which converts each field as ``float()`` does. A ``str`` or ``os.PathLike``
-path is handed to loadtxt, which reads the file in blocks. A ``bytes`` path,
-or a name that numpy would decompress for its ``.gz``, ``.bz2``, ``.xz`` or
-``.lzma`` suffix or download for its ``://``, is fed to it as the open file,
-one line at a time. If loadtxt refuses the body or returns the wrong number
-of columns, it runs again over the lines that do not strip to nothing (it
-refuses whitespace-only lines); if that is refused too, the body is parsed
-line by line. That parser skips lines that strip to nothing, accepts every
-field ``float()`` accepts, and names the offending ``path:line`` in its
-``ParseError``. On a body that loadtxt accepts, the parsers give
-bit-identical values.
+path is handed to loadtxt, which reads the file in blocks. Any other path is
+fed to it as the open file, one line at a time: a ``bytes`` path, or a name
+that numpy would decompress for its ``.gz``, ``.bz2``, ``.xz`` or ``.lzma``
+suffix or download for its ``://``. If loadtxt refuses the body (a
+whitespace-only line is enough) or returns the wrong number of columns, the
+body is parsed line by line. That parser skips lines that strip to nothing,
+accepts every field ``float()`` accepts, and names the offending
+``path:line`` in its ``ParseError``. On a body that loadtxt accepts, the two
+parsers give bit-identical values. Files are read as UTF-8: a byte that is
+not UTF-8 makes its line a ``ParseError``, or the header a
+``HeaderMismatch``.
 
 Writing goes through a :class:`RowTemplate`: the text of every row's
 coordinates followed by a ``%.17g`` slot for its value. Each column's
@@ -89,21 +90,6 @@ def _parse_lines(fh, path, q: int):
     return np.asarray(u_rows, dtype=float), np.asarray(v_rows, dtype=float)
 
 
-def _load_table(source, skiprows: int, q: int):
-    """The body as loadtxt parses it, or None where loadtxt refuses it or
-    returns no rows or the wrong number of columns."""
-    try:
-        with warnings.catch_warnings():
-            # an empty body is left to the line parser to report
-            warnings.simplefilter("ignore", UserWarning)
-            table = np.loadtxt(source, delimiter=",", dtype=float,
-                               comments=None, ndmin=2, skiprows=skiprows,
-                               encoding="utf-8")
-    except ValueError:
-        return None
-    return table if table.shape[0] and table.shape[1] == q + 1 else None
-
-
 def _read_numeric_csv(path, value_column: str):
     """Shared reader for ``u1..uq,<value_column>`` files."""
     with open(path, "r", encoding="utf-8", errors="surrogateescape",
@@ -122,11 +108,16 @@ def _read_numeric_csv(path, value_column: str):
         name = os.fspath(path) if isinstance(path, os.PathLike) else path
         direct = (isinstance(name, str) and "://" not in name
                   and not name.endswith((".gz", ".bz2", ".xz", ".lzma")))
-        table = _load_table(name if direct else fh, int(direct), q)
-        if table is None:
-            fh.seek(body)
-            table = _load_table([ln for ln in fh if ln.strip()], 0, q)
-        if table is None:
+        try:
+            with warnings.catch_warnings():
+                # an empty body is left to the line parser to report
+                warnings.simplefilter("ignore", UserWarning)
+                table = np.loadtxt(name if direct else fh, delimiter=",",
+                                   dtype=float, comments=None, ndmin=2,
+                                   skiprows=int(direct), encoding="utf-8")
+        except ValueError:
+            table = None
+        if table is None or table.shape[0] == 0 or table.shape[1] != q + 1:
             fh.seek(body)
             return _parse_lines(fh, path, q)
     return table[:, :q], table[:, q]

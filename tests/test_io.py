@@ -279,16 +279,6 @@ def test_every_kind_of_path_reads_the_same(tmp_path, monkeypatch, kind,
     assert isinstance(loadtxt_sources[0], str) == (kind in ("str", "Path"))
 
 
-def test_whitespace_only_line_takes_one_more_loadtxt_pass(tmp_path,
-                                                           loadtxt_sources):
-    path = tmp_path / "d.csv"
-    path.write_bytes(b"u1,y\n0,1\n \t \n0.5,2\r\n\x0c\r\n1,3\n   ")
-    assert_bits_equal(read_grid_csv(path), line_parser(path))
-    assert len(loadtxt_sources) == 2
-    assert isinstance(loadtxt_sources[0], str)
-    assert loadtxt_sources[1] == ["0,1\n", "0.5,2\r\n", "1,3\n"]
-
-
 @pytest.mark.parametrize("where", ["body", "header"])
 def test_non_utf8_byte_is_a_medwave_error(tmp_path, where):
     path = tmp_path / "d.csv"
