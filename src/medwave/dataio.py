@@ -9,10 +9,11 @@ byte-identical file.
 
 Reading checks the header line, then parses the body with ``np.loadtxt``,
 which converts each field as ``float()`` does. A ``str`` or ``os.PathLike``
-path is handed to loadtxt, which reads the file in blocks. Any other path is
-fed to it as the open file, one line at a time: a ``bytes`` path, or a name
-that numpy would decompress for its ``.gz``, ``.bz2``, ``.xz`` or ``.lzma``
-suffix or download for its ``://``. If loadtxt refuses the body (a
+path of a regular file is handed to loadtxt, which reads the file in
+blocks. Any other source is read once as a list of lines and fed to it: a
+pipe or other file that is not regular (``/dev/stdin``), a ``bytes`` path,
+or a name that numpy would decompress for its ``.gz``, ``.bz2``, ``.xz`` or
+``.lzma`` suffix or download for its ``://``. If loadtxt refuses the body (a
 whitespace-only line is enough) or returns the wrong number of columns, the
 body is parsed line by line. That parser skips lines that strip to nothing,
 accepts every field ``float()`` accepts, and names the offending
@@ -38,6 +39,7 @@ the simulation machinery (see :mod:`medwave.config` for config files).
 from __future__ import annotations
 
 import os
+import stat
 import warnings
 
 import numpy as np
@@ -104,22 +106,25 @@ def _read_numeric_csv(path, value_column: str):
             raise HeaderMismatch(
                 f"{path}: header {cols} does not match u1,...,uq,{value_column}"
             )
-        body = fh.tell()
         name = os.fspath(path) if isinstance(path, os.PathLike) else path
         direct = (isinstance(name, str) and "://" not in name
-                  and not name.endswith((".gz", ".bz2", ".xz", ".lzma")))
+                  and not name.endswith((".gz", ".bz2", ".xz", ".lzma"))
+                  and stat.S_ISREG(os.fstat(fh.fileno()).st_mode))
+        # loadtxt reads a regular file by its path, and fh stays just past
+        # the header for the line parser; any other source (a pipe cannot
+        # seek back) is read once, and both parsers take its lines
+        body = fh if direct else fh.readlines()
         try:
             with warnings.catch_warnings():
                 # an empty body is left to the line parser to report
                 warnings.simplefilter("ignore", UserWarning)
-                table = np.loadtxt(name if direct else fh, delimiter=",",
+                table = np.loadtxt(name if direct else body, delimiter=",",
                                    dtype=float, comments=None, ndmin=2,
                                    skiprows=int(direct), encoding="utf-8")
         except ValueError:
             table = None
         if table is None or table.shape[0] == 0 or table.shape[1] != q + 1:
-            fh.seek(body)
-            return _parse_lines(fh, path, q)
+            return _parse_lines(body, path, q)
     return table[:, :q], table[:, q]
 
 

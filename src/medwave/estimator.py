@@ -8,7 +8,8 @@ A fit runs in two steps. :func:`plan_fit` takes the design points u alone:
 3. build the wavelet filter and fix the primary level j0 and the block
    size L.
 
-:meth:`FitPlan.fit` then takes one response vector y:
+:meth:`FitPlan.fit` then takes one response vector y, and
+:meth:`FitPlan.fit_many` a (B, n) stack of them:
 
 4. check y and scatter it into grid order,
 5. take per-bin medians Q (and half-bin medians for the bias estimate),
@@ -21,7 +22,10 @@ A fit runs in two steps. :func:`plan_fit` takes the design points u alone:
 
 :func:`fit` is the two in one call. A plan can be reused for any number of
 response vectors on the same u; each result is bit-identical to that of a
-fresh :func:`fit`.
+fresh :func:`fit`. A stack runs steps 4-9 once for all its members, every
+array operation taking the whole stack, which saves the per-call cost of
+many small fits; each member's result is bit-identical to fitting it
+alone, and :meth:`FitPlan.fit` is the stack of one.
 
 With shrinkage disabled and the bias term forced to zero, steps 7-9 are an
 exact round trip: f_hat equals the bin-median tensor Q to round-off.
@@ -32,14 +36,14 @@ The reconstruction lives on the V grid points (l1/T, ..., lq/T); use
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
 from .errors import BadPrimaryLevel, BadValue, ShapeMismatch
 from .grid import (BinnedData, GridDesign, bin_observations, plan_grid,
-                   product_grid)
+                   product_grid, responses_mismatch)
 from .medians import (
     NOISE_FLOOR,
     MedianSummary,
@@ -157,16 +161,18 @@ def _parse_noise_mode(text: str, key: str) -> dict:
 
 
 def _resolve_noise(config: EstimatorConfig, summary: MedianSummary,
-                   n: int) -> NoiseEstimate:
+                   n: int) -> list:
+    """The noise level of each member of the stacked ``summary``."""
+    members = summary.q_full.shape[0]
     if config.noise_mode == "known":
-        return known_noise_level(config.known_h_inv_sq, n)
+        return [known_noise_level(config.known_h_inv_sq, n)] * members
     if summary.design.J == 0:
         # a single bin has no pair to estimate from: flag the clamp floor
-        return NoiseEstimate(
+        return [NoiseEstimate(
             h_inv_sq=NOISE_FLOOR,
             sigma=float(np.sqrt(NOISE_FLOOR) / (2.0 * np.sqrt(n))),
             degenerate=True,
-        )
+        )] * members
     return estimate_noise_level(summary)
 
 
@@ -195,27 +201,60 @@ class FitPlan:
         Deterministic: identical responses produce bit-identical results,
         equal to those of :func:`fit` on (u, y).
         """
+        if np.ndim(y) != 1:
+            raise responses_mismatch(self.design, np.shape(y))
+        binned = self.binned.with_responses(y)
+        return self._fit_stack(replace(binned, y_grid=binned.y_grid[None]))[0]
+
+    def fit_many(self, Y: np.ndarray) -> list:
+        """Fit every row of the (B, n) stack ``Y``, each in the row order
+        of u, in one pass of every stage; returns the B results in order.
+
+        Row i's result is bit-identical to ``self.fit(Y[i])``; its
+        ``f_hat`` is a view into one (B,) + (T,)*q array.
+
+        Raises
+        ------
+        IncompleteGrid
+            If ``Y`` is not a (B, n) array.
+        """
+        if np.ndim(Y) != 2:
+            raise responses_mismatch(self.design, np.shape(Y))
+        binned = self.binned.with_responses(Y)
+        return self._fit_stack(binned) if len(Y) else []
+
+    def _fit_stack(self, binned: BinnedData) -> list:
+        """Steps 5-9 on the (B,) + (m+1,)*q stack ``binned.y_grid``."""
         config, design = self.config, self.design
-        n = design.n
-        summary = bin_medians(self.binned.with_responses(y))
-        b_hat = bias_correction(summary) if config.bias_correction else 0.0
+        n, B = design.n, binned.y_grid.shape[0]
+        summary = bin_medians(binned)
+        b_hat = (bias_correction(summary) if config.bias_correction
+                 else np.zeros(B))
         noise = _resolve_noise(config, summary, n)
-        diagnostics = None
+        diagnostics = [None] * B
         if self.j0 is None:
             # Single bin per axis: no detail levels exist, the transform is
             # the identity on the 1-point-per-axis tensor.
-            f_hat = summary.q_full - b_hat
+            f_hat = summary.q_full - _per_member(b_hat, design.q)
         else:
             pyramid = dwt_qd(summary.q_full / np.sqrt(design.V), self.filt,
-                             self.j0)
+                             self.j0, design.q)
             if config.shrinkage_enabled:
-                pyramid, diagnostics = shrink(pyramid, n, noise.h_inv_sq,
-                                              self.L)
-            f_hat = idwt_qd(pyramid, self.filt) * np.sqrt(design.V) - b_hat
-        if f_hat.shape != design.tensor_shape():  # pragma: no cover
+                pyramid, stack = shrink(
+                    pyramid, n, np.array([e.h_inv_sq for e in noise]), self.L)
+                diagnostics = stack.rows
+            f_hat = (idwt_qd(pyramid, self.filt) * np.sqrt(design.V)
+                     - _per_member(b_hat, design.q))
+        if f_hat.shape != (B,) + design.tensor_shape():  # pragma: no cover
             raise ShapeMismatch("reconstruction shape drifted from design")
-        return FitResult(f_hat=f_hat, b_hat=float(b_hat), noise=noise,
-                         diagnostics=diagnostics, design=design, config=config)
+        return [FitResult(f_hat=f, b_hat=float(b), noise=e, diagnostics=d,
+                          design=design, config=config)
+                for f, b, e, d in zip(f_hat, b_hat, noise, diagnostics)]
+
+
+def _per_member(values: np.ndarray, q: int) -> np.ndarray:
+    """One value per stack member, shaped to broadcast over its tensor."""
+    return values.reshape(values.shape + (1,) * q)
 
 
 def plan_fit(u: np.ndarray,

@@ -43,12 +43,13 @@ members follow from the interval starts and lengths alone. No bin is empty:
 T^q <= n^(3/4) < n gives T < m+1, and every axis interval holds at least
 one grid point. The checks and the grid code depend on u alone, so a u
 binned once without responses bins any number of response vectors
-(:meth:`BinnedData.with_responses`).
+(:meth:`BinnedData.with_responses`), or a stack of them at once: each
+member is scattered on its own, by the same 1-D scatter.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, reduce
 from typing import NoReturn, Optional
 
@@ -175,7 +176,8 @@ def product_grid(axis: np.ndarray, q: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BinnedData:
-    """Responses in lexicographic grid order, shape (m+1,)*q.
+    """Responses in lexicographic grid order, shape (m+1,)*q, or a stack
+    of them, shape (B,) + (m+1,)*q.
 
     ``y_grid[i1, ..., iq]`` is the response at (i1/m, ..., iq/m); the bins
     are products of the design's axis intervals. ``grid_code[i]`` is the
@@ -198,27 +200,35 @@ class BinnedData:
 
     def with_responses(self, y: np.ndarray) -> BinnedData:
         """Check responses ``y``, given in the row order of u, and put them
-        in grid order.
+        in grid order: an (n,) vector, or a (B, n) stack of them, which
+        gives a (B,) + (m+1,)*q ``y_grid``.
 
         Raises
         ------
         IncompleteGrid
-            If ``y`` is not an (n,) vector.
+            If ``y`` is neither an (n,) vector nor a (B, n) stack.
         BadValue
             If some response is NaN or infinite; names the first one.
         """
         d = self.design
         y = np.asarray(y, dtype=float)
-        if y.shape != (d.n,):
-            raise IncompleteGrid(
-                f"expected {d.n} observations in {d.q} dims, "
-                f"got u{(d.n, d.q)}, y{y.shape}"
-            )
+        if y.shape[-1:] != (d.n,) or y.ndim > 2:
+            raise responses_mismatch(d, y.shape)
         _check_finite("y", "response", y)
-        y_grid = np.empty(d.n)
-        y_grid[self.grid_code] = y
-        return BinnedData(design=d, y_grid=y_grid.reshape((d.m + 1,) * d.q),
-                          grid_code=self.grid_code)
+        y_grid = np.empty(y.shape)
+        # one 1-D scatter per member: faster than a 2-D fancy assignment
+        for member, values in zip(y_grid.reshape(-1, d.n),
+                                  y.reshape(-1, d.n)):
+            member[self.grid_code] = values
+        return replace(self, y_grid=y_grid.reshape(y.shape[:-1]
+                                                   + (d.m + 1,) * d.q))
+
+
+def responses_mismatch(design: GridDesign, shape: tuple) -> IncompleteGrid:
+    """The error for responses of ``shape`` that do not fit the design."""
+    return IncompleteGrid(
+        f"expected {design.n} observations in {design.q} dims, "
+        f"got u{(design.n, design.q)}, y{shape}")
 
 
 def _check_finite(name: str, what: str, arr: np.ndarray) -> None:

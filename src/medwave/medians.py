@@ -38,6 +38,11 @@ depend on the design alone: they are built once, by the fit plan or on
 first use, and kept on the :class:`GridDesign` (``median_selections``).
 A fit then makes one copy per class with one row per bin, sorts the rows
 in place, and their middle values are the medians.
+
+Responses may come as a stack, one set of grid-ordered responses per
+member along a leading axis. The medians, the bias and the noise level are
+then taken for every member at once, in the same operations, so each
+member's values are bit-identical to those of taking it alone.
 """
 
 from __future__ import annotations
@@ -67,7 +72,8 @@ NOISE_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class MedianSummary:
-    """Medians of every bin and half-bin, as (T,)*q tensors in C order.
+    """Medians of every bin and half-bin, as (T,)*q tensors in C order,
+    or as stacks of them along one leading axis.
 
     ``q_half`` is None when the half-bins are empty: only the bias
     correction reads it, and it raises then.
@@ -79,12 +85,19 @@ class MedianSummary:
 
     def __post_init__(self):
         shape = self.design.tensor_shape()
+        full_shape = self.q_full.shape
+        if len(full_shape) == len(shape) + 1:
+            shape = full_shape[:1] + shape
         half_shape = shape if self.q_half is None else self.q_half.shape
-        if self.q_full.shape != shape or half_shape != shape:
+        if full_shape != shape or half_shape != shape:
             raise ShapeMismatch(
                 f"median tensors must have shape {shape}, got "
-                f"{self.q_full.shape} / {half_shape}"
+                f"{full_shape} / {half_shape}"
             )
+
+    @property
+    def stacked(self) -> bool:
+        return self.q_full.ndim > self.design.q
 
 
 @dataclass(frozen=True)
@@ -156,33 +169,40 @@ def median_selections(design: GridDesign) -> tuple:
 def _interval_medians(y_grid: np.ndarray, classes: list,
                       shape: tuple) -> np.ndarray:
     """Median over every bin of the count ``classes``, as a tensor of
-    ``shape``. Each class is selected axis by axis, then one copy lays it
-    out as (bins..., count) rows, which are sorted in place. The copy is
+    ``shape`` (after the stack axis of ``y_grid``, if it has one). Each
+    class is selected axis by axis, then one copy lays it out as
+    (stack, bins..., count) rows, which are sorted in place. The copy is
     needed even where the selection is a view, so ``y_grid`` is never
     sorted."""
-    q = y_grid.ndim
-    out = np.empty(shape)
+    q = len(shape)
+    s = y_grid.ndim - q         # 1 with a stack axis, else 0
+    out = np.empty(y_grid.shape[:s] + shape)
     for axes, index in classes:
         block = y_grid
         for a, (k, length, sel, step) in enumerate(axes):
-            # axis 2a becomes the class's k intervals, 2a + 1 their points
-            lead = (slice(None),) * (2 * a)
-            head, tail = block.shape[:2 * a], block.shape[2 * a + 1:]
+            # axis s + 2a becomes the class's k intervals, s + 2a + 1 their
+            # points
+            at = s + 2 * a
+            lead = (slice(None),) * at
+            head, tail = block.shape[:at], block.shape[at + 1:]
             if step is None:
-                block = block.take(sel, axis=2 * a).reshape(
+                block = block.take(sel, axis=at).reshape(
                     head + (k, length) + tail)
             else:
                 block = block[lead + (sel,)].reshape(head + (k, step) + tail)
                 block = block[lead + (slice(None), slice(0, length))]
-        # (k1, L1, ..., kq, Lq) -> one C-order copy of (k1..kq, L1..Lq)
-        rows = block.transpose([*range(0, 2 * q, 2),
-                                *range(1, 2 * q, 2)]).copy()
-        out[index] = _row_medians(rows.reshape(rows.shape[:q] + (-1,)))
+        # (stack, k1, L1, ..., kq, Lq) -> one C-order copy of
+        # (stack, k1..kq, L1..Lq)
+        rows = block.transpose([*range(s), *range(s, s + 2 * q, 2),
+                                *range(s + 1, s + 2 * q, 2)]).copy()
+        out[(slice(None),) * s + index] = _row_medians(
+            rows.reshape(rows.shape[:s + q] + (-1,)))
     return out
 
 
 def bin_medians(binned: BinnedData) -> MedianSummary:
-    """Compute the bin-median tensor Q and the half-bin tensor Q*.
+    """Compute the bin-median tensor Q and the half-bin tensor Q*, with the
+    stack axis of ``binned.y_grid`` if it has one.
 
     Q* is left as None when the half-bins are empty, which happens on every
     design with fewer than 2T points per axis. The count classes are those
@@ -196,8 +216,14 @@ def bin_medians(binned: BinnedData) -> MedianSummary:
     return MedianSummary(design=design, q_full=q_full, q_half=q_half)
 
 
-def bias_correction(summary: MedianSummary) -> float:
-    """Global scalar bias estimate: mean over bins of (Q* - Q).
+def _member_rows(summary: MedianSummary, tensor: np.ndarray) -> np.ndarray:
+    """``tensor`` as (members, V) rows in C order: one row unstacked."""
+    return tensor.reshape(-1, summary.design.V)
+
+
+def bias_correction(summary: MedianSummary):
+    """Global scalar bias estimate: mean over bins of (Q* - Q); for a
+    stacked summary, an array with one estimate per member.
 
     Raises
     ------
@@ -208,11 +234,14 @@ def bias_correction(summary: MedianSummary) -> float:
         # every axis interval has the same half length floor((m+1)/(2T)),
         # so the half-bins are empty all at once and the first is (1,...,1)
         raise EmptyBin(f"half-bin {(1,) * summary.design.q} is empty")
-    return float(np.mean(summary.q_half - summary.q_full))
+    b = np.mean(_member_rows(summary, summary.q_half - summary.q_full),
+                axis=1)
+    return b if summary.stacked else float(b[0])
 
 
-def estimate_noise_level(summary: MedianSummary) -> NoiseEstimate:
-    """Estimate 1/h^2(0) from lexicographically paired bin medians.
+def estimate_noise_level(summary: MedianSummary):
+    """Estimate 1/h^2(0) from lexicographically paired bin medians; for a
+    stacked summary, a list with one estimate per member.
 
     The estimate tracks 4 kappa Var(median of kappa draws), not h^{-2}(0)
     itself: the two agree only as kappa -> infinity. For Cauchy errors at
@@ -227,15 +256,18 @@ def estimate_noise_level(summary: MedianSummary) -> NoiseEstimate:
     design = summary.design
     if design.V < 2:
         raise DegenerateNoise("need at least two bins to estimate noise")
-    flat = summary.q_full.ravel()  # C order == lexicographic
+    flat = _member_rows(summary, summary.q_full)  # C order == lexicographic
     pairs = design.V // 2
-    diffs = flat[0:2 * pairs:2] - flat[1:2 * pairs:2]
-    raw = (2.0 * design.kappa / pairs) * float(np.sum(diffs * diffs))
-    degenerate = raw < NOISE_FLOOR
-    h_inv_sq = max(raw, NOISE_FLOOR)
-    sigma = np.sqrt(h_inv_sq) / (2.0 * np.sqrt(design.n))
-    return NoiseEstimate(h_inv_sq=h_inv_sq, sigma=float(sigma),
-                         degenerate=degenerate, source="estimate")
+    diffs = flat[:, 0:2 * pairs:2] - flat[:, 1:2 * pairs:2]
+    raws = (2.0 * design.kappa / pairs) * np.sum(diffs * diffs, axis=1)
+    root_n = np.sqrt(design.n)
+    noise = []
+    for raw in raws.tolist():
+        h_inv_sq = max(raw, NOISE_FLOOR)
+        noise.append(NoiseEstimate(
+            h_inv_sq=h_inv_sq, sigma=float(np.sqrt(h_inv_sq) / (2.0 * root_n)),
+            degenerate=raw < NOISE_FLOOR, source="estimate"))
+    return noise if summary.stacked else noise[0]
 
 
 def known_noise_level(h_inv_sq: float, n: int) -> NoiseEstimate:

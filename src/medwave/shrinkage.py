@@ -25,12 +25,17 @@ the level's starts followed by 2^j plus them. What depends on the tiling
 alone (those starts, lambda* L_B, the coarse corner's mask and the index
 that spreads each factor over its block) is built once per level size, q
 and tiling, memoized read-only; a call computes only energies and factors.
+
+A stack of pyramids (see :class:`medwave.wavelets.CoefficientPyramid`) is
+shrunk in one call, each member with its own noise level: the same
+operations run on every member at once, so each member's coefficients and
+record are bit-identical to those of shrinking it alone.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -106,7 +111,13 @@ def _level_tiles(size: int, q: int, tiles: tuple) -> tuple:
 
 @dataclass
 class ShrinkageDiagnostics:
-    """What the shrinkage step did, per level and overall."""
+    """What the shrinkage step did, per level and overall.
+
+    For a stack of pyramids the counts and the histogram are summed over
+    the stack, the minimum and the mean taken over all its factors, and
+    ``rows`` holds the record of each member in C order (empty for a
+    single pyramid).
+    """
 
     blocks_per_level: dict
     zeroed_per_level: dict
@@ -114,57 +125,86 @@ class ShrinkageDiagnostics:
     factor_min: float
     factor_mean: float
     total_blocks: int
+    rows: tuple = field(default=(), repr=False, compare=False)
 
 
-def shrink(pyramid: CoefficientPyramid, n: int, h_inv_sq: float, L: int):
+def _records(factors: dict) -> list:
+    """The record of each row of the factors, given per level as (R, k_j)
+    arrays, from one pass over all R rows."""
+    # C order, so that each row's mean sums as the 1-D mean does: with
+    # every input of shape (R, 1), concatenate may choose F order
+    every = np.ascontiguousarray(np.concatenate(list(factors.values()),
+                                                axis=1))
+    R, total = every.shape
+    bins = np.minimum((every * 10).astype(int), 9)
+    bins += 10 * np.arange(R)[:, None]
+    histograms = np.bincount(bins.ravel(), minlength=10 * R).reshape(R, 10)
+    zeroed = {j: np.count_nonzero(f == 0.0, axis=1).tolist()
+              for j, f in factors.items()}
+    return [ShrinkageDiagnostics(
+        blocks_per_level={j: f.shape[1] for j, f in factors.items()},
+        zeroed_per_level={j: z[r] for j, z in zeroed.items() if z[r]},
+        factor_histogram=histogram,
+        factor_min=low,
+        factor_mean=mean,
+        total_blocks=total,
+    ) for r, (histogram, low, mean) in enumerate(zip(
+        histograms, every.min(axis=1).tolist(),
+        every.mean(axis=1).tolist()))]
+
+
+def shrink(pyramid: CoefficientPyramid, n: int, h_inv_sq, L: int):
     """Apply the block James-Stein rule; returns (new pyramid, diagnostics).
 
     ``n`` is the sample size, ``h_inv_sq`` the noise level 1/hhat^2(0) and
     ``L`` the target block size; the blocks are those of
     :func:`partition_blocks`. The gross coefficients are passed through
     bit-identically; every detail block is multiplied by its factor c_B
-    (with S_B^2 = 0 forcing c_B = 0).
+    (with S_B^2 = 0 forcing c_B = 0). For a stack of pyramids,
+    ``h_inv_sq`` is one level for all or an array of the stack's shape.
 
     Raises
     ------
     BadValue
-        If n < 1, L < 1, or h_inv_sq is not positive and finite.
+        If n < 1, L < 1, or some h_inv_sq is not positive and finite.
     """
     if L < 1:
         raise BadValue("block_cardinality must be >= 1")
     if n < 1:
         raise BadValue("n must be >= 1")
-    if not (np.isfinite(h_inv_sq) and h_inv_sq > 0):
-        raise BadValue("h_inv_sq must be positive and finite")
-    partition = partition_blocks(pyramid, L)
-    scale = 4.0 * n / h_inv_sq   # = 4 hhat^2(0) n
     q = pyramid.q
     out = pyramid.coeffs.copy()
+    lead = out.ndim - q
+    h_inv_sq = np.asarray(h_inv_sq, dtype=float)
+    if h_inv_sq.shape not in ((), out.shape[:lead]):
+        raise BadValue(f"h_inv_sq of shape {h_inv_sq.shape} does not match "
+                       f"the stack {out.shape[:lead]}")
+    if not (np.isfinite(h_inv_sq) & (h_inv_sq > 0)).all():
+        raise BadValue("h_inv_sq must be positive and finite")
+    partition = partition_blocks(pyramid, L)
+    # = 4 hhat^2(0) n, per member
+    scale = (4.0 * n / h_inv_sq).reshape(h_inv_sq.shape + (1,) * q)
     factors = {}
     for j in pyramid.levels():
         size = 2 ** j
         starts, lam_card, corner, detail, expand = _level_tiles(
             size, q, tuple(partition[j].tolist()))
-        cube = out[(slice(0, 2 * size),) * q]
+        cube = out[(...,) + (slice(0, 2 * size),) * q]
         s2 = cube * cube
-        for ax in range(q):
+        for ax in range(lead, out.ndim):
             s2 = np.add.reduceat(s2, starts, axis=ax)
-        with np.errstate(divide="ignore"):
+        # a tiny S_B^2 overflows the quotient to inf, and c_B to 0
+        with np.errstate(divide="ignore", over="ignore"):
             c = np.where(s2 > 0.0,
                          np.maximum(0.0, 1.0 - lam_card / (scale * s2)),
                          0.0)
-        c[corner] = 1.0
-        factors[j] = c[detail]
-        cube *= c[expand]
+        c[..., corner] = 1.0
+        factors[j] = c[..., detail]
+        cube *= c[(...,) + expand]
 
-    every = np.concatenate(list(factors.values()))
-    return CoefficientPyramid(out, pyramid.j0), ShrinkageDiagnostics(
-        blocks_per_level={j: int(f.size) for j, f in factors.items()},
-        zeroed_per_level={j: int(z) for j, f in factors.items()
-                          if (z := np.count_nonzero(f == 0.0))},
-        factor_histogram=np.bincount(
-            np.minimum((every * 10).astype(int), 9), minlength=10),
-        factor_min=float(every.min()),
-        factor_mean=float(every.mean()),
-        total_blocks=int(every.size),
-    )
+    shrunk = CoefficientPyramid(out, pyramid.j0, q)
+    whole = _records({j: f.reshape(1, -1) for j, f in factors.items()})[0]
+    if lead:
+        whole.rows = tuple(_records(
+            {j: f.reshape(-1, f.shape[-1]) for j, f in factors.items()}))
+    return shrunk, whole

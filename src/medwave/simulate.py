@@ -23,9 +23,13 @@ the sample size alone is made once per n and shared by its replications:
 the design points u, the truth f at them and at the V estimation points,
 the fit plan of u (the grid checks, the filter, j0 and L) and the row
 template that ``medwave simulate`` fills to write each dataset (the text of
-u). Each replication draws only its X and xi and fits them through that
-plan, or is written through that template; the replications run one after
-another.
+u). Each replication draws only its X and xi, from its own generator, and
+is written through that template, or fitted through that plan. A rate
+study fits its replications in stacks of up to 2^17 observations
+(max(1, 2^17 // n) replications): each replication's responses fill one
+row of a preallocated stack, and :meth:`FitPlan.fit_many` fits the stack
+in one pass of every stage. Each fit is bit-identical to fitting its
+replication alone, as :func:`run_replication` does (a stack of one).
 """
 
 from __future__ import annotations
@@ -64,6 +68,11 @@ __all__ = [
     "rate_study",
     "coupling_check",
 ]
+
+
+#: observations fitted in one stack: a rate study fits max(1, this // n)
+#: replications at once, which bounds the memory of the stack's fit
+_STACK_OBS = 2 ** 17
 
 
 # ---------------------------------------------------------------------------
@@ -427,31 +436,50 @@ class _SizeContext:
     def row_template(self) -> RowTemplate:
         return RowTemplate(self.u)
 
-    def responses(self, rng: np.random.Generator) -> np.ndarray:
-        """One replication's y; X is drawn first when present, then xi."""
+    @cached_property
+    def f_u0(self) -> float:
+        """The truth at the configured u0."""
+        u0 = np.asarray(self.config.u0, dtype=float)[None, :]
+        return float(self.fn(u0)[0])
+
+    def responses(self, rng: np.random.Generator,
+                  out: Optional[np.ndarray] = None) -> np.ndarray:
+        """One replication's y, written into ``out`` when given; X is drawn
+        first when present, then xi."""
         config = self.config
         y = self.f_u
         if config.design_dist is not None:
             x = sample_elliptical(config.design_dist, self.n, rng)
             y = y + x @ np.asarray(config.beta)
-        return y + sample_errors(config.error_dist, self.n, rng)
+        return np.add(y, sample_errors(config.error_dist, self.n, rng),
+                      out=out)
 
-    def replicate(self, index: int) -> ReplicationOutcome:
-        """Draw, fit and score replication ``index``."""
+    def replicate_many(self, indices, stack: np.ndarray) -> list:
+        """Draw the replications ``indices`` into the first rows of
+        ``stack``, fit them in one call and score each."""
         config = self.config
-        rng = replication_rng(config.seed, self.n, index)
-        result = self.plan.fit(self.responses(rng))
-        risk = mise(result.f_hat, self.f_grid)
-        ptw = None
+        Y = stack[:len(indices)]
+        for row, index in zip(Y, indices):
+            self.responses(replication_rng(config.seed, self.n, index),
+                           out=row)
         if config.u0 is not None:
             # The fitted function is piecewise constant on bins, so its value
             # at u0 is the estimate in the covering bin; the error is taken
             # against f at u0 itself (discretization offset included).
             pos = tuple(l - 1 for l in _covering_bin(config.u0, self.design))
-            f_u0 = float(self.fn(np.asarray(config.u0, dtype=float)[None, :])[0])
-            ptw = float((result.f_hat[pos] - f_u0) ** 2)
-        return ReplicationOutcome(mise=risk, pointwise_sq_error=ptw,
-                                  result=result)
+        outcomes = []
+        for result in self.plan.fit_many(Y):
+            ptw = None
+            if config.u0 is not None:
+                ptw = float((result.f_hat[pos] - self.f_u0) ** 2)
+            outcomes.append(ReplicationOutcome(
+                mise=mise(result.f_hat, self.f_grid), pointwise_sq_error=ptw,
+                result=result))
+        return outcomes
+
+    def replicate(self, index: int) -> ReplicationOutcome:
+        """Draw, fit and score replication ``index``: a stack of one."""
+        return self.replicate_many([index], np.empty((1, self.n)))[0]
 
 
 def run_replication(config: SimulationConfig, n: int,
@@ -514,6 +542,10 @@ def _theory_warnings(alpha: Optional[float], q: int) -> tuple:
 def rate_study(config: SimulationConfig) -> RateStudyReport:
     """Monte Carlo MISE across sample sizes with a log-log slope fit.
 
+    The replications of a sample size n are fitted in stacks of
+    max(1, 2^17 // n); every replication's fit is bit-identical to that of
+    :func:`run_replication`.
+
     Requires at least 3 sample sizes and at least 10 replications.
     """
     if len(config.sample_sizes) < 3:
@@ -522,15 +554,19 @@ def rate_study(config: SimulationConfig) -> RateStudyReport:
         raise BadValue("rate_study needs at least 10 replications")
 
     points = []
+    reps = config.replications
     for n in config.sample_sizes:
-        m = np.empty(config.replications)
-        p = np.empty(config.replications) if config.u0 is not None else None
+        m = np.empty(reps)
+        p = np.empty(reps) if config.u0 is not None else None
         ctx = _SizeContext(config, n)
-        for r in range(config.replications):
-            out = ctx.replicate(r)
-            m[r] = out.mise
-            if p is not None:
-                p[r] = out.pointwise_sq_error
+        size = min(reps, max(1, _STACK_OBS // n))
+        stack = np.empty((size, n))
+        for start in range(0, reps, size):
+            indices = range(start, min(start + size, reps))
+            for r, out in zip(indices, ctx.replicate_many(indices, stack)):
+                m[r] = out.mise
+                if p is not None:
+                    p[r] = out.pointwise_sq_error
         se = float(np.std(m, ddof=1) / np.sqrt(config.replications))
         if p is not None:
             points.append(RatePoint(

@@ -24,12 +24,18 @@ orthant that takes [2^j, 2^{j+1}) on the axes s whose bit is set in i (bit
 s of i == 1 iff numpy axis s was high-passed) and [0, 2^j) on the others;
 the low orthant recurses. Recursion stops at level j0, leaving the "gross"
 coefficients in the corner [:2^{j0}]^q.
+
+A tensor may carry leading stack axes: ``dwt_qd(..., q=k)`` transforms the
+trailing k axes of every member of the stack at once, in the same
+operations, so each member's coefficients are bit-identical to those of
+transforming it alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -177,30 +183,37 @@ class CoefficientPyramid:
     """Multiresolution coefficients of a q-dimensional dyadic tensor, held
     in one (2^J,)^q array in the Mallat layout (see the module docstring).
 
+    ``q`` counts the trailing axes of ``coeffs`` that were transformed
+    (all of them by default); any axes before them stack pyramids of the
+    same geometry, and the views below keep them.
+
     Raises
     ------
     BadShape
-        Unless every axis of ``coeffs`` has the same dyadic length 2^J.
+        Unless the trailing q axes of ``coeffs`` have the same dyadic
+        length 2^J.
     BadPrimaryLevel
         Unless 0 <= j0 < J.
     """
 
     coeffs: np.ndarray
     j0: int
+    q: Optional[int] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=float))
-        J = _check_dyadic(self.coeffs.shape)
+        coeffs = np.asarray(self.coeffs, dtype=float)
+        object.__setattr__(self, "coeffs", coeffs)
+        q = coeffs.ndim if self.q is None else self.q
+        if not 0 <= q <= coeffs.ndim:
+            raise BadShape(f"cannot transform {q} axes of shape {coeffs.shape}")
+        object.__setattr__(self, "q", q)
+        J = _check_dyadic(coeffs.shape[coeffs.ndim - q:])
         if not 0 <= self.j0 < J:
             raise BadPrimaryLevel(f"need 0 <= j0 < J={J}, got j0={self.j0}")
 
     @property
-    def q(self) -> int:
-        return self.coeffs.ndim
-
-    @property
     def J(self) -> int:
-        return self.coeffs.shape[0].bit_length() - 1
+        return self.coeffs.shape[-1].bit_length() - 1
 
     def levels(self) -> range:
         return range(self.j0, self.J)
@@ -208,13 +221,14 @@ class CoefficientPyramid:
     @property
     def gross(self) -> np.ndarray:
         """Writeable view of the level-j0 approximation, (2^{j0},)^q."""
-        return self.coeffs[(slice(0, 2 ** self.j0),) * self.q]
+        return self.coeffs[(...,) + (slice(0, 2 ** self.j0),) * self.q]
 
     def subband(self, j: int, i: int) -> np.ndarray:
         """Writeable view of detail subband i of level j, (2^j,)^q."""
         n = 2 ** j
-        return self.coeffs[tuple(slice(n, 2 * n) if i >> s & 1 else
-                                 slice(0, n) for s in range(self.q))]
+        return self.coeffs[(...,) + tuple(
+            slice(n, 2 * n) if i >> s & 1 else slice(0, n)
+            for s in range(self.q))]
 
 
 def _analysis_step(x: np.ndarray, h: np.ndarray, g: np.ndarray, axis: int):
@@ -248,22 +262,27 @@ def _synthesis_step(lo: np.ndarray, hi: np.ndarray, h: np.ndarray,
     return out
 
 
-def dwt_qd(tensor: np.ndarray, filt: WaveletFilter, j0: int) -> CoefficientPyramid:
+def dwt_qd(tensor: np.ndarray, filt: WaveletFilter, j0: int,
+           q: Optional[int] = None) -> CoefficientPyramid:
     """Full q-dimensional periodized transform down to level j0.
+
+    ``q`` names the trailing axes to transform (default: every axis); the
+    axes before them stack tensors, each transformed as if alone.
 
     Raises
     ------
     BadShape
-        Unless every axis has the same dyadic length 2^J.
+        Unless the trailing q axes have the same dyadic length 2^J.
     BadPrimaryLevel
         Unless 0 <= j0 < J.
     """
-    pyramid = CoefficientPyramid(np.array(tensor, dtype=float), j0)
+    pyramid = CoefficientPyramid(np.array(tensor, dtype=float), j0, q)
     h, g = filt.taps_scaling, filt.taps_wavelet
+    lead = pyramid.coeffs.ndim - pyramid.q
     for j in reversed(pyramid.levels()):
         n = 2 ** j
-        cube = pyramid.coeffs[(slice(0, 2 * n),) * pyramid.q]
-        for ax in range(pyramid.q):
+        cube = pyramid.coeffs[(...,) + (slice(0, 2 * n),) * pyramid.q]
+        for ax in range(lead, cube.ndim):
             lo, hi = _analysis_step(cube, h, g, ax)
             cube[_along(ax, slice(0, n))] = lo
             cube[_along(ax, slice(n, 2 * n))] = hi
@@ -271,13 +290,14 @@ def dwt_qd(tensor: np.ndarray, filt: WaveletFilter, j0: int) -> CoefficientPyram
 
 
 def idwt_qd(pyramid: CoefficientPyramid, filt: WaveletFilter) -> np.ndarray:
-    """Invert :func:`dwt_qd`; exact up to round-off."""
+    """Invert :func:`dwt_qd`, stack axes included; exact up to round-off."""
     out = pyramid.coeffs.copy()
     h, g = filt.taps_scaling, filt.taps_wavelet
+    lead = out.ndim - pyramid.q
     for j in pyramid.levels():
         n = 2 ** j
-        cube = out[(slice(0, 2 * n),) * pyramid.q]
-        for ax in reversed(range(pyramid.q)):
+        cube = out[(...,) + (slice(0, 2 * n),) * pyramid.q]
+        for ax in reversed(range(lead, cube.ndim)):
             cube[...] = _synthesis_step(cube[_along(ax, slice(0, n))],
                                         cube[_along(ax, slice(n, 2 * n))],
                                         h, g, ax)

@@ -477,3 +477,19 @@ def test_errors_in_y_raise_from_the_plan_fit(bad):
         assert str(from_plan.value) == str(from_fit.value) == (
             f"expected 289 observations in 2 dims, got u(289, 2), "
             f"y{short.shape}")
+
+
+def test_fit_many_checks_the_stack():
+    u = grid_2d(17)
+    plan = plan_fit(u)
+    Y = np.sin(2 * np.pi * u[:, 0]) + np.zeros((3, 1))
+    assert len(plan.fit_many(Y)) == 3
+    assert plan.fit_many(Y[:0]) == []
+    for bad in (Y[0], Y[:, :-1], Y[:, :, None]):
+        with pytest.raises(IncompleteGrid, match=r"got u\(289, 2\), y\("):
+            plan.fit_many(bad)
+    with pytest.raises(IncompleteGrid):
+        plan.fit(Y)
+    Y[2, 40] = np.nan
+    with pytest.raises(BadValue, match=r"response y\[2, 40\] = nan"):
+        plan.fit_many(Y)

@@ -279,6 +279,46 @@ def test_every_kind_of_path_reads_the_same(tmp_path, monkeypatch, kind,
     assert isinstance(loadtxt_sources[0], str) == (kind in ("str", "Path"))
 
 
+def read_through_pipe(data: bytes):
+    """``read_grid_csv`` of ``/dev/fd/N``, N the read end of a pipe that
+    holds ``data`` (which must fit in the pipe's buffer)."""
+    r, w = os.pipe()
+    try:
+        os.write(w, data)
+        os.close(w)
+        return read_grid_csv(f"/dev/fd/{r}")
+    finally:
+        os.close(r)
+
+
+@pytest.mark.parametrize("rows", [4, 1500])
+def test_pipe_reads_like_the_file(tmp_path, loadtxt_sources, rows):
+    # 1500 rows (about 50 KB) outlast what the header read buffers, which a
+    # second open of the pipe's path would lose
+    u = product_grid(np.arange(rows) / (rows - 1), 1)
+    y = np.random.default_rng(rows).standard_cauchy(rows)
+    path = tmp_path / "d.csv"
+    write_dataset_csv(path, u, y)
+    if rows > 4:
+        assert 8192 < path.stat().st_size < 65536
+    assert_bits_equal(read_through_pipe(path.read_bytes()),
+                      read_grid_csv(path))
+    assert not isinstance(loadtxt_sources[0], str)
+
+
+def test_pipe_body_refused_by_loadtxt_reads_line_by_line(tmp_path):
+    # a whitespace-only line sends the body to the line parser, which must
+    # not seek back in the pipe
+    body = b"u1,u2,y\n0,0,1.5\n \n0,1,-2\n1,0,3\n1,1,4\n"
+    path = tmp_path / "d.csv"
+    path.write_bytes(body)
+    assert_bits_equal(read_through_pipe(body), line_parser(path))
+    with pytest.raises(ParseError) as exc:
+        read_through_pipe(body.replace(b"0,1,-2", b"0,1,two"))
+    assert str(exc.value).startswith("/dev/fd/") \
+        and ":4: non-numeric field" in str(exc.value)
+
+
 @pytest.mark.parametrize("where", ["body", "header"])
 def test_non_utf8_byte_is_a_medwave_error(tmp_path, where):
     path = tmp_path / "d.csv"

@@ -1,10 +1,11 @@
 """Properties of the whole fit, over random designs, filters and levels."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from medwave.estimator import EstimatorConfig, fit
+from medwave.estimator import EstimatorConfig, fit, plan_fit
 from medwave.grid import bin_observations, plan_grid, product_grid
 from medwave.medians import bin_medians
 from medwave.wavelets import available_filters
@@ -83,3 +84,74 @@ def test_affine_map_of_response_maps_the_fit(case, a, c):
     moved = fit(u, a * y + c, config).f_hat
     scale = np.max(np.abs(a * base)) + abs(c)
     assert np.max(np.abs(moved - (a * base + c))) <= 1e-10 * scale
+
+
+def uneven(side, q):
+    """Whether the side^q design's axis intervals have two lengths, so its
+    bins fall into several count classes."""
+    return np.unique(plan_grid(side ** q, q).axis_lengths).size > 1
+
+
+def float_bits(x):
+    return np.float64(x).tobytes()
+
+
+def assert_results_bit_equal(got, want):
+    assert got.f_hat.shape == want.f_hat.shape
+    assert got.f_hat.tobytes() == want.f_hat.tobytes()
+    assert float_bits(got.b_hat) == float_bits(want.b_hat)
+    assert (float_bits(got.noise.h_inv_sq), float_bits(got.noise.sigma),
+            got.noise.degenerate, got.noise.source) == (
+        float_bits(want.noise.h_inv_sq), float_bits(want.noise.sigma),
+        want.noise.degenerate, want.noise.source)
+    if want.diagnostics is None:
+        assert got.diagnostics is None
+        return
+    g, w = got.diagnostics, want.diagnostics
+    assert g.blocks_per_level == w.blocks_per_level
+    assert g.zeroed_per_level == w.zeroed_per_level
+    assert g.factor_histogram.tolist() == w.factor_histogram.tolist()
+    assert float_bits(g.factor_min) == float_bits(w.factor_min)
+    assert float_bits(g.factor_mean) == float_bits(w.factor_mean)
+    assert g.total_blocks == w.total_blocks
+
+
+@st.composite
+def stack_cases(draw):
+    """A design with uneven axis intervals and a (B, n) stack of responses
+    for it, one row of which is constant; the estimator options but j0."""
+    q = draw(st.sampled_from((1, 2, 3)))
+    side = draw(st.integers(*SIDES[q]).filter(lambda s: uneven(s, q)))
+    u = product_grid(np.arange(side) / (side - 1), q)
+    B = draw(st.sampled_from((1, 2, 5)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    Y = (np.prod(np.sin(2 * np.pi * u), axis=1)
+         + rng.standard_cauchy((B, len(u))))
+    flat = draw(st.integers(0, B - 1))
+    Y[flat] = draw(st.floats(-10, 10))
+    noise = draw(st.sampled_from(("estimate", "known")))
+    options = dict(
+        noise_mode=noise,
+        known_h_inv_sq=draw(st.floats(0.1, 20.0)) if noise == "known"
+        else None,
+        shrinkage_enabled=draw(st.booleans()),
+        bias_correction=has_half_bins(side, q) and draw(st.booleans()))
+    return u, Y, flat, options
+
+
+@pytest.mark.parametrize("wavelet", available_filters())
+@settings(max_examples=20, deadline=None)
+@given(case=stack_cases())
+def test_stack_rows_fit_bit_identical_to_single_fits(wavelet, case):
+    """Row i of ``fit_many`` equals ``fit(Y[i])`` bit for bit, at every
+    valid j0; only the constant row's noise estimate is degenerate."""
+    u, Y, flat, options = case
+    for j0 in range(plan_grid(*u.shape).J):
+        plan = plan_fit(u, EstimatorConfig(wavelet=wavelet, j0=j0, **options))
+        results = plan.fit_many(Y)
+        assert len(results) == len(Y)
+        for y, got in zip(Y, results):
+            assert_results_bit_equal(got, plan.fit(y))
+        if options["noise_mode"] == "estimate":
+            assert [r.noise.degenerate for r in results] == [
+                i == flat for i in range(len(Y))]

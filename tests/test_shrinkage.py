@@ -276,6 +276,17 @@ def test_exact_factor_worked_example():
     assert diag.factor_min == 0.0
 
 
+def test_denormal_energy_block_is_zeroed_without_overflow_warning():
+    # S^2 = 1e-320 makes lambda* L / (scale S^2) overflow to inf; the
+    # factor is 0 all the same, and no RuntimeWarning escapes (the tests
+    # turn warnings into errors)
+    pyr = zero_pyramid(1, 8, 1)
+    pyr.subband(2, 1)[:] = [1e-160, 0.0, 0.0, 0.0]
+    out, diag = shrink(pyr, 4, 1.0, 2)
+    assert np.all(out.subband(2, 1) == 0.0)
+    assert diag.factor_min == 0.0
+
+
 def test_zero_energy_block_is_zeroed_and_subthreshold_clamps():
     lam = solve_lambda_star()
     pyr = zero_pyramid(1, 8, 1)
@@ -377,3 +388,42 @@ def test_config_validation():
                  (8, float("inf"), 2), (8, 1.0, 0)):
         with pytest.raises(BadValue):
             shrink(pyr, *args)
+
+
+def test_stack_is_shrunk_member_by_member():
+    # per-member noise levels; the record sums the members' counts and
+    # keeps each member's own record in ``rows``
+    x = np.random.default_rng(8).standard_normal((3, 16, 16))
+    x[1] *= 1e-3
+    pyr = dwt_qd(x, build_filter("db2"), 1, q=2)
+    levels = np.array([2.0, 0.5, 30.0])
+    out, whole = shrink(pyr, 4096, levels, 8)
+    assert len(whole.rows) == 3
+    for i, h in enumerate(levels):
+        alone, diag = shrink(CoefficientPyramid(pyr.coeffs[i], 1), 4096, h, 8)
+        assert out.coeffs[i].tobytes() == alone.coeffs.tobytes()
+        row = whole.rows[i]
+        assert (row.blocks_per_level, row.zeroed_per_level, row.total_blocks,
+                row.factor_min, row.factor_mean) == (
+            diag.blocks_per_level, diag.zeroed_per_level, diag.total_blocks,
+            diag.factor_min, diag.factor_mean)
+        assert row.factor_histogram.tolist() == diag.factor_histogram.tolist()
+    assert whole.total_blocks == sum(r.total_blocks for r in whole.rows)
+    assert isinstance(whole.total_blocks, int)
+    assert whole.zeroed_per_level == {
+        j: sum(r.zeroed_per_level.get(j, 0) for r in whole.rows)
+        for j in pyr.levels()
+        if any(j in r.zeroed_per_level for r in whole.rows)}
+    assert all(isinstance(z, int) for z in whole.zeroed_per_level.values())
+    assert whole.factor_histogram.tolist() == np.sum(
+        [r.factor_histogram for r in whole.rows], axis=0).tolist()
+
+
+def test_stack_noise_levels_are_checked():
+    pyr = CoefficientPyramid(np.zeros((3, 8, 8)), 1, q=2)
+    with pytest.raises(BadValue, match="does not match"):
+        shrink(pyr, 64, np.ones(2), 4)
+    with pytest.raises(BadValue, match="positive and finite"):
+        shrink(pyr, 64, np.array([1.0, 0.0, 1.0]), 4)
+    _, diag = shrink(pyr, 64, 1.0, 4)      # one level for every member
+    assert len(diag.rows) == 3

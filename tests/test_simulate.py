@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from medwave.errors import BadCovariance, BadValue, NonGridSampleSize, ShapeMismatch
-from medwave.estimator import EstimatorConfig, fit
+from medwave import simulate
+from medwave.estimator import EstimatorConfig, FitPlan, fit
 from medwave.simulate import (
     CouplingResult,
     DesignDist,
     ErrorDist,
+    RatePoint,
     SimulationConfig,
     available_test_functions,
     coupling_check,
@@ -502,6 +504,50 @@ def test_rate_study_matches_the_per_replication_loop():
     assert bits([row[1:] for row in got]) == bits([row[1:] for row in rows])
     assert bits([report.slope, report.pointwise_slope]) \
         == bits([slope, ptw_slope])
+
+
+def test_rate_study_stacks_match_run_replication_across_boundaries():
+    # 11 replications: one partial stack at n = 4096 (32 rows fit), 8 + 3
+    # at n = 16384 and five pairs and a single at n = 65536
+    cfg = SimulationConfig(
+        q=2, sample_sizes=(4096, 16384, 65536), replications=11, seed=20,
+        error_dist=ErrorDist("cauchy", 1.0), u0=(0.3, 0.7),
+        estimator=EstimatorConfig(wavelet="db2"))
+    assert [max(1, simulate._STACK_OBS // n) for n in cfg.sample_sizes] \
+        == [32, 8, 2]
+    report = rate_study(cfg)
+    root = np.sqrt(cfg.replications)
+    for point, n in zip(report.points, cfg.sample_sizes):
+        outs = [run_replication(cfg, n, r) for r in range(cfg.replications)]
+        m = np.array([o.mise for o in outs])
+        p = np.array([o.pointwise_sq_error for o in outs])
+        expected = RatePoint(
+            n=n, mean_mise=float(m.mean()),
+            se_mise=float(np.std(m, ddof=1) / root),
+            mean_pointwise=float(p.mean()),
+            se_pointwise=float(np.std(p, ddof=1) / root))
+        bits = lambda pt: np.array(
+            [pt.mean_mise, pt.se_mise, pt.mean_pointwise, pt.se_pointwise]
+        ).view(np.uint64).tolist()
+        assert point.n == n and bits(point) == bits(expected)
+
+
+def test_run_replication_is_a_stack_of_one(monkeypatch):
+    stacks = []
+    fit_many = FitPlan.fit_many
+
+    def recording(plan, Y):
+        stacks.append(np.shape(Y))
+        return fit_many(plan, Y)
+
+    monkeypatch.setattr(FitPlan, "fit_many", recording)
+    cfg = SimulationConfig(q=1, sample_sizes=(1024,), seed=3,
+                           error_dist=ErrorDist("gaussian", 1.0))
+    out = run_replication(cfg, 1024, 4)
+    u, y, f_grid = generate_dataset(cfg, 1024, replication_rng(3, 1024, 4))
+    assert stacks == [(1, 1024)]
+    assert out.result.f_hat.tobytes() == fit(u, y, cfg.estimator).f_hat.tobytes()
+    assert out.mise == mise(out.result.f_hat, f_grid)
 
 
 def test_rate_study_checks_u_once_per_size(monkeypatch):

@@ -385,3 +385,29 @@ def test_pyramid_validate_catches_corruption():
         CoefficientPyramid(np.zeros((8, 8)), -1)
     pyr = CoefficientPyramid(np.zeros((8, 8)), 1)
     assert (pyr.q, pyr.J, list(pyr.levels())) == (2, 3, [1, 2])
+
+
+@pytest.mark.parametrize("name", ["haar", "db2", "db4"])
+def test_stacked_transform_is_each_member_alone(name):
+    # the trailing q axes are transformed; the leading axis stacks members
+    filt = build_filter(name)
+    x = np.random.default_rng(7).standard_cauchy((3, 16, 16))
+    pyr = dwt_qd(x, filt, 1, q=2)
+    assert (pyr.q, pyr.J, list(pyr.levels())) == (2, 4, [1, 2, 3])
+    assert pyr.gross.shape == (3, 2, 2)
+    assert pyr.subband(2, 3).shape == (3, 4, 4)
+    back = idwt_qd(pyr, filt)
+    for i in range(3):
+        alone = dwt_qd(x[i], filt, 1)
+        assert pyr.coeffs[i].tobytes() == alone.coeffs.tobytes()
+        assert back[i].tobytes() == idwt_qd(alone, filt).tobytes()
+
+
+def test_stacked_shape_errors():
+    filt = build_filter("haar")
+    with pytest.raises(BadShape):
+        dwt_qd(np.zeros((3, 4, 8)), filt, 0, q=2)
+    with pytest.raises(BadShape):
+        dwt_qd(np.zeros((3, 8)), filt, 0, q=3)
+    with pytest.raises(BadPrimaryLevel):
+        dwt_qd(np.zeros((5, 8)), filt, 3, q=1)
