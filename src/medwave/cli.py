@@ -128,7 +128,7 @@ def _run_estimate(args) -> int:
         if args.strict:
             return 3
 
-    table = evaluate_on_grid(result, design)
+    table = evaluate_on_grid(result)
     if args.output:
         write_estimate_csv(args.output, table)
     else:

@@ -8,10 +8,11 @@ A fit runs in two steps. :func:`plan_fit` takes the design points u alone:
 3. build the wavelet filter and fix the primary level j0 and the block
    size L.
 
-:meth:`FitPlan.fit` then takes one response vector y, and
-:meth:`FitPlan.fit_many` a (B, n) stack of them:
+:meth:`FitPlan.fit_many` then takes a (B, n) stack of response vectors,
+and runs every step below once for the whole stack, each array operation
+taking every member:
 
-4. check y and scatter it into grid order,
+4. check the stack and scatter it into grid order,
 5. take per-bin medians Q (and half-bin medians for the bias estimate),
 6. estimate the noise level 1/h^2(0) from paired medians (or accept a
    known value),
@@ -20,12 +21,10 @@ A fit runs in two steps. :func:`plan_fit` takes the design points u alone:
 8. block-James-Stein shrink the detail coefficients,
 9. reconstruct, rescale by sqrt(V), and subtract the global bias estimate.
 
-:func:`fit` is the two in one call. A plan can be reused for any number of
-response vectors on the same u; each result is bit-identical to that of a
-fresh :func:`fit`. A stack runs steps 4-9 once for all its members, every
-array operation taking the whole stack, which saves the per-call cost of
-many small fits; each member's result is bit-identical to fitting it
-alone, and :meth:`FitPlan.fit` is the stack of one.
+:meth:`FitPlan.fit` fits one response vector as a stack of one, and
+:func:`fit` is :func:`plan_fit` and :meth:`FitPlan.fit` in one call. A plan
+serves any number of stacks on the same u, and each member's result is
+bit-identical to a fresh :func:`fit` of it.
 
 With shrinkage disabled and the bias term forced to zero, steps 7-9 are an
 exact round trip: f_hat equals the bin-median tensor Q to round-off.
@@ -36,14 +35,14 @@ The reconstruction lives on the V grid points (l1/T, ..., lq/T); use
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .errors import BadPrimaryLevel, BadValue, ShapeMismatch
-from .grid import (BinnedData, GridDesign, bin_observations, plan_grid,
-                   product_grid, responses_mismatch)
+from .grid import (BinnedData, GridDesign, _check_finite, bin_observations,
+                   plan_grid, product_grid, responses_mismatch)
 from .medians import (
     NOISE_FLOOR,
     MedianSummary,
@@ -196,15 +195,21 @@ class FitPlan:
         return self.binned.design
 
     def fit(self, y: np.ndarray) -> FitResult:
-        """Run the pipeline on responses ``y``, in the row order of u.
+        """Run the pipeline on the (n,) responses ``y``, in the row order
+        of u: ``fit_many(y[None])[0]``.
 
         Deterministic: identical responses produce bit-identical results,
         equal to those of :func:`fit` on (u, y).
         """
-        if np.ndim(y) != 1:
-            raise responses_mismatch(self.design, np.shape(y))
-        binned = self.binned.with_responses(y)
-        return self._fit_stack(replace(binned, y_grid=binned.y_grid[None]))[0]
+        y = np.asarray(y, dtype=float)
+        if y.shape != (self.design.n,):
+            raise responses_mismatch(self.design, y.shape)
+        try:
+            return self.fit_many(y[None])[0]
+        except BadValue:
+            # name a non-finite response y[i], not y[0, i] of the stack
+            _check_finite("y", "response", y)
+            raise
 
     def fit_many(self, Y: np.ndarray) -> list:
         """Fit every row of the (B, n) stack ``Y``, each in the row order
@@ -218,15 +223,11 @@ class FitPlan:
         IncompleteGrid
             If ``Y`` is not a (B, n) array.
         """
-        if np.ndim(Y) != 2:
-            raise responses_mismatch(self.design, np.shape(Y))
         binned = self.binned.with_responses(Y)
-        return self._fit_stack(binned) if len(Y) else []
-
-    def _fit_stack(self, binned: BinnedData) -> list:
-        """Steps 5-9 on the (B,) + (m+1,)*q stack ``binned.y_grid``."""
         config, design = self.config, self.design
         n, B = design.n, binned.y_grid.shape[0]
+        if not B:
+            return []
         summary = bin_medians(binned)
         b_hat = (bias_correction(summary) if config.bias_correction
                  else np.zeros(B))
@@ -238,7 +239,7 @@ class FitPlan:
             f_hat = summary.q_full - _per_member(b_hat, design.q)
         else:
             pyramid = dwt_qd(summary.q_full / np.sqrt(design.V), self.filt,
-                             self.j0, design.q)
+                             self.j0)
             if config.shrinkage_enabled:
                 pyramid, stack = shrink(
                     pyramid, n, np.array([e.h_inv_sq for e in noise]), self.L)
@@ -270,9 +271,14 @@ def plan_fit(u: np.ndarray,
     if u.ndim == 1:
         u = u[:, None]
     n, q = u.shape
+    return _plan_on(u, plan_grid(n, q), config)
 
-    design = plan_grid(n, q)
-    binned = bin_observations(u, None, design)
+
+def _plan_on(u: np.ndarray, design: GridDesign,
+             config: EstimatorConfig) -> FitPlan:
+    """:func:`plan_fit` of the (n, q) ``u`` on its ``design``, which the
+    plan keeps (a rate study's sample size shares one design)."""
+    binned = bin_observations(u, design)
     # the median classes, built before any response array: built mid-fit,
     # they were kept between its large temporaries and raised the peak RSS
     design.median_selections
@@ -283,7 +289,7 @@ def plan_fit(u: np.ndarray,
         if config.shrinkage_enabled:
             L = (config.block_cardinality
                  if config.block_cardinality is not None
-                 else default_block_cardinality(n))
+                 else default_block_cardinality(design.n))
     return FitPlan(config=config, binned=binned, filt=filt, j0=j0, L=L)
 
 
@@ -299,16 +305,13 @@ def fit(u: np.ndarray, y: np.ndarray,
     return plan_fit(u, config).fit(y)
 
 
-def evaluate_on_grid(result: FitResult, design: GridDesign) -> np.ndarray:
-    """Enumerate the estimate at the V grid points in lexicographic order.
+def evaluate_on_grid(result: FitResult) -> np.ndarray:
+    """Enumerate the estimate at the V grid points of ``result.design`` in
+    lexicographic order.
 
     Returns an array of shape (V, q+1): q coordinate columns (l/T per axis)
     followed by the estimate value.
     """
-    if result.f_hat.shape != design.tensor_shape():
-        raise ShapeMismatch(
-            f"result shape {result.f_hat.shape} does not match design "
-            f"{design.tensor_shape()}"
-        )
+    design = result.design
     coords = product_grid(np.arange(1, design.T + 1) / design.T, design.q)
     return np.column_stack([coords, result.f_hat.ravel()])

@@ -41,10 +41,9 @@ lexicographic grid order, an (m+1,)*q array. Every axis interval is a run
 of consecutive grid points, so a bin is a product of such runs and its
 members follow from the interval starts and lengths alone. No bin is empty:
 T^q <= n^(3/4) < n gives T < m+1, and every axis interval holds at least
-one grid point. The checks and the grid code depend on u alone, so a u
-binned once without responses bins any number of response vectors
-(:meth:`BinnedData.with_responses`), or a stack of them at once: each
-member is scattered on its own, by the same 1-D scatter.
+one grid point. The checks and the grid code depend on u alone, so u is
+binned once, without responses, and :meth:`BinnedData.with_responses`
+scatters a (B, n) stack of response vectors, one 1-D scatter per member.
 """
 
 from __future__ import annotations
@@ -176,14 +175,14 @@ def product_grid(axis: np.ndarray, q: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BinnedData:
-    """Responses in lexicographic grid order, shape (m+1,)*q, or a stack
-    of them, shape (B,) + (m+1,)*q.
+    """A stack of B response vectors in lexicographic grid order, shape
+    (B,) + (m+1,)*q.
 
-    ``y_grid[i1, ..., iq]`` is the response at (i1/m, ..., iq/m); the bins
-    are products of the design's axis intervals. ``grid_code[i]`` is the
-    flat grid position of row i of the checked u, so the same u bins any
-    number of response vectors through :meth:`with_responses`. ``y_grid``
-    is None when u was binned without responses.
+    ``y_grid[b, i1, ..., iq]`` is member b's response at
+    (i1/m, ..., iq/m); the bins are products of the design's axis
+    intervals. ``grid_code[i]`` is the flat grid position of row i of the
+    checked u, so the same u bins any number of stacks through
+    :meth:`with_responses`. ``y_grid`` is None until then.
     """
 
     design: GridDesign
@@ -199,29 +198,26 @@ class BinnedData:
         return reduce(np.multiply.outer, [lengths] * self.design.q)
 
     def with_responses(self, y: np.ndarray) -> BinnedData:
-        """Check responses ``y``, given in the row order of u, and put them
-        in grid order: an (n,) vector, or a (B, n) stack of them, which
-        gives a (B,) + (m+1,)*q ``y_grid``.
+        """Check a (B, n) stack of responses ``y``, each row in the row
+        order of u, and put it in grid order.
 
         Raises
         ------
         IncompleteGrid
-            If ``y`` is neither an (n,) vector nor a (B, n) stack.
+            If ``y`` is not a (B, n) stack.
         BadValue
             If some response is NaN or infinite; names the first one.
         """
         d = self.design
         y = np.asarray(y, dtype=float)
-        if y.shape[-1:] != (d.n,) or y.ndim > 2:
+        if y.ndim != 2 or y.shape[1] != d.n:
             raise responses_mismatch(d, y.shape)
         _check_finite("y", "response", y)
-        y_grid = np.empty(y.shape)
+        y_grid = np.empty((len(y),) + (d.m + 1,) * d.q)
         # one 1-D scatter per member: faster than a 2-D fancy assignment
-        for member, values in zip(y_grid.reshape(-1, d.n),
-                                  y.reshape(-1, d.n)):
+        for member, values in zip(y_grid.reshape(y.shape), y):
             member[self.grid_code] = values
-        return replace(self, y_grid=y_grid.reshape(y.shape[:-1]
-                                                   + (d.m + 1,) * d.q))
+        return replace(self, y_grid=y_grid)
 
 
 def responses_mismatch(design: GridDesign, shape: tuple) -> IncompleteGrid:
@@ -240,17 +236,10 @@ def _check_finite(name: str, what: str, arr: np.ndarray) -> None:
             f"finite (rows count from 0); every {what} must be finite")
 
 
-def bin_observations(u: np.ndarray, y: Optional[np.ndarray],
-                     design: GridDesign) -> BinnedData:
-    """Check a grid sample and put its responses in grid order.
-
-    Parameters
-    ----------
-    u : array (n, q)
-        Covariate locations; every row must lie on the design grid.
-    y : array (n,) or None
-        Responses. With None, only u is checked; the result carries its
-        grid code and no responses.
+def bin_observations(u: np.ndarray, design: GridDesign) -> BinnedData:
+    """Check the (n, q) covariate locations ``u`` of a grid sample and fix
+    the grid position of each row; the result carries no responses (see
+    :meth:`BinnedData.with_responses`).
 
     u is checked in blocks of ``_BLOCK_ROWS`` rows: each coordinate is
     screened on u*m at half the tolerance, and the exact off-grid test runs
@@ -261,16 +250,15 @@ def bin_observations(u: np.ndarray, y: Optional[np.ndarray],
     Raises
     ------
     BadValue
-        If some coordinate or response is NaN or infinite; names the first
-        such entry. A non-finite coordinate is reported before any other
-        fault of u.
+        If some coordinate is NaN or infinite; names the first one, before
+        any other fault of u.
     OffGridPoint
         If some coordinate is farther than 1e-9 from a multiple of 1/m
         (names the farthest), or rounds to a grid index outside [0, m].
     IncompleteGrid
         If any grid point appears more than once (names the most repeated
         one; as u has n rows, a missing point always comes with a repeated
-        one), or the shapes do not match the design.
+        one), or the shape of u does not match the design.
     """
     u = np.asarray(u, dtype=float)
     if u.ndim == 1:
@@ -279,8 +267,7 @@ def bin_observations(u: np.ndarray, y: Optional[np.ndarray],
     if n != design.n or q != design.q:
         raise IncompleteGrid(
             f"expected {design.n} observations in {design.q} dims, "
-            f"got u{u.shape}" + ("" if y is None else f", y{np.shape(y)}")
-        )
+            f"got u{u.shape}")
     m = design.m
     place = float(m + 1) ** np.arange(q - 1, -1, -1)
     grid_code = np.empty(n, dtype=np.int64)
@@ -308,8 +295,7 @@ def bin_observations(u: np.ndarray, y: Optional[np.ndarray],
         _raise_u_fault(u, m)
 
     # grid_code is now a permutation of range(n)
-    binned = BinnedData(design=design, y_grid=None, grid_code=grid_code)
-    return binned if y is None else binned.with_responses(y)
+    return BinnedData(design=design, y_grid=None, grid_code=grid_code)
 
 
 def _raise_u_fault(u: np.ndarray, m: int) -> NoReturn:

@@ -1,6 +1,7 @@
 """Per-bin sample medians and the two statistics derived from them.
 
-Given the binned responses, three quantities feed the estimation pipeline:
+Given a stack of binned response vectors, three quantities per member feed
+the estimation pipeline:
 
 * ``Q`` — the tensor of per-bin medians (the robust surrogate for local
   level of the regression function),
@@ -36,13 +37,8 @@ their points. The half-bins, which take the same length
 floor((m+1)/(2T)) on every axis, are always one class. These selections
 depend on the design alone: they are built once, by the fit plan or on
 first use, and kept on the :class:`GridDesign` (``median_selections``).
-A fit then makes one copy per class with one row per bin, sorts the rows
-in place, and their middle values are the medians.
-
-Responses may come as a stack, one set of grid-ordered responses per
-member along a leading axis. The medians, the bias and the noise level are
-then taken for every member at once, in the same operations, so each
-member's values are bit-identical to those of taking it alone.
+A fit then makes one copy per class with one row per bin and stack
+member, sorts the rows in place, and their middle values are the medians.
 """
 
 from __future__ import annotations
@@ -72,8 +68,8 @@ NOISE_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class MedianSummary:
-    """Medians of every bin and half-bin, as (T,)*q tensors in C order,
-    or as stacks of them along one leading axis.
+    """Medians of every bin and half-bin of B stack members, as
+    (B,) + (T,)*q stacks of tensors in C order.
 
     ``q_half`` is None when the half-bins are empty: only the bias
     correction reads it, and it raises then.
@@ -84,20 +80,15 @@ class MedianSummary:
     q_half: Optional[np.ndarray]
 
     def __post_init__(self):
-        shape = self.design.tensor_shape()
         full_shape = self.q_full.shape
-        if len(full_shape) == len(shape) + 1:
-            shape = full_shape[:1] + shape
+        shape = full_shape[:1] + self.design.tensor_shape()
         half_shape = shape if self.q_half is None else self.q_half.shape
         if full_shape != shape or half_shape != shape:
             raise ShapeMismatch(
-                f"median tensors must have shape {shape}, got "
-                f"{full_shape} / {half_shape}"
+                f"median tensors must have shape (B,) + "
+                f"{self.design.tensor_shape()}, got {full_shape} / "
+                f"{half_shape}"
             )
-
-    @property
-    def stacked(self) -> bool:
-        return self.q_full.ndim > self.design.q
 
 
 @dataclass(frozen=True)
@@ -168,21 +159,19 @@ def median_selections(design: GridDesign) -> tuple:
 
 def _interval_medians(y_grid: np.ndarray, classes: list,
                       shape: tuple) -> np.ndarray:
-    """Median over every bin of the count ``classes``, as a tensor of
-    ``shape`` (after the stack axis of ``y_grid``, if it has one). Each
-    class is selected axis by axis, then one copy lays it out as
-    (stack, bins..., count) rows, which are sorted in place. The copy is
-    needed even where the selection is a view, so ``y_grid`` is never
-    sorted."""
+    """Median over every bin of the count ``classes``, as a (B,) + ``shape``
+    stack for the (B,) + (m+1,)*q stack ``y_grid``. Each class is selected
+    axis by axis, then one copy lays it out as (stack, bins..., count)
+    rows, which are sorted in place. The copy is needed even where the
+    selection is a view, so ``y_grid`` is never sorted."""
     q = len(shape)
-    s = y_grid.ndim - q         # 1 with a stack axis, else 0
-    out = np.empty(y_grid.shape[:s] + shape)
+    out = np.empty(y_grid.shape[:1] + shape)
     for axes, index in classes:
         block = y_grid
         for a, (k, length, sel, step) in enumerate(axes):
-            # axis s + 2a becomes the class's k intervals, s + 2a + 1 their
+            # axis 1 + 2a becomes the class's k intervals, 2 + 2a their
             # points
-            at = s + 2 * a
+            at = 1 + 2 * a
             lead = (slice(None),) * at
             head, tail = block.shape[:at], block.shape[at + 1:]
             if step is None:
@@ -193,16 +182,16 @@ def _interval_medians(y_grid: np.ndarray, classes: list,
                 block = block[lead + (slice(None), slice(0, length))]
         # (stack, k1, L1, ..., kq, Lq) -> one C-order copy of
         # (stack, k1..kq, L1..Lq)
-        rows = block.transpose([*range(s), *range(s, s + 2 * q, 2),
-                                *range(s + 1, s + 2 * q, 2)]).copy()
-        out[(slice(None),) * s + index] = _row_medians(
-            rows.reshape(rows.shape[:s + q] + (-1,)))
+        rows = block.transpose([0, *range(1, 2 * q, 2),
+                                *range(2, 2 * q + 1, 2)]).copy()
+        out[(slice(None),) + index] = _row_medians(
+            rows.reshape(rows.shape[:1 + q] + (-1,)))
     return out
 
 
 def bin_medians(binned: BinnedData) -> MedianSummary:
-    """Compute the bin-median tensor Q and the half-bin tensor Q*, with the
-    stack axis of ``binned.y_grid`` if it has one.
+    """Compute the bin-median tensor Q and the half-bin tensor Q* of every
+    member of the stack ``binned.y_grid``.
 
     Q* is left as None when the half-bins are empty, which happens on every
     design with fewer than 2T points per axis. The count classes are those
@@ -216,14 +205,9 @@ def bin_medians(binned: BinnedData) -> MedianSummary:
     return MedianSummary(design=design, q_full=q_full, q_half=q_half)
 
 
-def _member_rows(summary: MedianSummary, tensor: np.ndarray) -> np.ndarray:
-    """``tensor`` as (members, V) rows in C order: one row unstacked."""
-    return tensor.reshape(-1, summary.design.V)
-
-
-def bias_correction(summary: MedianSummary):
-    """Global scalar bias estimate: mean over bins of (Q* - Q); for a
-    stacked summary, an array with one estimate per member.
+def bias_correction(summary: MedianSummary) -> np.ndarray:
+    """Global bias estimate of each member, the mean over its bins of
+    (Q* - Q): a (B,) array.
 
     Raises
     ------
@@ -234,14 +218,13 @@ def bias_correction(summary: MedianSummary):
         # every axis interval has the same half length floor((m+1)/(2T)),
         # so the half-bins are empty all at once and the first is (1,...,1)
         raise EmptyBin(f"half-bin {(1,) * summary.design.q} is empty")
-    b = np.mean(_member_rows(summary, summary.q_half - summary.q_full),
-                axis=1)
-    return b if summary.stacked else float(b[0])
+    return np.mean((summary.q_half - summary.q_full).reshape(
+        -1, summary.design.V), axis=1)
 
 
-def estimate_noise_level(summary: MedianSummary):
-    """Estimate 1/h^2(0) from lexicographically paired bin medians; for a
-    stacked summary, a list with one estimate per member.
+def estimate_noise_level(summary: MedianSummary) -> list:
+    """Estimate 1/h^2(0) of each member from its lexicographically paired
+    bin medians: a list of B estimates.
 
     The estimate tracks 4 kappa Var(median of kappa draws), not h^{-2}(0)
     itself: the two agree only as kappa -> infinity. For Cauchy errors at
@@ -256,7 +239,7 @@ def estimate_noise_level(summary: MedianSummary):
     design = summary.design
     if design.V < 2:
         raise DegenerateNoise("need at least two bins to estimate noise")
-    flat = _member_rows(summary, summary.q_full)  # C order == lexicographic
+    flat = summary.q_full.reshape(-1, design.V)  # C order == lexicographic
     pairs = design.V // 2
     diffs = flat[:, 0:2 * pairs:2] - flat[:, 1:2 * pairs:2]
     raws = (2.0 * design.kappa / pairs) * np.sum(diffs * diffs, axis=1)
@@ -267,7 +250,7 @@ def estimate_noise_level(summary: MedianSummary):
         noise.append(NoiseEstimate(
             h_inv_sq=h_inv_sq, sigma=float(np.sqrt(h_inv_sq) / (2.0 * root_n)),
             degenerate=raw < NOISE_FLOOR, source="estimate"))
-    return noise if summary.stacked else noise[0]
+    return noise
 
 
 def known_noise_level(h_inv_sq: float, n: int) -> NoiseEstimate:

@@ -1,9 +1,12 @@
 """Block James-Stein shrinkage of detail coefficients.
 
-:func:`shrink` is the one entry point: the rule depends only on the sample
-size n, the noise level h_inv_sq = 1/hhat^2(0), the target block size L and
-the constant lambda*. Detail subbands are tiled by :func:`partition_blocks`
-into axis-aligned hypercube blocks of side len = max(1, floor(L^{1/q})).
+:func:`shrink` is the one entry point. It shrinks a stack of pyramids
+(see :class:`medwave.wavelets.CoefficientPyramid`), each member with its
+own noise level, in the same array operations. The rule depends only on
+the sample size n, the noise level h_inv_sq = 1/hhat^2(0), the target
+block size L and the constant lambda*. Detail subbands are tiled by
+:func:`partition_blocks` into axis-aligned hypercube blocks of side
+len = max(1, floor(L^{1/q})).
 The tiling of level j is one array of tile starts, arange(0, 2^j, len),
 shared by every axis and every subband of the level; the last tile of an
 axis is truncated at 2^j, so a subband with at most L coefficients forms a
@@ -25,11 +28,6 @@ the level's starts followed by 2^j plus them. What depends on the tiling
 alone (those starts, lambda* L_B, the coarse corner's mask and the index
 that spreads each factor over its block) is built once per level size, q
 and tiling, memoized read-only; a call computes only energies and factors.
-
-A stack of pyramids (see :class:`medwave.wavelets.CoefficientPyramid`) is
-shrunk in one call, each member with its own noise level: the same
-operations run on every member at once, so each member's coefficients and
-record are bit-identical to those of shrinking it alone.
 """
 
 from __future__ import annotations
@@ -111,12 +109,12 @@ def _level_tiles(size: int, q: int, tiles: tuple) -> tuple:
 
 @dataclass
 class ShrinkageDiagnostics:
-    """What the shrinkage step did, per level and overall.
+    """What the shrinkage step did to one pyramid, per level and overall.
 
-    For a stack of pyramids the counts and the histogram are summed over
-    the stack, the minimum and the mean taken over all its factors, and
-    ``rows`` holds the record of each member in C order (empty for a
-    single pyramid).
+    The record that :func:`shrink` returns beside the shrunk stack sums the
+    counts and the histogram over the stack, takes the minimum and the mean
+    over all its factors, and holds the record of each member in ``rows``
+    (empty in a member's own record).
     """
 
     blocks_per_level: dict
@@ -153,20 +151,24 @@ def _records(factors: dict) -> list:
         every.mean(axis=1).tolist()))]
 
 
-def shrink(pyramid: CoefficientPyramid, n: int, h_inv_sq, L: int):
-    """Apply the block James-Stein rule; returns (new pyramid, diagnostics).
+def shrink(pyramid: CoefficientPyramid, n: int, h_inv_sq: np.ndarray,
+           L: int):
+    """Apply the block James-Stein rule to a stack of B pyramids; returns
+    (new pyramid, record summed over the stack).
 
-    ``n`` is the sample size, ``h_inv_sq`` the noise level 1/hhat^2(0) and
-    ``L`` the target block size; the blocks are those of
-    :func:`partition_blocks`. The gross coefficients are passed through
-    bit-identically; every detail block is multiplied by its factor c_B
-    (with S_B^2 = 0 forcing c_B = 0). For a stack of pyramids,
-    ``h_inv_sq`` is one level for all or an array of the stack's shape.
+    ``n`` is the sample size, ``h_inv_sq`` the (B,) noise levels
+    1/hhat^2(0), one per member, and ``L`` the target block size; the
+    blocks are those of :func:`partition_blocks`. The gross coefficients
+    are passed through bit-identically; every detail block is multiplied
+    by its factor c_B (with S_B^2 = 0 forcing c_B = 0). Each member's own
+    record is in the summed record's ``rows``; the sum itself is kept only
+    for the benchmark tracer's counters (``perfbench/spans.py``).
 
     Raises
     ------
     BadValue
-        If n < 1, L < 1, or some h_inv_sq is not positive and finite.
+        If n < 1, L < 1, ``h_inv_sq`` is not a (B,) array, or some
+        h_inv_sq is not positive and finite.
     """
     if L < 1:
         raise BadValue("block_cardinality must be >= 1")
@@ -174,11 +176,10 @@ def shrink(pyramid: CoefficientPyramid, n: int, h_inv_sq, L: int):
         raise BadValue("n must be >= 1")
     q = pyramid.q
     out = pyramid.coeffs.copy()
-    lead = out.ndim - q
     h_inv_sq = np.asarray(h_inv_sq, dtype=float)
-    if h_inv_sq.shape not in ((), out.shape[:lead]):
+    if h_inv_sq.shape != out.shape[:1]:
         raise BadValue(f"h_inv_sq of shape {h_inv_sq.shape} does not match "
-                       f"the stack {out.shape[:lead]}")
+                       f"the stack {out.shape[:1]}")
     if not (np.isfinite(h_inv_sq) & (h_inv_sq > 0)).all():
         raise BadValue("h_inv_sq must be positive and finite")
     partition = partition_blocks(pyramid, L)
@@ -191,7 +192,7 @@ def shrink(pyramid: CoefficientPyramid, n: int, h_inv_sq, L: int):
             size, q, tuple(partition[j].tolist()))
         cube = out[(...,) + (slice(0, 2 * size),) * q]
         s2 = cube * cube
-        for ax in range(lead, out.ndim):
+        for ax in range(1, out.ndim):
             s2 = np.add.reduceat(s2, starts, axis=ax)
         # a tiny S_B^2 overflows the quotient to inf, and c_B to 0
         with np.errstate(divide="ignore", over="ignore"):
@@ -202,9 +203,6 @@ def shrink(pyramid: CoefficientPyramid, n: int, h_inv_sq, L: int):
         factors[j] = c[..., detail]
         cube *= c[(...,) + expand]
 
-    shrunk = CoefficientPyramid(out, pyramid.j0, q)
     whole = _records({j: f.reshape(1, -1) for j, f in factors.items()})[0]
-    if lead:
-        whole.rows = tuple(_records(
-            {j: f.reshape(-1, f.shape[-1]) for j, f in factors.items()}))
-    return shrunk, whole
+    whole.rows = tuple(_records(factors))
+    return CoefficientPyramid(out, pyramid.j0), whole

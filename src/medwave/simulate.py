@@ -20,10 +20,10 @@ Reproducibility: every replication derives its own numpy Generator from the
 tuple (seed, n, replication index); nothing touches global RNG state, and
 identical triples give bit-identical datasets. Everything that depends on
 the sample size alone is made once per n and shared by its replications:
-the design points u, the truth f at them and at the V estimation points,
-the fit plan of u (the grid checks, the filter, j0 and L) and the row
-template that ``medwave simulate`` fills to write each dataset (the text of
-u). Each replication draws only its X and xi, from its own generator, and
+the grid design, the design points u, the truth f at them and at the V
+estimation points, the fit plan of u on that design (the grid checks, the
+median classes, the filter, j0 and L) and the row template that
+``medwave simulate`` fills to write each dataset (the text of u). Each replication draws only its X and xi, from its own generator, and
 is written through that template, or fitted through that plan. A rate
 study fits its replications in stacks of up to 2^17 observations
 (max(1, 2^17 // n) replications): each replication's responses fill one
@@ -43,9 +43,10 @@ import numpy as np
 
 from .dataio import RowTemplate
 from .errors import BadCovariance, BadValue, ShapeMismatch, UnknownDensityValue
+from .estimator import EstimatorConfig, FitPlan, FitResult, _plan_on
 # ``fit`` is not called here; it stays bound because the benchmark tracer's
 # tests (perfbench/test_checks.py) check that every binding of it is wrapped.
-from .estimator import EstimatorConfig, FitPlan, FitResult, fit, plan_fit  # noqa: F401
+from .estimator import fit  # noqa: F401
 from .grid import GridDesign, plan_grid, product_grid
 from .medians import _row_medians
 
@@ -410,11 +411,11 @@ class ReplicationOutcome:
 class _SizeContext:
     """What every replication at one sample size n shares.
 
-    The design points ``u`` (n, q), the truth ``f_u`` at them, the V
-    estimation points ``grid_points`` (V, q) with the truth ``f_grid`` on
-    them as a (T,)*q tensor, and, made on first use, the fit plan of u and
-    the row template of u for writing datasets. Replications draw only
-    their X and xi.
+    The ``design``, the design points ``u`` (n, q), the truth ``f_u`` at
+    them, the V estimation points ``grid_points`` (V, q) with the truth
+    ``f_grid`` on them as a (T,)*q tensor, and, made on first use, the fit
+    plan of u on that same design and the row template of u for writing
+    datasets. Replications draw only their X and xi.
     """
 
     def __init__(self, config: SimulationConfig, n: int):
@@ -430,7 +431,7 @@ class _SizeContext:
 
     @cached_property
     def plan(self) -> FitPlan:
-        return plan_fit(self.u, self.config.estimator)
+        return _plan_on(self.u, self.design, self.config.estimator)
 
     @cached_property
     def row_template(self) -> RowTemplate:

@@ -15,27 +15,22 @@ relations), so Parseval and perfect reconstruction hold to round-off at any
 primary level j0 >= 0. The inverse step adds tap k's h[k] a + g[k] d into
 the output phase k mod 2 at a circular shift of k//2: two slice adds.
 
-In q dimensions the transform is stored in place, in the standard Mallat
-layout: one (2^J,)^q array. Level j (from J-1 down to j0) works on the cube
-c[:2^{j+1}, ..., :2^{j+1}] and applies the 1-D step along every axis in
-turn, writing the low half of each axis to [0, 2^j) and the high half to
-[2^j, 2^{j+1}). Detail subband i (1 <= i <= 2^q - 1) of level j is the
-orthant that takes [2^j, 2^{j+1}) on the axes s whose bit is set in i (bit
-s of i == 1 iff numpy axis s was high-passed) and [0, 2^j) on the others;
-the low orthant recurses. Recursion stops at level j0, leaving the "gross"
+The transform takes a stack of B q-dimensional tensors, a (B,) + (2^J,)^q
+array, and transforms every member at once, in place, each in the standard
+Mallat layout. Level j (from J-1 down to j0) works on the member's cube
+c[:2^{j+1}, ..., :2^{j+1}] and applies the 1-D step along each of its q
+axes in turn, writing the low half of each axis to [0, 2^j) and the high
+half to [2^j, 2^{j+1}). Detail subband i (1 <= i <= 2^q - 1) of level j
+is the orthant that takes [2^j, 2^{j+1}) on the axes s whose bit is set in
+i (bit s of i == 1 iff the member's axis s was high-passed) and [0, 2^j)
+on the others; the low orthant recurses. Recursion stops at level j0, leaving the "gross"
 coefficients in the corner [:2^{j0}]^q.
-
-A tensor may carry leading stack axes: ``dwt_qd(..., q=k)`` transforms the
-trailing k axes of every member of the stack at once, in the same
-operations, so each member's coefficients are bit-identical to those of
-transforming it alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -161,12 +156,13 @@ def default_primary_level(filt: WaveletFilter) -> int:
 
 
 def _check_dyadic(shape: tuple) -> int:
-    """Return J for a (2^J,)^q shape, raising BadShape otherwise."""
-    if len(shape) == 0:
-        raise BadShape("scalar input has no axes to transform")
-    N = shape[0]
-    if any(s != N for s in shape):
-        raise BadShape(f"axes must have equal length, got {shape}")
+    """Return J for a (B,) + (2^J,)^q stack shape with q >= 1, raising
+    BadShape otherwise."""
+    if len(shape) < 2:
+        raise BadShape(f"need a (B,) + (2^J,)^q stack, got shape {shape}")
+    N = shape[1]
+    if any(s != N for s in shape[1:]):
+        raise BadShape(f"axes must have equal length, got {shape[1:]}")
     J = N.bit_length() - 1
     if N < 1 or 2 ** J != N:
         raise BadShape(f"axis length {N} is not a power of two")
@@ -180,36 +176,31 @@ def _along(axis: int, index) -> tuple:
 
 @dataclass(frozen=True)
 class CoefficientPyramid:
-    """Multiresolution coefficients of a q-dimensional dyadic tensor, held
-    in one (2^J,)^q array in the Mallat layout (see the module docstring).
-
-    ``q`` counts the trailing axes of ``coeffs`` that were transformed
-    (all of them by default); any axes before them stack pyramids of the
-    same geometry, and the views below keep them.
+    """Multiresolution coefficients of a stack of B q-dimensional dyadic
+    tensors, held in one (B,) + (2^J,)^q array, each member in the Mallat
+    layout (see the module docstring); q = ``coeffs.ndim - 1``.
 
     Raises
     ------
     BadShape
-        Unless the trailing q axes of ``coeffs`` have the same dyadic
-        length 2^J.
+        Unless ``coeffs`` is a (B,) + (2^J,)^q stack with q >= 1.
     BadPrimaryLevel
         Unless 0 <= j0 < J.
     """
 
     coeffs: np.ndarray
     j0: int
-    q: Optional[int] = None
 
     def __post_init__(self):
         coeffs = np.asarray(self.coeffs, dtype=float)
         object.__setattr__(self, "coeffs", coeffs)
-        q = coeffs.ndim if self.q is None else self.q
-        if not 0 <= q <= coeffs.ndim:
-            raise BadShape(f"cannot transform {q} axes of shape {coeffs.shape}")
-        object.__setattr__(self, "q", q)
-        J = _check_dyadic(coeffs.shape[coeffs.ndim - q:])
+        J = _check_dyadic(coeffs.shape)
         if not 0 <= self.j0 < J:
             raise BadPrimaryLevel(f"need 0 <= j0 < J={J}, got j0={self.j0}")
+
+    @property
+    def q(self) -> int:
+        return self.coeffs.ndim - 1
 
     @property
     def J(self) -> int:
@@ -220,11 +211,11 @@ class CoefficientPyramid:
 
     @property
     def gross(self) -> np.ndarray:
-        """Writeable view of the level-j0 approximation, (2^{j0},)^q."""
+        """Writeable view of the level-j0 approximation, (B,) + (2^{j0},)^q."""
         return self.coeffs[(...,) + (slice(0, 2 ** self.j0),) * self.q]
 
     def subband(self, j: int, i: int) -> np.ndarray:
-        """Writeable view of detail subband i of level j, (2^j,)^q."""
+        """Writeable view of detail subband i of level j, (B,) + (2^j,)^q."""
         n = 2 ** j
         return self.coeffs[(...,) + tuple(
             slice(n, 2 * n) if i >> s & 1 else slice(0, n)
@@ -262,27 +253,24 @@ def _synthesis_step(lo: np.ndarray, hi: np.ndarray, h: np.ndarray,
     return out
 
 
-def dwt_qd(tensor: np.ndarray, filt: WaveletFilter, j0: int,
-           q: Optional[int] = None) -> CoefficientPyramid:
-    """Full q-dimensional periodized transform down to level j0.
-
-    ``q`` names the trailing axes to transform (default: every axis); the
-    axes before them stack tensors, each transformed as if alone.
+def dwt_qd(tensor: np.ndarray, filt: WaveletFilter,
+           j0: int) -> CoefficientPyramid:
+    """Full periodized transform down to level j0 of every member of the
+    (B,) + (2^J,)^q stack ``tensor``.
 
     Raises
     ------
     BadShape
-        Unless the trailing q axes have the same dyadic length 2^J.
+        Unless ``tensor`` is a (B,) + (2^J,)^q stack with q >= 1.
     BadPrimaryLevel
         Unless 0 <= j0 < J.
     """
-    pyramid = CoefficientPyramid(np.array(tensor, dtype=float), j0, q)
+    pyramid = CoefficientPyramid(np.array(tensor, dtype=float), j0)
     h, g = filt.taps_scaling, filt.taps_wavelet
-    lead = pyramid.coeffs.ndim - pyramid.q
     for j in reversed(pyramid.levels()):
         n = 2 ** j
         cube = pyramid.coeffs[(...,) + (slice(0, 2 * n),) * pyramid.q]
-        for ax in range(lead, cube.ndim):
+        for ax in range(1, cube.ndim):
             lo, hi = _analysis_step(cube, h, g, ax)
             cube[_along(ax, slice(0, n))] = lo
             cube[_along(ax, slice(n, 2 * n))] = hi
@@ -290,14 +278,13 @@ def dwt_qd(tensor: np.ndarray, filt: WaveletFilter, j0: int,
 
 
 def idwt_qd(pyramid: CoefficientPyramid, filt: WaveletFilter) -> np.ndarray:
-    """Invert :func:`dwt_qd`, stack axes included; exact up to round-off."""
+    """Invert :func:`dwt_qd`; exact up to round-off."""
     out = pyramid.coeffs.copy()
     h, g = filt.taps_scaling, filt.taps_wavelet
-    lead = out.ndim - pyramid.q
     for j in pyramid.levels():
         n = 2 ** j
         cube = out[(...,) + (slice(0, 2 * n),) * pyramid.q]
-        for ax in reversed(range(lead, cube.ndim)):
+        for ax in reversed(range(1, cube.ndim)):
             cube[...] = _synthesis_step(cube[_along(ax, slice(0, n))],
                                         cube[_along(ax, slice(n, 2 * n))],
                                         h, g, ax)

@@ -32,8 +32,8 @@ from medwave.simulate import (
 from medwave.simulate import test_function as regression_function
 from medwave.wavelets import CoefficientPyramid, build_filter, dwt_qd, idwt_qd
 
-import test_medians as tm
 import test_wavelets as tw
+from oracles import QUANTILES, scaled_median_variance
 
 SIZES = (4096, 16384, 65536)
 
@@ -51,9 +51,9 @@ def test_criterion_1_transform_correctness():
                 filt = build_filter(name)
                 for j0 in range(J):
                     x = rng.standard_normal((T,) * q)
-                    pyr = dwt_qd(x, filt, j0)
-                    max_rt = max(max_rt,
-                                 float(np.max(np.abs(idwt_qd(pyr, filt) - x))))
+                    pyr = dwt_qd(x[None], filt, j0)
+                    back = idwt_qd(pyr, filt)[0]
+                    max_rt = max(max_rt, float(np.max(np.abs(back - x))))
                     ex = float(np.sum(x * x))
                     max_pv = max(max_pv,
                                  abs(float(np.sum(pyr.coeffs ** 2)) - ex) / ex)
@@ -65,7 +65,7 @@ def test_criterion_1_transform_correctness():
             for j0 in range(J):
                 M = tw.oracle_matrix(q, T, name, j0)
                 x = rng.standard_normal((T,) * q)
-                got = tw.to_vector(dwt_qd(x, filt, j0))
+                got = tw.to_vector(dwt_qd(x[None], filt, j0))
                 max_oracle = max(max_oracle,
                                  float(np.max(np.abs(got - M @ x.ravel()))))
     ok = max_rt < 1e-10 and max_pv < 1e-10 and max_oracle < 1e-10
@@ -112,7 +112,7 @@ def test_criterion_4_noise_estimator_calibration():
     ok = True
     for kind, limit, lname in (("gaussian", 2.0 * math.pi, "2*pi"),
                                ("cauchy", math.pi ** 2, "pi^2")):
-        target = tm.scaled_median_variance(tm.QUANTILES[kind], kappa)
+        target = scaled_median_variance(QUANTILES[kind], kappa)
         cfg = SimulationConfig(q=2, error_dist=ErrorDist(kind, 1.0),
                                sample_sizes=(n,), replications=20, seed=0)
         vals = []
@@ -230,9 +230,9 @@ def test_criterion_8_blockwise_oracle_inequality():
         draws = 10 ** 4
         for _ in range(draws):
             y = theta + sigma * rng.standard_normal(8)
-            pyr = CoefficientPyramid(np.concatenate([np.zeros(8), y]), 3)
-            out, _ = shrink(pyr, n, 1.0, L)
-            total += float(np.sum((out.subband(3, 1) - theta) ** 2))
+            pyr = CoefficientPyramid(np.concatenate([np.zeros(8), y])[None], 3)
+            out, _ = shrink(pyr, n, np.ones(1), L)
+            total += float(np.sum((out.subband(3, 1)[0] - theta) ** 2))
         risk = total / draws
         bound = 1.25 * min(4.0 * float(np.sum(theta ** 2)),
                            8.0 * lam * L / n) + 50.0 * L / n ** 2

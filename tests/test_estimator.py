@@ -5,11 +5,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from medwave.errors import (BadPrimaryLevel, BadValue, EmptyBin,
+from medwave.errors import (BadPrimaryLevel, BadShape, BadValue, EmptyBin,
                             IncompleteGrid, OffGridPoint, ShapeMismatch)
 from medwave.estimator import (EstimatorConfig, FitPlan, evaluate_on_grid,
                                fit, plan_fit)
-from medwave.grid import plan_grid
+from medwave.grid import bin_observations, plan_grid
+from medwave.medians import MedianSummary
+from medwave.shrinkage import shrink
+from medwave.wavelets import CoefficientPyramid, build_filter, dwt_qd
 
 RAW = EstimatorConfig(shrinkage_enabled=False, bias_correction=False)
 
@@ -289,7 +292,7 @@ def test_evaluate_on_grid_layout():
     u = grid_2d(64)
     y = rng.standard_normal(n)
     res = fit(u, y)
-    table = evaluate_on_grid(res, res.design)
+    table = evaluate_on_grid(res)
     assert table.shape == (256, 3)
     T = res.design.T
     # lexicographic coordinates l/T
@@ -300,14 +303,6 @@ def test_evaluate_on_grid_layout():
             assert table[k, 1] == pytest.approx(l2 / T)
             k += 1
     np.testing.assert_array_equal(table[:, 2], res.f_hat.ravel())
-
-
-def test_evaluate_on_grid_rejects_foreign_design():
-    rng = np.random.default_rng(10)
-    u = grid_1d(256)
-    res = fit(u, rng.standard_normal(256))
-    with pytest.raises(ShapeMismatch):
-        evaluate_on_grid(res, plan_grid(16, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -493,3 +488,28 @@ def test_fit_many_checks_the_stack():
     Y[2, 40] = np.nan
     with pytest.raises(BadValue, match=r"response y\[2, 40\] = nan"):
         plan.fit_many(Y)
+
+
+# each inner stage given the unstacked input it took before every stage
+# took a (B, ...) stack: a named error, never an IndexError or a wrong result
+UNSTACKED = {
+    "with_responses": (
+        lambda: bin_observations(grid_1d(16), plan_grid(16, 1))
+        .with_responses(np.zeros(16)), IncompleteGrid),
+    "MedianSummary": (
+        lambda: MedianSummary(plan_grid(16, 1), np.zeros(8), np.zeros(8)),
+        ShapeMismatch),
+    "dwt_qd": (lambda: dwt_qd(np.zeros(8), build_filter("haar"), 0),
+               BadShape),
+    "CoefficientPyramid": (lambda: CoefficientPyramid(np.zeros(8), 0),
+                           BadShape),
+    "shrink": (lambda: shrink(CoefficientPyramid(np.zeros((1, 8)), 1), 16,
+                              1.0, 2), BadValue),
+}
+
+
+@pytest.mark.parametrize("stage", list(UNSTACKED))
+def test_unstacked_input_raises_a_named_error(stage):
+    call, error = UNSTACKED[stage]
+    with pytest.raises(error):
+        call()

@@ -20,6 +20,11 @@ def full_grid(m, q):
     return np.stack([g.ravel() for g in mesh], axis=1)
 
 
+def bin_one(u, y, d):
+    """``u`` binned with ``y`` as a one-member stack."""
+    return bin_observations(u, d).with_responses(np.reshape(y, (1, -1)))
+
+
 def oracle_bins(d, u):
     """Brute-force membership of each row: its lexicographic bin code, from
     ``axis_bins``, and whether it lies in its bin's half-bin, from the rank
@@ -119,7 +124,7 @@ def test_axis_half_counts():
         half_len = (d.m + 1) // (2 * d.T)
         assert d.axis_lengths.min() >= half_len
         u = full_grid(d.m, q)
-        s = bin_medians(bin_observations(u, np.arange(float(n)), d))
+        s = bin_medians(bin_one(u, np.arange(float(n)), d))
         if half_len == 0:
             assert s.q_half is None
             continue
@@ -128,7 +133,7 @@ def test_axis_half_counts():
         centre = first + (half_len - 1) / 2
         centre = reduce(np.add.outer, [centre * (d.m + 1) ** (q - 1 - k)
                                        for k in range(q)])
-        assert np.array_equal(s.q_half, centre)
+        assert np.array_equal(s.q_half[0], centre)
 
 
 def test_zero_coordinate_joins_bin_one():
@@ -142,10 +147,10 @@ def test_bin_observations_small_by_hand():
     assert (d.T, d.V, d.kappa, d.nu) == (2, 4, 4, 1)
     u = full_grid(3, 2)
     y = np.arange(16.0)
-    b = bin_observations(u, y, d)
+    b = bin_one(u, y, d)
     assert np.array_equal(b.counts, [[4, 4], [4, 4]])
     # u is already in grid order, so the scatter only reshapes
-    assert np.array_equal(b.y_grid, y.reshape(4, 4))
+    assert np.array_equal(b.y_grid[0], y.reshape(4, 4))
     # grid point (0,0) -> bin (1,1) -> code 0; (1.0,1.0) -> bin (2,2) -> code 3
     codes, half = oracle_bins(d, u)
     assert codes[0] == 0
@@ -157,8 +162,8 @@ def test_bin_observations_small_by_hand():
     # half-bin of bin (1,1) is the single grid point (0, 0)
     assert y[(codes == 0) & half].tolist() == [0.0]
     s = bin_medians(b)
-    assert s.q_full.tolist() == [[2.5, 4.5], [10.5, 12.5]]
-    assert s.q_half.tolist() == [[0.0, 2.0], [8.0, 10.0]]
+    assert s.q_full[0].tolist() == [[2.5, 4.5], [10.5, 12.5]]
+    assert s.q_half[0].tolist() == [[0.0, 2.0], [8.0, 10.0]]
 
 
 def test_bin_codes_are_lexicographic():
@@ -180,15 +185,15 @@ def test_bin_codes_are_lexicographic():
         [12, 12, 12, 13, 13, 14, 14, 15, 15],
     ])
     perm = np.random.default_rng(2).permutation(81)
-    s = bin_medians(bin_observations(u[perm], codes[perm].astype(float), d))
-    assert np.array_equal(s.q_full, np.arange(16.0).reshape(4, 4))
+    s = bin_medians(bin_one(u[perm], codes[perm].astype(float), d))
+    assert np.array_equal(s.q_full[0], np.arange(16.0).reshape(4, 4))
 
 
 def test_counts_partition_sample():
     for n, q in [(125, 3), (256, 2), (100, 1), (729, 3)]:
         d = plan_grid(n, q)
         u = full_grid(d.m, q)
-        b = bin_observations(u, np.zeros(n), d)
+        b = bin_observations(u, d)
         codes, half = oracle_bins(d, u)
         assert b.counts.shape == (d.T,) * q
         assert np.array_equal(b.counts.ravel(),
@@ -207,44 +212,46 @@ def test_observation_order_irrelevant():
         d = plan_grid(n, q)
         u = full_grid(d.m, q)
         y = rng.standard_normal(n)
-        base = bin_observations(u, y, d)
+        base = bin_one(u, y, d)
         ref_full, ref_half = oracle_medians(d, u, y)
         for _ in range(100):
             perm = rng.permutation(n)
-            b = bin_observations(u[perm], y[perm], d)
+            b = bin_one(u[perm], y[perm], d)
             assert np.array_equal(b.y_grid, base.y_grid)
             s = bin_medians(b)
-            assert np.array_equal(s.q_full, ref_full)
+            assert np.array_equal(s.q_full[0], ref_full)
             if ref_half is None:
                 assert s.q_half is None
             else:
-                assert np.array_equal(s.q_half, ref_half)
+                assert np.array_equal(s.q_half[0], ref_half)
 
 
 def test_determinism():
     d = plan_grid(64, 2)
     u = full_grid(7, 2)
     y = np.random.default_rng(0).standard_normal(64)
-    a = bin_observations(u, y, d)
-    b = bin_observations(u, y, d)
+    a = bin_one(u, y, d)
+    b = bin_one(u, y, d)
     assert np.array_equal(a.y_grid.view(np.uint64), b.y_grid.view(np.uint64))
     sa, sb = bin_medians(a), bin_medians(b)
     assert np.array_equal(sa.q_full.view(np.uint64), sb.q_full.view(np.uint64))
 
 
 def test_u_binned_once_bins_many_responses():
-    # rows out of grid order; each response vector lands where a full
-    # bin_observations call puts it, and u alone carries no responses
+    # rows out of grid order; each response vector lands at its row's grid
+    # position, and u alone carries no responses
     d = plan_grid(81, 2)
     rng = np.random.default_rng(1)
     u = full_grid(8, 2)[rng.permutation(81)]
-    plain = bin_observations(u, None, d)
+    plain = bin_observations(u, d)
     assert plain.y_grid is None
     for _ in range(3):
         y = rng.standard_cauchy(81)
-        got = plain.with_responses(y).y_grid
-        want = bin_observations(u, y, d).y_grid
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        got = plain.with_responses(y[None]).y_grid
+        want = np.empty(81)
+        want[oracle_grid_code(u, d)] = y
+        assert np.array_equal(got.view(np.uint64),
+                              want.reshape(1, 9, 9).view(np.uint64))
     with pytest.raises(IncompleteGrid, match=r"got u\(81, 2\), y\(80,\)"):
         plain.with_responses(np.zeros(80))
 
@@ -267,11 +274,11 @@ def test_off_grid_point_rejected():
     u = np.arange(16) / 15.0
     u[3] += 1e-6
     with pytest.raises(OffGridPoint):
-        bin_observations(u, np.zeros(16), d)
+        bin_observations(u, d)
     u = np.arange(16) / 15.0
     u[3] = 1.2
     with pytest.raises(OffGridPoint):
-        bin_observations(u, np.zeros(16), d)
+        bin_observations(u, d)
 
 
 def test_incomplete_grid_rejected():
@@ -279,18 +286,18 @@ def test_incomplete_grid_rejected():
     u = np.arange(16) / 15.0
     u[3] = u[4]  # duplicate + missing
     with pytest.raises(IncompleteGrid) as exc:
-        bin_observations(u, np.zeros(16), d)
+        bin_observations(u, d)
     assert str(exc.value) == oracle_incomplete(u[:, None], d)
     assert str(exc.value).endswith(f"({4 / 15!r},) is duplicated")
     # wrong count
     with pytest.raises(IncompleteGrid):
-        bin_observations(np.arange(15) / 14.0, np.zeros(15), d)
+        bin_observations(np.arange(15) / 14.0, d)
 
 
 def test_tiny_perturbations_within_tolerance_accepted():
     d = plan_grid(25, 1)
     u = np.arange(25) / 24.0 + 1e-12
-    b = bin_observations(u, np.zeros(25), d)
+    b = bin_observations(u, d)
     assert b.counts.sum() == 25
 
 
@@ -341,11 +348,11 @@ def test_off_grid_decision_matches_the_exact_test(r, q):
                 want = oracle_off_grid(bad, m)
                 outcomes.add(want is None)
                 if want is None:
-                    b = bin_observations(bad, None, d)
+                    b = bin_observations(bad, d)
                     assert np.array_equal(b.grid_code, np.arange(d.n))
                 else:
                     with pytest.raises(OffGridPoint) as exc:
-                        bin_observations(bad, None, d)
+                        bin_observations(bad, d)
                     assert str(exc.value) == want
     assert outcomes == {True, False}
 
@@ -356,7 +363,7 @@ def test_off_grid_names_the_worst_of_several_coordinates():
     u[[5, 700], 1] += [2e-9, 5e-9]
     u[300, 0] -= 3e-9
     with pytest.raises(OffGridPoint) as exc:
-        bin_observations(u, None, d)
+        bin_observations(u, d)
     assert str(exc.value) == oracle_off_grid(u, d.m)
     assert repr(u[700, 1]) in str(exc.value)
 
@@ -372,7 +379,7 @@ def test_non_finite_coordinate_wins_over_every_other_fault(bad):
     u[9] = u[10]
     u[40, 1] = bad
     with pytest.raises(BadValue, match=rf"u\[40, 1\] = {bad} is not finite"):
-        bin_observations(u, None, d)
+        bin_observations(u, d)
 
 
 def oracle_incomplete(u, d):
@@ -397,7 +404,7 @@ def test_incomplete_grid_names_the_same_point(r, q):
             u[rows[copies + 1]] = u[rows[copies]]  # another one twice
             u = u[rng.permutation(d.n)]
             with pytest.raises(IncompleteGrid) as exc:
-                bin_observations(u, None, d)
+                bin_observations(u, d)
             assert str(exc.value) == oracle_incomplete(u, d)
 
 
@@ -426,7 +433,7 @@ def test_valid_permuted_u_codes_every_block(r, q):
     y = rng.standard_cauchy(d.n)
     for _ in range(2):
         perm = rng.permutation(d.n)
-        b = bin_observations(u[perm], y[perm], d)
+        b = bin_one(u[perm], y[perm], d)
         assert np.array_equal(b.grid_code, oracle_grid_code(u[perm], d))
         assert np.array_equal(b.y_grid.ravel().view(np.uint64),
                               y.view(np.uint64))
@@ -442,7 +449,7 @@ def test_non_finite_in_last_block_wins_over_first_block_range(r, q, bad):
     u[row, q - 1] = bad
     with pytest.raises(BadValue,
                        match=rf"u\[{row}, {q - 1}\] = {bad} is not finite"):
-        bin_observations(u, None, d)
+        bin_observations(u, d)
 
 
 @pytest.mark.parametrize("r, q", MULTI_BLOCK)
@@ -457,7 +464,7 @@ def test_off_grid_in_several_blocks_names_the_farthest(r, q):
         bad = u.copy()
         bad[rows, 0] += offsets
         with pytest.raises(OffGridPoint) as exc:
-            bin_observations(bad, None, d)
+            bin_observations(bad, d)
         assert str(exc.value) == oracle_off_grid(bad, d.m)
         far = rows[int(np.argmax(np.abs(offsets)))]
         assert repr(bad[far, 0]) in str(exc.value)
@@ -481,11 +488,11 @@ def test_off_grid_decision_at_block_boundaries(r, q):
                     want = oracle_off_grid(bad, m)
                     outcomes.add(want is None)
                     if want is None:
-                        b = bin_observations(bad, None, d)
+                        b = bin_observations(bad, d)
                         assert np.array_equal(b.grid_code, np.arange(d.n))
                     else:
                         with pytest.raises(OffGridPoint) as exc:
-                            bin_observations(bad, None, d)
+                            bin_observations(bad, d)
                         assert str(exc.value) == want
     assert outcomes == {True, False}
 
@@ -504,7 +511,7 @@ def test_point_repeated_across_blocks_is_named(r, q):
             bad[dsts] = bad[src]
         bad = bad[rng.permutation(d.n)]
         with pytest.raises(IncompleteGrid) as exc:
-            bin_observations(bad, None, d)
+            bin_observations(bad, d)
         assert str(exc.value) == oracle_incomplete(bad, d)
 
 

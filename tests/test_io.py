@@ -443,7 +443,7 @@ def test_estimate_matches_pipeline_table(tmp_path):
     n = 256
     u = np.arange(n, dtype=float) / (n - 1)
     res = fit(u, rng.standard_normal(n))
-    table = evaluate_on_grid(res, res.design)
+    table = evaluate_on_grid(res)
     path = tmp_path / "e.csv"
     write_estimate_csv(path, table)
     coords, fhat = read_estimate_csv(path)

@@ -4,12 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
-from scipy.special import gammaln, ndtri
 
 import medwave.medians as medians_module
 from medwave.errors import DegenerateNoise, EmptyBin, ShapeMismatch
-from medwave.grid import bin_observations, plan_grid
+from medwave.grid import plan_grid
 from medwave.medians import (
     NOISE_FLOOR,
     MedianSummary,
@@ -20,46 +18,8 @@ from medwave.medians import (
     known_noise_level,
 )
 
-from test_grid import oracle_medians
-
-
-#: quantile functions F^{-1} of the standard laws the exact target covers
-QUANTILES = {
-    "gaussian": lambda u: float(ndtri(u)),
-    "cauchy": lambda u: math.tan(math.pi * (u - 0.5)),
-    "uniform": lambda u: u - 0.5,
-}
-
-
-def scaled_median_variance(ppf, kappa: int) -> float:
-    """Exact 4 kappa Var(median of kappa iid draws) for quantile function ppf.
-
-    This is the expectation of the paired-difference noise estimate at bin
-    count kappa, computed without medwave: the order-statistic densities are
-    integrated over u = F(x). Odd kappa takes X_(r), r = (kappa + 1)/2; even
-    kappa takes the midpoint of X_(r) and X_(r+1), r = kappa/2.
-    """
-    r = (kappa + 1) // 2
-    upper = kappa - r if kappa % 2 else kappa - r - 1
-    log_c = gammaln(kappa + 1) - gammaln(r) - gammaln(upper + 1)
-
-    def weight(u, v):
-        # density of (F(X_(r)), F(X_(r+1))) for even kappa, of F(X_(r)) for odd
-        if u <= 0.0 or v >= 1.0:
-            return 0.0
-        return math.exp(log_c + (r - 1) * math.log(u) + upper * math.log1p(-v))
-
-    if kappa % 2:
-        def moment(p):
-            return integrate.quad(lambda u: weight(u, u) * ppf(u) ** p,
-                                  0.0, 1.0, points=[0.5], limit=200)[0]
-    else:
-        def moment(p):
-            return integrate.dblquad(
-                lambda v, u: weight(u, v) * (0.5 * (ppf(u) + ppf(v))) ** p,
-                0.0, 1.0, lambda u: u, 1.0)[0]
-    mean = moment(1)
-    return 4.0 * kappa * (moment(2) - mean * mean)
+from oracles import QUANTILES, order_statistic_mean
+from test_grid import bin_one, oracle_medians
 
 
 def grid_1d(n):
@@ -80,9 +40,9 @@ def test_sample_median_midpoint_convention():
     y[0:4] = [4.0, 1.0, 2.0, 10.0]   # even count: (2+4)/2
     y[4:7] = [1.0, 10.0, 2.0]        # odd count: the middle value
     y[7:10] = [3.0, 3.0, 7.0]        # ties
-    med = bin_medians(bin_observations(grid_1d(25), y, d))
-    assert med.q_full[:3].tolist() == [3.0, 2.0, 3.0]
-    assert med.q_half[:3].tolist() == [4.0, 1.0, 3.0]
+    med = bin_medians(bin_one(grid_1d(25), y, d))
+    assert med.q_full[0, :3].tolist() == [3.0, 2.0, 3.0]
+    assert med.q_half[0, :3].tolist() == [4.0, 1.0, 3.0]
 
 
 def test_bin_medians_by_hand_unequal_counts():
@@ -91,12 +51,12 @@ def test_bin_medians_by_hand_unequal_counts():
     assert d.T == 8
     u = grid_1d(25)
     y = u * 24  # y = index, so bin medians are medians of index runs
-    b = bin_observations(u, y, d)
+    b = bin_one(u, y, d)
     assert b.counts.tolist() == [4, 3, 3, 3, 3, 3, 3, 3]
     med = bin_medians(b)
-    assert med.q_full[0] == 1.5            # median of 0,1,2,3
-    assert med.q_full[1] == 5.0            # median of 4,5,6
-    assert med.q_full[7] == 23.0           # median of 22,23,24
+    assert med.q_full[0, 0] == 1.5         # median of 0,1,2,3
+    assert med.q_full[0, 1] == 5.0         # median of 4,5,6
+    assert med.q_full[0, 7] == 23.0        # median of 22,23,24
 
 
 def test_bin_medians_equal_counts_match_ragged_path():
@@ -105,10 +65,10 @@ def test_bin_medians_equal_counts_match_ragged_path():
     d = plan_grid(64, 1)  # T=16, kappa=4, equal counts
     u = grid_1d(64)
     y = rng.standard_normal(64)
-    med = bin_medians(bin_observations(u, y, d))
+    med = bin_medians(bin_one(u, y, d))
     q_full, q_half = oracle_medians(d, u, y)
-    assert np.array_equal(med.q_full, q_full)
-    assert np.array_equal(med.q_half, q_half)
+    assert np.array_equal(med.q_full[0], q_full)
+    assert np.array_equal(med.q_half[0], q_half)
 
 
 def medians_cases(rng):
@@ -137,15 +97,15 @@ def test_bin_medians_match_brute_force_oracle():
         if rng.random() < 0.5:
             y = np.round(y)  # ties
         perm = rng.permutation(d.n)
-        med = bin_medians(bin_observations(u[perm], y[perm], d))
+        med = bin_medians(bin_one(u[perm], y[perm], d))
         q_full, q_half = oracle_medians(d, u, y)
-        assert np.array_equal(med.q_full.view(np.uint64),
+        assert np.array_equal(med.q_full[0].view(np.uint64),
                               q_full.view(np.uint64)), (r, q)
         if q_half is None:
             seen.add("no half-bins")
             assert med.q_half is None, (r, q)
         else:
-            assert np.array_equal(med.q_half.view(np.uint64),
+            assert np.array_equal(med.q_half[0].view(np.uint64),
                                   q_half.view(np.uint64)), (r, q)
     assert seen == {"divides", "uneven", "no half-bins"}
 
@@ -182,9 +142,8 @@ def test_bin_medians_of_negative_zeros_are_positive_zero():
     # on equal counts (64 points) and on two or three count classes
     for r, q in ((64, 1), (25, 1), (17, 2), (13, 3)):
         d = plan_grid(r ** q, q)
-        med = bin_medians(bin_observations(full_grid(r - 1, q),
-                                           np.full(d.n, -0.0), d))
-        for tensor in (med.q_full, med.q_half):
+        med = bin_medians(bin_one(full_grid(r - 1, q), np.full(d.n, -0.0), d))
+        for tensor in (med.q_full[0], med.q_half[0]):
             assert np.array_equal(tensor.view(np.uint64),
                                   np.zeros(d.tensor_shape()).view(np.uint64))
 
@@ -195,7 +154,7 @@ def test_bin_medians_leave_y_grid_unchanged():
     for r, q in ((64, 1), (25, 1), (64, 2), (17, 2), (13, 3), (3, 3)):
         d = plan_grid(r ** q, q)
         y = np.round(rng.standard_cauchy(d.n))
-        binned = bin_observations(full_grid(r - 1, q), y, d)
+        binned = bin_one(full_grid(r - 1, q), y, d)
         before = binned.y_grid.copy()
         bin_medians(binned)
         assert np.array_equal(binned.y_grid.view(np.uint64),
@@ -241,7 +200,7 @@ def test_bin_medians_take_each_selection_route(r, q, monkeypatch):
     y = np.round(rng.standard_cauchy(d.n))
     y[rng.random(d.n) < 0.2] = -0.0
     perm = rng.permutation(d.n)
-    binned = bin_observations(u[perm], y[perm], d)
+    binned = bin_one(u[perm], y[perm], d)
     before = binned.y_grid.copy()
     med = bin_medians(binned)
 
@@ -252,8 +211,10 @@ def test_bin_medians_take_each_selection_route(r, q, monkeypatch):
     assert routes == {**{k: {v} for k, v in full.items()},
                       half_length: {half}}
     q_full, q_half = oracle_medians(d, u, y)
-    assert np.array_equal(med.q_full.view(np.uint64), q_full.view(np.uint64))
-    assert np.array_equal(med.q_half.view(np.uint64), q_half.view(np.uint64))
+    assert np.array_equal(med.q_full[0].view(np.uint64),
+                          q_full.view(np.uint64))
+    assert np.array_equal(med.q_half[0].view(np.uint64),
+                          q_half.view(np.uint64))
     assert np.array_equal(binned.y_grid.view(np.uint64),
                           before.view(np.uint64))
 
@@ -263,7 +224,7 @@ def test_empty_half_bin_is_named():
     d = plan_grid(27, 3)
     assert (d.m + 1) // (2 * d.T) == 0
     u = full_grid(2, 3)
-    summary = bin_medians(bin_observations(u, np.zeros(27), d))
+    summary = bin_medians(bin_one(u, np.zeros(27), d))
     assert summary.q_half is None
     with pytest.raises(EmptyBin) as exc:
         bias_correction(summary)
@@ -281,8 +242,8 @@ def test_bias_correction_constant_shift_invariant():
     d = plan_grid(256, 1)
     u = grid_1d(256)
     y = rng.standard_normal(256)
-    b0 = bias_correction(bin_medians(bin_observations(u, y, d)))
-    b1 = bias_correction(bin_medians(bin_observations(u, y + 37.5, d)))
+    [b0] = bias_correction(bin_medians(bin_one(u, y, d)))
+    [b1] = bias_correction(bin_medians(bin_one(u, y + 37.5, d)))
     assert b1 == pytest.approx(b0, abs=1e-12)
 
 
@@ -296,7 +257,7 @@ def test_bias_correction_zero_mean_under_symmetry():
     for rep in range(50):
         rng = np.random.default_rng([5, rep])
         y = rng.standard_normal(65536)
-        vals.append(bias_correction(bin_medians(bin_observations(u, y, d))))
+        vals.extend(bias_correction(bin_medians(bin_one(u, y, d))))
     vals = np.asarray(vals)
     se = vals.std(ddof=1) / np.sqrt(len(vals))
     assert abs(vals.mean()) < 2 * se + 1e-12
@@ -308,8 +269,9 @@ def test_error_median_expectation_shifted_exponential():
     # Exact value via order statistics of Exp(1): E X_(k:n) = H_n - H_{n-k};
     # the asymptotic expansion -h'(0)/(8 h^3(0) kappa) gives 1/(2 kappa).
     kappa = 16
-    H = np.concatenate(([0.0], np.cumsum(1.0 / np.arange(1, 17))))
-    exact = H[16] - (H[8] + H[7]) / 2.0 - math.log(2.0)
+    exact = (order_statistic_mean(QUANTILES["exponential"], 8, 16)
+             + order_statistic_mean(QUANTILES["exponential"], 9, 16)) / 2.0 \
+        - math.log(2.0)
     assert exact == pytest.approx(1.0 / (2 * kappa), rel=0.05)
 
     rng = np.random.default_rng(123)
@@ -332,21 +294,6 @@ def test_median_coupling_variance_across_groups():
     assert z.var(ddof=1) == pytest.approx(1.0, abs=0.05)
 
 
-def test_scaled_median_variance_closed_forms():
-    # the median of two N(0,1) draws is their mean: 4 * 2 * (1/2) = 4
-    assert scaled_median_variance(QUANTILES["gaussian"], 2) == \
-        pytest.approx(4.0, rel=1e-8)
-    # Uniform(-1/2, 1/2) at odd kappa: the median is Beta(r, r) - 1/2,
-    # variance 1/(4 (kappa + 2))
-    for kappa in (1, 3, 5, 17, 101):
-        assert scaled_median_variance(QUANTILES["uniform"], kappa) == \
-            pytest.approx(kappa / (kappa + 2), rel=1e-8)
-    # large kappa reaches h^-2(0), the limit criterion 3 checks by simulation
-    for kind, h_inv_sq in (("gaussian", 2 * math.pi), ("cauchy", math.pi ** 2)):
-        assert scaled_median_variance(QUANTILES[kind], 1001) == \
-            pytest.approx(h_inv_sq, rel=0.01)
-
-
 def test_median_breakdown():
     # Corrupting up to floor((kappa-1)/2) observations in a bin cannot move
     # the bin median outside the range of the clean observations.
@@ -366,8 +313,8 @@ def test_median_breakdown():
 def test_noise_estimate_hand_arithmetic():
     d = plan_grid(16, 1)  # V=8, kappa=2
     q = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0])
-    summary = MedianSummary(design=d, q_full=q, q_half=q)
-    est = estimate_noise_level(summary)
+    summary = MedianSummary(design=d, q_full=q[None], q_half=q[None])
+    [est] = estimate_noise_level(summary)
     # pairs (1-2), (3-4), (5-6), (7-8): four squared diffs of 1
     # raw = (2*2/4) * 4 = 4
     assert est.h_inv_sq == pytest.approx(4.0)
@@ -379,8 +326,8 @@ def test_noise_estimate_matches_pairing_formula():
     # irregular median values: estimate equals the written-out pair formula
     d = plan_grid(25, 1)
     q = np.array([1.0, 2.0, 4.0, 7.0, 11.0, 16.0, 22.0, 29.0])
-    summary = MedianSummary(design=d, q_full=q, q_half=q)
-    est = estimate_noise_level(summary)
+    summary = MedianSummary(design=d, q_full=q[None], q_half=q[None])
+    [est] = estimate_noise_level(summary)
     diffs = q[0:8:2] - q[1:8:2]
     assert est.h_inv_sq == pytest.approx(
         2.0 * d.kappa / 4 * np.sum(diffs ** 2))
@@ -395,7 +342,7 @@ def test_noise_estimate_gaussian_accuracy():
     for rep in range(30):
         rng = np.random.default_rng([31, rep])
         y = rng.standard_normal(4096)
-        est = estimate_noise_level(bin_medians(bin_observations(u, y, d)))
+        [est] = estimate_noise_level(bin_medians(bin_one(u, y, d)))
         vals.append(est.h_inv_sq)
     mean = np.mean(vals)
     assert mean == pytest.approx(2 * math.pi, rel=0.15)
@@ -403,8 +350,8 @@ def test_noise_estimate_gaussian_accuracy():
 
 def test_degenerate_noise_clamped_and_flagged():
     d = plan_grid(16, 1)
-    q = np.full(8, 3.25)
-    est = estimate_noise_level(MedianSummary(design=d, q_full=q, q_half=q))
+    q = np.full((1, 8), 3.25)
+    [est] = estimate_noise_level(MedianSummary(design=d, q_full=q, q_half=q))
     assert est.degenerate
     assert est.h_inv_sq == NOISE_FLOOR
     assert est.sigma > 0
@@ -413,7 +360,7 @@ def test_degenerate_noise_clamped_and_flagged():
 def test_degenerate_noise_raises_below_two_bins():
     d = plan_grid(4, 2)  # J=0 -> V=1
     assert d.V == 1
-    q = np.zeros((1, 1))
+    q = np.zeros((1, 1, 1))
     with pytest.raises(DegenerateNoise):
         estimate_noise_level(MedianSummary(design=d, q_full=q, q_half=q))
 

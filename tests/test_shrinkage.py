@@ -36,7 +36,13 @@ def bisect_lambda():
 
 
 def zero_pyramid(q, T, j0):
-    return dwt_qd(np.zeros((T,) * q), HAAR, j0)
+    """A one-member stack of zero coefficients."""
+    return dwt_qd(np.zeros((1,) + (T,) * q), HAAR, j0)
+
+
+def shrink_one(pyr, n, h_inv_sq, L):
+    """:func:`shrink` of a one-member stack at the noise level h_inv_sq."""
+    return shrink(pyr, n, np.full(1, h_inv_sq), L)
 
 
 # ---------------------------------------------------------------------------
@@ -86,16 +92,17 @@ def oracle_tiles(size, side, q):
 
 
 def oracle_shrink(pyr, n, h_inv_sq, L):
-    """Shrink ``pyr`` one explicitly sliced block at a time.
+    """Shrink the one-member stack ``pyr`` one explicitly sliced block at a
+    time.
 
-    Returns the shrunk details and, per level, the list of block factors in
-    subband-then-tile order.
+    Returns the member's shrunk details and, per level, the list of block
+    factors in subband-then-tile order.
     """
     lam = solve_lambda_star()
     side = oracle_side(L, pyr.q)
     scale = 4.0 * n / h_inv_sq
     details, factors = {}, {}
-    for (j, i), src in subbands(pyr):
+    for (j, i), [src] in subbands(pyr):
         dst = np.zeros_like(src)
         for sl in oracle_tiles(2 ** j, side, pyr.q):
             card = int(np.prod([s.stop - s.start for s in sl]))
@@ -135,7 +142,7 @@ def test_partition_known_shapes_1d():
     part = partition_blocks(pyr, 3)
     assert list(part) == [3]
     assert part[3].tolist() == [0, 3, 6]
-    _, diag = shrink(pyr, 16, 1.0, 3)
+    _, diag = shrink_one(pyr, 16, 1.0, 3)
     assert diag.blocks_per_level == {3: 3}
 
 
@@ -144,7 +151,7 @@ def test_partition_known_shapes_2d():
     pyr = zero_pyramid(2, 8, 2)
     part = partition_blocks(pyr, 4)
     assert part[2].tolist() == [0, 2]
-    _, diag = shrink(pyr, 64, 1.0, 4)
+    _, diag = shrink_one(pyr, 64, 1.0, 4)
     assert diag.blocks_per_level == {2: 3 * 4}
 
 
@@ -153,7 +160,7 @@ def test_partition_large_target_single_block():
     pyr = zero_pyramid(1, 8, 1)
     part = partition_blocks(pyr, 64)
     assert {j: s.tolist() for j, s in part.items()} == {1: [0], 2: [0]}
-    _, diag = shrink(pyr, 8, 1.0, 64)
+    _, diag = shrink_one(pyr, 8, 1.0, 64)
     assert diag.blocks_per_level == {1: 1, 2: 1}
 
 
@@ -168,7 +175,7 @@ def test_shrink_matches_blockwise_oracle():
         side = oracle_side(args[2], pyr.q)
         for j, starts in part.items():
             assert starts.tolist() == list(range(0, 2 ** j, side))
-        out, diag = shrink(pyr, *args)
+        out, diag = shrink_one(pyr, *args)
         want, factors = oracle_shrink(pyr, *args)
         assert np.array_equal(out.gross, pyr.gross)
         for key, arr in want.items():
@@ -190,14 +197,14 @@ def test_shrink_matches_blockwise_oracle():
 
 
 def oracle_cube_shrink(pyr, n, h_inv_sq, L):
-    """The rule a whole level cube [:2^{j+1}]^q at a time, its geometry
-    rebuilt on every call: block energies and cardinalities by one
-    ``reduceat`` and one outer product per axis, factors spread by one
-    ``np.repeat`` per axis. Returns the coefficients and every detail
-    block's factor, level by level."""
+    """The rule on the one-member stack ``pyr``, a whole level cube
+    [:2^{j+1}]^q at a time, its geometry rebuilt on every call: block
+    energies and cardinalities by one ``reduceat`` and one outer product per
+    axis, factors spread by one ``np.repeat`` per axis. Returns the
+    coefficients and every detail block's factor, level by level."""
     lam, q = solve_lambda_star(), pyr.q
     scale = 4.0 * n / h_inv_sq
-    out, factors = pyr.coeffs.copy(), []
+    [out], factors = pyr.coeffs.copy(), []
     for j in pyr.levels():
         size = 2 ** j
         tiles = np.arange(0, size, oracle_side(L, q))
@@ -219,7 +226,7 @@ def oracle_cube_shrink(pyr, n, h_inv_sq, L):
         for ax in range(q):
             c = np.repeat(c, lengths, axis=ax)
         cube *= c
-    return out, np.concatenate(factors)
+    return out[None], np.concatenate(factors)
 
 
 def test_shrink_reuses_read_only_level_geometry_bit_for_bit():
@@ -237,7 +244,7 @@ def test_shrink_reuses_read_only_level_geometry_bit_for_bit():
             pyr.coeffs[rng.random(pyr.coeffs.shape) < 0.2] = -0.0
             n, h_inv_sq = int(rng.integers(4, 10000)), float(
                 rng.uniform(0.1, 10.0))
-            out, diag = shrink(pyr, n, h_inv_sq, L)
+            out, diag = shrink_one(pyr, n, h_inv_sq, L)
             want, every = oracle_cube_shrink(pyr, n, h_inv_sq, L)
             assert np.array_equal(out.coeffs.view(np.uint64),
                                   want.view(np.uint64)), (q, T, j0, L)
@@ -267,7 +274,7 @@ def test_exact_factor_worked_example():
     lam = solve_lambda_star()
     pyr = zero_pyramid(2, 4, 1)
     pyr.subband(1, 1)[...] = math.sqrt(2.0 * lam)
-    out, diag = shrink(pyr, 1, 4.0, 4)
+    out, diag = shrink_one(pyr, 1, 4.0, 4)
     np.testing.assert_allclose(
         out.subband(1, 1), 0.5 * math.sqrt(2.0 * lam), rtol=1e-12)
     # the other two subbands are all-zero -> factor 0
@@ -282,7 +289,7 @@ def test_denormal_energy_block_is_zeroed_without_overflow_warning():
     # turn warnings into errors)
     pyr = zero_pyramid(1, 8, 1)
     pyr.subband(2, 1)[:] = [1e-160, 0.0, 0.0, 0.0]
-    out, diag = shrink(pyr, 4, 1.0, 2)
+    out, diag = shrink_one(pyr, 4, 1.0, 2)
     assert np.all(out.subband(2, 1) == 0.0)
     assert diag.factor_min == 0.0
 
@@ -292,7 +299,7 @@ def test_zero_energy_block_is_zeroed_and_subthreshold_clamps():
     pyr = zero_pyramid(1, 8, 1)
     # level 2 (size 4): two blocks of 2 with L=2
     pyr.subband(2, 1)[:] = [1e-9, 0.0, 0.0, 0.0]   # tiny energy block + zero block
-    out, _ = shrink(pyr, 4, 1.0, 2)
+    out, _ = shrink_one(pyr, 4, 1.0, 2)
     # s2 = 1e-18 << lam*2/16 -> factor clamps to 0, not negative
     assert np.all(out.subband(2, 1) == 0.0)
     assert np.all(out.subband(1, 1) == 0.0)
@@ -301,8 +308,8 @@ def test_zero_energy_block_is_zeroed_and_subthreshold_clamps():
 
 def test_gross_passes_through_bit_identical():
     rng = np.random.default_rng(7)
-    pyr = dwt_qd(rng.standard_normal((8, 8)), build_filter("db2"), 1)
-    out, _ = shrink(pyr, 64, 3.7, 4)
+    pyr = dwt_qd(rng.standard_normal((8, 8))[None], build_filter("db2"), 1)
+    out, _ = shrink_one(pyr, 64, 3.7, 4)
     assert np.array_equal(out.gross, pyr.gross)
     assert not np.shares_memory(out.coeffs, pyr.coeffs)  # an independent copy
 
@@ -312,7 +319,7 @@ def test_input_pyramid_not_mutated():
     pyr = zero_pyramid(1, 16, 1)
     pyr.coeffs[...] = rng.standard_normal(pyr.coeffs.shape)
     before = pyr.coeffs.copy()
-    shrink(pyr, 16, 1.0, 2)
+    shrink_one(pyr, 16, 1.0, 2)
     np.testing.assert_array_equal(pyr.coeffs, before)
 
 
@@ -330,11 +337,11 @@ def test_shrinkage_properties_random():
             v[...] = rng.standard_normal(v.shape) * rng.choice(
                 [0.01, 1.0, 100.0])
         L = int(rng.integers(1, 9))
-        out, diag = shrink(pyr, int(rng.integers(4, 10000)),
-                           float(rng.uniform(0.1, 10.0)), L)
+        out, diag = shrink_one(pyr, int(rng.integers(4, 10000)),
+                               float(rng.uniform(0.1, 10.0)), L)
         side = oracle_side(L, q)
-        for (j, i), src in subbands(pyr):
-            dst = out.subband(j, i)
+        for (j, i), [src] in subbands(pyr):
+            [dst] = out.subband(j, i)
             assert np.all(np.abs(dst) <= np.abs(src) + 1e-15)
             assert np.all((dst == 0) | (np.sign(dst) == np.sign(src)))
             for sl in oracle_tiles(2 ** j, side, q):
@@ -358,8 +365,8 @@ def test_factor_monotone_in_signal_scale():
         v[...] = rng.standard_normal(v.shape)
     pyr2 = CoefficientPyramid(2.0 * pyr1.coeffs, 2)
     pyr2.gross[...] = pyr1.gross
-    out1, _ = shrink(pyr1, 32, 1.0, 3)
-    out2, _ = shrink(pyr2, 32, 1.0, 3)
+    out1, _ = shrink_one(pyr1, 32, 1.0, 3)
+    out2, _ = shrink_one(pyr2, 32, 1.0, 3)
     for key, v in subbands(out1):
         a = np.abs(v)
         b = np.abs(out2.subband(*key))
@@ -370,7 +377,7 @@ def test_diagnostics_counts():
     # q=1, T=8, j0=0: subband sizes 1, 2, 4; L=2 -> blocks 1, 1, 2
     pyr = zero_pyramid(1, 8, 0)
     pyr.subband(2, 1)[...] = 1000.0      # huge energy: factor ~ 1
-    out, diag = shrink(pyr, 8, 1.0, 2)
+    out, diag = shrink_one(pyr, 8, 1.0, 2)
     assert diag.blocks_per_level == {0: 1, 1: 1, 2: 2}
     assert diag.zeroed_per_level == {0: 1, 1: 1}
     assert diag.total_blocks == 4
@@ -387,7 +394,7 @@ def test_config_validation():
     for args in ((0, 1.0, 2), (8, 0.0, 2), (8, float("nan"), 2),
                  (8, float("inf"), 2), (8, 1.0, 0)):
         with pytest.raises(BadValue):
-            shrink(pyr, *args)
+            shrink_one(pyr, *args)
 
 
 def test_stack_is_shrunk_member_by_member():
@@ -395,12 +402,13 @@ def test_stack_is_shrunk_member_by_member():
     # keeps each member's own record in ``rows``
     x = np.random.default_rng(8).standard_normal((3, 16, 16))
     x[1] *= 1e-3
-    pyr = dwt_qd(x, build_filter("db2"), 1, q=2)
+    pyr = dwt_qd(x, build_filter("db2"), 1)
     levels = np.array([2.0, 0.5, 30.0])
     out, whole = shrink(pyr, 4096, levels, 8)
     assert len(whole.rows) == 3
     for i, h in enumerate(levels):
-        alone, diag = shrink(CoefficientPyramid(pyr.coeffs[i], 1), 4096, h, 8)
+        alone, diag = shrink_one(CoefficientPyramid(pyr.coeffs[i:i + 1], 1),
+                                 4096, h, 8)
         assert out.coeffs[i].tobytes() == alone.coeffs.tobytes()
         row = whole.rows[i]
         assert (row.blocks_per_level, row.zeroed_per_level, row.total_blocks,
@@ -420,10 +428,10 @@ def test_stack_is_shrunk_member_by_member():
 
 
 def test_stack_noise_levels_are_checked():
-    pyr = CoefficientPyramid(np.zeros((3, 8, 8)), 1, q=2)
+    pyr = CoefficientPyramid(np.zeros((3, 8, 8)), 1)
     with pytest.raises(BadValue, match="does not match"):
         shrink(pyr, 64, np.ones(2), 4)
     with pytest.raises(BadValue, match="positive and finite"):
         shrink(pyr, 64, np.array([1.0, 0.0, 1.0]), 4)
-    _, diag = shrink(pyr, 64, 1.0, 4)      # one level for every member
+    _, diag = shrink(pyr, 64, np.ones(3), 4)
     assert len(diag.rows) == 3

@@ -558,9 +558,9 @@ def test_rate_study_checks_u_once_per_size(monkeypatch):
     checked = []
     binner = medwave.estimator.bin_observations
 
-    def counting(u, y, design):
-        checked.append((design.n, y is None))
-        return binner(u, y, design)
+    def counting(u, design):
+        checked.append(design.n)
+        return binner(u, design)
 
     monkeypatch.setattr(medwave.estimator, "bin_observations", counting)
     cfg = SimulationConfig(q=2, error_dist=ErrorDist("gaussian", 1.0),
@@ -568,7 +568,34 @@ def test_rate_study_checks_u_once_per_size(monkeypatch):
                            seed=0)
     report = rate_study(cfg)
     assert len(report.points) == 3
-    assert checked == [(256, True), (1024, True), (4096, True)]
+    assert checked == [256, 1024, 4096]
+
+
+def test_a_size_shares_one_design_with_its_plan():
+    # the median classes are built on the one design of the size
+    cfg = SimulationConfig(q=2, sample_sizes=(1089,), seed=0,
+                           error_dist=ErrorDist("gaussian", 1.0))
+    ctx = simulate._SizeContext(cfg, 1089)
+    assert "median_selections" not in vars(ctx.design)
+    assert ctx.plan.design is ctx.design
+    assert "median_selections" in vars(ctx.design)
+
+
+def test_medwave_simulate_builds_no_plan(tmp_path, capsys, monkeypatch):
+    # writing datasets reads the design's geometry only: u is not checked
+    # and no plan is made
+    from medwave.cli import main
+
+    built = []
+    monkeypatch.setattr(simulate, "_plan_on", lambda *args: built.append(args))
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("q = 2\nsample_sizes = 289, 1089\nreplications = 2\n"
+                   "error_dist = gaussian:1\nseed = 1\n")
+    assert main(["simulate", "--config", str(cfg),
+                 "--output-dir", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    assert len(list((tmp_path / "out").iterdir())) == 6
+    assert built == []
 
 
 # ---------------------------------------------------------------------------

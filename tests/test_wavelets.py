@@ -107,16 +107,17 @@ def naive_vector(tensor, h, j0):
 
 
 def subbands(pyr):
-    """Every detail subband view of ``pyr``: ((level, subband), view),
-    levels ascending, subbands ascending."""
+    """Every detail subband view of the stack ``pyr``: ((level, subband),
+    view), levels ascending, subbands ascending."""
     for j in pyr.levels():
         for i in range(1, 2 ** pyr.q):
             yield (j, i), pyr.subband(j, i)
 
 
 def to_vector(pyr):
-    """The package transform in the canonical order naive_vector uses:
-    gross first, then levels and subbands ascending, each in C order."""
+    """The package transform of a one-member stack in the canonical order
+    naive_vector uses: gross first, then levels and subbands ascending,
+    each in C order."""
     return np.concatenate([pyr.gross.ravel()]
                           + [v.ravel() for _, v in subbands(pyr)])
 
@@ -199,7 +200,7 @@ def test_matrix_oracle_all_small_instances():
                 # package transform equals the oracle on random input
                 rng = np.random.default_rng(hash((q, T, name, j0)) % 2**32)
                 x = rng.standard_normal((T,) * q)
-                pyr = dwt_qd(x, filt, j0)
+                pyr = dwt_qd(x[None], filt, j0)
                 np.testing.assert_allclose(
                     to_vector(pyr), M @ x.ravel(), atol=1e-10)
                 # and the inverse equals the transpose action
@@ -212,7 +213,7 @@ def test_haar_ramp_matches_matrix():
     # length-8 ramp with haar at j0=0 against the 8x8 explicit matrix
     x = np.arange(8.0)
     M = oracle_matrix(1, 8, "haar", 0)
-    pyr = dwt_qd(x, build_filter("haar"), 0)
+    pyr = dwt_qd(x[None], build_filter("haar"), 0)
     np.testing.assert_allclose(to_vector(pyr), M @ x, atol=1e-12)
 
 
@@ -227,8 +228,8 @@ def test_round_trip_and_parseval_across_sizes():
                 for j0 in range(J):
                     for _draw in range(2):
                         x = rng.standard_normal((T,) * q)
-                        pyr = dwt_qd(x, filt, j0)
-                        back = idwt_qd(pyr, filt)
+                        pyr = dwt_qd(x[None], filt, j0)
+                        back = idwt_qd(pyr, filt)[0]
                         assert np.max(np.abs(back - x)) < 1e-10
                         ex = float(np.sum(x * x))
                         rel = abs(float(np.sum(pyr.coeffs ** 2)) - ex) / ex
@@ -255,8 +256,8 @@ def oracle_idwt(pyr, filt):
     h, g = filt.taps_scaling, filt.taps_wavelet
     for j in pyr.levels():
         n = 2 ** j
-        cube = out[(slice(0, 2 * n),) * pyr.q]
-        for ax in reversed(range(pyr.q)):
+        cube = out[(slice(None),) + (slice(0, 2 * n),) * pyr.q]
+        for ax in reversed(range(1, pyr.q + 1)):
             low = (slice(None),) * ax + (slice(0, n),)
             high = (slice(None),) * ax + (slice(n, 2 * n),)
             cube[...] = oracle_synthesis_step(cube[low], cube[high], h, g, ax)
@@ -277,7 +278,7 @@ def test_inverse_matches_scatter_oracle_bit_for_bit(name):
                 coeffs = rng.standard_normal((T,) * q)
                 coeffs[rng.random(coeffs.shape) < 0.2] = 0.0
                 coeffs[rng.random(coeffs.shape) < 0.2] = -0.0
-                pyr = CoefficientPyramid(coeffs, j0)
+                pyr = CoefficientPyramid(coeffs[None], j0)
                 got = idwt_qd(pyr, filt)
                 assert np.array_equal(got.view(np.uint64),
                                       oracle_idwt(pyr, filt).view(np.uint64))
@@ -295,8 +296,9 @@ def test_linearity():
         x = rng.standard_normal((T,) * q)
         y = rng.standard_normal((T,) * q)
         a, b = rng.standard_normal(2)
-        lhs = dwt_qd(a * x + b * y, filt, j0).coeffs
-        rhs = a * dwt_qd(x, filt, j0).coeffs + b * dwt_qd(y, filt, j0).coeffs
+        lhs = dwt_qd((a * x + b * y)[None], filt, j0).coeffs
+        rhs = (a * dwt_qd(x[None], filt, j0).coeffs
+               + b * dwt_qd(y[None], filt, j0).coeffs)
         assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
@@ -307,7 +309,7 @@ def test_constant_signal(name):
     for q, T in [(1, 16), (2, 8), (3, 4)]:
         J = int(math.log2(T))
         j0 = min(default_primary_level(filt), J - 1)
-        pyr = dwt_qd(np.full((T,) * q, c), filt, j0)
+        pyr = dwt_qd(np.full((1,) + (T,) * q, c), filt, j0)
         for _, arr in subbands(pyr):
             assert np.max(np.abs(arr)) < 1e-10
         expected = c * 2 ** (q * (J - j0) / 2.0)
@@ -319,11 +321,11 @@ def test_subband_count():
     filt = build_filter("haar")
     for q, T, j0 in [(1, 16, 1), (2, 8, 0), (3, 4, 1), (2, 16, 2)]:
         J = int(math.log2(T))
-        pyr = dwt_qd(np.zeros((T,) * q), filt, j0)
+        pyr = dwt_qd(np.zeros((1,) + (T,) * q), filt, j0)
         views = list(subbands(pyr))
         assert len(views) == (2 ** q - 1) * (J - j0)
         for (j, _), v in views:
-            assert v.shape == (2 ** j,) * q
+            assert v.shape == (1,) + (2 ** j,) * q
         pyr.gross[...] += 1.0
         for _, v in views:
             v[...] += 1.0
@@ -332,7 +334,7 @@ def test_subband_count():
 
 def test_zero_pyramid_inverts_to_zero():
     filt = build_filter("db4")
-    pyr = dwt_qd(np.zeros((8, 8)), filt, 1)
+    pyr = dwt_qd(np.zeros((1, 8, 8)), filt, 1)
     assert np.max(np.abs(idwt_qd(pyr, filt))) == 0.0
 
 
@@ -342,7 +344,7 @@ def test_unit_coefficient_gives_unit_energy_basis_vector():
     name, q, T, j0 = "db2", 2, 8, 1
     filt = build_filter(name)
     M = oracle_matrix(q, T, name, j0)
-    pyr = dwt_qd(np.zeros((T,) * q), filt, j0)
+    pyr = dwt_qd(np.zeros((1,) + (T,) * q), filt, j0)
     # position: gross block, flat offset 2 -> vector index 2
     pyr.gross[np.unravel_index(2, pyr.gross.shape)] = 1.0
     vec = np.zeros(T ** q)
@@ -355,35 +357,35 @@ def test_unit_coefficient_gives_unit_energy_basis_vector():
 def test_shape_and_level_errors():
     filt = build_filter("haar")
     with pytest.raises(BadShape):
-        dwt_qd(np.zeros((4, 8)), filt, 0)
+        dwt_qd(np.zeros((1, 4, 8)), filt, 0)
     with pytest.raises(BadShape):
-        dwt_qd(np.zeros((6, 6)), filt, 0)
+        dwt_qd(np.zeros((1, 6, 6)), filt, 0)
     with pytest.raises(BadPrimaryLevel):
-        dwt_qd(np.zeros((8, 8)), filt, 3)   # j0 == J
+        dwt_qd(np.zeros((1, 8, 8)), filt, 3)   # j0 == J
     with pytest.raises(BadPrimaryLevel):
-        dwt_qd(np.zeros((8, 8)), filt, -1)
+        dwt_qd(np.zeros((1, 8, 8)), filt, -1)
     # 1-D signals go through the same checks
     with pytest.raises(BadShape):
-        dwt_qd(np.zeros(12), filt, 0)
+        dwt_qd(np.zeros((1, 12)), filt, 0)
     with pytest.raises(BadPrimaryLevel):
-        dwt_qd(np.zeros(4), filt, 2)   # j0 == J
+        dwt_qd(np.zeros((1, 4)), filt, 2)   # j0 == J
     with pytest.raises(BadPrimaryLevel):
-        dwt_qd(np.zeros(4), filt, 3)   # j0 > J
+        dwt_qd(np.zeros((1, 4)), filt, 3)   # j0 > J
 
 
 def test_pyramid_validate_catches_corruption():
     # the constructor checks the geometry a pyramid is built with
     with pytest.raises(BadShape):
-        CoefficientPyramid(np.zeros((8, 4)), 1)
+        CoefficientPyramid(np.zeros((1, 8, 4)), 1)
     with pytest.raises(BadShape):
-        CoefficientPyramid(np.zeros((6, 6)), 1)
+        CoefficientPyramid(np.zeros((1, 6, 6)), 1)
     with pytest.raises(BadShape):
         CoefficientPyramid(np.zeros(()), 0)
     with pytest.raises(BadPrimaryLevel):
-        CoefficientPyramid(np.zeros((8, 8)), 3)
+        CoefficientPyramid(np.zeros((1, 8, 8)), 3)
     with pytest.raises(BadPrimaryLevel):
-        CoefficientPyramid(np.zeros((8, 8)), -1)
-    pyr = CoefficientPyramid(np.zeros((8, 8)), 1)
+        CoefficientPyramid(np.zeros((1, 8, 8)), -1)
+    pyr = CoefficientPyramid(np.zeros((1, 8, 8)), 1)
     assert (pyr.q, pyr.J, list(pyr.levels())) == (2, 3, [1, 2])
 
 
@@ -392,13 +394,13 @@ def test_stacked_transform_is_each_member_alone(name):
     # the trailing q axes are transformed; the leading axis stacks members
     filt = build_filter(name)
     x = np.random.default_rng(7).standard_cauchy((3, 16, 16))
-    pyr = dwt_qd(x, filt, 1, q=2)
+    pyr = dwt_qd(x, filt, 1)
     assert (pyr.q, pyr.J, list(pyr.levels())) == (2, 4, [1, 2, 3])
     assert pyr.gross.shape == (3, 2, 2)
     assert pyr.subband(2, 3).shape == (3, 4, 4)
     back = idwt_qd(pyr, filt)
     for i in range(3):
-        alone = dwt_qd(x[i], filt, 1)
+        alone = dwt_qd(x[i:i + 1], filt, 1)
         assert pyr.coeffs[i].tobytes() == alone.coeffs.tobytes()
         assert back[i].tobytes() == idwt_qd(alone, filt).tobytes()
 
@@ -406,8 +408,8 @@ def test_stacked_transform_is_each_member_alone(name):
 def test_stacked_shape_errors():
     filt = build_filter("haar")
     with pytest.raises(BadShape):
-        dwt_qd(np.zeros((3, 4, 8)), filt, 0, q=2)
+        dwt_qd(np.zeros((3, 4, 8)), filt, 0)
     with pytest.raises(BadShape):
-        dwt_qd(np.zeros((3, 8)), filt, 0, q=3)
+        dwt_qd(np.zeros(8), filt, 0)        # no axis after the stack axis
     with pytest.raises(BadPrimaryLevel):
-        dwt_qd(np.zeros((5, 8)), filt, 3, q=1)
+        dwt_qd(np.zeros((5, 8)), filt, 3)
