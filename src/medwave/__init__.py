@@ -16,7 +16,6 @@ from .errors import (
     BadPrimaryLevel,
     BadShape,
     BadValue,
-    DegenerateNoise,
     EmptyBin,
     HeaderMismatch,
     IncompleteGrid,
@@ -37,7 +36,6 @@ from .medians import (
     bias_correction,
     bin_medians,
     estimate_noise_level,
-    known_noise_level,
 )
 from .wavelets import (
     CoefficientPyramid,

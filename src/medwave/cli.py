@@ -9,7 +9,7 @@ Four subcommands::
 
 Exit codes: 0 success; 2 input or validation error (including unreadable
 files and malformed flags); 3 numerical degeneracy — a noise estimate at
-the clamp floor under ``--strict``, or an unpairable noise estimate.
+the clamp floor under ``--strict``.
 
 Each handler imports only what it needs: ``estimate`` runs without loading
 any simulation machinery.
@@ -117,7 +117,7 @@ def _run_estimate(args) -> int:
         block_cardinality=args.block_cardinality,
         shrinkage_enabled=not args.no_shrinkage,
         bias_correction=not args.no_bias_correction,
-        **_parse_noise_mode(args.noise_mode, "--noise-mode"),
+        known_h_inv_sq=_parse_noise_mode(args.noise_mode, "--noise-mode"),
     )
     result = fit(u, y, config)
     design = result.design
@@ -235,15 +235,12 @@ def _run_coupling_check(args) -> int:
 
 
 def main(argv=None) -> int:
-    from .errors import DegenerateNoise, MedwaveError
+    from .errors import MedwaveError
 
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except DegenerateNoise as exc:
-        print(f"medwave: degenerate noise estimate: {exc}", file=sys.stderr)
-        return 3
     except MedwaveError as exc:
         print(f"medwave: error: {exc}", file=sys.stderr)
         return 2

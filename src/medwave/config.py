@@ -21,9 +21,9 @@ Recognized keys (all others raise UnknownKey):
 
 Distribution parameters: ``gaussian``/``cauchy``/``laplace`` take an
 optional ``:scale`` (default 1.0); ``student_t`` requires ``:nu``;
-``shifted_exponential`` takes none. Design covariances are the identity
-``p x p`` matrix (the library API accepts arbitrary SPD matrices; the file
-format deliberately does not).
+``shifted_exponential`` takes none, and both are at scale 1. Design
+covariances are the identity ``p x p`` matrix (the library API accepts
+arbitrary SPD matrices and scales; the file format deliberately does not).
 """
 
 from __future__ import annotations
@@ -150,8 +150,6 @@ def parse_config_text(text: str, source: str = "<config>") -> SimulationConfig:
         beta = (0.0,) * p
 
     design = _parse_design_dist(raw.get("design_dist", "none"), p)
-    if design is None and beta:
-        raise BadValue("beta given but design_dist is none")
     error = _parse_error_dist(raw["error_dist"])
 
     try:
@@ -170,7 +168,8 @@ def parse_config_text(text: str, source: str = "<config>") -> SimulationConfig:
         wavelet=raw.get("wavelet", "db4") or "db4",
         j0=_int_value("j0", j0) if j0 else None,
         block_cardinality=_int_value("block_cardinality", block) if block else None,
-        **_parse_noise_mode(raw.get("noise_mode") or "estimate", "noise_mode"),
+        known_h_inv_sq=_parse_noise_mode(raw.get("noise_mode") or "estimate",
+                                         "noise_mode"),
     )
 
     u0_text = raw.get("u0", "")
@@ -215,12 +214,17 @@ def emit_config(config: SimulationConfig) -> str:
     ------
     BadValue
         If the config uses features the file format cannot express
-        (non-identity design covariance).
+        (non-identity design covariance, or a scale other than 1 on
+        student_t or shifted_exponential errors).
     """
     if config.design_dist is not None and not np.array_equal(
         config.design_dist.sigma, np.eye(config.design_dist.p)
     ):
         raise BadValue("config files support identity design covariance only")
+    error = config.error_dist
+    if error.kind in ("student_t", "shifted_exponential") and error.scale != 1:
+        raise BadValue(f"config files support {error.kind} errors at scale 1 "
+                       f"only, got {error.scale}")
     est = config.estimator
     lines = [
         f"q = {config.q}",
@@ -237,10 +241,8 @@ def emit_config(config: SimulationConfig) -> str:
         f"block_cardinality = "
         f"{'' if est.block_cardinality is None else est.block_cardinality}",
     ]
-    if est.noise_mode == "known":
-        lines.append(f"noise_mode = known:{_fmt(est.known_h_inv_sq)}")
-    else:
-        lines.append("noise_mode = estimate")
+    lines.append("noise_mode = estimate" if est.known_h_inv_sq is None
+                 else f"noise_mode = known:{_fmt(est.known_h_inv_sq)}")
     lines.append(
         f"u0 = {', '.join(_fmt(v) for v in config.u0)}" if config.u0 else "u0 ="
     )

@@ -11,9 +11,8 @@ __all__ = [
     "NonGridSampleSize",
     "IncompleteGrid",
     "OffGridPoint",
-    # medians / noise
+    # medians
     "EmptyBin",
-    "DegenerateNoise",
     # wavelet transform
     "UnknownFilter",
     "BadShape",
@@ -49,15 +48,6 @@ class OffGridPoint(MedwaveError):
 
 class EmptyBin(MedwaveError):
     """A bin or half-bin contains no observations."""
-
-
-class DegenerateNoise(MedwaveError):
-    """Noise level estimate collapsed to the clamp floor (all medians equal).
-
-    The pipeline clamps instead of raising; this exception is raised only when
-    a caller escalates the degenerate flag (CLI --strict) or preconditions are
-    violated (fewer than two bins).
-    """
 
 
 class UnknownFilter(MedwaveError):

@@ -14,8 +14,8 @@ taking every member:
 
 4. check the stack and scatter it into grid order,
 5. take per-bin medians Q (and half-bin medians for the bias estimate),
-6. estimate the noise level 1/h^2(0) from paired medians (or accept a
-   known value),
+6. estimate the noise level 1/h^2(0) from paired medians (or take a
+   known value as given),
 7. transform Q / sqrt(V) with a periodized orthonormal wavelet down to the
    primary level j0,
 8. block-James-Stein shrink the detail coefficients,
@@ -43,15 +43,8 @@ import numpy as np
 from .errors import BadPrimaryLevel, BadValue, ShapeMismatch
 from .grid import (BinnedData, GridDesign, _check_finite, bin_observations,
                    plan_grid, product_grid, responses_mismatch)
-from .medians import (
-    NOISE_FLOOR,
-    MedianSummary,
-    NoiseEstimate,
-    bias_correction,
-    bin_medians,
-    estimate_noise_level,
-    known_noise_level,
-)
+from .medians import (NoiseEstimate, bias_correction, bin_medians,
+                      estimate_noise_level)
 from .shrinkage import ShrinkageDiagnostics, default_block_cardinality, shrink
 from .wavelets import (
     WaveletFilter,
@@ -63,6 +56,15 @@ from .wavelets import (
 
 __all__ = ["EstimatorConfig", "FitPlan", "FitResult", "plan_fit", "fit",
            "evaluate_on_grid"]
+
+
+def _check_known(value: Optional[float], key: str) -> Optional[float]:
+    """``value`` if it is None or a finite positive noise level, else
+    BadValue naming ``key``."""
+    if value is not None and not (np.isfinite(value) and value > 0):
+        raise BadValue(f"{key}: a known noise level must be finite and "
+                       f"positive, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -78,10 +80,9 @@ class EstimatorConfig:
         covers the filter taps, clamped to J-1 for small designs.
     block_cardinality : int, optional
         Target block size L; default max(1, floor(ln n)).
-    noise_mode : str
-        "estimate" (from paired medians) or "known".
     known_h_inv_sq : float, optional
-        The value 1/h^2(0) when noise_mode == "known"; finite and positive.
+        A known noise level 1/h^2(0), finite and positive, used as given;
+        None (the default) estimates it from paired medians.
     shrinkage_enabled : bool
         Disable to get the raw median pipeline (diagnostic use).
     bias_correction : bool
@@ -91,21 +92,12 @@ class EstimatorConfig:
     wavelet: str = "db4"
     j0: Optional[int] = None
     block_cardinality: Optional[int] = None
-    noise_mode: str = "estimate"
     known_h_inv_sq: Optional[float] = None
     shrinkage_enabled: bool = True
     bias_correction: bool = True
 
     def __post_init__(self):
-        if self.noise_mode not in ("estimate", "known"):
-            raise BadValue(f"noise_mode must be 'estimate' or 'known', "
-                           f"got {self.noise_mode!r}")
-        known = self.known_h_inv_sq
-        if self.noise_mode == "known" and not (
-            known is not None and np.isfinite(known) and known > 0
-        ):
-            raise BadValue("noise_mode 'known' requires a finite positive "
-                           f"known_h_inv_sq, got {known}")
+        _check_known(self.known_h_inv_sq, "known_h_inv_sq")
         if self.j0 is not None and self.j0 < 0:
             raise BadPrimaryLevel(f"j0 must be >= 0, got {self.j0}")
         if self.block_cardinality is not None and self.block_cardinality < 1:
@@ -141,8 +133,9 @@ def _resolve_primary_level(config: EstimatorConfig, filt: WaveletFilter,
     return min(default_primary_level(filt), J - 1)
 
 
-def _parse_noise_mode(text: str, key: str) -> dict:
-    """``estimate`` or ``known:VALUE`` as :class:`EstimatorConfig` keywords.
+def _parse_noise_mode(text: str, key: str) -> Optional[float]:
+    """``estimate`` or ``known:VALUE`` as the ``known_h_inv_sq`` of an
+    :class:`EstimatorConfig`: None or VALUE.
 
     Whitespace around the kind and the value is ignored. ``key`` names the
     option (``--noise-mode`` or ``noise_mode``) in the error message.
@@ -150,29 +143,14 @@ def _parse_noise_mode(text: str, key: str) -> dict:
     kind, colon, value = text.partition(":")
     kind = kind.strip()
     if kind == "estimate" and not colon:
-        return {"noise_mode": "estimate"}
+        return None
     if kind == "known" and colon:
         try:
-            return {"noise_mode": "known", "known_h_inv_sq": float(value)}
+            known = float(value)
         except ValueError:
             raise BadValue(f"{key}: bad numeric value in {text!r}") from None
+        return _check_known(known, key)
     raise BadValue(f"{key} must be 'estimate' or 'known:VALUE', got {text!r}")
-
-
-def _resolve_noise(config: EstimatorConfig, summary: MedianSummary,
-                   n: int) -> list:
-    """The noise level of each member of the stacked ``summary``."""
-    members = summary.q_full.shape[0]
-    if config.noise_mode == "known":
-        return [known_noise_level(config.known_h_inv_sq, n)] * members
-    if summary.design.J == 0:
-        # a single bin has no pair to estimate from: flag the clamp floor
-        return [NoiseEstimate(
-            h_inv_sq=NOISE_FLOOR,
-            sigma=float(np.sqrt(NOISE_FLOOR) / (2.0 * np.sqrt(n))),
-            degenerate=True,
-        )] * members
-    return estimate_noise_level(summary)
 
 
 @dataclass(frozen=True)
@@ -231,7 +209,7 @@ class FitPlan:
         summary = bin_medians(binned)
         b_hat = (bias_correction(summary) if config.bias_correction
                  else np.zeros(B))
-        noise = _resolve_noise(config, summary, n)
+        noise = estimate_noise_level(summary, config.known_h_inv_sq)
         diagnostics = [None] * B
         if self.j0 is None:
             # Single bin per axis: no detail levels exist, the transform is

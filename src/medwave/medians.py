@@ -21,7 +21,9 @@ the estimation pipeline:
   h^{-2}(0) only as kappa -> infinity (the variance of a bin median is
   1/(4 kappa h^2(0)) asymptotically). At kappa = 16 the exact value is
   7.9% below h^{-2}(0) for Gaussian errors and 17.7% above it for Cauchy
-  errors. The per-coefficient noise scale is then
+  errors. A single bin (V = 1) has no pair: its estimate is 0, clamped
+  to the floor and flagged. A known level replaces the estimate and is
+  used as given. The per-coefficient noise scale is then
   sigma = sqrt(h_inv_sq) / (2 sqrt(n)).
 
 Medians use the usual midpoint convention for even counts (mean of the two
@@ -49,7 +51,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DegenerateNoise, EmptyBin, ShapeMismatch
+from .errors import EmptyBin, ShapeMismatch
 from .grid import BinnedData, GridDesign
 
 __all__ = [
@@ -58,7 +60,6 @@ __all__ = [
     "bin_medians",
     "bias_correction",
     "estimate_noise_level",
-    "known_noise_level",
     "NOISE_FLOOR",
 ]
 
@@ -95,9 +96,10 @@ class MedianSummary:
 class NoiseEstimate:
     """Noise level 1/h^2(0) and the implied per-coefficient scale sigma.
 
-    ``degenerate`` is True when the raw estimate fell below the clamp floor
-    (all medians identical); the estimate is then the floor itself and
-    callers may escalate via the CLI --strict flag.
+    ``source`` is "known" for a level the caller gave, else "estimate".
+    ``degenerate`` is True when an estimate fell below the clamp floor (all
+    medians identical, or a single bin); the level is then the floor itself
+    and callers may escalate via the CLI --strict flag.
     """
 
     h_inv_sq: float
@@ -222,47 +224,31 @@ def bias_correction(summary: MedianSummary) -> np.ndarray:
         -1, summary.design.V), axis=1)
 
 
-def estimate_noise_level(summary: MedianSummary) -> list:
-    """Estimate 1/h^2(0) of each member from its lexicographically paired
-    bin medians: a list of B estimates.
+def estimate_noise_level(summary: MedianSummary,
+                         known: Optional[float] = None) -> list:
+    """The noise level 1/h^2(0) of each member: a list of B estimates.
 
-    The estimate tracks 4 kappa Var(median of kappa draws), not h^{-2}(0)
-    itself: the two agree only as kappa -> infinity. For Cauchy errors at
-    kappa = 16 the target is +17.7% above pi^2 = h^{-2}(0).
-
-    Raises
-    ------
-    DegenerateNoise
-        If fewer than two bins are available (V < 2). A raw estimate below
-        the 1e-12 floor does not raise; it is clamped and flagged.
+    A ``known`` level is used as given for every member. Otherwise each
+    member's level is estimated from its paired bin medians (see the module
+    docstring); an estimate below the 1e-12 floor, as on a single bin, is
+    clamped and flagged.
     """
     design = summary.design
-    if design.V < 2:
-        raise DegenerateNoise("need at least two bins to estimate noise")
-    flat = summary.q_full.reshape(-1, design.V)  # C order == lexicographic
-    pairs = design.V // 2
-    diffs = flat[:, 0:2 * pairs:2] - flat[:, 1:2 * pairs:2]
-    raws = (2.0 * design.kappa / pairs) * np.sum(diffs * diffs, axis=1)
+    if known is None:
+        flat = summary.q_full.reshape(-1, design.V)  # C order == lexicographic
+        pairs = design.V // 2
+        diffs = flat[:, 0:2 * pairs:2] - flat[:, 1:2 * pairs:2]
+        raws = ((2.0 * design.kappa / max(pairs, 1))
+                * np.sum(diffs * diffs, axis=1)).tolist()
+    else:
+        raws = [float(known)] * summary.q_full.shape[0]
     root_n = np.sqrt(design.n)
     noise = []
-    for raw in raws.tolist():
-        h_inv_sq = max(raw, NOISE_FLOOR)
+    for raw in raws:
+        degenerate = known is None and raw < NOISE_FLOOR
+        h_inv_sq = NOISE_FLOOR if degenerate else raw
         noise.append(NoiseEstimate(
             h_inv_sq=h_inv_sq, sigma=float(np.sqrt(h_inv_sq) / (2.0 * root_n)),
-            degenerate=raw < NOISE_FLOOR, source="estimate"))
+            degenerate=degenerate,
+            source="estimate" if known is None else "known"))
     return noise
-
-
-def known_noise_level(h_inv_sq: float, n: int) -> NoiseEstimate:
-    """Wrap an externally supplied 1/h^2(0) value.
-
-    Raises
-    ------
-    DegenerateNoise
-        If the supplied value is not strictly positive.
-    """
-    if not np.isfinite(h_inv_sq) or h_inv_sq <= 0:
-        raise DegenerateNoise(f"known noise level must be positive, got {h_inv_sq}")
-    sigma = np.sqrt(h_inv_sq) / (2.0 * np.sqrt(n))
-    return NoiseEstimate(h_inv_sq=float(h_inv_sq), sigma=float(sigma),
-                         degenerate=False, source="known")

@@ -87,11 +87,11 @@ _DESIGN_KINDS = ("gaussian", "student_t", "cauchy", "laplace")
 
 @dataclass(frozen=True)
 class ErrorDist:
-    """Univariate error distribution with median zero.
+    """Univariate error distribution with median zero: ``scale`` (finite,
+    >= 0) times a standard draw of ``kind``.
 
-    kind in {gaussian, cauchy, laplace} takes a ``scale`` >= 0;
-    student_t takes a finite ``nu`` > 0; shifted_exponential has no parameters
-    (density h(x) = exp(-(x + ln 2)) on x >= -ln 2, asymmetric).
+    student_t takes a finite ``nu`` > 0; the standard shifted_exponential
+    has density h(x) = exp(-(x + ln 2)) on x >= -ln 2 (asymmetric).
     """
 
     kind: str
@@ -101,9 +101,8 @@ class ErrorDist:
     def __post_init__(self):
         if self.kind not in _ERROR_KINDS:
             raise BadValue(f"unknown error distribution {self.kind!r}")
-        if self.kind in ("gaussian", "cauchy", "laplace"):
-            if not (np.isfinite(self.scale) and self.scale >= 0):
-                raise BadValue(f"scale must be >= 0, got {self.scale}")
+        if not (np.isfinite(self.scale) and self.scale >= 0):
+            raise BadValue(f"scale must be finite and >= 0, got {self.scale}")
         if self.kind == "student_t" and not (np.isfinite(self.nu)
                                              and self.nu > 0):
             raise BadValue(f"student_t needs a finite nu > 0, got {self.nu}")
@@ -171,47 +170,48 @@ def sample_elliptical(dist: DesignDist, count: int,
 
 def sample_errors(dist: ErrorDist, count: int,
                   rng: np.random.Generator) -> np.ndarray:
-    """Draw ``count`` i.i.d. errors (median zero by construction)."""
+    """Draw ``count`` i.i.d. errors (median zero by construction): the scale
+    times ``count`` standard draws."""
     if dist.kind == "gaussian":
-        return dist.scale * rng.standard_normal(count)
-    if dist.kind == "cauchy":
-        return dist.scale * rng.standard_cauchy(count)
-    if dist.kind == "student_t":
-        return rng.standard_t(dist.nu, size=count)
-    if dist.kind == "laplace":
-        return rng.laplace(0.0, dist.scale, size=count) if dist.scale > 0 \
-            else np.zeros(count)
-    if dist.kind == "shifted_exponential":
-        return rng.exponential(1.0, size=count) - math.log(2.0)
-    raise BadValue(f"unknown error distribution {dist.kind!r}")  # pragma: no cover
+        draws = rng.standard_normal(count)
+    elif dist.kind == "cauchy":
+        draws = rng.standard_cauchy(count)
+    elif dist.kind == "student_t":
+        draws = rng.standard_t(dist.nu, size=count)
+    elif dist.kind == "laplace":
+        draws = rng.laplace(0.0, 1.0, size=count)
+    else:  # shifted_exponential
+        draws = rng.exponential(1.0, size=count) - math.log(2.0)
+    return dist.scale * draws
 
 
 #: above this nu the student-t h(0) is taken from its asymptotic series
 _T_SERIES_NU = 400.0
 
+#: 1/h(0) of the standard law of every kind but student_t
+_STANDARD_INV_H0 = {"gaussian": math.sqrt(2.0 * math.pi), "cauchy": math.pi,
+                    "laplace": 2.0, "shifted_exponential": 2.0}
+
 
 def density_at_median(dist: ErrorDist) -> float:
-    """Analytic h(0), the error density at its median.
+    """Analytic h(0), the error density at its median: the standard law's
+    h(0) over the scale.
 
     Raises
     ------
     UnknownDensityValue
-        When no (finite, positive) analytic value exists, e.g. scale 0.
+        At scale 0, where the law is a point mass.
     """
-    if dist.kind == "gaussian":
-        if dist.scale <= 0:
-            raise UnknownDensityValue("gaussian with scale 0 is degenerate")
-        return 1.0 / (dist.scale * math.sqrt(2.0 * math.pi))
-    if dist.kind == "cauchy":
-        if dist.scale <= 0:
-            raise UnknownDensityValue("cauchy with scale 0 is degenerate")
-        return 1.0 / (math.pi * dist.scale)
-    if dist.kind == "student_t":
-        nu = dist.nu
-        if nu <= _T_SERIES_NU:
-            # log-gamma: math.gamma overflows from nu = 343 on
-            return math.exp(math.lgamma((nu + 1) / 2)
-                            - math.lgamma(nu / 2)) / math.sqrt(nu * math.pi)
+    if dist.scale == 0:
+        raise UnknownDensityValue(f"{dist.kind} with scale 0 is degenerate")
+    if dist.kind != "student_t":
+        return 1.0 / (dist.scale * _STANDARD_INV_H0[dist.kind])
+    nu = dist.nu
+    if nu <= _T_SERIES_NU:
+        # log-gamma: math.gamma overflows from nu = 343 on
+        h0 = math.exp(math.lgamma((nu + 1) / 2)
+                      - math.lgamma(nu / 2)) / math.sqrt(nu * math.pi)
+    else:
         # The lgamma difference cancels as nu grows (it is 1.5e-5 off at
         # 1e10), so use the asymptotic series of
         # Gamma((nu+1)/2) / (Gamma(nu/2) sqrt(nu pi)); its first omitted
@@ -219,14 +219,8 @@ def density_at_median(dist: ErrorDist) -> float:
         x = 1.0 / nu
         series = 1.0 - x / 4 + x ** 2 / 32 + 5 * x ** 3 / 128 \
             - 21 * x ** 4 / 2048
-        return series / math.sqrt(2.0 * math.pi)
-    if dist.kind == "laplace":
-        if dist.scale <= 0:
-            raise UnknownDensityValue("laplace with scale 0 is degenerate")
-        return 1.0 / (2.0 * dist.scale)
-    if dist.kind == "shifted_exponential":
-        return 0.5
-    raise UnknownDensityValue(f"no analytic h(0) for {dist.kind!r}")
+        h0 = series / math.sqrt(2.0 * math.pi)
+    return h0 / dist.scale
 
 
 # ---------------------------------------------------------------------------

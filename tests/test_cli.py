@@ -68,8 +68,7 @@ def test_estimate_flag_plumbing(tmp_path):
     assert rc == 0
     _, fhat = read_estimate_csv(out)
     cfg = EstimatorConfig(wavelet="db2", j0=1, block_cardinality=4,
-                          noise_mode="known", known_h_inv_sq=2.0,
-                          bias_correction=False)
+                          known_h_inv_sq=2.0, bias_correction=False)
     assert np.array_equal(fhat, fit(u, y, cfg).f_hat.ravel())
 
 

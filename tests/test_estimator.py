@@ -210,8 +210,7 @@ def test_single_bin_design_bypasses_transform():
 def test_single_bin_design_accepts_known_noise():
     u = grid_2d(2)
     y = np.array([1.0, 2.0, 3.0, 10.0])
-    cfg = EstimatorConfig(noise_mode="known", known_h_inv_sq=2.0,
-                          bias_correction=False)
+    cfg = EstimatorConfig(known_h_inv_sq=2.0, bias_correction=False)
     result = fit(u, y, cfg)
     assert not result.noise.degenerate
     assert result.noise.h_inv_sq == 2.0
@@ -253,14 +252,20 @@ def test_explicit_j0_respected_and_validated():
 
 
 def test_config_validation():
-    with pytest.raises(BadValue):
-        EstimatorConfig(noise_mode="known")
-    with pytest.raises(BadValue):
-        EstimatorConfig(noise_mode="known", known_h_inv_sq=0.0)
-    with pytest.raises(BadValue):
-        EstimatorConfig(noise_mode="oracle")
+    for bad in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(BadValue, match="known_h_inv_sq"):
+            EstimatorConfig(known_h_inv_sq=bad)
     with pytest.raises(BadValue):
         EstimatorConfig(block_cardinality=0)
+
+
+def test_config_has_one_field_for_the_noise_level():
+    # None estimates the level; there is no second field that could
+    # contradict a given value
+    assert [f.name for f in dataclasses.fields(EstimatorConfig)] == [
+        "wavelet", "j0", "block_cardinality", "known_h_inv_sq",
+        "shrinkage_enabled", "bias_correction"]
+    assert EstimatorConfig().known_h_inv_sq is None
 
 
 def test_known_noise_mode_drives_shrinkage():
@@ -269,14 +274,12 @@ def test_known_noise_mode_drives_shrinkage():
     rng = np.random.default_rng(8)
     u = grid_1d(256)
     y = np.sin(2 * np.pi * u) + 0.1 * rng.standard_normal(256)
-    noisy = fit(u, y, EstimatorConfig(noise_mode="known",
-                                      known_h_inv_sq=1e15,
+    noisy = fit(u, y, EstimatorConfig(known_h_inv_sq=1e15,
                                       bias_correction=False))
     assert noisy.noise.h_inv_sq == 1e15
     assert sum(noisy.diagnostics.zeroed_per_level.values()) \
         == noisy.diagnostics.total_blocks
-    clean = fit(u, y, EstimatorConfig(noise_mode="known",
-                                      known_h_inv_sq=1e-15,
+    clean = fit(u, y, EstimatorConfig(known_h_inv_sq=1e-15,
                                       bias_correction=False))
     assert not clean.diagnostics.zeroed_per_level
     assert clean.diagnostics.factor_min > 0.999
@@ -337,7 +340,7 @@ def assert_same_fit(a, b):
     assert a.design == b.design
 
 
-KNOWN = EstimatorConfig(noise_mode="known", known_h_inv_sq=2.5)
+KNOWN = EstimatorConfig(known_h_inv_sq=2.5)
 NO_SHRINK = EstimatorConfig(shrinkage_enabled=False)
 NO_BIAS = EstimatorConfig(bias_correction=False)
 
@@ -351,8 +354,7 @@ PLAN_CASES = [
     (17, 2, (EstimatorConfig(), NO_SHRINK, EstimatorConfig(j0=1))),
     (16, 3, (EstimatorConfig(), KNOWN, NO_SHRINK)),
     (13, 3, (EstimatorConfig(wavelet="haar"), RAW)),
-    (7, 1, (NO_BIAS, RAW, EstimatorConfig(noise_mode="known",
-                                          known_h_inv_sq=1.0,
+    (7, 1, (NO_BIAS, RAW, EstimatorConfig(known_h_inv_sq=1.0,
                                           bias_correction=False))),
     (2, 2, (EstimatorConfig(), KNOWN, NO_BIAS)),
 ]

@@ -28,6 +28,7 @@ from medwave.errors import (
     ShapeMismatch,
     UnknownKey,
 )
+from medwave.estimator import EstimatorConfig
 from medwave.grid import product_grid
 from medwave.simulate import DesignDist, ErrorDist, SimulationConfig
 
@@ -472,7 +473,7 @@ def test_minimal_config_defaults():
     assert cfg.estimator.wavelet == "db4"
     assert cfg.estimator.j0 is None
     assert cfg.estimator.block_cardinality is None
-    assert cfg.estimator.noise_mode == "estimate"
+    assert cfg.estimator.known_h_inv_sq is None
 
 
 def test_comments_and_blank_lines():
@@ -510,7 +511,6 @@ def test_full_config():
     assert cfg.estimator.wavelet == "haar"
     assert cfg.estimator.j0 == 2
     assert cfg.estimator.block_cardinality == 8
-    assert cfg.estimator.noise_mode == "known"
     assert cfg.estimator.known_h_inv_sq == 2.5
     assert cfg.u0 == (0.3, 0.7)
 
@@ -613,3 +613,26 @@ def test_emit_rejects_general_covariance():
         beta=(1.0, 2.0))
     with pytest.raises(BadValue):
         emit_config(cfg)
+
+
+def test_emit_round_trips_the_noise_level():
+    for known in (None, 2.5, 1e-15):
+        cfg = SimulationConfig(
+            q=1, sample_sizes=(1024,), error_dist=ErrorDist("gaussian", 1.0),
+            estimator=EstimatorConfig(known_h_inv_sq=known))
+        text = emit_config(cfg)
+        assert ("noise_mode = estimate\n" in text) == (known is None)
+        assert parse_config_text(text) == cfg
+
+
+def test_emit_refuses_a_scale_the_format_cannot_write():
+    # the config syntax has no scale for these two kinds: emitting one at
+    # scale 2 would drop the 2
+    for error in (ErrorDist("student_t", scale=2.0, nu=3.0),
+                  ErrorDist("shifted_exponential", scale=0.5)):
+        cfg = SimulationConfig(q=1, sample_sizes=(1024,), error_dist=error)
+        with pytest.raises(BadValue, match="scale 1"):
+            emit_config(cfg)
+        unit = SimulationConfig(q=1, sample_sizes=(1024,),
+                                error_dist=ErrorDist(error.kind, nu=error.nu))
+        assert parse_config_text(emit_config(unit)) == unit

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import medwave.medians as medians_module
-from medwave.errors import DegenerateNoise, EmptyBin, ShapeMismatch
+from medwave.errors import EmptyBin, ShapeMismatch
 from medwave.grid import plan_grid
 from medwave.medians import (
     NOISE_FLOOR,
@@ -15,7 +15,6 @@ from medwave.medians import (
     bias_correction,
     bin_medians,
     estimate_noise_level,
-    known_noise_level,
 )
 
 from oracles import QUANTILES, order_statistic_mean
@@ -357,19 +356,34 @@ def test_degenerate_noise_clamped_and_flagged():
     assert est.sigma > 0
 
 
-def test_degenerate_noise_raises_below_two_bins():
-    d = plan_grid(4, 2)  # J=0 -> V=1
+def test_single_bin_noise_is_the_flagged_floor():
+    # a single bin (J = 0, V = 1) has no pair: every member's raw estimate
+    # is 0, which is clamped to the floor and flagged
+    d = plan_grid(4, 2)
     assert d.V == 1
-    q = np.zeros((1, 1, 1))
-    with pytest.raises(DegenerateNoise):
-        estimate_noise_level(MedianSummary(design=d, q_full=q, q_half=q))
+    q = np.array([0.0, 7.5, -2.0]).reshape(3, 1, 1)
+    noise = estimate_noise_level(MedianSummary(design=d, q_full=q, q_half=q))
+    assert len(noise) == 3
+    for est in noise:
+        assert est.degenerate and est.source == "estimate"
+        assert est.h_inv_sq == NOISE_FLOOR
+        assert est.sigma == float(np.sqrt(NOISE_FLOOR) / (2.0 * np.sqrt(4)))
 
 
-def test_known_noise_level():
-    est = known_noise_level(2 * math.pi, 1024)
-    assert est.source == "known"
-    assert not est.degenerate
+def test_known_noise_level_is_used_as_given():
+    d = plan_grid(1024, 1)
+    rng = np.random.default_rng(41)
+    q = rng.standard_normal((3,) + d.tensor_shape())
+    q[1] = 2.5                        # all medians equal: no effect either
+    summary = MedianSummary(design=d, q_full=q, q_half=q)
+    for known in (2 * math.pi, 1e-15, 1e15):
+        noise = estimate_noise_level(summary, known)
+        assert len(noise) == 3
+        for est in noise:
+            assert est.source == "known" and not est.degenerate
+            # a level below the clamp floor is not clamped
+            assert est.h_inv_sq == known
+            assert est.sigma == float(np.sqrt(known) / (2.0 * np.sqrt(1024)))
+    [est] = estimate_noise_level(MedianSummary(
+        design=d, q_full=q[:1], q_half=q[:1]), 2 * math.pi)
     assert est.sigma == pytest.approx(math.sqrt(2 * math.pi) / (2 * 32.0))
-    for bad in (0.0, -1.0, float("nan"), float("inf")):
-        with pytest.raises(DegenerateNoise):
-            known_noise_level(bad, 16)

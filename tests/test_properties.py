@@ -132,7 +132,6 @@ def stack_cases(draw):
     Y[flat] = draw(st.floats(-10, 10))
     noise = draw(st.sampled_from(("estimate", "known")))
     options = dict(
-        noise_mode=noise,
         known_h_inv_sq=draw(st.floats(0.1, 20.0)) if noise == "known"
         else None,
         shrinkage_enabled=draw(st.booleans()),
@@ -153,6 +152,6 @@ def test_stack_rows_fit_bit_identical_to_single_fits(wavelet, case):
         assert len(results) == len(Y)
         for y, got in zip(Y, results):
             assert_results_bit_equal(got, plan.fit(y))
-        if options["noise_mode"] == "estimate":
+        if options["known_h_inv_sq"] is None:
             assert [r.noise.degenerate for r in results] == [
                 i == flat for i in range(len(Y))]

@@ -168,6 +168,39 @@ def test_gaussian_scale_zero_is_noiseless():
     assert np.all(draws == 0.0)
 
 
+# every error law, as ErrorDist keywords of its standard (scale 1) form
+STANDARD_ERRORS = [dict(kind="gaussian"), dict(kind="cauchy"),
+                   dict(kind="laplace"), dict(kind="student_t", nu=3.0),
+                   dict(kind="shifted_exponential")]
+
+
+@pytest.mark.parametrize("law", STANDARD_ERRORS, ids=lambda law: law["kind"])
+def test_scale_multiplies_every_kind_of_error(law):
+    # a draw at scale s is s times the standard draw from the same stream,
+    # bit for bit, and h(0) is divided by s
+    standard = ErrorDist(**law)
+    std_draws = sample_errors(standard, 2000, np.random.default_rng(12))
+    std_h0 = density_at_median(standard)
+    for scale in (1.0, 2.0, 0.3, 7.5):
+        dist = ErrorDist(scale=scale, **law)
+        draws = sample_errors(dist, 2000, np.random.default_rng(12))
+        assert draws.tobytes() == (scale * std_draws).tobytes()
+        assert density_at_median(dist) == pytest.approx(std_h0 / scale,
+                                                        rel=1e-15)
+    assert np.all(sample_errors(ErrorDist(scale=0.0, **law), 50,
+                                np.random.default_rng(12)) == 0.0)
+
+
+@pytest.mark.parametrize("law", STANDARD_ERRORS, ids=lambda law: law["kind"])
+def test_scale_is_checked_for_every_kind(law):
+    from medwave.errors import UnknownDensityValue
+    for bad in (-1.0, math.inf, math.nan):
+        with pytest.raises(BadValue, match="scale"):
+            ErrorDist(scale=bad, **law)
+    with pytest.raises(UnknownDensityValue, match="scale 0"):
+        density_at_median(ErrorDist(scale=0.0, **law))
+
+
 # ---------------------------------------------------------------------------
 # test functions
 # ---------------------------------------------------------------------------
