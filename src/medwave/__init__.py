@@ -72,7 +72,7 @@ _LAZY = {
         "ErrorDist", "DesignDist", "TestFunction", "SimulationConfig",
         "RatePoint", "RateStudyReport", "CouplingResult", "test_function",
         "available_test_functions", "sample_elliptical", "sample_errors",
-        "density_at_median", "generate_dataset", "mise", "run_replication",
+        "density_at_median", "generate_dataset", "mise",
         "rate_study", "coupling_check", "replication_rng",
     )
 }

@@ -123,8 +123,11 @@ def _run_estimate(args) -> int:
     design = result.design
 
     if result.noise.degenerate:
-        print("medwave: noise estimate clamped at floor "
-              "(all bin medians identical?)", file=sys.stderr)
+        cause = ("a single bin has no neighbour to estimate the noise level "
+                 "from; --noise-mode known:VALUE gives one" if design.V == 1
+                 else "all bin medians identical?")
+        print(f"medwave: noise estimate clamped at floor ({cause})",
+              file=sys.stderr)
         if args.strict:
             return 3
 

@@ -40,7 +40,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BadPrimaryLevel, BadValue, ShapeMismatch
+from .errors import BadPrimaryLevel, BadValue
 from .grid import (BinnedData, GridDesign, _check_finite, bin_observations,
                    plan_grid, product_grid, responses_mismatch)
 from .medians import (NoiseEstimate, bias_correction, bin_medians,
@@ -224,8 +224,6 @@ class FitPlan:
                 diagnostics = stack.rows
             f_hat = (idwt_qd(pyramid, self.filt) * np.sqrt(design.V)
                      - _per_member(b_hat, design.q))
-        if f_hat.shape != (B,) + design.tensor_shape():  # pragma: no cover
-            raise ShapeMismatch("reconstruction shape drifted from design")
         return [FitResult(f_hat=f, b_hat=float(b), noise=e, diagnostics=d,
                           design=design, config=config)
                 for f, b, e, d in zip(f_hat, b_hat, noise, diagnostics)]

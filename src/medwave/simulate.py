@@ -29,7 +29,7 @@ study fits its replications in stacks of up to 2^17 observations
 (max(1, 2^17 // n) replications): each replication's responses fill one
 row of a preallocated stack, and :meth:`FitPlan.fit_many` fits the stack
 in one pass of every stage. Each fit is bit-identical to fitting its
-replication alone, as :func:`run_replication` does (a stack of one).
+replication's ``generate_dataset`` alone with :func:`fit`.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ import numpy as np
 
 from .dataio import RowTemplate
 from .errors import BadCovariance, BadValue, ShapeMismatch, UnknownDensityValue
-from .estimator import EstimatorConfig, FitPlan, FitResult, _plan_on
+from .estimator import EstimatorConfig, FitPlan, _plan_on
 # ``fit`` is not called here; it stays bound because the benchmark tracer's
 # tests (perfbench/test_checks.py) check that every binding of it is wrapped.
 from .estimator import fit  # noqa: F401
@@ -65,7 +65,6 @@ __all__ = [
     "density_at_median",
     "generate_dataset",
     "mise",
-    "run_replication",
     "rate_study",
     "coupling_check",
 ]
@@ -85,13 +84,24 @@ _ERROR_KINDS = ("gaussian", "cauchy", "student_t", "laplace",
 _DESIGN_KINDS = ("gaussian", "student_t", "cauchy", "laplace")
 
 
+def _check_nu(kind: str, nu: float) -> None:
+    """student_t takes a finite nu > 0; every other kind reads no nu and
+    takes only the default 1."""
+    if kind == "student_t":
+        if not (np.isfinite(nu) and nu > 0):
+            raise BadValue(f"student_t needs a finite nu > 0, got {nu}")
+    elif nu != 1:
+        raise BadValue(f"{kind} takes no nu, got nu={nu}")
+
+
 @dataclass(frozen=True)
 class ErrorDist:
     """Univariate error distribution with median zero: ``scale`` (finite,
     >= 0) times a standard draw of ``kind``.
 
-    student_t takes a finite ``nu`` > 0; the standard shifted_exponential
-    has density h(x) = exp(-(x + ln 2)) on x >= -ln 2 (asymmetric).
+    student_t takes a finite ``nu`` > 0, and other kinds only the default
+    ``nu`` = 1; the standard shifted_exponential has density
+    h(x) = exp(-(x + ln 2)) on x >= -ln 2 (asymmetric).
     """
 
     kind: str
@@ -103,9 +113,7 @@ class ErrorDist:
             raise BadValue(f"unknown error distribution {self.kind!r}")
         if not (np.isfinite(self.scale) and self.scale >= 0):
             raise BadValue(f"scale must be finite and >= 0, got {self.scale}")
-        if self.kind == "student_t" and not (np.isfinite(self.nu)
-                                             and self.nu > 0):
-            raise BadValue(f"student_t needs a finite nu > 0, got {self.nu}")
+        _check_nu(self.kind, self.nu)
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,7 +122,8 @@ class DesignDist:
 
     All kinds are scale mixtures of a N(0, sigma) vector: student_t divides
     by sqrt(chi2_nu / nu) (cauchy is nu = 1), laplace multiplies by the
-    square root of an Exp(1) variable.
+    square root of an Exp(1) variable. Only student_t takes a ``nu`` other
+    than 1.
     """
 
     kind: str
@@ -143,9 +152,7 @@ class DesignDist:
             raise BadCovariance("sigma is not positive definite") from None
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "_chol", chol)
-        if self.kind == "student_t" and not (np.isfinite(self.nu)
-                                             and self.nu > 0):
-            raise BadValue(f"student_t needs a finite nu > 0, got {self.nu}")
+        _check_nu(self.kind, self.nu)
 
     @property
     def p(self) -> int:
@@ -159,13 +166,10 @@ def sample_elliptical(dist: DesignDist, count: int,
     if dist.kind == "gaussian":
         return z
     if dist.kind in ("student_t", "cauchy"):
-        nu = 1.0 if dist.kind == "cauchy" else dist.nu
-        w = rng.chisquare(nu, size=count) / nu
+        w = rng.chisquare(dist.nu, size=count) / dist.nu  # cauchy: nu = 1
         return z / np.sqrt(w)[:, None]
-    if dist.kind == "laplace":
-        w = rng.exponential(1.0, size=count)
-        return z * np.sqrt(w)[:, None]
-    raise BadValue(f"unknown design distribution {dist.kind!r}")  # pragma: no cover
+    w = rng.exponential(1.0, size=count)  # laplace
+    return z * np.sqrt(w)[:, None]
 
 
 def sample_errors(dist: ErrorDist, count: int,
@@ -395,13 +399,6 @@ def _covering_bin(u0: tuple, design: GridDesign) -> tuple:
     return tuple(idx)
 
 
-@dataclass(frozen=True)
-class ReplicationOutcome:
-    mise: float
-    pointwise_sq_error: Optional[float]
-    result: FitResult = field(repr=False, compare=False, default=None)
-
-
 class _SizeContext:
     """What every replication at one sample size n shares.
 
@@ -431,12 +428,6 @@ class _SizeContext:
     def row_template(self) -> RowTemplate:
         return RowTemplate(self.u)
 
-    @cached_property
-    def f_u0(self) -> float:
-        """The truth at the configured u0."""
-        u0 = np.asarray(self.config.u0, dtype=float)[None, :]
-        return float(self.fn(u0)[0])
-
     def responses(self, rng: np.random.Generator,
                   out: Optional[np.ndarray] = None) -> np.ndarray:
         """One replication's y, written into ``out`` when given; X is drawn
@@ -449,38 +440,37 @@ class _SizeContext:
         return np.add(y, sample_errors(config.error_dist, self.n, rng),
                       out=out)
 
-    def replicate_many(self, indices, stack: np.ndarray) -> list:
-        """Draw the replications ``indices`` into the first rows of
-        ``stack``, fit them in one call and score each."""
+    def scores(self) -> tuple:
+        """Draw, fit and score every replication at this size.
+
+        Returns the (R,) MISE and, when u0 is set, the (R,) squared errors
+        at u0 (else None). Replications are fitted in stacks of
+        max(1, 2^17 // n), each drawn into a row of one preallocated buffer.
+        """
         config = self.config
-        Y = stack[:len(indices)]
-        for row, index in zip(Y, indices):
-            self.responses(replication_rng(config.seed, self.n, index),
-                           out=row)
+        reps = config.replications
+        m = np.empty(reps)
+        p = None
         if config.u0 is not None:
+            p = np.empty(reps)
             # The fitted function is piecewise constant on bins, so its value
             # at u0 is the estimate in the covering bin; the error is taken
             # against f at u0 itself (discretization offset included).
             pos = tuple(l - 1 for l in _covering_bin(config.u0, self.design))
-        outcomes = []
-        for result in self.plan.fit_many(Y):
-            ptw = None
-            if config.u0 is not None:
-                ptw = float((result.f_hat[pos] - self.f_u0) ** 2)
-            outcomes.append(ReplicationOutcome(
-                mise=mise(result.f_hat, self.f_grid), pointwise_sq_error=ptw,
-                result=result))
-        return outcomes
-
-    def replicate(self, index: int) -> ReplicationOutcome:
-        """Draw, fit and score replication ``index``: a stack of one."""
-        return self.replicate_many([index], np.empty((1, self.n)))[0]
-
-
-def run_replication(config: SimulationConfig, n: int,
-                    index: int) -> ReplicationOutcome:
-    """Generate, fit and score replication ``index`` at sample size n."""
-    return _SizeContext(config, n).replicate(index)
+            u0 = np.asarray(config.u0, dtype=float)[None, :]
+            f_u0 = float(self.fn(u0)[0])
+        size = min(reps, max(1, _STACK_OBS // self.n))
+        stack = np.empty((size, self.n))
+        for start in range(0, reps, size):
+            Y = stack[:min(size, reps - start)]
+            for r, row in enumerate(Y, start):
+                self.responses(replication_rng(config.seed, self.n, r),
+                               out=row)
+            for r, result in enumerate(self.plan.fit_many(Y), start):
+                m[r] = mise(result.f_hat, self.f_grid)
+                if p is not None:
+                    p[r] = (result.f_hat[pos] - f_u0) ** 2
+        return m, p
 
 
 # ---------------------------------------------------------------------------
@@ -537,9 +527,8 @@ def _theory_warnings(alpha: Optional[float], q: int) -> tuple:
 def rate_study(config: SimulationConfig) -> RateStudyReport:
     """Monte Carlo MISE across sample sizes with a log-log slope fit.
 
-    The replications of a sample size n are fitted in stacks of
-    max(1, 2^17 // n); every replication's fit is bit-identical to that of
-    :func:`run_replication`.
+    Each sample size's replications are drawn, fitted and scored by
+    ``_SizeContext.scores``; this function only aggregates.
 
     Requires at least 3 sample sizes and at least 10 replications.
     """
@@ -549,19 +538,8 @@ def rate_study(config: SimulationConfig) -> RateStudyReport:
         raise BadValue("rate_study needs at least 10 replications")
 
     points = []
-    reps = config.replications
     for n in config.sample_sizes:
-        m = np.empty(reps)
-        p = np.empty(reps) if config.u0 is not None else None
-        ctx = _SizeContext(config, n)
-        size = min(reps, max(1, _STACK_OBS // n))
-        stack = np.empty((size, n))
-        for start in range(0, reps, size):
-            indices = range(start, min(start + size, reps))
-            for r, out in zip(indices, ctx.replicate_many(indices, stack)):
-                m[r] = out.mise
-                if p is not None:
-                    p[r] = out.pointwise_sq_error
+        m, p = _SizeContext(config, n).scores()
         se = float(np.std(m, ddof=1) / np.sqrt(config.replications))
         if p is not None:
             points.append(RatePoint(

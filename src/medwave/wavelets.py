@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadPrimaryLevel, BadShape, BadValue, UnknownFilter
+from .errors import BadPrimaryLevel, BadShape, UnknownFilter
 
 __all__ = [
     "WaveletFilter",
@@ -90,42 +90,13 @@ class WaveletFilter:
     def length(self) -> int:
         return self.taps_scaling.size
 
-    def invariant_residuals(self) -> dict:
-        """Numerical residuals of every defining identity."""
-        h = self.taps_scaling
-        g = self.taps_wavelet
-        L = h.size
-        out = {
-            "unit_energy": abs(float(np.sum(h * h)) - 1.0),
-            "sum_sqrt2": abs(float(np.sum(h)) - _SQRT2),
-        }
-        lag_res = 0.0
-        for j in range(1, (L - 1) // 2 + 1):
-            lag_res = max(lag_res, abs(float(np.sum(h[: L - 2 * j] * h[2 * j:]))))
-        out["shift_orthogonality"] = lag_res
-        k = np.arange(L, dtype=float)
-        mom = 0.0
-        for p in range(self.vanishing_moments):
-            mom = max(mom, abs(float(np.sum(k ** p * g))))
-        out["vanishing_moments"] = mom
-        return out
-
-    def validate(self) -> None:
-        res = self.invariant_residuals()
-        if (res["unit_energy"] > 1e-12 or res["sum_sqrt2"] > 1e-12
-                or res["shift_orthogonality"] > 1e-12
-                or res["vanishing_moments"] > 1e-10):
-            raise BadValue(
-                f"filter {self.name!r} violates its invariants: {res}"
-            )
-
 
 def available_filters() -> tuple:
     return tuple(sorted(_FILTER_TABLE))
 
 
 def build_filter(name: str) -> WaveletFilter:
-    """Look up a filter by name and verify its invariants numerically.
+    """Look up a filter by name.
 
     Raises
     ------
@@ -141,10 +112,8 @@ def build_filter(name: str) -> WaveletFilter:
     h = np.array(taps, dtype=float)
     L = h.size
     g = np.array([(-1.0) ** k * h[L - 1 - k] for k in range(L)])
-    filt = WaveletFilter(name=name, taps_scaling=h, taps_wavelet=g,
+    return WaveletFilter(name=name, taps_scaling=h, taps_wavelet=g,
                          vanishing_moments=r)
-    filt.validate()
-    return filt
 
 
 def default_primary_level(filt: WaveletFilter) -> int:

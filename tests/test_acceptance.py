@@ -27,7 +27,6 @@ from medwave.simulate import (
     generate_dataset,
     rate_study,
     replication_rng,
-    run_replication,
 )
 from medwave.simulate import test_function as regression_function
 from medwave.wavelets import CoefficientPyramid, build_filter, dwt_qd, idwt_qd
@@ -196,7 +195,8 @@ def test_criterion_7_pointwise_rate():
     for n in SIZES:
         vals = []
         for rep in range(cfg.replications):
-            res = run_replication(cfg, n, rep).result
+            u, y, _ = generate_dataset(cfg, n, replication_rng(cfg.seed, n, rep))
+            res = fit(u, y, cfg.estimator)
             pos = tuple(l - 1 for l in _covering_bin(u0, res.design))
             vals.append(res.f_hat[pos])
         vals = np.asarray(vals)

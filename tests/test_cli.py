@@ -12,6 +12,7 @@ from medwave.cli import main
 from medwave.dataio import read_estimate_csv, read_grid_csv, write_dataset_csv
 from medwave.errors import BadValue
 from medwave.estimator import EstimatorConfig, fit
+from medwave.grid import product_grid
 
 CONFIG = ("q = 1\nsample_sizes = 256, 1024\nreplications = 2\n"
           "error_dist = gaussian:0.5\nseed = 0\n")
@@ -194,6 +195,28 @@ def test_estimate_strict_degenerate_exits_3(tmp_path, capsys):
                "--strict"])
     assert rc == 3
     assert not out.exists()           # refused before writing
+
+
+def test_degenerate_noise_warning_names_its_cause(tmp_path, capsys):
+    # a constant response: eight bins whose medians are all identical
+    data, _, _ = make_dataset(tmp_path, n=16, constant=5.0)
+    assert main(["estimate", "--input", str(data), "--strict"]) == 3
+    err = capsys.readouterr().err
+    assert "noise estimate clamped at floor (all bin medians identical?)" \
+        in err
+    assert "single bin" not in err
+    # a 2x2 grid is one bin, with no pair of medians to difference
+    one = tmp_path / "one.csv"
+    write_dataset_csv(one, product_grid(np.arange(2.0), 2),
+                      np.array([0.1, -0.3, 2.0, 0.5]))
+    for strict, rc in ((["--strict"], 3), ([], 0)):
+        assert main(["estimate", "--input", str(one),
+                     "--no-bias-correction"] + strict) == rc
+        err = capsys.readouterr().err
+        assert ("noise estimate clamped at floor (a single bin has no "
+                "neighbour to estimate the noise level from; --noise-mode "
+                "known:VALUE gives one)") in err
+        assert "identical" not in err
 
 
 def test_estimate_bad_options(tmp_path, capsys):

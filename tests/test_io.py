@@ -625,6 +625,30 @@ def test_emit_round_trips_the_noise_level():
         assert parse_config_text(text) == cfg
 
 
+def test_emit_round_trips_every_kind_and_no_kind_keeps_a_stray_nu():
+    errors = (ErrorDist("gaussian", 0.5), ErrorDist("cauchy", 2.0),
+              ErrorDist("laplace", 1.5), ErrorDist("student_t", nu=3.0),
+              ErrorDist("shifted_exponential"))
+    designs = (None, DesignDist("gaussian", np.eye(1)),
+               DesignDist("student_t", np.eye(1), nu=2.5),
+               DesignDist("cauchy", np.eye(1)),
+               DesignDist("laplace", np.eye(1)))
+    for error in errors:
+        for design in designs:
+            cfg = SimulationConfig(q=1, sample_sizes=(1024,),
+                                   error_dist=error, design_dist=design,
+                                   beta=() if design is None else (1.0,))
+            assert parse_config_text(emit_config(cfg)) == cfg
+    # the format writes nu for student_t only, so no other kind may hold one
+    for nu in (3.0, 0.5, float("nan")):
+        for kind in ("gaussian", "cauchy", "laplace", "shifted_exponential"):
+            with pytest.raises(BadValue, match=f"{kind} takes no nu"):
+                ErrorDist(kind, nu=nu)
+        for kind in ("gaussian", "cauchy", "laplace"):
+            with pytest.raises(BadValue, match=f"{kind} takes no nu"):
+                DesignDist(kind, np.eye(1), nu=nu)
+
+
 def test_emit_refuses_a_scale_the_format_cannot_write():
     # the config syntax has no scale for these two kinds: emitting one at
     # scale 2 would drop the 2

@@ -21,7 +21,6 @@ from medwave.simulate import (
     mise,
     rate_study,
     replication_rng,
-    run_replication,
     sample_elliptical,
     sample_errors,
     test_function as regression_function,
@@ -320,39 +319,47 @@ def test_replication_rng_streams_are_stable():
     assert not np.array_equal(a, c)
 
 
-def test_run_replication_scores_against_truth():
+def replication_fit(cfg, n, index):
+    """Replication ``index`` at size n, drawn and fitted alone through the
+    public path, with the truth on the estimation grid."""
+    u, y, f_grid = generate_dataset(cfg, n, replication_rng(cfg.seed, n, index))
+    return fit(u, y, cfg.estimator), f_grid
+
+
+def test_scores_measure_against_truth():
     cfg = SimulationConfig(q=1, error_dist=ErrorDist("gaussian", 0.5),
                            sample_sizes=(1024,), seed=0)
-    out = run_replication(cfg, 1024, 0)
-    assert out.pointwise_sq_error is None
-    # recompute the mise from the returned fit
-    rng = replication_rng(0, 1024, 0)
-    u, y, f_grid = generate_dataset(cfg, 1024, rng)
-    assert out.mise == pytest.approx(mise(out.result.f_hat, f_grid), rel=1e-12)
-    assert np.array_equal(out.result.f_hat, fit(u, y).f_hat)
+    m, p = simulate._SizeContext(cfg, 1024).scores()
+    assert p is None
+    # recompute the mise from a fit of the replication's dataset
+    res, f_grid = replication_fit(cfg, 1024, 0)
+    assert m.shape == (1,)
+    assert m[0] == mise(res.f_hat, f_grid)
 
 
 def test_pointwise_error_uses_covering_bin():
     cfg = SimulationConfig(q=1, error_dist=ErrorDist("gaussian", 0.0),
                            sample_sizes=(1024,), seed=0, u0=(0.7,))
-    out = run_replication(cfg, 1024, 0)
-    T = out.result.design.T
+    _, p = simulate._SizeContext(cfg, 1024).scores()
+    res, _ = replication_fit(cfg, 1024, 0)
+    T = res.design.T
     bin_index = math.ceil(0.7 * T)            # covering bin: (l-1)/T < u0 <= l/T
     truth = math.sin(2 * math.pi * 0.7)
-    expected = (out.result.f_hat[bin_index - 1] - truth) ** 2
-    assert out.pointwise_sq_error == pytest.approx(float(expected), rel=1e-12)
+    expected = (res.f_hat[bin_index - 1] - truth) ** 2
+    assert p[0] == pytest.approx(float(expected), rel=1e-12)
 
 
 def test_pointwise_error_at_domain_edges():
     for u0 in ((0.0,), (1.0,)):
         cfg = SimulationConfig(q=1, error_dist=ErrorDist("gaussian", 0.0),
                                sample_sizes=(256,), seed=0, u0=u0)
-        out = run_replication(cfg, 256, 0)
-        T = out.result.design.T
+        _, p = simulate._SizeContext(cfg, 256).scores()
+        res, _ = replication_fit(cfg, 256, 0)
+        T = res.design.T
         pos = 0 if u0[0] == 0.0 else T - 1
         truth = math.sin(2 * math.pi * u0[0])
-        expected = (out.result.f_hat[pos] - truth) ** 2
-        assert out.pointwise_sq_error == pytest.approx(float(expected), rel=1e-12)
+        expected = (res.f_hat[pos] - truth) ** 2
+        assert p[0] == pytest.approx(float(expected), rel=1e-12)
 
 
 def test_bias_correction_reduces_global_offset():
@@ -539,7 +546,7 @@ def test_rate_study_matches_the_per_replication_loop():
         == bits([slope, ptw_slope])
 
 
-def test_rate_study_stacks_match_run_replication_across_boundaries():
+def test_rate_study_stacks_match_single_fits_across_boundaries(monkeypatch):
     # 11 replications: one partial stack at n = 4096 (32 rows fit), 8 + 3
     # at n = 16384 and five pairs and a single at n = 65536
     cfg = SimulationConfig(
@@ -548,12 +555,30 @@ def test_rate_study_stacks_match_run_replication_across_boundaries():
         estimator=EstimatorConfig(wavelet="db2"))
     assert [max(1, simulate._STACK_OBS // n) for n in cfg.sample_sizes] \
         == [32, 8, 2]
+    stacks = []
+    fit_many = FitPlan.fit_many
+
+    def recording(plan, Y):
+        stacks.append(np.shape(Y))
+        return fit_many(plan, Y)
+
+    monkeypatch.setattr(FitPlan, "fit_many", recording)
     report = rate_study(cfg)
+    monkeypatch.undo()
+    assert stacks == [(11, 4096), (8, 16384), (3, 16384)] \
+        + [(2, 65536)] * 5 + [(1, 65536)]
+    f_u0 = float(regression_function(cfg.test_function)(
+        np.asarray(cfg.u0)[None, :])[0])
     root = np.sqrt(cfg.replications)
     for point, n in zip(report.points, cfg.sample_sizes):
-        outs = [run_replication(cfg, n, r) for r in range(cfg.replications)]
-        m = np.array([o.mise for o in outs])
-        p = np.array([o.pointwise_sq_error for o in outs])
+        m, p = [], []
+        for r in range(cfg.replications):
+            res, f_grid = replication_fit(cfg, n, r)
+            pos = tuple(l - 1 for l in simulate._covering_bin(cfg.u0,
+                                                               res.design))
+            m.append(mise(res.f_hat, f_grid))
+            p.append(float((res.f_hat[pos] - f_u0) ** 2))
+        m, p = np.array(m), np.array(p)
         expected = RatePoint(
             n=n, mean_mise=float(m.mean()),
             se_mise=float(np.std(m, ddof=1) / root),
@@ -563,24 +588,6 @@ def test_rate_study_stacks_match_run_replication_across_boundaries():
             [pt.mean_mise, pt.se_mise, pt.mean_pointwise, pt.se_pointwise]
         ).view(np.uint64).tolist()
         assert point.n == n and bits(point) == bits(expected)
-
-
-def test_run_replication_is_a_stack_of_one(monkeypatch):
-    stacks = []
-    fit_many = FitPlan.fit_many
-
-    def recording(plan, Y):
-        stacks.append(np.shape(Y))
-        return fit_many(plan, Y)
-
-    monkeypatch.setattr(FitPlan, "fit_many", recording)
-    cfg = SimulationConfig(q=1, sample_sizes=(1024,), seed=3,
-                           error_dist=ErrorDist("gaussian", 1.0))
-    out = run_replication(cfg, 1024, 4)
-    u, y, f_grid = generate_dataset(cfg, 1024, replication_rng(3, 1024, 4))
-    assert stacks == [(1, 1024)]
-    assert out.result.f_hat.tobytes() == fit(u, y, cfg.estimator).f_hat.tobytes()
-    assert out.mise == mise(out.result.f_hat, f_grid)
 
 
 def test_rate_study_checks_u_once_per_size(monkeypatch):

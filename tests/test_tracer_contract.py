@@ -20,6 +20,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import medwave.cli  # noqa: E402
 import medwave.config  # noqa: E402,F401
+import medwave.estimator  # noqa: E402
 import medwave.simulate  # noqa: E402
 from medwave.dataio import write_dataset_csv  # noqa: E402
 from medwave.grid import plan_grid, product_grid  # noqa: E402
@@ -93,8 +94,12 @@ def test_tracer_contract_on_rate_study(tmp_path, capsys):
                       "--output-dir", str(tmp_path / "out")], capsys)
     # the stacks count every replication's coefficients and blocks
     config = medwave.config.parse_config(cfg)
-    fits = [medwave.simulate.run_replication(config, n, r).result
-            for n in config.sample_sizes for r in range(config.replications)]
+    fits = []
+    for n in config.sample_sizes:
+        for r in range(config.replications):
+            u, y, _ = medwave.simulate.generate_dataset(
+                config, n, medwave.simulate.replication_rng(config.seed, n, r))
+            fits.append(medwave.estimator.fit(u, y, config.estimator))
     assert metrics["wavelets.coefficients"] == sum(f.f_hat.size for f in fits)
     blocks = sum(f.diagnostics.total_blocks for f in fits)
     zeroed = sum(sum(f.diagnostics.zeroed_per_level.values()) for f in fits)
