@@ -23,18 +23,25 @@ the sample size alone is made once per n and shared by its replications:
 the grid design, the design points u, the truth f at them and at the V
 estimation points, the fit plan of u on that design (the grid checks, the
 median classes, the filter, j0 and L) and the row template that
-``medwave simulate`` fills to write each dataset (the text of u). Each replication draws only its X and xi, from its own generator, and
-is written through that template, or fitted through that plan. A rate
-study fits its replications in stacks of up to 2^17 observations
+``medwave simulate`` fills to write each dataset (the text of u).
+Each replication draws only its X and xi, from its own generator, and is
+written through that template, or fitted through that plan.
+
+A rate study fits its replications in stacks of up to 2^17 observations
 (max(1, 2^17 // n) replications): each replication's responses fill one
 row of a preallocated stack, and :meth:`FitPlan.fit_many` fits the stack
-in one pass of every stage. Each fit is bit-identical to fitting its
-replication's ``generate_dataset`` alone with :func:`fit`.
+in one pass of every stage. The draw runs one stack ahead: while the
+calling thread fits and scores stack k, one helper thread draws stack
+k + 1 into a second buffer (numpy draws without the GIL, so the two
+overlap on two cores). Each row comes from its own generator, so every
+fit is bit-identical to fitting its replication's ``generate_dataset``
+alone with :func:`fit`, whatever the thread scheduling.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional
@@ -71,7 +78,8 @@ __all__ = [
 
 
 #: observations fitted in one stack: a rate study fits max(1, this // n)
-#: replications at once, which bounds the memory of the stack's fit
+#: replications at once, which bounds the memory of the stack's fit (and of
+#: each of the two stack buffers, one fitted while the other is drawn)
 _STACK_OBS = 2 ** 17
 
 
@@ -186,7 +194,8 @@ def sample_errors(dist: ErrorDist, count: int,
         draws = rng.laplace(0.0, 1.0, size=count)
     else:  # shifted_exponential
         draws = rng.exponential(1.0, size=count) - math.log(2.0)
-    return dist.scale * draws
+    draws *= dist.scale
+    return draws
 
 
 #: above this nu the student-t h(0) is taken from its asymptotic series
@@ -445,7 +454,11 @@ class _SizeContext:
 
         Returns the (R,) MISE and, when u0 is set, the (R,) squared errors
         at u0 (else None). Replications are fitted in stacks of
-        max(1, 2^17 // n), each drawn into a row of one preallocated buffer.
+        max(1, 2^17 // n). One helper thread draws each stack into one of
+        two preallocated buffers, one stack ahead of the fit on this
+        thread. The helper calls nothing the benchmark tracer wraps, and it
+        ends with this call: a draw's error is raised here at its stack,
+        and a fit's error once the draw in flight has finished.
         """
         config = self.config
         reps = config.replications
@@ -460,16 +473,27 @@ class _SizeContext:
             u0 = np.asarray(config.u0, dtype=float)[None, :]
             f_u0 = float(self.fn(u0)[0])
         size = min(reps, max(1, _STACK_OBS // self.n))
-        stack = np.empty((size, self.n))
-        for start in range(0, reps, size):
-            Y = stack[:min(size, reps - start)]
-            for r, row in enumerate(Y, start):
+        buffers = np.empty((2, size, self.n))
+        starts = range(0, reps, size)
+
+        def draw(k: int) -> np.ndarray:
+            Y = buffers[k % 2, :min(size, reps - starts[k])]
+            for r, row in enumerate(Y, starts[k]):
                 self.responses(replication_rng(config.seed, self.n, r),
                                out=row)
-            for r, result in enumerate(self.plan.fit_many(Y), start):
-                m[r] = mise(result.f_hat, self.f_grid)
-                if p is not None:
-                    p[r] = (result.f_hat[pos] - f_u0) ** 2
+            return Y
+
+        with ThreadPoolExecutor(max_workers=1) as helper:
+            drawn = helper.submit(draw, 0)
+            plan = self.plan    # made while the first stack is drawn
+            for k, start in enumerate(starts):
+                Y = drawn.result()
+                if k + 1 < len(starts):
+                    drawn = helper.submit(draw, k + 1)
+                for r, result in enumerate(plan.fit_many(Y), start):
+                    m[r] = mise(result.f_hat, self.f_grid)
+                    if p is not None:
+                        p[r] = (result.f_hat[pos] - f_u0) ** 2
         return m, p
 
 

@@ -1,6 +1,8 @@
 """Synthetic data machinery: distributions, datasets, risk, rate study."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -588,6 +590,93 @@ def test_rate_study_stacks_match_single_fits_across_boundaries(monkeypatch):
             [pt.mean_mise, pt.se_mise, pt.mean_pointwise, pt.se_pointwise]
         ).view(np.uint64).tolist()
         assert point.n == n and bits(point) == bits(expected)
+
+
+def small_stack_study(monkeypatch):
+    """A study whose first size (n = 256) is fitted in five stacks of two
+    replications, and the list of the threads that drew its responses, one
+    entry per draw."""
+    monkeypatch.setattr(simulate, "_STACK_OBS", 512)
+    cfg = SimulationConfig(q=1, sample_sizes=(256, 512, 1024),
+                           replications=10, seed=3,
+                           error_dist=ErrorDist("cauchy", 1.0))
+    drawn = []
+    responses = simulate._SizeContext.responses
+
+    def recording(ctx, rng, out=None):
+        drawn.append(threading.get_ident())
+        return responses(ctx, rng, out=out)
+
+    monkeypatch.setattr(simulate._SizeContext, "responses", recording)
+    return cfg, drawn
+
+
+def test_rate_study_raises_a_draw_error_at_its_stack(monkeypatch):
+    cfg, drawn = small_stack_study(monkeypatch)
+    failure = BadValue("draw 5 failed")
+    draw = simulate._SizeContext.responses
+
+    def failing(ctx, rng, out=None):
+        y = draw(ctx, rng, out=out)
+        if len(drawn) == 6:     # replication 5 of n = 256, in stack 2
+            raise failure
+        return y
+
+    monkeypatch.setattr(simulate._SizeContext, "responses", failing)
+    fitted = []
+    fit_many = FitPlan.fit_many
+    monkeypatch.setattr(FitPlan, "fit_many",
+                        lambda plan, Y: fitted.append(len(Y))
+                        or fit_many(plan, Y))
+    threads = threading.active_count()
+    with pytest.raises(BadValue) as info:
+        rate_study(cfg)
+    assert info.value is failure
+    # stacks 0 and 1 were fitted, stack 2 raised when its draw was awaited
+    assert fitted == [2, 2]
+    assert len(drawn) == 6
+    assert len(set(drawn)) == 1 and drawn[0] != threading.get_ident()
+    assert threading.active_count() == threads
+
+
+def test_rate_study_raises_a_fit_error_after_the_draw_in_flight(monkeypatch):
+    cfg, drawn = small_stack_study(monkeypatch)
+    failure = BadValue("fit 1 failed")
+    fitted = []
+    fit_many = FitPlan.fit_many
+
+    def failing(plan, Y):
+        fitted.append(len(Y))
+        if len(fitted) == 2:
+            raise failure
+        return fit_many(plan, Y)
+
+    monkeypatch.setattr(FitPlan, "fit_many", failing)
+    threads = threading.active_count()
+    with pytest.raises(BadValue) as info:
+        rate_study(cfg)
+    assert info.value is failure
+    # the draw of stack 2 was in flight when stack 1's fit raised: it ran
+    # to its end, and nothing after it was drawn
+    assert len(drawn) == 6
+    assert threading.active_count() == threads
+
+
+def test_scores_hold_under_fast_thread_switching(monkeypatch):
+    # the helper draws into one buffer while this thread fits the other; a
+    # draw that reached the stack being fitted would change its scores
+    monkeypatch.setattr(simulate, "_STACK_OBS", 4 * 4096)
+    cfg = SimulationConfig(q=1, sample_sizes=(4096,), replications=12,
+                           seed=8, error_dist=ErrorDist("cauchy", 1.0))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        m, _ = simulate._SizeContext(cfg, 4096).scores()
+    finally:
+        sys.setswitchinterval(interval)
+    expected = [mise(res.f_hat, f_grid) for res, f_grid in
+                (replication_fit(cfg, 4096, r) for r in range(12))]
+    assert m.tobytes() == np.array(expected).tobytes()
 
 
 def test_rate_study_checks_u_once_per_size(monkeypatch):

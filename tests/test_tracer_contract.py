@@ -4,12 +4,16 @@ exist and read finite values, and its metrics must print as strict JSON.
 
 The tracer drops a metric when a wrapped function is gone or a counter's
 input raises, and a NaN prints as ``NaN``, which is not JSON; either would
-leave a traced benchmark run without a result line.
+leave a traced benchmark run without a result line. The tracer also keeps
+one span stack for all threads, so every wrapped function must run on the
+main thread: a wrapped call from a helper thread would charge its time to
+whatever span the main thread has open, and the run would still pass.
 """
 
 import json
 import math
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -45,8 +49,25 @@ def refuse(constant):
     raise ValueError(f"{constant} is not JSON")
 
 
+class ThreadRecordingTracer(Tracer):
+    """The tracer, noting the thread of every call to a function it wraps."""
+
+    def __init__(self):
+        super().__init__()
+        self.threads = set()
+
+    def _wrap(self, span, counter, fn):
+        traced = super()._wrap(span, counter, fn)
+
+        def recording(*args, **kwargs):
+            self.threads.add((span, threading.get_ident()))
+            return traced(*args, **kwargs)
+
+        return recording
+
+
 def traced(argv, capsys) -> dict:
-    tracer = Tracer()
+    tracer = ThreadRecordingTracer()
     tracer.install()
     try:
         rc = medwave.cli.main(argv)
@@ -55,6 +76,9 @@ def traced(argv, capsys) -> dict:
     capsys.readouterr()
     assert rc == 0
     assert not tracer.broken
+    main = threading.main_thread().ident
+    assert tracer.threads and {t for _, t in tracer.threads} == {main}, \
+        sorted(span for span, t in tracer.threads if t != main)
     metrics = tracer.metrics(1)
     assert set(TRACED) <= set(metrics)
     text = json.dumps({k: {"value": v, "unit": u}
