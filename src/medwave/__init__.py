@@ -38,7 +38,6 @@ from .medians import (
     estimate_noise_level,
 )
 from .wavelets import (
-    CoefficientPyramid,
     WaveletFilter,
     available_filters,
     build_filter,

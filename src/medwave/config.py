@@ -214,8 +214,9 @@ def emit_config(config: SimulationConfig) -> str:
     ------
     BadValue
         If the config uses features the file format cannot express
-        (non-identity design covariance, or a scale other than 1 on
-        student_t or shifted_exponential errors).
+        (non-identity design covariance, a scale other than 1 on
+        student_t or shifted_exponential errors, or shrinkage or the bias
+        correction switched off).
     """
     if config.design_dist is not None and not np.array_equal(
         config.design_dist.sigma, np.eye(config.design_dist.p)
@@ -226,6 +227,9 @@ def emit_config(config: SimulationConfig) -> str:
         raise BadValue(f"config files support {error.kind} errors at scale 1 "
                        f"only, got {error.scale}")
     est = config.estimator
+    for key in ("shrinkage_enabled", "bias_correction"):
+        if not getattr(est, key):
+            raise BadValue(f"config files cannot write {key}=False")
     lines = [
         f"q = {config.q}",
         f"p = {len(config.beta)}",

@@ -63,7 +63,7 @@ class BadPrimaryLevel(MedwaveError):
 
 
 class ShapeMismatch(MedwaveError):
-    """Pyramid/partition/result shapes are inconsistent."""
+    """Arrays that must agree in shape do not."""
 
 
 class BadCovariance(MedwaveError):

@@ -17,9 +17,10 @@ taking every member:
 6. estimate the noise level 1/h^2(0) from paired medians (or take a
    known value as given),
 7. transform Q / sqrt(V) with a periodized orthonormal wavelet down to the
-   primary level j0,
-8. block-James-Stein shrink the detail coefficients,
-9. reconstruct, rescale by sqrt(V), and subtract the global bias estimate.
+   primary level j0, into one (B,) + (T,)^q coefficient array,
+8. block-James-Stein shrink its detail coefficients, given j0,
+9. invert the transform at j0, rescale by sqrt(V), and subtract the
+   global bias estimate.
 
 :meth:`FitPlan.fit` fits one response vector as a stack of one, and
 :func:`fit` is :func:`plan_fit` and :meth:`FitPlan.fit` in one call. A plan
@@ -216,13 +217,14 @@ class FitPlan:
             # the identity on the 1-point-per-axis tensor.
             f_hat = summary.q_full - _per_member(b_hat, design.q)
         else:
-            pyramid = dwt_qd(summary.q_full / np.sqrt(design.V), self.filt,
-                             self.j0)
+            coeffs = dwt_qd(summary.q_full / np.sqrt(design.V), self.filt,
+                            self.j0)
             if config.shrinkage_enabled:
-                pyramid, stack = shrink(
-                    pyramid, n, np.array([e.h_inv_sq for e in noise]), self.L)
+                coeffs, stack = shrink(
+                    coeffs, self.j0, n, np.array([e.h_inv_sq for e in noise]),
+                    self.L)
                 diagnostics = stack.rows
-            f_hat = (idwt_qd(pyramid, self.filt) * np.sqrt(design.V)
+            f_hat = (idwt_qd(coeffs, self.filt, self.j0) * np.sqrt(design.V)
                      - _per_member(b_hat, design.q))
         return [FitResult(f_hat=f, b_hat=float(b), noise=e, diagnostics=d,
                           design=design, config=config)

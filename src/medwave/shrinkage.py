@@ -1,7 +1,8 @@
 """Block James-Stein shrinkage of detail coefficients.
 
-:func:`shrink` is the one entry point. It shrinks a stack of pyramids
-(see :class:`medwave.wavelets.CoefficientPyramid`), each member with its
+:func:`shrink` is the one entry point. It takes the (B,) + (2^J,)^q
+coefficient array that :func:`medwave.wavelets.dwt_qd` returns, with the
+primary level j0 it was made at, and shrinks every member, each with its
 own noise level, in the same array operations. The rule depends only on
 the sample size n, the noise level h_inv_sq = 1/hhat^2(0), the target
 block size L and the constant lambda*. Detail subbands are tiled by
@@ -21,13 +22,8 @@ The constant lambda* (Cai 1999) is the root of
     lambda - ln(lambda) = 3,    lambda* ~ 4.50524...
 
 Blocks with S_B^2 = 0 are zeroed outright. Gross (approximation)
-coefficients pass through untouched. Block energies, cardinalities and
-factors of a level are computed with array operations over the whole cube
-[:2^{j+1}]^q of the Mallat layout, whose tile starts along every axis are
-the level's starts followed by 2^j plus them. What depends on the tiling
-alone (those starts, lambda* L_B, the coarse corner's mask and the index
-that spreads each factor over its block) is built once per level size, q
-and tiling, memoized read-only; a call computes only energies and factors.
+coefficients pass through untouched. A level's tiling geometry, which
+depends on its size, q and tiling alone, is shared read-only by all calls.
 """
 
 from __future__ import annotations
@@ -39,7 +35,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BadValue
-from .wavelets import CoefficientPyramid
+from .wavelets import _detail_levels
 
 __all__ = [
     "ShrinkageDiagnostics",
@@ -75,15 +71,15 @@ def _block_side(L: int, q: int) -> int:
     return side
 
 
-def partition_blocks(pyramid: CoefficientPyramid, L: int) -> dict:
-    """Tile starts of every detail level: level j -> ``arange(0, 2^j, side)``.
+def partition_blocks(levels: range, q: int, L: int) -> dict:
+    """Tile starts of the detail ``levels`` of a q-dimensional stack:
+    level j -> ``arange(0, 2^j, side)``.
 
     The starts are shared by every axis and every subband of a level; the
-    last tile of an axis is truncated at 2^j. Only the pyramid's geometry is
-    consulted, never the coefficient values.
+    last tile of an axis is truncated at 2^j.
     """
-    side = _block_side(L, pyramid.q)
-    return {j: np.arange(0, 2 ** j, side) for j in pyramid.levels()}
+    side = _block_side(L, q)
+    return {j: np.arange(0, 2 ** j, side) for j in levels}
 
 
 @lru_cache(maxsize=256)
@@ -109,7 +105,8 @@ def _level_tiles(size: int, q: int, tiles: tuple) -> tuple:
 
 @dataclass
 class ShrinkageDiagnostics:
-    """What the shrinkage step did to one pyramid, per level and overall.
+    """What the shrinkage step did to one stack member, per level and
+    overall.
 
     The record that :func:`shrink` returns beside the shrunk stack sums the
     counts and the histogram over the stack, takes the minimum and the mean
@@ -151,10 +148,11 @@ def _records(factors: dict) -> list:
         every.mean(axis=1).tolist()))]
 
 
-def shrink(pyramid: CoefficientPyramid, n: int, h_inv_sq: np.ndarray,
+def shrink(coeffs: np.ndarray, j0: int, n: int, h_inv_sq: np.ndarray,
            L: int):
-    """Apply the block James-Stein rule to a stack of B pyramids; returns
-    (new pyramid, record summed over the stack).
+    """Apply the block James-Stein rule to the (B,) + (2^J,)^q stack
+    ``coeffs`` of primary level j0; returns (shrunk copy, record summed
+    over the stack).
 
     ``n`` is the sample size, ``h_inv_sq`` the (B,) noise levels
     1/hhat^2(0), one per member, and ``L`` the target block size; the
@@ -166,27 +164,30 @@ def shrink(pyramid: CoefficientPyramid, n: int, h_inv_sq: np.ndarray,
 
     Raises
     ------
+    BadShape, BadPrimaryLevel
+        As :func:`medwave.wavelets.dwt_qd` does.
     BadValue
         If n < 1, L < 1, ``h_inv_sq`` is not a (B,) array, or some
         h_inv_sq is not positive and finite.
     """
+    out = np.array(coeffs, dtype=float)
+    levels = _detail_levels(out, j0)
     if L < 1:
         raise BadValue("block_cardinality must be >= 1")
     if n < 1:
         raise BadValue("n must be >= 1")
-    q = pyramid.q
-    out = pyramid.coeffs.copy()
+    q = out.ndim - 1
     h_inv_sq = np.asarray(h_inv_sq, dtype=float)
     if h_inv_sq.shape != out.shape[:1]:
         raise BadValue(f"h_inv_sq of shape {h_inv_sq.shape} does not match "
                        f"the stack {out.shape[:1]}")
     if not (np.isfinite(h_inv_sq) & (h_inv_sq > 0)).all():
         raise BadValue("h_inv_sq must be positive and finite")
-    partition = partition_blocks(pyramid, L)
+    partition = partition_blocks(levels, q, L)
     # = 4 hhat^2(0) n, per member
     scale = (4.0 * n / h_inv_sq).reshape(h_inv_sq.shape + (1,) * q)
     factors = {}
-    for j in pyramid.levels():
+    for j in levels:
         size = 2 ** j
         starts, lam_card, corner, detail, expand = _level_tiles(
             size, q, tuple(partition[j].tolist()))
@@ -205,4 +206,4 @@ def shrink(pyramid: CoefficientPyramid, n: int, h_inv_sq: np.ndarray,
 
     whole = _records({j: f.reshape(1, -1) for j, f in factors.items()})[0]
     whole.rows = tuple(_records(factors))
-    return CoefficientPyramid(out, pyramid.j0), whole
+    return out, whole

@@ -74,6 +74,7 @@ __all__ = [
     "mise",
     "rate_study",
     "coupling_check",
+    "replication_rng",
 ]
 
 
@@ -554,25 +555,30 @@ def rate_study(config: SimulationConfig) -> RateStudyReport:
     Each sample size's replications are drawn, fitted and scored by
     ``_SizeContext.scores``; this function only aggregates.
 
-    Requires at least 3 sample sizes and at least 10 replications.
+    Requires at least 3 distinct sample sizes, at least 10 replications,
+    and a nonzero mean risk at every size, or the slope is not defined.
     """
-    if len(config.sample_sizes) < 3:
+    sizes = config.sample_sizes
+    if len(sizes) < 3:
         raise BadValue("rate_study needs at least 3 sample sizes")
+    repeated = [n for n in sizes if sizes.count(n) > 1]
+    if repeated:
+        raise BadValue(f"rate_study: sample size {repeated[0]} is repeated")
     if config.replications < 10:
         raise BadValue("rate_study needs at least 10 replications")
 
     points = []
-    for n in config.sample_sizes:
-        m, p = _SizeContext(config, n).scores()
-        se = float(np.std(m, ddof=1) / np.sqrt(config.replications))
-        if p is not None:
-            points.append(RatePoint(
-                n=n, mean_mise=float(m.mean()), se_mise=se,
-                mean_pointwise=float(p.mean()),
-                se_pointwise=float(np.std(p, ddof=1) / np.sqrt(config.replications)),
-            ))
-        else:
-            points.append(RatePoint(n=n, mean_mise=float(m.mean()), se_mise=se))
+    for n in sizes:
+        stats = []
+        for name, risk in zip(("MISE", "pointwise risk"),
+                              _SizeContext(config, n).scores()):
+            if risk is None:
+                continue
+            if risk.mean() == 0.0:
+                raise BadValue(f"rate_study: mean {name} is 0 at n={n}")
+            stats += [float(risk.mean()), float(
+                np.std(risk, ddof=1) / np.sqrt(config.replications))]
+        points.append(RatePoint(n, *stats))
 
     logn = np.log([pt.n for pt in points])
     slope = _ols_slope(logn, np.log([pt.mean_mise for pt in points]))

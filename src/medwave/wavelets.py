@@ -23,8 +23,10 @@ axes in turn, writing the low half of each axis to [0, 2^j) and the high
 half to [2^j, 2^{j+1}). Detail subband i (1 <= i <= 2^q - 1) of level j
 is the orthant that takes [2^j, 2^{j+1}) on the axes s whose bit is set in
 i (bit s of i == 1 iff the member's axis s was high-passed) and [0, 2^j)
-on the others; the low orthant recurses. Recursion stops at level j0, leaving the "gross"
-coefficients in the corner [:2^{j0}]^q.
+on the others; the low orthant recurses. Recursion stops at level j0,
+leaving the "gross" coefficients in the corner [:2^{j0}]^q. The
+coefficients are one plain array: :func:`dwt_qd` returns it and
+:func:`idwt_qd` takes it back, each told j0.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from .errors import BadPrimaryLevel, BadShape, UnknownFilter
 
 __all__ = [
     "WaveletFilter",
-    "CoefficientPyramid",
     "build_filter",
     "available_filters",
     "default_primary_level",
@@ -124,9 +125,11 @@ def default_primary_level(filt: WaveletFilter) -> int:
     return j0
 
 
-def _check_dyadic(shape: tuple) -> int:
-    """Return J for a (B,) + (2^J,)^q stack shape with q >= 1, raising
-    BadShape otherwise."""
+def _detail_levels(coeffs: np.ndarray, j0: int) -> range:
+    """The detail levels range(j0, J) of ``coeffs``; BadShape unless it is
+    a (B,) + (2^J,)^q stack with q >= 1, BadPrimaryLevel unless 0 <= j0 < J.
+    """
+    shape = coeffs.shape
     if len(shape) < 2:
         raise BadShape(f"need a (B,) + (2^J,)^q stack, got shape {shape}")
     N = shape[1]
@@ -135,60 +138,14 @@ def _check_dyadic(shape: tuple) -> int:
     J = N.bit_length() - 1
     if N < 1 or 2 ** J != N:
         raise BadShape(f"axis length {N} is not a power of two")
-    return J
+    if not 0 <= j0 < J:
+        raise BadPrimaryLevel(f"need 0 <= j0 < J={J}, got j0={j0}")
+    return range(j0, J)
 
 
 def _along(axis: int, index) -> tuple:
     """Index that applies ``index`` to ``axis`` and keeps earlier axes."""
     return (slice(None),) * axis + (index,)
-
-
-@dataclass(frozen=True)
-class CoefficientPyramid:
-    """Multiresolution coefficients of a stack of B q-dimensional dyadic
-    tensors, held in one (B,) + (2^J,)^q array, each member in the Mallat
-    layout (see the module docstring); q = ``coeffs.ndim - 1``.
-
-    Raises
-    ------
-    BadShape
-        Unless ``coeffs`` is a (B,) + (2^J,)^q stack with q >= 1.
-    BadPrimaryLevel
-        Unless 0 <= j0 < J.
-    """
-
-    coeffs: np.ndarray
-    j0: int
-
-    def __post_init__(self):
-        coeffs = np.asarray(self.coeffs, dtype=float)
-        object.__setattr__(self, "coeffs", coeffs)
-        J = _check_dyadic(coeffs.shape)
-        if not 0 <= self.j0 < J:
-            raise BadPrimaryLevel(f"need 0 <= j0 < J={J}, got j0={self.j0}")
-
-    @property
-    def q(self) -> int:
-        return self.coeffs.ndim - 1
-
-    @property
-    def J(self) -> int:
-        return self.coeffs.shape[-1].bit_length() - 1
-
-    def levels(self) -> range:
-        return range(self.j0, self.J)
-
-    @property
-    def gross(self) -> np.ndarray:
-        """Writeable view of the level-j0 approximation, (B,) + (2^{j0},)^q."""
-        return self.coeffs[(...,) + (slice(0, 2 ** self.j0),) * self.q]
-
-    def subband(self, j: int, i: int) -> np.ndarray:
-        """Writeable view of detail subband i of level j, (B,) + (2^j,)^q."""
-        n = 2 ** j
-        return self.coeffs[(...,) + tuple(
-            slice(n, 2 * n) if i >> s & 1 else slice(0, n)
-            for s in range(self.q))]
 
 
 def _analysis_step(x: np.ndarray, h: np.ndarray, g: np.ndarray, axis: int):
@@ -222,10 +179,10 @@ def _synthesis_step(lo: np.ndarray, hi: np.ndarray, h: np.ndarray,
     return out
 
 
-def dwt_qd(tensor: np.ndarray, filt: WaveletFilter,
-           j0: int) -> CoefficientPyramid:
+def dwt_qd(tensor: np.ndarray, filt: WaveletFilter, j0: int) -> np.ndarray:
     """Full periodized transform down to level j0 of every member of the
-    (B,) + (2^J,)^q stack ``tensor``.
+    (B,) + (2^J,)^q stack ``tensor``; returns the coefficients in an array
+    of the same shape, each member in the Mallat layout.
 
     Raises
     ------
@@ -234,25 +191,26 @@ def dwt_qd(tensor: np.ndarray, filt: WaveletFilter,
     BadPrimaryLevel
         Unless 0 <= j0 < J.
     """
-    pyramid = CoefficientPyramid(np.array(tensor, dtype=float), j0)
+    out = np.array(tensor, dtype=float)
     h, g = filt.taps_scaling, filt.taps_wavelet
-    for j in reversed(pyramid.levels()):
+    for j in reversed(_detail_levels(out, j0)):
         n = 2 ** j
-        cube = pyramid.coeffs[(...,) + (slice(0, 2 * n),) * pyramid.q]
+        cube = out[(...,) + (slice(0, 2 * n),) * (out.ndim - 1)]
         for ax in range(1, cube.ndim):
             lo, hi = _analysis_step(cube, h, g, ax)
             cube[_along(ax, slice(0, n))] = lo
             cube[_along(ax, slice(n, 2 * n))] = hi
-    return pyramid
+    return out
 
 
-def idwt_qd(pyramid: CoefficientPyramid, filt: WaveletFilter) -> np.ndarray:
-    """Invert :func:`dwt_qd`; exact up to round-off."""
-    out = pyramid.coeffs.copy()
+def idwt_qd(coeffs: np.ndarray, filt: WaveletFilter, j0: int) -> np.ndarray:
+    """Invert :func:`dwt_qd` of primary level j0 into a new array; exact up
+    to round-off. Raises as :func:`dwt_qd` does."""
+    out = np.array(coeffs, dtype=float)
     h, g = filt.taps_scaling, filt.taps_wavelet
-    for j in pyramid.levels():
+    for j in _detail_levels(out, j0):
         n = 2 ** j
-        cube = out[(...,) + (slice(0, 2 * n),) * pyramid.q]
+        cube = out[(...,) + (slice(0, 2 * n),) * (out.ndim - 1)]
         for ax in reversed(range(1, cube.ndim)):
             cube[...] = _synthesis_step(cube[_along(ax, slice(0, n))],
                                         cube[_along(ax, slice(n, 2 * n))],

@@ -29,7 +29,7 @@ from medwave.simulate import (
     replication_rng,
 )
 from medwave.simulate import test_function as regression_function
-from medwave.wavelets import CoefficientPyramid, build_filter, dwt_qd, idwt_qd
+from medwave.wavelets import build_filter, dwt_qd, idwt_qd
 
 import test_wavelets as tw
 from oracles import QUANTILES, scaled_median_variance
@@ -50,12 +50,12 @@ def test_criterion_1_transform_correctness():
                 filt = build_filter(name)
                 for j0 in range(J):
                     x = rng.standard_normal((T,) * q)
-                    pyr = dwt_qd(x[None], filt, j0)
-                    back = idwt_qd(pyr, filt)[0]
+                    coeffs = dwt_qd(x[None], filt, j0)
+                    back = idwt_qd(coeffs, filt, j0)[0]
                     max_rt = max(max_rt, float(np.max(np.abs(back - x))))
                     ex = float(np.sum(x * x))
                     max_pv = max(max_pv,
-                                 abs(float(np.sum(pyr.coeffs ** 2)) - ex) / ex)
+                                 abs(float(np.sum(coeffs ** 2)) - ex) / ex)
     max_oracle = 0.0
     for q, T in tw.small_instances():
         J = int(math.log2(T))
@@ -64,7 +64,7 @@ def test_criterion_1_transform_correctness():
             for j0 in range(J):
                 M = tw.oracle_matrix(q, T, name, j0)
                 x = rng.standard_normal((T,) * q)
-                got = tw.to_vector(dwt_qd(x[None], filt, j0))
+                got = tw.to_vector(dwt_qd(x[None], filt, j0), j0)
                 max_oracle = max(max_oracle,
                                  float(np.max(np.abs(got - M @ x.ravel()))))
     ok = max_rt < 1e-10 and max_pv < 1e-10 and max_oracle < 1e-10
@@ -230,9 +230,11 @@ def test_criterion_8_blockwise_oracle_inequality():
         draws = 10 ** 4
         for _ in range(draws):
             y = theta + sigma * rng.standard_normal(8)
-            pyr = CoefficientPyramid(np.concatenate([np.zeros(8), y])[None], 3)
-            out, _ = shrink(pyr, n, np.ones(1), L)
-            total += float(np.sum((out.subband(3, 1)[0] - theta) ** 2))
+            # a one-member q = 1 stack, J = 4, j0 = 3: y is its level-3
+            # detail subband [8, 16)
+            coeffs = np.concatenate([np.zeros(8), y])[None]
+            out, _ = shrink(coeffs, 3, n, np.ones(1), L)
+            total += float(np.sum((out[0, 8:] - theta) ** 2))
         risk = total / draws
         bound = 1.25 * min(4.0 * float(np.sum(theta ** 2)),
                            8.0 * lam * L / n) + 50.0 * L / n ** 2

@@ -409,6 +409,24 @@ def test_rate_study_rejects_insufficient_config(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_rate_study_refuses_an_undefined_slope(tmp_path, capsys):
+    # a repeated size or a zero mean MISE exits 2 and writes no rates.csv,
+    # not slope = nan under exit 0
+    cfg = tmp_path / "exp.cfg"
+    outdir = tmp_path / "out"
+    for text, cause in (
+            ("sample_sizes = 4096, 4096, 16384\nerror_dist = gaussian\n",
+             "4096 is repeated"),
+            ("sample_sizes = 256, 1024, 4096\nerror_dist = gaussian:0\n"
+             "test_function = zero\n", "mean MISE is 0 at n=256")):
+        cfg.write_text("q = 1\nreplications = 10\n" + text)
+        rc = main(["rate-study", "--config", str(cfg),
+                   "--output-dir", str(outdir)])
+        assert rc == 2
+        assert cause in capsys.readouterr().err
+        assert not (outdir / "rates.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # coupling-check
 # ---------------------------------------------------------------------------
@@ -486,9 +504,10 @@ def test_estimate_runs_without_simulation_modules(tmp_path):
 def test_public_names_resolve():
     # every exported name resolves: the eager ones without loading the
     # simulation machinery, the lazy ones on first access, and all of them
-    # through a star import
+    # through a star import. Every name in a submodule's __all__ exists,
+    # and every package export is in the __all__ of the module defining it
     code = (
-        "import sys\n"
+        "import importlib, pkgutil, sys, types\n"
         "import medwave\n"
         "eager = [n for n in medwave.__all__ if n not in medwave._LAZY]\n"
         "missing = [n for n in eager if n not in vars(medwave)]\n"
@@ -500,6 +519,20 @@ def test_public_names_resolve():
         "ns = {}\n"
         "exec('from medwave import *', ns)\n"
         "assert set(medwave.__all__) <= set(ns)\n"
+        "mods = [importlib.import_module('medwave.' + m.name)\n"
+        "        for m in pkgutil.iter_modules(medwave.__path__)]\n"
+        "for mod in mods:\n"
+        "    for name in getattr(mod, '__all__', ()):\n"
+        "        assert hasattr(mod, name), (mod.__name__, name)\n"
+        "for name in medwave.__all__:\n"
+        "    obj = getattr(medwave, name)\n"
+        "    if isinstance(obj, types.ModuleType):\n"
+        "        continue\n"
+        "    home = getattr(obj, '__module__', None)\n"
+        "    homes = [m for m in mods if m.__name__ == home] or [\n"
+        "        m for m in mods if vars(m).get(name) is obj]\n"
+        "    listed = any(name in getattr(m, '__all__', ()) for m in homes)\n"
+        "    assert listed, (name, home)\n"
     )
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True)

@@ -12,7 +12,7 @@ from medwave.estimator import (EstimatorConfig, FitPlan, evaluate_on_grid,
 from medwave.grid import bin_observations, plan_grid
 from medwave.medians import MedianSummary
 from medwave.shrinkage import shrink
-from medwave.wavelets import CoefficientPyramid, build_filter, dwt_qd
+from medwave.wavelets import build_filter, dwt_qd, idwt_qd
 
 RAW = EstimatorConfig(shrinkage_enabled=False, bias_correction=False)
 
@@ -503,10 +503,9 @@ UNSTACKED = {
         ShapeMismatch),
     "dwt_qd": (lambda: dwt_qd(np.zeros(8), build_filter("haar"), 0),
                BadShape),
-    "CoefficientPyramid": (lambda: CoefficientPyramid(np.zeros(8), 0),
-                           BadShape),
-    "shrink": (lambda: shrink(CoefficientPyramid(np.zeros((1, 8)), 1), 16,
-                              1.0, 2), BadValue),
+    "idwt_qd": (lambda: idwt_qd(np.zeros(8), build_filter("haar"), 0),
+                BadShape),
+    "shrink": (lambda: shrink(np.zeros((1, 8)), 1, 16, 1.0, 2), BadValue),
 }
 
 

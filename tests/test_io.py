@@ -660,3 +660,14 @@ def test_emit_refuses_a_scale_the_format_cannot_write():
         unit = SimulationConfig(q=1, sample_sizes=(1024,),
                                 error_dist=ErrorDist(error.kind, nu=error.nu))
         assert parse_config_text(emit_config(unit)) == unit
+
+
+def test_emit_refuses_a_switch_the_format_cannot_write():
+    # the config syntax has no key for shrinkage or the bias correction:
+    # emitting either one switched off would drop it
+    for key in ("shrinkage_enabled", "bias_correction"):
+        cfg = SimulationConfig(q=1, sample_sizes=(1024,),
+                               error_dist=ErrorDist("gaussian", 1.0),
+                               estimator=EstimatorConfig(**{key: False}))
+        with pytest.raises(BadValue, match=f"{key}=False"):
+            emit_config(cfg)

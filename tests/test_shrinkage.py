@@ -14,9 +14,9 @@ from medwave.shrinkage import (
     shrink,
     solve_lambda_star,
 )
-from medwave.wavelets import CoefficientPyramid, build_filter, dwt_qd
+from medwave.wavelets import build_filter, dwt_qd
 
-from test_wavelets import subbands
+from test_wavelets import levels, subband, subbands
 
 HAAR = build_filter("haar")
 
@@ -35,14 +35,14 @@ def bisect_lambda():
     return 0.5 * (lo + hi)
 
 
-def zero_pyramid(q, T, j0):
+def zero_stack(q, T):
     """A one-member stack of zero coefficients."""
-    return dwt_qd(np.zeros((1,) + (T,) * q), HAAR, j0)
+    return np.zeros((1,) + (T,) * q)
 
 
-def shrink_one(pyr, n, h_inv_sq, L):
+def shrink_one(coeffs, j0, n, h_inv_sq, L):
     """:func:`shrink` of a one-member stack at the noise level h_inv_sq."""
-    return shrink(pyr, n, np.full(1, h_inv_sq), L)
+    return shrink(coeffs, j0, n, np.full(1, h_inv_sq), L)
 
 
 # ---------------------------------------------------------------------------
@@ -91,20 +91,21 @@ def oracle_tiles(size, side, q):
     return list(itertools.product(axis, repeat=q))
 
 
-def oracle_shrink(pyr, n, h_inv_sq, L):
-    """Shrink the one-member stack ``pyr`` one explicitly sliced block at a
-    time.
+def oracle_shrink(coeffs, j0, n, h_inv_sq, L):
+    """Shrink the one-member stack ``coeffs`` one explicitly sliced block
+    at a time.
 
     Returns the member's shrunk details and, per level, the list of block
     factors in subband-then-tile order.
     """
     lam = solve_lambda_star()
-    side = oracle_side(L, pyr.q)
+    q = coeffs.ndim - 1
+    side = oracle_side(L, q)
     scale = 4.0 * n / h_inv_sq
     details, factors = {}, {}
-    for (j, i), [src] in subbands(pyr):
+    for (j, i), [src] in subbands(coeffs, j0):
         dst = np.zeros_like(src)
-        for sl in oracle_tiles(2 ** j, side, pyr.q):
+        for sl in oracle_tiles(2 ** j, side, q):
             card = int(np.prod([s.stop - s.start for s in sl]))
             s2 = float(np.sum(src[sl] ** 2))
             c = 0.0 if s2 <= 0.0 else max(
@@ -116,8 +117,8 @@ def oracle_shrink(pyr, n, h_inv_sq, L):
 
 
 def random_case(rng):
-    """A random pyramid and (n, h_inv_sq, L) whose factors span zeroed to
-    near 1."""
+    """A random one-member stack, its j0 and (n, h_inv_sq, L), whose
+    factors span zeroed to near 1."""
     q = int(rng.integers(1, 4))
     T = int(rng.choice({1: [8, 16, 32, 64], 2: [4, 8, 16], 3: [4, 8]}[q]))
     j0 = int(rng.integers(0, int(math.log2(T))))
@@ -125,11 +126,11 @@ def random_case(rng):
     h_inv_sq = float(rng.uniform(0.1, 10.0))
     L = int(rng.integers(1, 41))
     sigma = math.sqrt(h_inv_sq / (4.0 * n))
-    pyr = zero_pyramid(q, T, j0)
-    for _, v in subbands(pyr):
+    coeffs = zero_stack(q, T)
+    for _, v in subbands(coeffs, j0):
         amp = sigma * float(rng.choice([0.0, 0.5, 1.0, 2.0, 3.0, 10.0]))
         v[...] = amp * rng.standard_normal(v.shape)
-    return pyr, (n, h_inv_sq, L)
+    return coeffs, j0, (n, h_inv_sq, L)
 
 
 # ---------------------------------------------------------------------------
@@ -138,29 +139,26 @@ def random_case(rng):
 
 def test_partition_known_shapes_1d():
     # length-8 subband, target L=3 -> tiles [0:3], [3:6], [6:8]
-    pyr = zero_pyramid(1, 16, 3)           # single detail level of size 8
-    part = partition_blocks(pyr, 3)
+    part = partition_blocks(range(3, 4), 1, 3)   # one detail level, size 8
     assert list(part) == [3]
     assert part[3].tolist() == [0, 3, 6]
-    _, diag = shrink_one(pyr, 16, 1.0, 3)
+    _, diag = shrink_one(zero_stack(1, 16), 3, 16, 1.0, 3)
     assert diag.blocks_per_level == {3: 3}
 
 
 def test_partition_known_shapes_2d():
     # level-2 subbands (4x4), target L=4 -> side 2 -> four 2x2 blocks each
-    pyr = zero_pyramid(2, 8, 2)
-    part = partition_blocks(pyr, 4)
+    part = partition_blocks(range(2, 3), 2, 4)
     assert part[2].tolist() == [0, 2]
-    _, diag = shrink_one(pyr, 64, 1.0, 4)
+    _, diag = shrink_one(zero_stack(2, 8), 2, 64, 1.0, 4)
     assert diag.blocks_per_level == {2: 3 * 4}
 
 
 def test_partition_large_target_single_block():
     # L >= subband size -> exactly one block covering the whole subband
-    pyr = zero_pyramid(1, 8, 1)
-    part = partition_blocks(pyr, 64)
+    part = partition_blocks(range(1, 3), 1, 64)
     assert {j: s.tolist() for j, s in part.items()} == {1: [0], 2: [0]}
-    _, diag = shrink_one(pyr, 8, 1.0, 64)
+    _, diag = shrink_one(zero_stack(1, 8), 1, 8, 1.0, 64)
     assert diag.blocks_per_level == {1: 1, 2: 1}
 
 
@@ -170,17 +168,19 @@ def test_shrink_matches_blockwise_oracle():
     rng = np.random.default_rng(17)
     cases = 0
     for _ in range(150):
-        pyr, args = random_case(rng)
-        part = partition_blocks(pyr, args[2])
-        side = oracle_side(args[2], pyr.q)
+        coeffs, j0, args = random_case(rng)
+        q = coeffs.ndim - 1
+        part = partition_blocks(levels(coeffs, j0), q, args[2])
+        side = oracle_side(args[2], q)
         for j, starts in part.items():
             assert starts.tolist() == list(range(0, 2 ** j, side))
-        out, diag = shrink_one(pyr, *args)
-        want, factors = oracle_shrink(pyr, *args)
-        assert np.array_equal(out.gross, pyr.gross)
+        out, diag = shrink_one(coeffs, j0, *args)
+        want, factors = oracle_shrink(coeffs, j0, *args)
+        assert np.array_equal(subband(out, j0, 0), subband(coeffs, j0, 0))
         for key, arr in want.items():
-            tol = 1e-12 * max(float(np.max(np.abs(pyr.subband(*key)))), 1e-300)
-            assert np.max(np.abs(out.subband(*key) - arr)) <= tol
+            tol = 1e-12 * max(float(np.max(np.abs(subband(coeffs, *key)))),
+                              1e-300)
+            assert np.max(np.abs(subband(out, *key) - arr)) <= tol
         every = np.concatenate([factors[j] for j in sorted(factors)])
         assert diag.blocks_per_level == {j: len(f) for j, f in factors.items()}
         assert diag.zeroed_per_level == {
@@ -196,16 +196,16 @@ def test_shrink_matches_blockwise_oracle():
     assert cases >= 100
 
 
-def oracle_cube_shrink(pyr, n, h_inv_sq, L):
-    """The rule on the one-member stack ``pyr``, a whole level cube
+def oracle_cube_shrink(coeffs, j0, n, h_inv_sq, L):
+    """The rule on the one-member stack ``coeffs``, a whole level cube
     [:2^{j+1}]^q at a time, its geometry rebuilt on every call: block
     energies and cardinalities by one ``reduceat`` and one outer product per
     axis, factors spread by one ``np.repeat`` per axis. Returns the
     coefficients and every detail block's factor, level by level."""
-    lam, q = solve_lambda_star(), pyr.q
+    lam, q = solve_lambda_star(), coeffs.ndim - 1
     scale = 4.0 * n / h_inv_sq
-    [out], factors = pyr.coeffs.copy(), []
-    for j in pyr.levels():
+    [out], factors = coeffs.copy(), []
+    for j in levels(coeffs, j0):
         size = 2 ** j
         tiles = np.arange(0, size, oracle_side(L, q))
         starts = np.concatenate([tiles, size + tiles])
@@ -230,7 +230,7 @@ def oracle_cube_shrink(pyr, n, h_inv_sq, L):
 
 
 def test_shrink_reuses_read_only_level_geometry_bit_for_bit():
-    # two pyramids of one geometry after another, geometries interleaved
+    # two stacks of one geometry after another, geometries interleaved
     # (same level sizes in other q, same q with other L): each result is
     # the oracle's bit for bit, and the memoized arrays cannot be written
     rng = np.random.default_rng(29)
@@ -238,20 +238,19 @@ def test_shrink_reuses_read_only_level_geometry_bit_for_bit():
                   for j0 in (0, 1) for L in (1, 3, 9, 40)]
     for q, T, j0, L in geometries + geometries[::-1]:
         for draw in range(2):
-            pyr = zero_pyramid(q, T, j0)
-            pyr.coeffs[...] = rng.standard_normal(pyr.coeffs.shape)
-            pyr.coeffs[rng.random(pyr.coeffs.shape) < 0.5] = 0.0
-            pyr.coeffs[rng.random(pyr.coeffs.shape) < 0.2] = -0.0
+            coeffs = rng.standard_normal((1,) + (T,) * q)
+            coeffs[rng.random(coeffs.shape) < 0.5] = 0.0
+            coeffs[rng.random(coeffs.shape) < 0.2] = -0.0
             n, h_inv_sq = int(rng.integers(4, 10000)), float(
                 rng.uniform(0.1, 10.0))
-            out, diag = shrink_one(pyr, n, h_inv_sq, L)
-            want, every = oracle_cube_shrink(pyr, n, h_inv_sq, L)
-            assert np.array_equal(out.coeffs.view(np.uint64),
+            out, diag = shrink_one(coeffs, j0, n, h_inv_sq, L)
+            want, every = oracle_cube_shrink(coeffs, j0, n, h_inv_sq, L)
+            assert np.array_equal(out.view(np.uint64),
                                   want.view(np.uint64)), (q, T, j0, L)
             assert diag.factor_min == every.min()
             assert diag.factor_mean == every.mean()
             assert diag.total_blocks == every.size
-        for j, tiles in partition_blocks(pyr, L).items():
+        for j, tiles in partition_blocks(levels(coeffs, j0), q, L).items():
             geometry = shrinkage_module._level_tiles(2 ** j, q,
                                                      tuple(tiles.tolist()))
             assert geometry is shrinkage_module._level_tiles(
@@ -272,14 +271,14 @@ def test_exact_factor_worked_example():
     # scale = 4n/h_inv_sq = 1 with n=1, h_inv_sq=4; one 2x2 block with
     # S^2 = 8 lambda* and cardinality 4 gives factor exactly 1/2
     lam = solve_lambda_star()
-    pyr = zero_pyramid(2, 4, 1)
-    pyr.subband(1, 1)[...] = math.sqrt(2.0 * lam)
-    out, diag = shrink_one(pyr, 1, 4.0, 4)
+    coeffs = zero_stack(2, 4)
+    subband(coeffs, 1, 1)[...] = math.sqrt(2.0 * lam)
+    out, diag = shrink_one(coeffs, 1, 1, 4.0, 4)
     np.testing.assert_allclose(
-        out.subband(1, 1), 0.5 * math.sqrt(2.0 * lam), rtol=1e-12)
+        subband(out, 1, 1), 0.5 * math.sqrt(2.0 * lam), rtol=1e-12)
     # the other two subbands are all-zero -> factor 0
-    assert np.all(out.subband(1, 2) == 0.0)
-    assert np.all(out.subband(1, 3) == 0.0)
+    assert np.all(subband(out, 1, 2) == 0.0)
+    assert np.all(subband(out, 1, 3) == 0.0)
     assert diag.factor_min == 0.0
 
 
@@ -287,40 +286,39 @@ def test_denormal_energy_block_is_zeroed_without_overflow_warning():
     # S^2 = 1e-320 makes lambda* L / (scale S^2) overflow to inf; the
     # factor is 0 all the same, and no RuntimeWarning escapes (the tests
     # turn warnings into errors)
-    pyr = zero_pyramid(1, 8, 1)
-    pyr.subband(2, 1)[:] = [1e-160, 0.0, 0.0, 0.0]
-    out, diag = shrink_one(pyr, 4, 1.0, 2)
-    assert np.all(out.subband(2, 1) == 0.0)
+    coeffs = zero_stack(1, 8)
+    subband(coeffs, 2, 1)[:] = [1e-160, 0.0, 0.0, 0.0]
+    out, diag = shrink_one(coeffs, 1, 4, 1.0, 2)
+    assert np.all(subband(out, 2, 1) == 0.0)
     assert diag.factor_min == 0.0
 
 
 def test_zero_energy_block_is_zeroed_and_subthreshold_clamps():
     lam = solve_lambda_star()
-    pyr = zero_pyramid(1, 8, 1)
+    coeffs = zero_stack(1, 8)
     # level 2 (size 4): two blocks of 2 with L=2
-    pyr.subband(2, 1)[:] = [1e-9, 0.0, 0.0, 0.0]   # tiny energy block + zero block
-    out, _ = shrink_one(pyr, 4, 1.0, 2)
+    subband(coeffs, 2, 1)[:] = [1e-9, 0.0, 0.0, 0.0]  # tiny energy + zero block
+    out, _ = shrink_one(coeffs, 1, 4, 1.0, 2)
     # s2 = 1e-18 << lam*2/16 -> factor clamps to 0, not negative
-    assert np.all(out.subband(2, 1) == 0.0)
-    assert np.all(out.subband(1, 1) == 0.0)
+    assert np.all(subband(out, 2, 1) == 0.0)
+    assert np.all(subband(out, 1, 1) == 0.0)
     assert lam * 2 / 16.0 > 1e-18
 
 
 def test_gross_passes_through_bit_identical():
     rng = np.random.default_rng(7)
-    pyr = dwt_qd(rng.standard_normal((8, 8))[None], build_filter("db2"), 1)
-    out, _ = shrink_one(pyr, 64, 3.7, 4)
-    assert np.array_equal(out.gross, pyr.gross)
-    assert not np.shares_memory(out.coeffs, pyr.coeffs)  # an independent copy
+    coeffs = dwt_qd(rng.standard_normal((8, 8))[None], build_filter("db2"), 1)
+    out, _ = shrink_one(coeffs, 1, 64, 3.7, 4)
+    assert np.array_equal(subband(out, 1, 0), subband(coeffs, 1, 0))
+    assert not np.shares_memory(out, coeffs)  # an independent copy
 
 
 def test_input_pyramid_not_mutated():
     rng = np.random.default_rng(8)
-    pyr = zero_pyramid(1, 16, 1)
-    pyr.coeffs[...] = rng.standard_normal(pyr.coeffs.shape)
-    before = pyr.coeffs.copy()
-    shrink_one(pyr, 16, 1.0, 2)
-    np.testing.assert_array_equal(pyr.coeffs, before)
+    coeffs = rng.standard_normal((1, 16))
+    before = coeffs.copy()
+    shrink_one(coeffs, 1, 16, 1.0, 2)
+    np.testing.assert_array_equal(coeffs, before)
 
 
 def test_shrinkage_properties_random():
@@ -332,16 +330,16 @@ def test_shrinkage_properties_random():
         q = int(rng.integers(1, 4))
         T = {1: 16, 2: 8, 3: 4}[q]
         j0 = int(rng.integers(0, int(math.log2(T))))
-        pyr = zero_pyramid(q, T, j0)
-        for _, v in subbands(pyr):
+        coeffs = zero_stack(q, T)
+        for _, v in subbands(coeffs, j0):
             v[...] = rng.standard_normal(v.shape) * rng.choice(
                 [0.01, 1.0, 100.0])
         L = int(rng.integers(1, 9))
-        out, diag = shrink_one(pyr, int(rng.integers(4, 10000)),
+        out, diag = shrink_one(coeffs, j0, int(rng.integers(4, 10000)),
                                float(rng.uniform(0.1, 10.0)), L)
         side = oracle_side(L, q)
-        for (j, i), [src] in subbands(pyr):
-            [dst] = out.subband(j, i)
+        for (j, i), [src] in subbands(coeffs, j0):
+            [dst] = subband(out, j, i)
             assert np.all(np.abs(dst) <= np.abs(src) + 1e-15)
             assert np.all((dst == 0) | (np.sign(dst) == np.sign(src)))
             for sl in oracle_tiles(2 ** j, side, q):
@@ -360,24 +358,24 @@ def test_shrinkage_properties_random():
 def test_factor_monotone_in_signal_scale():
     # doubling every coefficient at least doubles every output coefficient
     rng = np.random.default_rng(13)
-    pyr1 = zero_pyramid(1, 32, 2)
-    for _, v in subbands(pyr1):
+    c1 = zero_stack(1, 32)
+    for _, v in subbands(c1, 2):
         v[...] = rng.standard_normal(v.shape)
-    pyr2 = CoefficientPyramid(2.0 * pyr1.coeffs, 2)
-    pyr2.gross[...] = pyr1.gross
-    out1, _ = shrink_one(pyr1, 32, 1.0, 3)
-    out2, _ = shrink_one(pyr2, 32, 1.0, 3)
-    for key, v in subbands(out1):
+    c2 = 2.0 * c1
+    subband(c2, 2, 0)[...] = subband(c1, 2, 0)
+    out1, _ = shrink_one(c1, 2, 32, 1.0, 3)
+    out2, _ = shrink_one(c2, 2, 32, 1.0, 3)
+    for key, v in subbands(out1, 2):
         a = np.abs(v)
-        b = np.abs(out2.subband(*key))
+        b = np.abs(subband(out2, *key))
         assert np.all(b + 1e-12 >= 2.0 * a)
 
 
 def test_diagnostics_counts():
     # q=1, T=8, j0=0: subband sizes 1, 2, 4; L=2 -> blocks 1, 1, 2
-    pyr = zero_pyramid(1, 8, 0)
-    pyr.subband(2, 1)[...] = 1000.0      # huge energy: factor ~ 1
-    out, diag = shrink_one(pyr, 8, 1.0, 2)
+    coeffs = zero_stack(1, 8)
+    subband(coeffs, 2, 1)[...] = 1000.0      # huge energy: factor ~ 1
+    out, diag = shrink_one(coeffs, 0, 8, 1.0, 2)
     assert diag.blocks_per_level == {0: 1, 1: 1, 2: 2}
     assert diag.zeroed_per_level == {0: 1, 1: 1}
     assert diag.total_blocks == 4
@@ -386,15 +384,15 @@ def test_diagnostics_counts():
     assert diag.factor_histogram[0] == 2          # the two zeroed blocks
     assert diag.factor_histogram[9] == 2          # the two near-1 blocks
     assert 0.4 < diag.factor_mean < 0.6
-    assert np.all(np.abs(out.subband(2, 1)) <= 1000.0)
+    assert np.all(np.abs(subband(out, 2, 1)) <= 1000.0)
 
 
 def test_config_validation():
-    pyr = zero_pyramid(1, 8, 0)
+    coeffs = zero_stack(1, 8)
     for args in ((0, 1.0, 2), (8, 0.0, 2), (8, float("nan"), 2),
                  (8, float("inf"), 2), (8, 1.0, 0)):
         with pytest.raises(BadValue):
-            shrink_one(pyr, *args)
+            shrink_one(coeffs, 0, *args)
 
 
 def test_stack_is_shrunk_member_by_member():
@@ -402,14 +400,13 @@ def test_stack_is_shrunk_member_by_member():
     # keeps each member's own record in ``rows``
     x = np.random.default_rng(8).standard_normal((3, 16, 16))
     x[1] *= 1e-3
-    pyr = dwt_qd(x, build_filter("db2"), 1)
-    levels = np.array([2.0, 0.5, 30.0])
-    out, whole = shrink(pyr, 4096, levels, 8)
+    coeffs = dwt_qd(x, build_filter("db2"), 1)
+    noise = np.array([2.0, 0.5, 30.0])
+    out, whole = shrink(coeffs, 1, 4096, noise, 8)
     assert len(whole.rows) == 3
-    for i, h in enumerate(levels):
-        alone, diag = shrink_one(CoefficientPyramid(pyr.coeffs[i:i + 1], 1),
-                                 4096, h, 8)
-        assert out.coeffs[i].tobytes() == alone.coeffs.tobytes()
+    for i, h in enumerate(noise):
+        alone, diag = shrink_one(coeffs[i:i + 1], 1, 4096, h, 8)
+        assert out[i].tobytes() == alone.tobytes()
         row = whole.rows[i]
         assert (row.blocks_per_level, row.zeroed_per_level, row.total_blocks,
                 row.factor_min, row.factor_mean) == (
@@ -420,7 +417,7 @@ def test_stack_is_shrunk_member_by_member():
     assert isinstance(whole.total_blocks, int)
     assert whole.zeroed_per_level == {
         j: sum(r.zeroed_per_level.get(j, 0) for r in whole.rows)
-        for j in pyr.levels()
+        for j in levels(coeffs, 1)
         if any(j in r.zeroed_per_level for r in whole.rows)}
     assert all(isinstance(z, int) for z in whole.zeroed_per_level.values())
     assert whole.factor_histogram.tolist() == np.sum(
@@ -428,10 +425,10 @@ def test_stack_is_shrunk_member_by_member():
 
 
 def test_stack_noise_levels_are_checked():
-    pyr = CoefficientPyramid(np.zeros((3, 8, 8)), 1)
+    coeffs = np.zeros((3, 8, 8))
     with pytest.raises(BadValue, match="does not match"):
-        shrink(pyr, 64, np.ones(2), 4)
+        shrink(coeffs, 1, 64, np.ones(2), 4)
     with pytest.raises(BadValue, match="positive and finite"):
-        shrink(pyr, 64, np.array([1.0, 0.0, 1.0]), 4)
-    _, diag = shrink(pyr, 64, np.ones(3), 4)
+        shrink(coeffs, 1, 64, np.array([1.0, 0.0, 1.0]), 4)
+    _, diag = shrink(coeffs, 1, 64, np.ones(3), 4)
     assert len(diag.rows) == 3

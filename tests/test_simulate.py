@@ -444,6 +444,21 @@ def test_rate_study_requires_enough_structure():
                                     replications=5))
 
 
+def test_rate_study_refuses_an_undefined_slope():
+    # a repeated size fits the same replications twice, and a zero mean
+    # risk has no logarithm: each raises a BadValue naming its cause
+    # instead of returning a slope that the sizes do not define
+    with pytest.raises(BadValue, match="sample size 4096 is repeated"):
+        rate_study(SimulationConfig(q=1, error_dist=ErrorDist("gaussian", 1.0),
+                                    sample_sizes=(4096, 4096, 16384),
+                                    replications=10))
+    zero = SimulationConfig(q=1, error_dist=ErrorDist("gaussian", 0.0),
+                            test_function="zero",
+                            sample_sizes=(256, 1024, 4096), replications=10)
+    with pytest.raises(BadValue, match="mean MISE is 0 at n=256"):
+        rate_study(zero)
+
+
 def test_rate_study_noiseless_decreases():
     cfg = SimulationConfig(q=1, error_dist=ErrorDist("gaussian", 0.0),
                            sample_sizes=(1024, 4096, 16384),

@@ -1,4 +1,4 @@
-"""Periodized wavelet pyramid: filters, transforms, matrix oracle, layout."""
+"""Periodized wavelet transform: filters, transforms, matrix oracle, layout."""
 
 import math
 
@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from medwave.errors import BadPrimaryLevel, BadShape, UnknownFilter
+from medwave.shrinkage import shrink
 from medwave.wavelets import (
-    CoefficientPyramid,
     available_filters,
     build_filter,
     default_primary_level,
@@ -106,20 +106,39 @@ def naive_vector(tensor, h, j0):
     return np.concatenate(parts)
 
 
-def subbands(pyr):
-    """Every detail subband view of the stack ``pyr``: ((level, subband),
-    view), levels ascending, subbands ascending."""
-    for j in pyr.levels():
-        for i in range(1, 2 ** pyr.q):
-            yield (j, i), pyr.subband(j, i)
+# ---------------------------------------------------------------------------
+# views into the Mallat layout of a (B,) + (2^J,)^q coefficient stack
+# ---------------------------------------------------------------------------
+
+def levels(coeffs, j0):
+    """The detail levels j0, ..., J-1 of the stack ``coeffs``."""
+    return range(j0, coeffs.shape[-1].bit_length() - 1)
 
 
-def to_vector(pyr):
+def subband(coeffs, j, i):
+    """Writeable view of subband i of level j, (B,) + (2^j,)^q: the orthant
+    that takes [2^j, 2^{j+1}) on the axes s with bit s of i set and
+    [0, 2^j) on the others. Subband 0 of level j0 is the gross corner."""
+    n = 2 ** j
+    return coeffs[(...,) + tuple(slice(n, 2 * n) if i >> s & 1
+                                 else slice(0, n)
+                                 for s in range(coeffs.ndim - 1))]
+
+
+def subbands(coeffs, j0):
+    """Every detail subband view of the stack: ((level, subband), view),
+    levels ascending, subbands ascending."""
+    for j in levels(coeffs, j0):
+        for i in range(1, 2 ** (coeffs.ndim - 1)):
+            yield (j, i), subband(coeffs, j, i)
+
+
+def to_vector(coeffs, j0):
     """The package transform of a one-member stack in the canonical order
     naive_vector uses: gross first, then levels and subbands ascending,
     each in C order."""
-    return np.concatenate([pyr.gross.ravel()]
-                          + [v.ravel() for _, v in subbands(pyr)])
+    return np.concatenate([subband(coeffs, j0, 0).ravel()]
+                          + [v.ravel() for _, v in subbands(coeffs, j0)])
 
 
 def oracle_matrix(q, T, name, j0):
@@ -199,11 +218,11 @@ def test_matrix_oracle_all_small_instances():
                 # package transform equals the oracle on random input
                 rng = np.random.default_rng(hash((q, T, name, j0)) % 2**32)
                 x = rng.standard_normal((T,) * q)
-                pyr = dwt_qd(x[None], filt, j0)
+                coeffs = dwt_qd(x[None], filt, j0)
                 np.testing.assert_allclose(
-                    to_vector(pyr), M @ x.ravel(), atol=1e-10)
+                    to_vector(coeffs, j0), M @ x.ravel(), atol=1e-10)
                 # and the inverse equals the transpose action
-                back = idwt_qd(pyr, filt)
+                back = idwt_qd(coeffs, filt, j0)
                 np.testing.assert_allclose(
                     back.ravel(), M.T @ (M @ x.ravel()), atol=1e-10)
 
@@ -212,8 +231,8 @@ def test_haar_ramp_matches_matrix():
     # length-8 ramp with haar at j0=0 against the 8x8 explicit matrix
     x = np.arange(8.0)
     M = oracle_matrix(1, 8, "haar", 0)
-    pyr = dwt_qd(x[None], build_filter("haar"), 0)
-    np.testing.assert_allclose(to_vector(pyr), M @ x, atol=1e-12)
+    coeffs = dwt_qd(x[None], build_filter("haar"), 0)
+    np.testing.assert_allclose(to_vector(coeffs, 0), M @ x, atol=1e-12)
 
 
 def test_round_trip_and_parseval_across_sizes():
@@ -227,11 +246,11 @@ def test_round_trip_and_parseval_across_sizes():
                 for j0 in range(J):
                     for _draw in range(2):
                         x = rng.standard_normal((T,) * q)
-                        pyr = dwt_qd(x[None], filt, j0)
-                        back = idwt_qd(pyr, filt)[0]
+                        coeffs = dwt_qd(x[None], filt, j0)
+                        back = idwt_qd(coeffs, filt, j0)[0]
                         assert np.max(np.abs(back - x)) < 1e-10
                         ex = float(np.sum(x * x))
-                        rel = abs(float(np.sum(pyr.coeffs ** 2)) - ex) / ex
+                        rel = abs(float(np.sum(coeffs ** 2)) - ex) / ex
                         assert rel < 1e-10
                         cases += 1
     assert cases >= 100
@@ -249,14 +268,14 @@ def oracle_synthesis_step(lo, hi, h, g, axis):
     return out
 
 
-def oracle_idwt(pyr, filt):
+def oracle_idwt(coeffs, filt, j0):
     """:func:`idwt_qd` through :func:`oracle_synthesis_step`."""
-    out = pyr.coeffs.copy()
+    out, q = coeffs.copy(), coeffs.ndim - 1
     h, g = filt.taps_scaling, filt.taps_wavelet
-    for j in pyr.levels():
+    for j in levels(coeffs, j0):
         n = 2 ** j
-        cube = out[(slice(None),) + (slice(0, 2 * n),) * pyr.q]
-        for ax in reversed(range(1, pyr.q + 1)):
+        cube = out[(slice(None),) + (slice(0, 2 * n),) * q]
+        for ax in reversed(range(1, q + 1)):
             low = (slice(None),) * ax + (slice(0, n),)
             high = (slice(None),) * ax + (slice(n, 2 * n),)
             cube[...] = oracle_synthesis_step(cube[low], cube[high], h, g, ax)
@@ -277,10 +296,10 @@ def test_inverse_matches_scatter_oracle_bit_for_bit(name):
                 coeffs = rng.standard_normal((T,) * q)
                 coeffs[rng.random(coeffs.shape) < 0.2] = 0.0
                 coeffs[rng.random(coeffs.shape) < 0.2] = -0.0
-                pyr = CoefficientPyramid(coeffs[None], j0)
-                got = idwt_qd(pyr, filt)
-                assert np.array_equal(got.view(np.uint64),
-                                      oracle_idwt(pyr, filt).view(np.uint64))
+                got = idwt_qd(coeffs[None], filt, j0)
+                assert np.array_equal(
+                    got.view(np.uint64),
+                    oracle_idwt(coeffs[None], filt, j0).view(np.uint64))
                 cases += 1
     assert cases == 35
 
@@ -295,9 +314,8 @@ def test_linearity():
         x = rng.standard_normal((T,) * q)
         y = rng.standard_normal((T,) * q)
         a, b = rng.standard_normal(2)
-        lhs = dwt_qd((a * x + b * y)[None], filt, j0).coeffs
-        rhs = (a * dwt_qd(x[None], filt, j0).coeffs
-               + b * dwt_qd(y[None], filt, j0).coeffs)
+        lhs = dwt_qd((a * x + b * y)[None], filt, j0)
+        rhs = a * dwt_qd(x[None], filt, j0) + b * dwt_qd(y[None], filt, j0)
         assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
@@ -308,11 +326,12 @@ def test_constant_signal(name):
     for q, T in [(1, 16), (2, 8), (3, 4)]:
         J = int(math.log2(T))
         j0 = min(default_primary_level(filt), J - 1)
-        pyr = dwt_qd(np.full((1,) + (T,) * q, c), filt, j0)
-        for _, arr in subbands(pyr):
+        coeffs = dwt_qd(np.full((1,) + (T,) * q, c), filt, j0)
+        for _, arr in subbands(coeffs, j0):
             assert np.max(np.abs(arr)) < 1e-10
         expected = c * 2 ** (q * (J - j0) / 2.0)
-        np.testing.assert_allclose(pyr.gross, expected, atol=1e-10)
+        np.testing.assert_allclose(subband(coeffs, j0, 0), expected,
+                                   atol=1e-10)
 
 
 def test_subband_count():
@@ -320,21 +339,21 @@ def test_subband_count():
     filt = build_filter("haar")
     for q, T, j0 in [(1, 16, 1), (2, 8, 0), (3, 4, 1), (2, 16, 2)]:
         J = int(math.log2(T))
-        pyr = dwt_qd(np.zeros((1,) + (T,) * q), filt, j0)
-        views = list(subbands(pyr))
+        coeffs = dwt_qd(np.zeros((1,) + (T,) * q), filt, j0)
+        views = list(subbands(coeffs, j0))
         assert len(views) == (2 ** q - 1) * (J - j0)
         for (j, _), v in views:
             assert v.shape == (1,) + (2 ** j,) * q
-        pyr.gross[...] += 1.0
+        subband(coeffs, j0, 0)[...] += 1.0
         for _, v in views:
             v[...] += 1.0
-        assert np.all(pyr.coeffs == 1.0)
+        assert np.all(coeffs == 1.0)
 
 
 def test_zero_pyramid_inverts_to_zero():
     filt = build_filter("db4")
-    pyr = dwt_qd(np.zeros((1, 8, 8)), filt, 1)
-    assert np.max(np.abs(idwt_qd(pyr, filt))) == 0.0
+    coeffs = dwt_qd(np.zeros((1, 8, 8)), filt, 1)
+    assert np.max(np.abs(idwt_qd(coeffs, filt, 1))) == 0.0
 
 
 def test_unit_coefficient_gives_unit_energy_basis_vector():
@@ -343,12 +362,13 @@ def test_unit_coefficient_gives_unit_energy_basis_vector():
     name, q, T, j0 = "db2", 2, 8, 1
     filt = build_filter(name)
     M = oracle_matrix(q, T, name, j0)
-    pyr = dwt_qd(np.zeros((1,) + (T,) * q), filt, j0)
+    coeffs = dwt_qd(np.zeros((1,) + (T,) * q), filt, j0)
     # position: gross block, flat offset 2 -> vector index 2
-    pyr.gross[np.unravel_index(2, pyr.gross.shape)] = 1.0
+    gross = subband(coeffs, j0, 0)
+    gross[np.unravel_index(2, gross.shape)] = 1.0
     vec = np.zeros(T ** q)
     vec[2] = 1.0
-    back = idwt_qd(pyr, filt)
+    back = idwt_qd(coeffs, filt, j0)
     np.testing.assert_allclose(back.ravel(), M.T @ vec, atol=1e-10)
     assert float(np.sum(back ** 2)) == pytest.approx(1.0, abs=1e-10)
 
@@ -372,20 +392,28 @@ def test_shape_and_level_errors():
         dwt_qd(np.zeros((1, 4)), filt, 3)   # j0 > J
 
 
-def test_pyramid_validate_catches_corruption():
-    # the constructor checks the geometry a pyramid is built with
-    with pytest.raises(BadShape):
-        CoefficientPyramid(np.zeros((1, 8, 4)), 1)
-    with pytest.raises(BadShape):
-        CoefficientPyramid(np.zeros((1, 6, 6)), 1)
-    with pytest.raises(BadShape):
-        CoefficientPyramid(np.zeros(()), 0)
-    with pytest.raises(BadPrimaryLevel):
-        CoefficientPyramid(np.zeros((1, 8, 8)), 3)
-    with pytest.raises(BadPrimaryLevel):
-        CoefficientPyramid(np.zeros((1, 8, 8)), -1)
-    pyr = CoefficientPyramid(np.zeros((1, 8, 8)), 1)
-    assert (pyr.q, pyr.J, list(pyr.levels())) == (2, 3, [1, 2])
+# every function that takes a coefficient stack, called on (stack, j0)
+STAGES = {
+    "dwt_qd": lambda c, j0: dwt_qd(c, build_filter("haar"), j0),
+    "idwt_qd": lambda c, j0: idwt_qd(c, build_filter("haar"), j0),
+    "shrink": lambda c, j0: shrink(c, j0, 64, np.ones(1), 4),
+}
+
+
+def test_every_stage_checks_the_stack_and_j0():
+    # a non-dyadic or unstacked array is a BadShape, a j0 outside [0, J)
+    # a BadPrimaryLevel, in each function alike
+    for name, call in STAGES.items():
+        for bad in (np.zeros((1, 8, 4)), np.zeros((1, 6, 6)), np.zeros(()),
+                    np.zeros(8)):
+            with pytest.raises(BadShape):
+                call(bad, 1)
+        for j0 in (3, -1):
+            with pytest.raises(BadPrimaryLevel):
+                call(np.zeros((1, 8, 8)), j0)
+        call(np.zeros((1, 8, 8)), 2)                # J - 1 is valid
+    _, diag = shrink(np.zeros((1, 8, 8)), 1, 64, np.ones(1), 4)
+    assert list(diag.blocks_per_level) == [1, 2]
 
 
 @pytest.mark.parametrize("name", ["haar", "db2", "db4"])
@@ -393,15 +421,15 @@ def test_stacked_transform_is_each_member_alone(name):
     # the trailing q axes are transformed; the leading axis stacks members
     filt = build_filter(name)
     x = np.random.default_rng(7).standard_cauchy((3, 16, 16))
-    pyr = dwt_qd(x, filt, 1)
-    assert (pyr.q, pyr.J, list(pyr.levels())) == (2, 4, [1, 2, 3])
-    assert pyr.gross.shape == (3, 2, 2)
-    assert pyr.subband(2, 3).shape == (3, 4, 4)
-    back = idwt_qd(pyr, filt)
+    coeffs = dwt_qd(x, filt, 1)
+    assert coeffs.shape == x.shape
+    assert subband(coeffs, 1, 0).shape == (3, 2, 2)
+    assert subband(coeffs, 2, 3).shape == (3, 4, 4)
+    back = idwt_qd(coeffs, filt, 1)
     for i in range(3):
         alone = dwt_qd(x[i:i + 1], filt, 1)
-        assert pyr.coeffs[i].tobytes() == alone.coeffs.tobytes()
-        assert back[i].tobytes() == idwt_qd(alone, filt).tobytes()
+        assert coeffs[i].tobytes() == alone.tobytes()
+        assert back[i].tobytes() == idwt_qd(alone, filt, 1).tobytes()
 
 
 def test_stacked_shape_errors():
