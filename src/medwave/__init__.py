@@ -10,6 +10,7 @@ path — never imports it.
 from __future__ import annotations
 
 from importlib import import_module
+from types import ModuleType as _Module
 
 from .errors import (
     BadCovariance,
@@ -81,8 +82,9 @@ _LAZY.update({
 })
 
 __all__ = sorted(
-    [n for n in dir() if not n.startswith("_") and n not in
-     ("import_module", "annotations")] + list(_LAZY)
+    [n for n, v in globals().items() if not n.startswith("_")
+     and not isinstance(v, _Module)  # the submodules the imports bind
+     and n not in ("import_module", "annotations")] + list(_LAZY)
 )
 
 

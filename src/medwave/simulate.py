@@ -30,12 +30,13 @@ written through that template, or fitted through that plan.
 A rate study fits its replications in stacks of up to 2^17 observations
 (max(1, 2^17 // n) replications): each replication's responses fill one
 row of a preallocated stack, and :meth:`FitPlan.fit_many` fits the stack
-in one pass of every stage. The draw runs one stack ahead: while the
-calling thread fits and scores stack k, one helper thread draws stack
-k + 1 into a second buffer (numpy draws without the GIL, so the two
-overlap on two cores). Each row comes from its own generator, so every
-fit is bit-identical to fitting its replication's ``generate_dataset``
-alone with :func:`fit`, whatever the thread scheduling.
+in one pass of every stage. The stacks of all sizes form one sequence,
+and its draw runs one stack ahead: while the calling thread fits and
+scores stack k, one helper thread draws stack k + 1 into the other of two
+buffers, also when k + 1 is the next size's first (numpy draws without
+the GIL, so the two overlap on two cores). Each row comes from its own
+generator, so every fit is bit-identical to fitting its replication's
+``generate_dataset`` alone with :func:`fit`, whatever the scheduling.
 """
 
 from __future__ import annotations
@@ -79,8 +80,8 @@ __all__ = [
 
 
 #: observations fitted in one stack: a rate study fits max(1, this // n)
-#: replications at once, which bounds the memory of the stack's fit (and of
-#: each of the two stack buffers, one fitted while the other is drawn)
+#: replications at once, which bounds the memory of the stack's fit; each
+#: of its two stack buffers holds max(this, largest n) floats
 _STACK_OBS = 2 ** 17
 
 
@@ -423,7 +424,7 @@ class _SizeContext:
         self.config = config
         self.n = n
         self.design = design = plan_grid(n, config.q)
-        self.fn = fn = test_function(config.test_function)
+        fn = test_function(config.test_function)
         self.u = product_grid(np.arange(design.m + 1) / design.m, design.q)
         self.f_u = fn(self.u)
         self.grid_points = product_grid(
@@ -450,52 +451,58 @@ class _SizeContext:
         return np.add(y, sample_errors(config.error_dist, self.n, rng),
                       out=out)
 
-    def scores(self) -> tuple:
-        """Draw, fit and score every replication at this size.
 
-        Returns the (R,) MISE and, when u0 is set, the (R,) squared errors
-        at u0 (else None). Replications are fitted in stacks of
-        max(1, 2^17 // n). One helper thread draws each stack into one of
-        two preallocated buffers, one stack ahead of the fit on this
-        thread. The helper calls nothing the benchmark tracer wraps, and it
-        ends with this call: a draw's error is raised here at its stack,
-        and a fit's error once the draw in flight has finished.
-        """
-        config = self.config
-        reps = config.replications
-        m = np.empty(reps)
-        p = None
-        if config.u0 is not None:
-            p = np.empty(reps)
-            # The fitted function is piecewise constant on bins, so its value
-            # at u0 is the estimate in the covering bin; the error is taken
-            # against f at u0 itself (discretization offset included).
-            pos = tuple(l - 1 for l in _covering_bin(config.u0, self.design))
-            u0 = np.asarray(config.u0, dtype=float)[None, :]
-            f_u0 = float(self.fn(u0)[0])
-        size = min(reps, max(1, _STACK_OBS // self.n))
-        buffers = np.empty((2, size, self.n))
-        starts = range(0, reps, size)
+def _study_scores(config: SimulationConfig) -> list:
+    """Per sample size, the (R,) MISE and, when u0 is set, the (R,) squared
+    errors at u0 (else None) of every replication of a study.
 
-        def draw(k: int) -> np.ndarray:
-            Y = buffers[k % 2, :min(size, reps - starts[k])]
-            for r, row in enumerate(Y, starts[k]):
-                self.responses(replication_rng(config.seed, self.n, r),
-                               out=row)
-            return Y
+    One helper thread draws each stack of the one sequence of all sizes
+    into one of two flat buffers, one stack ahead of the fit on this
+    thread. Contexts and plans are made on this thread while the helper
+    draws. The helper calls nothing the benchmark tracer wraps, and it
+    ends with this call: a draw's error is raised here at its stack, and a
+    fit's error once the draw in flight has finished.
+    """
+    sizes, reps = config.sample_sizes, config.replications
+    jobs = [(i, start, min(reps - start, stack))
+            for i, stack in enumerate(max(1, _STACK_OBS // n) for n in sizes)
+            for start in range(0, reps, stack)]
+    buffers = np.empty((2, max(_STACK_OBS, *sizes)))
+    if config.u0 is not None:
+        # The fitted function is piecewise constant on bins, so its value
+        # at u0 is the estimate in the covering bin; the error is taken
+        # against f at u0 itself (discretization offset included).
+        f_u0 = float(test_function(config.test_function)([config.u0])[0])
 
-        with ThreadPoolExecutor(max_workers=1) as helper:
-            drawn = helper.submit(draw, 0)
-            plan = self.plan    # made while the first stack is drawn
-            for k, start in enumerate(starts):
-                Y = drawn.result()
-                if k + 1 < len(starts):
-                    drawn = helper.submit(draw, k + 1)
-                for r, result in enumerate(plan.fit_many(Y), start):
-                    m[r] = mise(result.f_hat, self.f_grid)
-                    if p is not None:
-                        p[r] = (result.f_hat[pos] - f_u0) ** 2
-        return m, p
+    def draw(ctx: _SizeContext, k: int) -> np.ndarray:
+        Y = buffers[k % 2, :jobs[k][2] * ctx.n].reshape(-1, ctx.n)
+        for r, row in enumerate(Y, jobs[k][1]):
+            ctx.responses(replication_rng(config.seed, ctx.n, r), out=row)
+        return Y
+
+    scores, upcoming = [], _SizeContext(config, sizes[0])
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        drawn = helper.submit(draw, upcoming, 0)
+        for k, (i, start, count) in enumerate(jobs):
+            if start == 0:      # made while the helper draws stack k
+                ctx, plan, m, p = upcoming, upcoming.plan, np.empty(reps), None
+                if config.u0 is not None:
+                    p = np.empty(reps)
+                    pos = tuple(l - 1
+                                for l in _covering_bin(config.u0, ctx.design))
+                if i + 1 < len(sizes):
+                    upcoming = _SizeContext(config, sizes[i + 1])
+            Y = drawn.result()
+            if k + 1 < len(jobs):
+                drawn = helper.submit(
+                    draw, upcoming if jobs[k + 1][1] == 0 else ctx, k + 1)
+            for r, result in enumerate(plan.fit_many(Y), start):
+                m[r] = mise(result.f_hat, ctx.f_grid)
+                if p is not None:
+                    p[r] = (result.f_hat[pos] - f_u0) ** 2
+            if start + count == reps:
+                scores.append((m, p))
+    return scores
 
 
 # ---------------------------------------------------------------------------
@@ -552,8 +559,8 @@ def _theory_warnings(alpha: Optional[float], q: int) -> tuple:
 def rate_study(config: SimulationConfig) -> RateStudyReport:
     """Monte Carlo MISE across sample sizes with a log-log slope fit.
 
-    Each sample size's replications are drawn, fitted and scored by
-    ``_SizeContext.scores``; this function only aggregates.
+    Every replication is drawn, fitted and scored by ``_study_scores``;
+    this function only aggregates.
 
     Requires at least 3 distinct sample sizes, at least 10 replications,
     and a nonzero mean risk at every size, or the slope is not defined.
@@ -568,10 +575,9 @@ def rate_study(config: SimulationConfig) -> RateStudyReport:
         raise BadValue("rate_study needs at least 10 replications")
 
     points = []
-    for n in sizes:
+    for n, scores in zip(sizes, _study_scores(config)):
         stats = []
-        for name, risk in zip(("MISE", "pointwise risk"),
-                              _SizeContext(config, n).scores()):
+        for name, risk in zip(("MISE", "pointwise risk"), scores):
             if risk is None:
                 continue
             if risk.mean() == 0.0:

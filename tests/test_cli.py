@@ -505,7 +505,9 @@ def test_public_names_resolve():
     # every exported name resolves: the eager ones without loading the
     # simulation machinery, the lazy ones on first access, and all of them
     # through a star import. Every name in a submodule's __all__ exists,
-    # and every package export is in the __all__ of the module defining it
+    # and every package export is in the __all__ of the module defining it;
+    # no export is a submodule, which a star import would bind over a
+    # caller's own name (``grid``, ``errors``)
     code = (
         "import importlib, pkgutil, sys, types\n"
         "import medwave\n"
@@ -526,8 +528,7 @@ def test_public_names_resolve():
         "        assert hasattr(mod, name), (mod.__name__, name)\n"
         "for name in medwave.__all__:\n"
         "    obj = getattr(medwave, name)\n"
-        "    if isinstance(obj, types.ModuleType):\n"
-        "        continue\n"
+        "    assert not isinstance(obj, types.ModuleType), name\n"
         "    home = getattr(obj, '__module__', None)\n"
         "    homes = [m for m in mods if m.__name__ == home] or [\n"
         "        m for m in mods if vars(m).get(name) is obj]\n"

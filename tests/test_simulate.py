@@ -331,7 +331,7 @@ def replication_fit(cfg, n, index):
 def test_scores_measure_against_truth():
     cfg = SimulationConfig(q=1, error_dist=ErrorDist("gaussian", 0.5),
                            sample_sizes=(1024,), seed=0)
-    m, p = simulate._SizeContext(cfg, 1024).scores()
+    [(m, p)] = simulate._study_scores(cfg)
     assert p is None
     # recompute the mise from a fit of the replication's dataset
     res, f_grid = replication_fit(cfg, 1024, 0)
@@ -342,7 +342,7 @@ def test_scores_measure_against_truth():
 def test_pointwise_error_uses_covering_bin():
     cfg = SimulationConfig(q=1, error_dist=ErrorDist("gaussian", 0.0),
                            sample_sizes=(1024,), seed=0, u0=(0.7,))
-    _, p = simulate._SizeContext(cfg, 1024).scores()
+    [(_, p)] = simulate._study_scores(cfg)
     res, _ = replication_fit(cfg, 1024, 0)
     T = res.design.T
     bin_index = math.ceil(0.7 * T)            # covering bin: (l-1)/T < u0 <= l/T
@@ -355,7 +355,7 @@ def test_pointwise_error_at_domain_edges():
     for u0 in ((0.0,), (1.0,)):
         cfg = SimulationConfig(q=1, error_dist=ErrorDist("gaussian", 0.0),
                                sample_sizes=(256,), seed=0, u0=u0)
-        _, p = simulate._SizeContext(cfg, 256).scores()
+        [(_, p)] = simulate._study_scores(cfg)
         res, _ = replication_fit(cfg, 256, 0)
         T = res.design.T
         pos = 0 if u0[0] == 0.0 else T - 1
@@ -654,6 +654,36 @@ def test_rate_study_raises_a_draw_error_at_its_stack(monkeypatch):
     assert threading.active_count() == threads
 
 
+def test_rate_study_draws_the_next_size_during_the_last_fit(monkeypatch):
+    # n = 256 is fitted in five stacks of two; while this thread fits the
+    # fifth, the helper draws the first stack of n = 512. The fit waits for
+    # that draw, which a pipeline that ended with each size never starts
+    cfg, drawn = small_stack_study(monkeypatch)
+    started = threading.Event()
+    draw = simulate._SizeContext.responses
+
+    def signalling(ctx, rng, out=None):
+        if ctx.n == 512:
+            started.set()
+        return draw(ctx, rng, out=out)
+
+    monkeypatch.setattr(simulate._SizeContext, "responses", signalling)
+    fitted, waited = [], []
+    fit_many = FitPlan.fit_many
+
+    def fitting(plan, Y):
+        fitted.append(np.shape(Y))
+        if len(fitted) == 5:
+            waited.append(started.wait(timeout=5.0))
+        return fit_many(plan, Y)
+
+    monkeypatch.setattr(FitPlan, "fit_many", fitting)
+    rate_study(cfg)
+    assert fitted[:6] == [(2, 256)] * 5 + [(1, 512)]
+    assert waited == [True]
+    assert len(drawn) == 30
+
+
 def test_rate_study_raises_a_fit_error_after_the_draw_in_flight(monkeypatch):
     cfg, drawn = small_stack_study(monkeypatch)
     failure = BadValue("fit 1 failed")
@@ -679,19 +709,23 @@ def test_rate_study_raises_a_fit_error_after_the_draw_in_flight(monkeypatch):
 
 def test_scores_hold_under_fast_thread_switching(monkeypatch):
     # the helper draws into one buffer while this thread fits the other; a
-    # draw that reached the stack being fitted would change its scores
+    # draw that reached the stack being fitted would change its scores.
+    # Stacks of 4 x 4096 (three) then 8 x 2048 (8 and 4): the buffers are
+    # viewed in a new shape from the first stack of the second size on
     monkeypatch.setattr(simulate, "_STACK_OBS", 4 * 4096)
-    cfg = SimulationConfig(q=1, sample_sizes=(4096,), replications=12,
+    cfg = SimulationConfig(q=1, sample_sizes=(4096, 2048), replications=12,
                            seed=8, error_dist=ErrorDist("cauchy", 1.0))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        m, _ = simulate._SizeContext(cfg, 4096).scores()
+        scores = simulate._study_scores(cfg)
     finally:
         sys.setswitchinterval(interval)
-    expected = [mise(res.f_hat, f_grid) for res, f_grid in
-                (replication_fit(cfg, 4096, r) for r in range(12))]
-    assert m.tobytes() == np.array(expected).tobytes()
+    assert len(scores) == 2
+    for (m, _), n in zip(scores, cfg.sample_sizes):
+        expected = [mise(res.f_hat, f_grid) for res, f_grid in
+                    (replication_fit(cfg, n, r) for r in range(12))]
+        assert m.tobytes() == np.array(expected).tobytes()
 
 
 def test_rate_study_checks_u_once_per_size(monkeypatch):
