@@ -23,13 +23,29 @@ not UTF-8 makes its line a ``ParseError``, or the header a
 ``HeaderMismatch``.
 
 Writing goes through a :class:`RowTemplate`: the text of every row's
-coordinates followed by a ``%.17g`` slot for its value. Each column's
-distinct values are formatted once, keyed on their bits so that -0.0 and 0.0
-(and NaN payloads) stay apart, and the template is built and filled in
-blocks of 8192 rows, one ``%`` operation per block. Files that share a
-design (the replications of one sample size) can share one template, so
-their coordinates are formatted once. The bytes are those of formatting
-every field with ``format(x, ".17g")``.
+coordinates followed by a slot for its value. Each column's distinct values
+are formatted once, keyed on their bits so that -0.0 and 0.0 (and NaN
+payloads) stay apart, and the template is built and filled in blocks of
+8192 rows. Files that share a design (the replications of one sample size)
+can share one template, so their coordinates are formatted once. The bytes
+are those of formatting every field with ``format(x, ".17g")``.
+
+A block's values are formatted by one numpy kernel. It covers the finite
+values with 1e-4 <= |x| < 1e17, which ``%.17g`` prints in fixed notation
+with a decimal exponent X in [-4, 16]. X starts as floor(log10|x|). The
+scale 10^(16-X) is an exact double, and Dekker's two-product gives
+|x| 10^(16-X) as p + e exactly; where that falls outside [1e16, 1e17),
+log10 was one off next to a power of ten, and X is corrected. p is then at
+least 1e16 > 2^53, an even integer, so the integer p + rint(e) (summed in
+int64) is the rounding of the exact product to 17 digits, half to even, as
+``%.17g`` makes it: the digits are exact, with no tolerance. No double in
+the domain rounds up to 10^17 (the largest below each power of ten gives at
+most 99999999999999992). The text is an optional ``-``, the X + 1 leading
+digits, then ``.`` and the fraction digits with trailing zeros cut, or for
+X < 0 ``0.``, -X - 1 zeros and the digits; the kernel gathers it from the
+digits through a table of these layouts. Every other value (0, -0.0, inf,
+NaN, |x| < 1e-4 or |x| >= 1e17) is formatted alone by
+``format(x, ".17g")``.
 
 This module deliberately imports nothing beyond numpy and the error types,
 so the estimation entry point can read and write files without dragging in
@@ -148,12 +164,111 @@ def _distinct_texts(column: np.ndarray):
     return np.array(texts[:-1], dtype=object), inverse
 
 
+#: 10^s for s = 0..20, each an exact double
+_POW10 = np.array([float(10 ** s) for s in range(21)])
+#: the four ASCII digits of 0..9999, each read as one native uint32, and
+#: after them the four bytes ".0-\0" that a text may take besides digits
+_QUADS = np.append(
+    (np.arange(10000, dtype=np.uint16)[:, None]
+     // np.array([1000, 100, 10, 1], dtype=np.uint16) % 10
+     + ord("0")).astype(np.uint8).view(np.uint32).ravel(),
+    np.frombuffer(b".0-\0", dtype=np.uint32))
+#: where those four bytes sit in the kernel's row of 24 (see _digit_rows)
+_DOT, _ZERO, _MINUS, _NUL = 20, 21, 22, 23
+
+
+def _layouts() -> np.ndarray:
+    """For each (X + 4, sign, significant digits - 1), flattened: the index
+    in the kernel's row of each of the at most 23 bytes of the text, then
+    NULs."""
+    table = np.full((21, 2, 17, 23), _NUL, dtype=np.int32)
+    for exp in range(-4, 17):
+        for sig in range(1, 18):
+            digits = list(range(3, 3 + sig))
+            if exp < 0:
+                text = [_ZERO, _DOT] + [_ZERO] * (-exp - 1) + digits
+            elif sig > exp + 1:
+                text = digits[:exp + 1] + [_DOT] + digits[exp + 1:]
+            else:
+                text = list(range(3, exp + 4))
+            table[exp + 4, 0, sig - 1, :len(text)] = text
+            table[exp + 4, 1, sig - 1, :len(text) + 1] = [_MINUS] + text
+    return table.reshape(-1, 23)
+
+
+_LAYOUTS = _layouts()
+
+
+def _split(v: np.ndarray):
+    """Veltkamp's split: hi + lo = v exactly, each with at most 26 bits."""
+    t = (2.0 ** 27 + 1) * v
+    hi = t - (t - v)
+    return hi, v - hi
+
+
+def _two_product(a: np.ndarray, b: np.ndarray):
+    """(p, e) with p = fl(a b) and p + e = a b exactly (Dekker 1971)."""
+    p = a * b
+    (ah, al), (bh, bl) = _split(a), _split(b)
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _decimal17(x: np.ndarray):
+    """(fixed, X, D) for the float array x: whether ``%.17g`` prints each
+    value in fixed notation (1e-4 <= |x| < 1e17), and for those its decimal
+    exponent X and the integer D in [1e16, 1e17) of its 17 digits."""
+    a = np.abs(x)
+    fixed = (a >= 1e-4) & (a < 1e17)        # False for NaN
+    a = np.where(fixed, a, 1.0)
+    exp = np.clip(np.floor(np.log10(a)), -4, 16).astype(np.intp)
+    p, e = _two_product(a, _POW10[16 - exp])
+    exp += (p > 1e17) | ((p == 1e17) & (e >= 0))
+    exp -= (p < 1e16) | ((p == 1e16) & (e < 0))
+    p, e = _two_product(a, _POW10[16 - exp])
+    return fixed, exp, p.astype(np.int64) + np.rint(e).astype(np.int64)
+
+
+def _digit_rows(d: np.ndarray) -> np.ndarray:
+    """The kernel's rows, (n, 24) bytes: "000" and the 17 digits of each
+    integer d < 10^17, then ".0-" and a NUL, the bytes that a
+    fixed-notation text is gathered from."""
+    groups = np.full((len(d), 6), 10000, dtype=np.int32)
+    hi, lo = np.divmod(d, 10 ** 8)
+    groups[:, 0], hi = np.divmod(hi, 10 ** 8)
+    groups[:, 1], groups[:, 2] = np.divmod(hi, 10 ** 4)
+    groups[:, 3], groups[:, 4] = np.divmod(lo, 10 ** 4)
+    return _QUADS[groups].view(np.uint8)
+
+
+def _fixed_texts(x: np.ndarray, exp: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """(n, 23) bytes: the fixed-notation text of each value x with decimal
+    exponent X = exp and 17 digits D = d, padded with NULs."""
+    chars = _digit_rows(d)
+    sig = 17 - np.argmax(chars[:, 19:2:-1] != ord("0"), axis=1)
+    index = _LAYOUTS.take(((exp + 4) * 2 + np.signbit(x)) * 17 + sig - 1,
+                          axis=0)
+    index += np.arange(0, chars.size, 24, dtype=np.int32)[:, None]
+    # indexing with int32 gathers without an intp copy of the index
+    return chars.ravel()[index]
+
+
+def _g17_bytes(x: np.ndarray) -> list:
+    """The ``'%.17g'`` bytes of each value of the float array x (see the
+    module docstring for the kernel and why it is exact)."""
+    fixed, exp, d = _decimal17(x)
+    out = _fixed_texts(x, exp, d).view("S23").ravel().tolist()
+    for i in np.flatnonzero(~fixed):
+        out[i] = _fmt(x[i]).encode()
+    return out
+
+
 class RowTemplate:
     """The rows of a ``u1..uq,<value>`` body with their values left open.
 
     Built once from the points u (n, q), or (n,) for q = 1; :func:`write_rows`
-    fills it with any n values. ``blocks`` holds one ``%`` format string per
-    8192 rows: each row's coordinates, then a ``%.17g`` slot and a newline.
+    fills it with any n values. ``blocks`` holds one ``bytes`` format string
+    per 8192 rows: each row's coordinates, then a ``%s`` slot for the
+    value's text and a newline.
     """
 
     def __init__(self, u: np.ndarray):
@@ -164,15 +279,15 @@ class RowTemplate:
             raise ShapeMismatch(f"points must be (n, q), got {u.shape}")
         self.n, self.q = u.shape
         columns = [_distinct_texts(u[:, k]) for k in range(self.q)]
-        row = "%s," * self.q + "%%.17g\n"
+        row = "%s," * self.q + "%%s\n"
         self.blocks = []
         for start in range(0, self.n, _WRITE_CHUNK_ROWS):
             stop = min(start + _WRITE_CHUNK_ROWS, self.n)
             fields = np.empty((stop - start, self.q), dtype=object)
             for k, (texts, inverse) in enumerate(columns):
                 fields[:, k] = texts[inverse[start:stop]]
-            self.blocks.append(row * len(fields)
-                               % tuple(fields.ravel().tolist()))
+            self.blocks.append((row * len(fields)
+                                % tuple(fields.ravel().tolist())).encode())
 
 
 def write_rows(fh, u, values: np.ndarray, value_column: str) -> None:
@@ -180,6 +295,9 @@ def write_rows(fh, u, values: np.ndarray, value_column: str) -> None:
     the open text stream ``fh`` (17 significant digits, LF line ends).
 
     ``u`` is the points (n, q) or a :class:`RowTemplate` built from them.
+    Each block of the template is filled with the ``%.17g`` text of its
+    values, made by the numpy kernel the module docstring describes, and
+    written as one string.
     """
     rows = u if isinstance(u, RowTemplate) else RowTemplate(u)
     values = np.asarray(values, dtype=float)
@@ -189,8 +307,8 @@ def write_rows(fh, u, values: np.ndarray, value_column: str) -> None:
     header = ",".join([f"u{i}" for i in range(1, rows.q + 1)] + [value_column])
     fh.write(header + "\n")
     for start, block in zip(range(0, rows.n, _WRITE_CHUNK_ROWS), rows.blocks):
-        fh.write(block % tuple(
-            values[start:start + _WRITE_CHUNK_ROWS].tolist()))
+        fh.write((block % tuple(
+            _g17_bytes(values[start:start + _WRITE_CHUNK_ROWS]))).decode())
 
 
 def _write_numeric_csv(path, u, values: np.ndarray,

@@ -399,6 +399,35 @@ def test_rate_study_rates_bytes_are_unchanged(tmp_path, capsys):
     assert digest == STUDY_RATES_SHA256
 
 
+# a small config in the shape of the benchmark's simulate workload, and the
+# sha256 of every file it wrote while each value went through
+# format(x, ".17g") one at a time
+SIMULATE_CONFIG = ("q = 2\nsample_sizes = 4096\nerror_dist = student_t:2\n"
+                   "design_dist = cauchy\nbeta = 1, -0.5\nreplications = 2\n"
+                   "seed = 2929\n")
+SIMULATE_SHA256 = {
+    "dataset_n4096_rep0.csv":
+        "6133caa4fc8312b7c8a5f49d57fc52803d3ed49e46cbb50eaa8f281de4cf6aaa",
+    "dataset_n4096_rep1.csv":
+        "ee8949cea613c7d06be2de321d0ebb6acef06f501bcb658395cf2527c8a823cd",
+    "truth_n4096.csv":
+        "7a7557ac454913f091c41781c5c2fa369900bae3f2610ac0537b0e048bab3847",
+}
+
+
+def test_simulate_bytes_are_unchanged(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(SIMULATE_CONFIG)
+    outdir = tmp_path / "out"
+    rc = main(["simulate", "--config", str(cfg),
+               "--output-dir", str(outdir)])
+    capsys.readouterr()
+    assert rc == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in outdir.iterdir()}
+    assert digests == SIMULATE_SHA256
+
+
 def test_rate_study_rejects_insufficient_config(tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("q = 1\nsample_sizes = 256, 1024\nreplications = 10\n"

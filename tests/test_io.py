@@ -396,6 +396,63 @@ def test_row_template_keys_coordinates_on_their_bits(rows):
         assert_rows_match_oracle(template, u, values)
 
 
+def with_ulp_neighbours(values):
+    values = np.asarray(values, dtype=float)
+    return np.concatenate([values, np.nextafter(values, -np.inf),
+                           np.nextafter(values, np.inf)])
+
+
+def exact_ties(rng, scale, step, count=2000):
+    """Values n + k step (k odd, n an integer near scale) whose 18th
+    significant digit is an exact 5 with nothing after it: %.17g must round
+    them half to even."""
+    n = scale + rng.integers(0, scale // 10, size=count)
+    k = 2 * rng.integers(0, round(1 / step) // 2, size=count) + 1
+    return n + k * step
+
+
+# the value classes where a fixed-notation %.17g kernel can go wrong; each
+# is written with both signs
+VALUE_CLASSES = {
+    "powers of ten": lambda rng: with_ulp_neighbours(
+        [float(f"1e{k}") for k in range(-5, 19)]),
+    "integers with trailing zeros": lambda rng: np.concatenate([
+        [10.0, 20.0, 1e15, 1e16, 9999999999999999.0],
+        np.outer(np.arange(1, 100), 10.0 ** np.arange(16)).ravel()]),
+    "ties at the 17th digit": lambda rng: np.concatenate([
+        exact_ties(rng, 10 ** 15, 0.25), exact_ties(rng, 10 ** 14, 0.125),
+        exact_ties(rng, 10 ** 13, 0.0625)]),
+    "domain edges": lambda rng: with_ulp_neighbours([1e-4, 1e17]),
+    "zeros, subnormals, inf and NaN payloads": lambda rng: np.concatenate([
+        [0.0, 5e-324, 2.2250738585072009e-308, np.inf],
+        np.array([0x7FF8000000000000, 0x7FF0000000000001,
+                  0x7FFFFFFFFFFFFFFF, 0x7FF8000000000ABC],
+                 dtype=np.uint64).view(np.float64)]),
+    "cauchy draws": lambda rng: rng.standard_cauchy(20000),
+    "t(2) draws": lambda rng: rng.standard_t(2, 20000),
+    "grid i/255": lambda rng: np.arange(4 * 255) / 255,
+    "grid i/1000": lambda rng: np.arange(4 * 1000) / 1000,
+    "grid i/1024": lambda rng: np.arange(4 * 1024) / 1024,
+}
+
+
+@pytest.mark.parametrize("name", list(VALUE_CLASSES))
+def test_write_rows_matches_format_on_each_value_class(name):
+    values = VALUE_CLASSES[name](np.random.default_rng(2929))
+    values = np.concatenate([values, -values])
+    u = np.arange(len(values), dtype=float)[:, None]
+    assert_rows_match_oracle(u, u, values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True,
+                          allow_subnormal=True), max_size=40))
+def test_write_rows_matches_format_on_any_float(values):
+    values = np.array(values, dtype=float)
+    u = np.zeros((len(values), 1))
+    assert_rows_match_oracle(u, u, values)
+
+
 def test_row_template_build_holds_one_block_at_a_time():
     # 256^2 points at q = 2, the size of one simulate_csv dataset
     u = product_grid(np.arange(256) / 255, 2)
@@ -407,6 +464,27 @@ def test_row_template_build_holds_one_block_at_a_time():
         tracemalloc.stop()
     assert len(template.blocks) == 8
     assert peak <= 3 * retained, (peak, retained)
+
+
+class DiscardingSink:
+    def write(self, text):
+        pass
+
+
+def test_write_rows_fills_one_block_at_a_time():
+    # the fill of a 256^2 template holds the arrays and text of one block,
+    # never of the file (eight blocks)
+    u = product_grid(np.arange(256) / 255, 2)
+    template = RowTemplate(u)
+    y = np.random.default_rng(7).standard_t(2, len(u))
+    tracemalloc.start()
+    try:
+        write_rows(DiscardingSink(), template, y, "y")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    block = len(template.blocks[0])
+    assert peak <= 5 * block, (peak, block)
 
 
 def test_write_rows_rejects_values_of_another_length():
