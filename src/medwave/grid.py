@@ -29,21 +29,26 @@ coordinate's grid index is rint(u*m), range-checked first, which NaN and
 |u*m - index| <= GRID_TOL*m/2, which implies it despite rounding; only
 when the screen fails does the exact form run. The flat grid code is one
 float dot with the place values (m+1)^k, exact as n < 2^53, written into
-one preallocated array and marked in a boolean ``seen``; after the last
-block, ``seen.all()`` checks that the codes cover range(n). Every entry
-takes the same operations as in one whole-array pass, so no decision and
-no code depends on the blocks. A u that fails any check goes whole to one
-fault path, which decides and words the error over the full array.
+one preallocated array. While every code so far exceeds the one before,
+u is in grid order: n strictly increasing codes in range(n) are range(n).
+Otherwise, after the last block, one boolean ``seen`` pass checks that
+the codes cover range(n). Every entry takes the same operations as in one
+whole-array pass, so no decision and no code depends on the blocks. A u
+that fails any check goes whole to one fault path, which decides and
+words the error over the full array.
 
 Binning needs no sort. Once the checks have passed, the flat grid code of
 the rows is a permutation of range(n), so one scatter puts the responses in
-lexicographic grid order, an (m+1,)*q array. Every axis interval is a run
-of consecutive grid points, so a bin is a product of such runs and its
-members follow from the interval starts and lengths alone. No bin is empty:
-T^q <= n^(3/4) < n gives T < m+1, and every axis interval holds at least
-one grid point. The checks and the grid code depend on u alone, so u is
-binned once, without responses, and :meth:`BinnedData.with_responses`
-scatters a (B, n) stack of response vectors, one 1-D scatter per member.
+lexicographic grid order, an (m+1,)*q array; for u in grid order (as
+:func:`product_grid`, ``simulate`` and the CSVs medwave writes make it)
+that order is the responses' own, and they are only reshaped. Every axis
+interval is a run of consecutive grid points, so a bin is a product of
+such runs and its members follow from the interval starts and lengths
+alone. No bin is empty: T^q <= n^(3/4) < n gives T < m+1, and every axis
+interval holds at least one grid point. The checks and the grid code
+depend on u alone, so u is binned once, without responses, and
+:meth:`BinnedData.with_responses` puts a (B, n) stack of response vectors
+in grid order, one 1-D scatter per member where u is not ordered.
 """
 
 from __future__ import annotations
@@ -182,12 +187,16 @@ class BinnedData:
     (i1/m, ..., iq/m); the bins are products of the design's axis
     intervals. ``grid_code[i]`` is the flat grid position of row i of the
     checked u, so the same u bins any number of stacks through
-    :meth:`with_responses`. ``y_grid`` is None until then.
+    :meth:`with_responses`. ``y_grid`` is None until then. ``ordered``
+    says that u's rows are already in grid order (``grid_code`` is
+    range(n)); then ``y_grid`` may be a read-only view of the caller's
+    responses.
     """
 
     design: GridDesign
     y_grid: Optional[np.ndarray]
     grid_code: np.ndarray = field(repr=False, compare=False)
+    ordered: bool = False
 
     @property
     def counts(self) -> np.ndarray:
@@ -199,7 +208,9 @@ class BinnedData:
 
     def with_responses(self, y: np.ndarray) -> BinnedData:
         """Check a (B, n) stack of responses ``y``, each row in the row
-        order of u, and put it in grid order.
+        order of u, and put it in grid order. If u is ordered, ``y_grid``
+        is a read-only reshape of ``y``: a view of a C-contiguous float
+        ``y``, else a contiguous copy.
 
         Raises
         ------
@@ -213,10 +224,15 @@ class BinnedData:
         if y.ndim != 2 or y.shape[1] != d.n:
             raise responses_mismatch(d, y.shape)
         _check_finite("y", "response", y)
-        y_grid = np.empty((len(y),) + (d.m + 1,) * d.q)
-        # one 1-D scatter per member: faster than a 2-D fancy assignment
-        for member, values in zip(y_grid.reshape(y.shape), y):
-            member[self.grid_code] = values
+        shape = (len(y),) + (d.m + 1,) * d.q
+        if self.ordered:
+            y_grid = np.ascontiguousarray(y).reshape(shape)
+            y_grid.flags.writeable = False
+        else:
+            y_grid = np.empty(shape)
+            # one 1-D scatter per member: faster than a 2-D fancy assignment
+            for member, values in zip(y_grid.reshape(y.shape), y):
+                member[self.grid_code] = values
         return replace(self, y_grid=y_grid)
 
 
@@ -271,7 +287,7 @@ def bin_observations(u: np.ndarray, design: GridDesign) -> BinnedData:
     m = design.m
     place = float(m + 1) ** np.arange(q - 1, -1, -1)
     grid_code = np.empty(n, dtype=np.int64)
-    seen = np.zeros(n, dtype=bool)
+    ordered, last = True, -1
     for start in range(0, n, _BLOCK_ROWS):
         ub = u[start:start + _BLOCK_ROWS]
         w = ub * m
@@ -289,13 +305,20 @@ def bin_observations(u: np.ndarray, design: GridDesign) -> BinnedData:
         # n < 2^53, so the float dot is exact
         code = grid_code[start:start + _BLOCK_ROWS]
         code[...] = near @ place
-        seen[code] = True
-    # n codes in range(n) cover it only if none repeats
-    if not seen.all():
-        _raise_u_fault(u, m)
+        if ordered:
+            ordered = bool(code[0] > last and (code[1:] > code[:-1]).all())
+            last = code[-1]
+    # n strictly increasing codes in range(n) are range(n); other codes
+    # cover range(n) only if none repeats
+    if not ordered:
+        seen = np.zeros(n, dtype=bool)
+        seen[grid_code] = True
+        if not seen.all():
+            _raise_u_fault(u, m)
 
-    # grid_code is now a permutation of range(n)
-    return BinnedData(design=design, y_grid=None, grid_code=grid_code)
+    # grid_code is now a permutation of range(n), the identity if ordered
+    return BinnedData(design=design, y_grid=None, grid_code=grid_code,
+                      ordered=ordered)
 
 
 def _raise_u_fault(u: np.ndarray, m: int) -> NoReturn:
@@ -312,7 +335,7 @@ def _raise_u_fault(u: np.ndarray, m: int) -> NoReturn:
     if err.max() > GRID_TOL:
         r, c = np.unravel_index(np.argmax(err), err.shape)
         raise OffGridPoint(
-            f"coordinate {u[r, c]!r} is not a multiple of 1/{m} "
+            f"coordinate {float(u[r, c])!r} is not a multiple of 1/{m} "
             f"(off by {err[r, c]:.3e})"
         )
     # every coordinate is on the grid, so n rows miss a point only by

@@ -155,6 +155,20 @@ def test_estimate_non_finite_coordinate_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_estimate_off_grid_coordinate_names_a_plain_float(tmp_path, capsys):
+    data, u, y = make_dataset(tmp_path)
+    u[7] += 1e-6
+    write_dataset_csv(data, u, y)
+    out = tmp_path / "est.csv"
+    rc = main(["estimate", "--input", str(data), "--output", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert (f"coordinate {float(u[7])!r} is not a multiple of 1/255"
+            in err)
+    assert "np.float64(" not in err
+    assert not out.exists()
+
+
 def test_estimate_without_half_bins_needs_no_bias_correction(tmp_path,
                                                              capsys):
     # 7 rows: every half-bin is empty, which only the bias correction reads

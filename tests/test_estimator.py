@@ -427,6 +427,26 @@ def test_fits_leave_the_callers_y_unchanged(side, q):
         assert np.array_equal(bits(y), bits(y0))
 
 
+@pytest.mark.parametrize("side,q,configs", PLAN_CASES,
+                         ids=[f"{s}^{q}" for s, q, _ in PLAN_CASES])
+def test_rows_in_grid_order_fit_as_permuted_rows(side, q, configs):
+    # the reshape of an ordered u and the scatter of a permuted one give
+    # the same fits bit for bit, and neither changes the caller's Y
+    rng = np.random.default_rng(side + 7 * q)
+    u = grid_nd(side, q)
+    perm = rng.permutation(len(u))
+    f = np.prod(np.sin(2 * np.pi * u), axis=1)
+    Y = f + rng.standard_cauchy((3, len(u)))
+    Y[2] = np.round(Y[0])             # tied medians
+    before = Y.copy()
+    for config in configs:
+        ordered, permuted = plan_fit(u, config), plan_fit(u[perm], config)
+        assert ordered.binned.ordered and not permuted.binned.ordered
+        for a, b in zip(ordered.fit_many(Y), permuted.fit_many(Y[:, perm])):
+            assert_same_fit(a, b)
+        assert np.array_equal(bits(Y), bits(before))
+
+
 def test_empty_half_bins_raise_from_the_fit_not_the_plan():
     plan = plan_fit(grid_1d(7))
     with pytest.raises(EmptyBin, match=r"half-bin \(1,\) is empty"):

@@ -6,6 +6,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
+from medwave.dataio import read_grid_csv, write_dataset_csv
 from medwave.errors import (BadValue, IncompleteGrid, NonGridSampleSize,
                             OffGridPoint)
 from medwave.estimator import plan_fit
@@ -308,7 +309,7 @@ def oracle_off_grid(u, m):
     if err.max() <= GRID_TOL:
         return None
     at = np.unravel_index(np.argmax(err), err.shape)
-    return (f"coordinate {u[at]!r} is not a multiple of 1/{m} "
+    return (f"coordinate {float(u[at])!r} is not a multiple of 1/{m} "
             f"(off by {err[at]:.3e})")
 
 
@@ -365,7 +366,7 @@ def test_off_grid_names_the_worst_of_several_coordinates():
     with pytest.raises(OffGridPoint) as exc:
         bin_observations(u, d)
     assert str(exc.value) == oracle_off_grid(u, d.m)
-    assert repr(u[700, 1]) in str(exc.value)
+    assert repr(float(u[700, 1])) in str(exc.value)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -467,7 +468,7 @@ def test_off_grid_in_several_blocks_names_the_farthest(r, q):
             bin_observations(bad, d)
         assert str(exc.value) == oracle_off_grid(bad, d.m)
         far = rows[int(np.argmax(np.abs(offsets)))]
-        assert repr(bad[far, 0]) in str(exc.value)
+        assert repr(float(bad[far, 0])) in str(exc.value)
 
 
 @pytest.mark.parametrize("r, q", MULTI_BLOCK)
@@ -513,6 +514,78 @@ def test_point_repeated_across_blocks_is_named(r, q):
         with pytest.raises(IncompleteGrid) as exc:
             bin_observations(bad, d)
         assert str(exc.value) == oracle_incomplete(bad, d)
+
+
+# grid order: q = 1, 2 and 3, and the multi-block designs
+ORDER_DESIGNS = [(40, 1), (9, 2), (5, 3)] + MULTI_BLOCK
+
+
+def out_of_order(n, rng):
+    """Row orders that are not grid order: reversed, one adjacent swap (in
+    the middle and across the first block boundary when there is one) and
+    a random permutation."""
+    perms = [np.arange(n)[::-1], rng.permutation(n)]
+    for row in {n // 2, min(_BLOCK_ROWS, n - 1)}:
+        swap = np.arange(n)
+        swap[[row - 1, row]] = swap[[row, row - 1]]
+        perms.append(swap)
+    return perms
+
+
+@pytest.mark.parametrize("r, q", ORDER_DESIGNS)
+def test_u_in_grid_order_is_recorded_as_ordered(r, q):
+    d = plan_grid(r ** q, q)
+    u = full_grid(d.m, q)
+    b = bin_observations(u, d)
+    assert b.ordered
+    assert np.array_equal(b.grid_code, np.arange(d.n))
+    for perm in out_of_order(d.n, np.random.default_rng(r + q)):
+        b = bin_observations(u[perm], d)
+        assert not b.ordered
+        assert np.array_equal(b.grid_code, oracle_grid_code(u[perm], d))
+
+
+@pytest.mark.parametrize("r, q", ORDER_DESIGNS)
+def test_increasing_u_with_a_repeat_is_incomplete(r, q):
+    # rows in increasing grid order, one point repeated and the next one
+    # missing: at the first and last row, inside a block and across the
+    # first block boundary
+    d = plan_grid(r ** q, q)
+    for row in sorted({1, d.n // 3, min(_BLOCK_ROWS, d.n - 1), d.n - 1}):
+        u = full_grid(d.m, q)
+        u[row] = u[row - 1]
+        with pytest.raises(IncompleteGrid) as exc:
+            bin_observations(u, d)
+        assert str(exc.value) == oracle_incomplete(u, d)
+
+
+@pytest.mark.parametrize("r, q", [(40, 1), (9, 2), (5, 3)])
+def test_ordered_responses_are_a_read_only_view(r, q):
+    d = plan_grid(r ** q, q)
+    plan = bin_observations(full_grid(d.m, q), d)
+    Y = np.random.default_rng(r).standard_cauchy((3, d.n))
+    got = plan.with_responses(Y).y_grid
+    assert got.shape == (3,) + (d.m + 1,) * q
+    assert np.shares_memory(got, Y)
+    assert not got.flags.writeable
+    with pytest.raises(ValueError):
+        got[(0,) * (q + 1)] = 0.0
+    assert Y.flags.writeable
+
+
+def test_ordered_strided_responses_are_a_contiguous_copy(tmp_path):
+    # read_grid_csv returns y as a strided column of the parsed table
+    d = plan_grid(17 ** 2, 2)
+    u = full_grid(d.m, 2)
+    y = np.random.default_rng(3).standard_cauchy(d.n)
+    write_dataset_csv(tmp_path / "data.csv", u, y)
+    u_read, y_read = read_grid_csv(tmp_path / "data.csv")
+    assert not y_read.flags.c_contiguous
+    plan = bin_observations(u_read, d)
+    assert plan.ordered
+    got = plan.with_responses(y_read[None]).y_grid
+    assert got.flags.c_contiguous and not np.shares_memory(got, y_read)
+    assert np.array_equal(got.ravel().view(np.uint64), y.view(np.uint64))
 
 
 def test_plan_fit_peak_memory_stays_below_u():
