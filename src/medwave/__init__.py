@@ -12,55 +12,22 @@ from __future__ import annotations
 from importlib import import_module
 from types import ModuleType as _Module
 
-from .errors import (
-    BadCovariance,
-    BadPrimaryLevel,
-    BadShape,
-    BadValue,
-    EmptyBin,
-    HeaderMismatch,
-    IncompleteGrid,
-    MedwaveError,
-    NonGridSampleSize,
-    OffGridPoint,
-    ParseError,
-    ShapeMismatch,
-    UnknownDensityValue,
-    UnknownFilter,
-    UnknownKey,
-)
+from .errors import (BadCovariance, BadPrimaryLevel, BadShape, BadValue,
+                     EmptyBin, HeaderMismatch, IncompleteGrid, MedwaveError,
+                     NonGridSampleSize, OffGridPoint, ParseError,
+                     ShapeMismatch, UnknownDensityValue, UnknownFilter,
+                     UnknownKey)
 from .grid import BinnedData, GridDesign, bin_observations, plan_grid
-from .medians import (
-    NOISE_FLOOR,
-    MedianSummary,
-    NoiseEstimate,
-    bias_correction,
-    bin_medians,
-    estimate_noise_level,
-)
-from .wavelets import (
-    WaveletFilter,
-    available_filters,
-    build_filter,
-    default_primary_level,
-    dwt_qd,
-    idwt_qd,
-)
-from .shrinkage import (
-    ShrinkageDiagnostics,
-    default_block_cardinality,
-    partition_blocks,
-    shrink,
-    solve_lambda_star,
-)
+from .medians import (NOISE_FLOOR, MedianSummary, NoiseEstimate,
+                      bias_correction, bin_medians, estimate_noise_level)
+from .wavelets import (WaveletFilter, available_filters, build_filter,
+                       default_primary_level, dwt_qd, idwt_qd)
+from .shrinkage import (ShrinkageDiagnostics, default_block_cardinality,
+                        partition_blocks, shrink, solve_lambda_star)
 from .estimator import (EstimatorConfig, FitPlan, FitResult, evaluate_on_grid,
                         fit, plan_fit)
-from .dataio import (
-    read_estimate_csv,
-    read_grid_csv,
-    write_dataset_csv,
-    write_estimate_csv,
-)
+from .dataio import (read_estimate_csv, read_grid_csv, write_dataset_csv,
+                     write_estimate_csv)
 
 __version__ = "0.1.0"
 

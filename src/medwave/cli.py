@@ -18,9 +18,12 @@ any simulation machinery.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
+
+from .errors import MedwaveError
 
 __all__ = ["main", "build_parser"]
 
@@ -99,18 +102,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# ---------------------------------------------------------------------------
-# handlers
-# ---------------------------------------------------------------------------
-
 def _run_estimate(args) -> int:
     from .dataio import read_grid_csv, write_estimate_csv, write_rows
     from .estimator import (EstimatorConfig, _parse_noise_mode,
                             evaluate_on_grid, fit)
 
     u, y = read_grid_csv(args.input)
-    q = u.shape[1]
-
     config = EstimatorConfig(
         wavelet=args.wavelet,
         j0=args.j0,
@@ -121,7 +118,6 @@ def _run_estimate(args) -> int:
     )
     result = fit(u, y, config)
     design = result.design
-
     if result.noise.degenerate:
         cause = ("a single bin has no neighbour to estimate the noise level "
                  "from; --noise-mode known:VALUE gives one" if design.V == 1
@@ -130,28 +126,24 @@ def _run_estimate(args) -> int:
               file=sys.stderr)
         if args.strict:
             return 3
-
     table = evaluate_on_grid(result)
     if args.output:
         write_estimate_csv(args.output, table)
     else:
         write_rows(sys.stdout, table[:, :-1], table[:, -1], "fhat")
-    print(f"medwave: n={len(y)} q={q} T={design.T} wavelet={config.wavelet} "
-          f"b_hat={result.b_hat:.6g} h_inv_sq={result.noise.h_inv_sq:.6g}",
-          file=sys.stderr)
+    print(f"medwave: n={len(y)} q={design.q} T={design.T} "
+          f"wavelet={config.wavelet} b_hat={result.b_hat:.6g} "
+          f"h_inv_sq={result.noise.h_inv_sq:.6g}", file=sys.stderr)
     return 0
 
 
 def _run_simulate(args) -> int:
-    import os
-
     from .config import parse_config
     from .dataio import write_dataset_csv, write_estimate_csv
     from .simulate import _SizeContext, replication_rng
 
     config = parse_config(args.config)
     os.makedirs(args.output_dir, exist_ok=True)
-
     for n in config.sample_sizes:
         ctx = _SizeContext(config, n)
         for rep in range(config.replications):
@@ -169,8 +161,6 @@ def _run_simulate(args) -> int:
 
 
 def _run_rate_study(args) -> int:
-    import os
-
     from .config import parse_config
     from .dataio import _fmt
     from .simulate import rate_study
@@ -178,7 +168,6 @@ def _run_rate_study(args) -> int:
     config = parse_config(args.config)
     report = rate_study(config)
     os.makedirs(args.output_dir, exist_ok=True)
-
     has_pointwise = report.pointwise_slope is not None
     cols = ["n", "mean_mise", "se", "slope"]
     if has_pointwise:
@@ -193,7 +182,6 @@ def _run_rate_study(args) -> int:
                 row += [_fmt(pt.mean_pointwise), _fmt(pt.se_pointwise),
                         _fmt(report.pointwise_slope)]
             fh.write(",".join(row) + "\n")
-
     lines = [
         f"rate study: test_function={config.test_function} q={config.q} "
         f"wavelet={config.estimator.wavelet} "
@@ -215,7 +203,6 @@ def _run_rate_study(args) -> int:
     for w in report.warnings:
         lines.append(f"warning: {w}")
     summary = "\n".join(lines) + "\n"
-
     summary_path = os.path.join(args.output_dir, "summary.txt")
     with open(summary_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(summary)
@@ -238,8 +225,6 @@ def _run_coupling_check(args) -> int:
 
 
 def main(argv=None) -> int:
-    from .errors import MedwaveError
-
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -111,14 +111,9 @@ def _float_list(key: str, text: str):
 def parse_config_text(text: str, source: str = "<config>") -> SimulationConfig:
     """Parse config file content into a :class:`SimulationConfig`.
 
-    Raises
-    ------
-    UnknownKey
-        For any key outside the documented set.
-    BadValue
-        For malformed or out-of-range values (message names the key).
-    ParseError
-        For lines that are not ``key = value``.
+    Raises UnknownKey for any key outside the documented set, BadValue
+    naming the key of a malformed or out-of-range value, and ParseError
+    for lines that are not ``key = value``.
     """
     raw = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -136,11 +131,9 @@ def parse_config_text(text: str, source: str = "<config>") -> SimulationConfig:
         if key in raw:
             raise ParseError(f"{source}:{lineno}: duplicate key {key!r}")
         raw[key] = value
-
     for required in ("q", "sample_sizes", "error_dist"):
         if required not in raw or not raw[required]:
             raise BadValue(f"config requires key {required!r}")
-
     q = _int_value("q", raw["q"])
     beta = _float_list("beta", raw.get("beta", ""))
     p = _int_value("p", raw["p"]) if raw.get("p") else len(beta)
@@ -148,10 +141,8 @@ def parse_config_text(text: str, source: str = "<config>") -> SimulationConfig:
         raise BadValue(f"p={p} does not match beta of length {len(beta)}")
     if p and not beta:
         beta = (0.0,) * p
-
     design = _parse_design_dist(raw.get("design_dist", "none"), p)
     error = _parse_error_dist(raw["error_dist"])
-
     try:
         sample_sizes = tuple(
             int(v.strip()) for v in raw["sample_sizes"].split(",")
@@ -161,7 +152,6 @@ def parse_config_text(text: str, source: str = "<config>") -> SimulationConfig:
             f"sample_sizes: expected comma-separated ints, got "
             f"{raw['sample_sizes']!r}"
         ) from None
-
     j0 = raw.get("j0", "")
     block = raw.get("block_cardinality", "")
     estimator = EstimatorConfig(
@@ -171,10 +161,8 @@ def parse_config_text(text: str, source: str = "<config>") -> SimulationConfig:
         known_h_inv_sq=_parse_noise_mode(raw.get("noise_mode") or "estimate",
                                          "noise_mode"),
     )
-
     u0_text = raw.get("u0", "")
     u0 = _float_list("u0", u0_text) if u0_text else None
-
     return SimulationConfig(
         q=q,
         sample_sizes=sample_sizes,
@@ -210,13 +198,10 @@ def _emit_dist(dist) -> str:
 def emit_config(config: SimulationConfig) -> str:
     """Canonical config text; parse_config_text(emit_config(c)) == c.
 
-    Raises
-    ------
-    BadValue
-        If the config uses features the file format cannot express
-        (non-identity design covariance, a scale other than 1 on
-        student_t or shifted_exponential errors, or shrinkage or the bias
-        correction switched off).
+    Raises BadValue if the config uses features the file format cannot
+    express: a non-identity design covariance, a scale other than 1 on
+    student_t or shifted_exponential errors, or shrinkage or the bias
+    correction switched off.
     """
     if config.design_dist is not None and not np.array_equal(
         config.design_dist.sigma, np.eye(config.design_dist.p)

@@ -8,44 +8,16 @@ ends with a newline. Writing is deterministic: the same data produces a
 byte-identical file.
 
 Reading checks the header line, then parses the body with ``np.loadtxt``,
-which converts each field as ``float()`` does. A ``str`` or ``os.PathLike``
-path of a regular file is handed to loadtxt, which reads the file in
-blocks. Any other source is read once as a list of lines and fed to it: a
-pipe or other file that is not regular (``/dev/stdin``), a ``bytes`` path,
-or a name that numpy would decompress for its ``.gz``, ``.bz2``, ``.xz`` or
-``.lzma`` suffix or download for its ``://``. If loadtxt refuses the body (a
-whitespace-only line is enough) or returns the wrong number of columns, the
-body is parsed line by line. That parser skips lines that strip to nothing,
-accepts every field ``float()`` accepts, and names the offending
-``path:line`` in its ``ParseError``. On a body that loadtxt accepts, the two
-parsers give bit-identical values. Files are read as UTF-8: a byte that is
-not UTF-8 makes its line a ``ParseError``, or the header a
+which converts each field as ``float()`` does, and which reads a ``str`` or
+``os.PathLike`` path of a regular file itself. Any other source (a pipe,
+``/dev/stdin``, a ``bytes`` path, or a name that numpy would decompress or
+download) is read once as a list of lines. If loadtxt refuses the body or
+returns the wrong number of columns, a line parser takes over: it skips
+lines that strip to nothing, accepts every field ``float()`` accepts, gives
+bit-identical values on a body that loadtxt accepts, and names the
+offending ``path:line`` in its ``ParseError``. Files are read as UTF-8: a
+byte that is not UTF-8 makes its line a ``ParseError``, or the header a
 ``HeaderMismatch``.
-
-Writing goes through a :class:`RowTemplate`: the text of every row's
-coordinates followed by a slot for its value. Each column's distinct values
-are formatted once, keyed on their bits so that -0.0 and 0.0 (and NaN
-payloads) stay apart, and the template is built and filled in blocks of
-8192 rows. Files that share a design (the replications of one sample size)
-can share one template, so their coordinates are formatted once. The bytes
-are those of formatting every field with ``format(x, ".17g")``.
-
-A block's values are formatted by one numpy kernel. It covers the finite
-values with 1e-4 <= |x| < 1e17, which ``%.17g`` prints in fixed notation
-with a decimal exponent X in [-4, 16]. X starts as floor(log10|x|). The
-scale 10^(16-X) is an exact double, and Dekker's two-product gives
-|x| 10^(16-X) as p + e exactly; where that falls outside [1e16, 1e17),
-log10 was one off next to a power of ten, and X is corrected. p is then at
-least 1e16 > 2^53, an even integer, so the integer p + rint(e) (summed in
-int64) is the rounding of the exact product to 17 digits, half to even, as
-``%.17g`` makes it: the digits are exact, with no tolerance. No double in
-the domain rounds up to 10^17 (the largest below each power of ten gives at
-most 99999999999999992). The text is an optional ``-``, the X + 1 leading
-digits, then ``.`` and the fraction digits with trailing zeros cut, or for
-X < 0 ``0.``, -X - 1 zeros and the digits; the kernel gathers it from the
-digits through a table of these layouts. Every other value (0, -0.0, inf,
-NaN, |x| < 1e-4 or |x| >= 1e17) is formatted alone by
-``format(x, ".17g")``.
 
 This module deliberately imports nothing beyond numpy and the error types,
 so the estimation entry point can read and write files without dragging in
@@ -62,14 +34,8 @@ import numpy as np
 
 from .errors import BadValue, HeaderMismatch, ParseError, ShapeMismatch
 
-__all__ = [
-    "RowTemplate",
-    "read_grid_csv",
-    "write_dataset_csv",
-    "write_estimate_csv",
-    "read_estimate_csv",
-    "write_rows",
-]
+__all__ = ["RowTemplate", "read_grid_csv", "write_dataset_csv",
+           "write_estimate_csv", "read_estimate_csv", "write_rows"]
 
 
 #: rows per template block: bounds the object arrays and the tuples of
@@ -155,13 +121,11 @@ def read_estimate_csv(path):
 
 
 def _distinct_texts(column: np.ndarray):
-    """The ``%.17g`` text of each distinct value of a float column, as an
+    """The ``%.17g`` bytes of each distinct value of a float column, as an
     object array, and the index into it of every entry. Values are keyed
     on their bits, so -0.0 and 0.0 get their own texts."""
     keys, inverse = np.unique(column.view(np.uint64), return_inverse=True)
-    values = keys.view(np.float64)
-    texts = ("%.17g\n" * len(values) % tuple(values.tolist())).split("\n")
-    return np.array(texts[:-1], dtype=object), inverse
+    return np.array(_g17_bytes(keys.view(np.float64)), dtype=object), inverse
 
 
 #: 10^s for s = 0..20, each an exact double
@@ -216,7 +180,14 @@ def _two_product(a: np.ndarray, b: np.ndarray):
 def _decimal17(x: np.ndarray):
     """(fixed, X, D) for the float array x: whether ``%.17g`` prints each
     value in fixed notation (1e-4 <= |x| < 1e17), and for those its decimal
-    exponent X and the integer D in [1e16, 1e17) of its 17 digits."""
+    exponent X and the integer D in [1e16, 1e17) of its 17 digits.
+
+    10^(16-X) is an exact double, so |x| 10^(16-X) = p + e exactly; X from
+    log10 is one off next to a power of ten, where p + e falls outside
+    [1e16, 1e17). p >= 1e16 > 2^53 is an even integer, so p + rint(e) is
+    the half-to-even rounding ``%.17g`` makes. No double in the domain
+    rounds up to 10^17.
+    """
     a = np.abs(x)
     fixed = (a >= 1e-4) & (a < 1e17)        # False for NaN
     a = np.where(fixed, a, 1.0)
@@ -253,8 +224,9 @@ def _fixed_texts(x: np.ndarray, exp: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 
 def _g17_bytes(x: np.ndarray) -> list:
-    """The ``'%.17g'`` bytes of each value of the float array x (see the
-    module docstring for the kernel and why it is exact)."""
+    """The ``'%.17g'`` bytes of each value of the float array x; values
+    outside :func:`_decimal17`'s fixed-notation domain are formatted one by
+    one."""
     fixed, exp, d = _decimal17(x)
     out = _fixed_texts(x, exp, d).view("S23").ravel().tolist()
     for i in np.flatnonzero(~fixed):
@@ -268,7 +240,8 @@ class RowTemplate:
     Built once from the points u (n, q), or (n,) for q = 1; :func:`write_rows`
     fills it with any n values. ``blocks`` holds one ``bytes`` format string
     per 8192 rows: each row's coordinates, then a ``%s`` slot for the
-    value's text and a newline.
+    value's text and a newline. Each column's distinct values are formatted
+    once.
     """
 
     def __init__(self, u: np.ndarray):
@@ -279,15 +252,15 @@ class RowTemplate:
             raise ShapeMismatch(f"points must be (n, q), got {u.shape}")
         self.n, self.q = u.shape
         columns = [_distinct_texts(u[:, k]) for k in range(self.q)]
-        row = "%s," * self.q + "%%s\n"
+        row = b"%s," * self.q + b"%%s\n"
         self.blocks = []
         for start in range(0, self.n, _WRITE_CHUNK_ROWS):
             stop = min(start + _WRITE_CHUNK_ROWS, self.n)
             fields = np.empty((stop - start, self.q), dtype=object)
             for k, (texts, inverse) in enumerate(columns):
                 fields[:, k] = texts[inverse[start:stop]]
-            self.blocks.append((row * len(fields)
-                                % tuple(fields.ravel().tolist())).encode())
+            self.blocks.append(row * len(fields)
+                               % tuple(fields.ravel().tolist()))
 
 
 def write_rows(fh, u, values: np.ndarray, value_column: str) -> None:
@@ -295,9 +268,6 @@ def write_rows(fh, u, values: np.ndarray, value_column: str) -> None:
     the open text stream ``fh`` (17 significant digits, LF line ends).
 
     ``u`` is the points (n, q) or a :class:`RowTemplate` built from them.
-    Each block of the template is filled with the ``%.17g`` text of its
-    values, made by the numpy kernel the module docstring describes, and
-    written as one string.
     """
     rows = u if isinstance(u, RowTemplate) else RowTemplate(u)
     values = np.asarray(values, dtype=float)
@@ -318,19 +288,15 @@ def _write_numeric_csv(path, u, values: np.ndarray,
 
 
 def write_dataset_csv(path, u, y: np.ndarray) -> None:
-    """Write observations as ``u1..uq,y`` rows (17 significant digits).
-
-    ``u`` is the points (n, q) or a :class:`RowTemplate` built from them.
-    """
+    """Write observations as ``u1..uq,y`` rows (17 significant digits);
+    ``u`` is the points (n, q) or a :class:`RowTemplate` built from them."""
     _write_numeric_csv(path, u, y, "y")
 
 
 def write_estimate_csv(path, table: np.ndarray) -> None:
-    """Write an estimate table (V, q+1) as ``u1..uq,fhat`` rows.
-
-    The table is written in the order given; :func:`medwave.estimator.
-    evaluate_on_grid` produces lexicographic order.
-    """
+    """Write an estimate table (V, q+1) as ``u1..uq,fhat`` rows in the
+    order given (:func:`medwave.estimator.evaluate_on_grid` gives
+    lexicographic order)."""
     table = np.asarray(table, dtype=float)
     if table.ndim != 2 or table.shape[1] < 2:
         raise BadValue(f"estimate table must be (V, q+1), got {table.shape}")

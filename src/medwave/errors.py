@@ -5,29 +5,11 @@ the CLI (and library users) can map problems to exit codes without string
 matching. All exceptions derive from :class:`MedwaveError`.
 """
 
-__all__ = [
-    "MedwaveError",
-    # grid / binning
-    "NonGridSampleSize",
-    "IncompleteGrid",
-    "OffGridPoint",
-    # medians
-    "EmptyBin",
-    # wavelet transform
-    "UnknownFilter",
-    "BadShape",
-    "BadPrimaryLevel",
-    # shrinkage / estimator
-    "ShapeMismatch",
-    # simulation
-    "BadCovariance",
-    "UnknownDensityValue",
-    # io / config
-    "ParseError",
-    "HeaderMismatch",
-    "UnknownKey",
-    "BadValue",
-]
+__all__ = ["MedwaveError", "NonGridSampleSize", "IncompleteGrid",
+           "OffGridPoint", "EmptyBin", "UnknownFilter", "BadShape",
+           "BadPrimaryLevel", "ShapeMismatch", "BadCovariance",
+           "UnknownDensityValue", "ParseError", "HeaderMismatch",
+           "UnknownKey", "BadValue"]
 
 
 class MedwaveError(Exception):

@@ -1,59 +1,45 @@
 """End-to-end estimation pipeline on a gridded design.
 
-A fit runs in two steps. :func:`plan_fit` takes the design points u alone:
+:func:`plan_fit` takes the design points u alone: it plans the dyadic
+binning for n = (m+1)^q observations, checks u (finite, on the grid, every
+grid point once), fixes the grid position of each row, builds the wavelet
+filter and fixes the primary level j0 and the block size L.
+:meth:`FitPlan.fit_many` then runs every step below once for a whole
+(B, n) stack of response vectors:
 
-1. plan the dyadic binning for n = (m+1)^q observations,
-2. check u (finite, on the grid, every grid point once) and fix the grid
-   position of each row,
-3. build the wavelet filter and fix the primary level j0 and the block
-   size L.
-
-:meth:`FitPlan.fit_many` then takes a (B, n) stack of response vectors,
-and runs every step below once for the whole stack, each array operation
-taking every member:
-
-4. check the stack and scatter it into grid order,
-5. take per-bin medians Q (and half-bin medians for the bias estimate),
-6. estimate the noise level 1/h^2(0) from paired medians (or take a
+1. check the stack and put it in grid order,
+2. take per-bin medians Q (and half-bin medians for the bias estimate),
+3. estimate the noise level 1/h^2(0) from paired medians (or take a
    known value as given),
-7. transform Q / sqrt(V) with a periodized orthonormal wavelet down to the
-   primary level j0, into one (B,) + (T,)^q coefficient array,
-8. block-James-Stein shrink its detail coefficients, given j0,
-9. invert the transform at j0, rescale by sqrt(V), and subtract the
-   global bias estimate.
+4. transform Q / sqrt(V) with a periodized orthonormal wavelet down to j0,
+5. block-James-Stein shrink its detail coefficients,
+6. invert the transform, rescale by sqrt(V), and subtract the global bias
+   estimate.
 
-:meth:`FitPlan.fit` fits one response vector as a stack of one, and
-:func:`fit` is :func:`plan_fit` and :meth:`FitPlan.fit` in one call. A plan
-serves any number of stacks on the same u, and each member's result is
-bit-identical to a fresh :func:`fit` of it.
-
-With shrinkage disabled and the bias term forced to zero, steps 7-9 are an
-exact round trip: f_hat equals the bin-median tensor Q to round-off.
-
-The reconstruction lives on the V grid points (l1/T, ..., lq/T); use
-:func:`evaluate_on_grid` to enumerate them in lexicographic order.
+:func:`fit` is :func:`plan_fit` and :meth:`FitPlan.fit` in one call. With
+shrinkage disabled and the bias term forced to zero, steps 4-6 are an
+exact round trip: f_hat equals Q to round-off. The reconstruction lives on
+the V grid points (l1/T, ..., lq/T), which :func:`evaluate_on_grid`
+enumerates in lexicographic order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Real
 from typing import Optional
 
 import numpy as np
 
 from .errors import BadPrimaryLevel, BadValue
-from .grid import (BinnedData, GridDesign, _check_finite, bin_observations,
-                   plan_grid, product_grid, responses_mismatch)
+from .grid import (BinnedData, GridDesign, _check_finite, _integer,
+                   bin_observations, plan_grid, product_grid,
+                   responses_mismatch)
 from .medians import (NoiseEstimate, bias_correction, bin_medians,
                       estimate_noise_level)
 from .shrinkage import ShrinkageDiagnostics, default_block_cardinality, shrink
-from .wavelets import (
-    WaveletFilter,
-    build_filter,
-    default_primary_level,
-    dwt_qd,
-    idwt_qd,
-)
+from .wavelets import (WaveletFilter, build_filter, default_primary_level,
+                       dwt_qd, idwt_qd)
 
 __all__ = ["EstimatorConfig", "FitPlan", "FitResult", "plan_fit", "fit",
            "evaluate_on_grid"]
@@ -62,7 +48,8 @@ __all__ = ["EstimatorConfig", "FitPlan", "FitResult", "plan_fit", "fit",
 def _check_known(value: Optional[float], key: str) -> Optional[float]:
     """``value`` if it is None or a finite positive noise level, else
     BadValue naming ``key``."""
-    if value is not None and not (np.isfinite(value) and value > 0):
+    if value is not None and not (isinstance(value, Real)
+                                  and np.isfinite(value) and value > 0):
         raise BadValue(f"{key}: a known noise level must be finite and "
                        f"positive, got {value}")
     return value
@@ -72,22 +59,14 @@ def _check_known(value: Optional[float], key: str) -> Optional[float]:
 class EstimatorConfig:
     """Tuning knobs of the pipeline.
 
-    Attributes
-    ----------
-    wavelet : str
-        Filter name ("haar", "db2", "db4").
-    j0 : int, optional
-        Primary level; default is the smallest level whose resolution
-        covers the filter taps, clamped to J-1 for small designs.
-    block_cardinality : int, optional
-        Target block size L; default max(1, floor(ln n)).
-    known_h_inv_sq : float, optional
-        A known noise level 1/h^2(0), finite and positive, used as given;
-        None (the default) estimates it from paired medians.
-    shrinkage_enabled : bool
-        Disable to get the raw median pipeline (diagnostic use).
-    bias_correction : bool
-        Disable to force b_hat = 0.
+    ``wavelet`` names the filter ("haar", "db2", "db4"). ``j0`` is the
+    primary level; None takes the smallest level whose resolution covers
+    the filter taps, clamped to J-1 for small designs. ``block_cardinality``
+    is the target block size L; None takes max(1, floor(ln n)).
+    ``known_h_inv_sq`` is a known noise level 1/h^2(0), finite and
+    positive, used as given; None estimates it from paired medians.
+    ``shrinkage_enabled`` off gives the raw median pipeline, and
+    ``bias_correction`` off forces b_hat = 0.
     """
 
     wavelet: str = "db4"
@@ -99,9 +78,10 @@ class EstimatorConfig:
 
     def __post_init__(self):
         _check_known(self.known_h_inv_sq, "known_h_inv_sq")
-        if self.j0 is not None and self.j0 < 0:
+        if self.j0 is not None and _integer("j0", self.j0) < 0:
             raise BadPrimaryLevel(f"j0 must be >= 0, got {self.j0}")
-        if self.block_cardinality is not None and self.block_cardinality < 1:
+        if (self.block_cardinality is not None
+                and _integer("block_cardinality", self.block_cardinality) < 1):
             raise BadValue("block_cardinality must be >= 1")
 
 
@@ -127,20 +107,16 @@ def _resolve_primary_level(config: EstimatorConfig, filt: WaveletFilter,
                            J: int) -> int:
     if config.j0 is not None:
         if not 0 <= config.j0 < J:
-            raise BadPrimaryLevel(
-                f"j0={config.j0} invalid for data level J={J} (need 0 <= j0 < J)"
-            )
+            raise BadPrimaryLevel(f"j0={config.j0} invalid for data level "
+                                  f"J={J} (need 0 <= j0 < J)")
         return config.j0
     return min(default_primary_level(filt), J - 1)
 
 
 def _parse_noise_mode(text: str, key: str) -> Optional[float]:
     """``estimate`` or ``known:VALUE`` as the ``known_h_inv_sq`` of an
-    :class:`EstimatorConfig`: None or VALUE.
-
-    Whitespace around the kind and the value is ignored. ``key`` names the
-    option (``--noise-mode`` or ``noise_mode``) in the error message.
-    """
+    :class:`EstimatorConfig`: None or VALUE. Whitespace around the kind and
+    the value is ignored; ``key`` names the option in the error message."""
     kind, colon, value = text.partition(":")
     kind = kind.strip()
     if kind == "estimate" and not colon:
@@ -157,11 +133,8 @@ def _parse_noise_mode(text: str, key: str) -> Optional[float]:
 @dataclass(frozen=True)
 class FitPlan:
     """Everything a fit takes from u alone, made once by :func:`plan_fit`.
-
-    ``binned`` holds the design and the checked grid code of u, without
-    responses; ``j0`` is None on single-bin designs (J = 0), which have no
-    detail levels, and ``L`` is None when shrinkage is off.
-    """
+    ``binned`` holds the design and the checked grid code of u; ``j0`` is
+    None on single-bin designs (J = 0), and ``L`` when shrinkage is off."""
 
     config: EstimatorConfig
     binned: BinnedData
@@ -175,11 +148,7 @@ class FitPlan:
 
     def fit(self, y: np.ndarray) -> FitResult:
         """Run the pipeline on the (n,) responses ``y``, in the row order
-        of u: ``fit_many(y[None])[0]``.
-
-        Deterministic: identical responses produce bit-identical results,
-        equal to those of :func:`fit` on (u, y).
-        """
+        of u: ``fit_many(y[None])[0]``."""
         y = np.asarray(y, dtype=float)
         if y.shape != (self.design.n,):
             raise responses_mismatch(self.design, y.shape)
@@ -192,15 +161,11 @@ class FitPlan:
 
     def fit_many(self, Y: np.ndarray) -> list:
         """Fit every row of the (B, n) stack ``Y``, each in the row order
-        of u, in one pass of every stage; returns the B results in order.
+        of u; returns the B results in order.
 
-        Row i's result is bit-identical to ``self.fit(Y[i])``; its
-        ``f_hat`` is a view into one (B,) + (T,)*q array.
-
-        Raises
-        ------
-        IncompleteGrid
-            If ``Y`` is not a (B, n) array.
+        Row i's result equals ``self.fit(Y[i])`` bit for bit; its ``f_hat``
+        is a view into one (B,) + (T,)*q array. Raises IncompleteGrid if
+        ``Y`` is not a (B, n) array.
         """
         binned = self.binned.with_responses(Y)
         config, design = self.config, self.design
@@ -213,8 +178,7 @@ class FitPlan:
         noise = estimate_noise_level(summary, config.known_h_inv_sq)
         diagnostics = [None] * B
         if self.j0 is None:
-            # Single bin per axis: no detail levels exist, the transform is
-            # the identity on the 1-point-per-axis tensor.
+            # one bin: no detail levels, the transform is the identity
             f_hat = summary.q_full - _per_member(b_hat, design.q)
         else:
             coeffs = dwt_qd(summary.q_full / np.sqrt(design.V), self.filt,
@@ -249,16 +213,10 @@ def plan_fit(u: np.ndarray,
     if u.ndim == 1:
         u = u[:, None]
     n, q = u.shape
-    return _plan_on(u, plan_grid(n, q), config)
-
-
-def _plan_on(u: np.ndarray, design: GridDesign,
-             config: EstimatorConfig) -> FitPlan:
-    """:func:`plan_fit` of the (n, q) ``u`` on its ``design``, which the
-    plan keeps (a rate study's sample size shares one design)."""
+    design = plan_grid(n, q)
     binned = bin_observations(u, design)
     # the median classes, built before any response array: built mid-fit,
-    # they were kept between its large temporaries and raised the peak RSS
+    # they sit between its large temporaries and raise the peak RSS
     design.median_selections
     filt = build_filter(config.wavelet)
     j0 = L = None
@@ -273,23 +231,16 @@ def _plan_on(u: np.ndarray, design: GridDesign,
 
 def fit(u: np.ndarray, y: np.ndarray,
         config: EstimatorConfig = EstimatorConfig()) -> FitResult:
-    """Run the full pipeline on grid observations (u, y).
-
-    ``u`` must be an (n, q) array (or (n,) for q = 1) covering the full
-    equispaced product grid exactly once; ``y`` the matching responses.
-    Deterministic: identical inputs produce bit-identical results. To fit
-    many response vectors on one u, build :func:`plan_fit` once instead.
-    """
+    """Run the full pipeline on grid observations (u, y), the responses
+    ``y`` in the row order of u; identical inputs give bit-identical
+    results. To fit many response vectors on one u, use :func:`plan_fit`."""
     return plan_fit(u, config).fit(y)
 
 
 def evaluate_on_grid(result: FitResult) -> np.ndarray:
-    """Enumerate the estimate at the V grid points of ``result.design`` in
-    lexicographic order.
-
-    Returns an array of shape (V, q+1): q coordinate columns (l/T per axis)
-    followed by the estimate value.
-    """
+    """The estimate at the V grid points of ``result.design`` in
+    lexicographic order: a (V, q+1) array of q coordinate columns (l/T per
+    axis) followed by the estimate value."""
     design = result.design
     coords = product_grid(np.arange(1, design.T + 1) / design.T, design.q)
     return np.column_stack([coords, result.f_hat.ravel()])

@@ -8,9 +8,7 @@ V = T^q product bins. The number of intervals is tied to the sample size by
     J = floor( (1/q) * log2(n^(3/4)) )
 
 so that each bin holds kappa = floor(n/V) observations, kappa -> infinity as
-n grows. A nested system of "half-bins" (the lower half of every axis
-interval, intersected across all q axes) supports the bias estimate: each
-half-bin holds roughly nu = floor(n / (V * 2^q)) observations.
+n grows. No bin is empty: T^q <= n^(3/4) < n gives T < m+1.
 
 Conventions
 -----------
@@ -19,40 +17,13 @@ Conventions
 * Bin indices are 1-based per axis; tensors indexed [l1-1, ..., lq-1] are
   laid out in C order, which is exactly the lexicographic order of the
   multi-index (l1, ..., lq).
-* Half-bins take the first floor((m+1)/(2T)) grid points of each axis
-  interval, counted in increasing coordinate order.
-
-The checks of u run over blocks of rows, so that a block's temporaries
-stay in cache and no whole-array temporary is made. In a block, a
-coordinate's grid index is rint(u*m), range-checked first, which NaN and
-+-inf fail. The on-grid test |u - index/m| <= GRID_TOL is screened by
-|u*m - index| <= GRID_TOL*m/2, which implies it despite rounding; only
-when the screen fails does the exact form run. The flat grid code is one
-float dot with the place values (m+1)^k, exact as n < 2^53, written into
-one preallocated array. While every code so far exceeds the one before,
-u is in grid order: n strictly increasing codes in range(n) are range(n).
-Otherwise, after the last block, one boolean ``seen`` pass checks that
-the codes cover range(n). Every entry takes the same operations as in one
-whole-array pass, so no decision and no code depends on the blocks. A u
-that fails any check goes whole to one fault path, which decides and
-words the error over the full array.
-
-Binning needs no sort. Once the checks have passed, the flat grid code of
-the rows is a permutation of range(n), so one scatter puts the responses in
-lexicographic grid order, an (m+1,)*q array; for u in grid order (as
-:func:`product_grid`, ``simulate`` and the CSVs medwave writes make it)
-that order is the responses' own, and they are only reshaped. Every axis
-interval is a run of consecutive grid points, so a bin is a product of
-such runs and its members follow from the interval starts and lengths
-alone. No bin is empty: T^q <= n^(3/4) < n gives T < m+1, and every axis
-interval holds at least one grid point. The checks and the grid code
-depend on u alone, so u is binned once, without responses, and
-:meth:`BinnedData.with_responses` puts a (B, n) stack of response vectors
-in grid order, one 1-D scatter per member where u is not ordered.
+* Half-bins, which the bias estimate uses, take the first floor((m+1)/(2T))
+  grid points of each axis interval, in increasing coordinate order.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field, replace
 from functools import cached_property, reduce
 from typing import NoReturn, Optional
@@ -73,24 +44,10 @@ _BLOCK_ROWS = 16_384
 
 @dataclass(frozen=True)
 class GridDesign:
-    """Binning geometry for a sample size n = (m+1)^q.
-
-    Attributes
-    ----------
-    n, q : int
-        Sample size and dimension.
-    m : int
-        Grid resolution; coordinates live on {0, 1/m, ..., 1}.
-    J : int
-        Dyadic depth; T = 2^J intervals per axis.
-    T, V : int
-        Intervals per axis and total bins V = T^q.
-    kappa : int
-        floor(n / V), observations per bin.
-    nu : int
-        floor(n / (V * 2^q)), observations per half-bin.
-    axis_bins : np.ndarray
-        axis_bins[i] is the 1-based interval index of grid coordinate i/m.
+    """Binning geometry for a sample size n = (m+1)^q in q dimensions:
+    coordinates live on {0, 1/m, ..., 1}, each axis has T = 2^J intervals,
+    there are V = T^q bins of kappa = floor(n / V) observations, and
+    ``axis_bins[i]`` is the 1-based interval index of grid coordinate i/m.
     """
 
     n: int
@@ -100,7 +57,6 @@ class GridDesign:
     T: int
     V: int
     kappa: int
-    nu: int
     axis_bins: np.ndarray = field(repr=False, compare=False)
 
     @property
@@ -140,35 +96,33 @@ def _dyadic_depth(n: int, q: int) -> int:
 
 def plan_grid(n: int, q: int) -> GridDesign:
     """Derive the binning geometry for a sample of n points in q dimensions.
-
-    Raises
-    ------
-    NonGridSampleSize
-        If n is not a perfect q-th power (m+1)^q with m >= 1.
-    """
+    Raises BadValue if n or q is not an integer, and NonGridSampleSize if n
+    is not a perfect q-th power (m+1)^q with m >= 1."""
+    n, q = _integer("n", n), _integer("q", q)
     if q < 1:
         raise NonGridSampleSize(f"dimension q must be >= 1, got {q}")
-    root = _integer_root(int(n), int(q))
+    root = _integer_root(n, q)
     if root is None or root < 2:
         raise NonGridSampleSize(
             f"n={n} is not a perfect {q}-th power (m+1)^q with m >= 1"
         )
     m = root - 1
-    J = _dyadic_depth(int(n), int(q))
+    J = _dyadic_depth(n, q)
     T = 2 ** J
-    V = T ** q
-    kappa = n // V
-    nu = n // (V * 2 ** q)
-
     # Interval index of grid coordinate i/m: the l with (l-1)/T < i/m <= l/T,
     # computed in exact integer arithmetic; i = 0 goes to bin 1.
     i = np.arange(m + 1)
     axis_bins = np.maximum(-((-i * T) // m), 1).astype(np.int64)
+    return GridDesign(n=n, q=q, m=m, J=J, T=T, V=T ** q, kappa=n // T ** q,
+                      axis_bins=axis_bins)
 
-    return GridDesign(
-        n=int(n), q=int(q), m=int(m), J=int(J), T=int(T), V=int(V),
-        kappa=int(kappa), nu=int(nu), axis_bins=axis_bins,
-    )
+
+def _integer(name: str, value) -> int:
+    """``operator.index(value)``, or BadValue naming the parameter."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise BadValue(f"{name} must be an integer, got {value!r}") from None
 
 
 def product_grid(axis: np.ndarray, q: int) -> np.ndarray:
@@ -183,14 +137,10 @@ class BinnedData:
     """A stack of B response vectors in lexicographic grid order, shape
     (B,) + (m+1,)*q.
 
-    ``y_grid[b, i1, ..., iq]`` is member b's response at
-    (i1/m, ..., iq/m); the bins are products of the design's axis
-    intervals. ``grid_code[i]`` is the flat grid position of row i of the
-    checked u, so the same u bins any number of stacks through
-    :meth:`with_responses`. ``y_grid`` is None until then. ``ordered``
-    says that u's rows are already in grid order (``grid_code`` is
-    range(n)); then ``y_grid`` may be a read-only view of the caller's
-    responses.
+    ``y_grid[b, i1, ..., iq]`` is member b's response at (i1/m, ..., iq/m);
+    it is None until :meth:`with_responses` gives responses. ``grid_code[i]``
+    is the flat grid position of row i of the checked u, and ``ordered``
+    says that it is range(n).
     """
 
     design: GridDesign
@@ -200,24 +150,18 @@ class BinnedData:
 
     @property
     def counts(self) -> np.ndarray:
-        """Observations per bin, a (T,)*q tensor: the outer product of the
-        axis interval lengths. Only the benchmark tracer reads it, for its
-        ``medians.count_classes`` counter (``perfbench/spans.py``)."""
+        """Observations per bin, a (T,)*q tensor. Only the benchmark
+        tracer reads it (``perfbench/spans.py``)."""
         lengths = self.design.axis_lengths
         return reduce(np.multiply.outer, [lengths] * self.design.q)
 
     def with_responses(self, y: np.ndarray) -> BinnedData:
         """Check a (B, n) stack of responses ``y``, each row in the row
         order of u, and put it in grid order. If u is ordered, ``y_grid``
-        is a read-only reshape of ``y``: a view of a C-contiguous float
-        ``y``, else a contiguous copy.
+        is a read-only reshape of ``y``, a view where ``y`` allows one.
 
-        Raises
-        ------
-        IncompleteGrid
-            If ``y`` is not a (B, n) stack.
-        BadValue
-            If some response is NaN or infinite; names the first one.
+        Raises IncompleteGrid if ``y`` is not a (B, n) stack, and BadValue
+        naming the first response that is NaN or infinite.
         """
         d = self.design
         y = np.asarray(y, dtype=float)
@@ -257,24 +201,12 @@ def bin_observations(u: np.ndarray, design: GridDesign) -> BinnedData:
     the grid position of each row; the result carries no responses (see
     :meth:`BinnedData.with_responses`).
 
-    u is checked in blocks of ``_BLOCK_ROWS`` rows: each coordinate is
-    screened on u*m at half the tolerance, and the exact off-grid test runs
-    only where the screen fails (see the module notes). A u that fails a
-    block, or whose codes miss a grid point, is checked again whole, and
-    that pass decides and words every error below.
-
-    Raises
-    ------
-    BadValue
-        If some coordinate is NaN or infinite; names the first one, before
-        any other fault of u.
-    OffGridPoint
-        If some coordinate is farther than 1e-9 from a multiple of 1/m
-        (names the farthest), or rounds to a grid index outside [0, m].
-    IncompleteGrid
-        If any grid point appears more than once (names the most repeated
-        one; as u has n rows, a missing point always comes with a repeated
-        one), or the shape of u does not match the design.
+    Raises, in this order of precedence: BadValue naming the first NaN or
+    infinite coordinate; OffGridPoint for a coordinate that rounds to a
+    grid index outside [0, m], or else naming the farthest one off a
+    multiple of 1/m by more than 1e-9; IncompleteGrid naming the most
+    repeated grid point (n rows miss a point only by repeating another),
+    or if the shape of u does not match the design.
     """
     u = np.asarray(u, dtype=float)
     if u.ndim == 1:
@@ -288,12 +220,14 @@ def bin_observations(u: np.ndarray, design: GridDesign) -> BinnedData:
     place = float(m + 1) ** np.arange(q - 1, -1, -1)
     grid_code = np.empty(n, dtype=np.int64)
     ordered, last = True, -1
+    # every entry takes the operations of one whole-array pass, so no
+    # decision and no code depends on the blocks
     for start in range(0, n, _BLOCK_ROWS):
         ub = u[start:start + _BLOCK_ROWS]
         w = ub * m
         near = np.rint(w)
-        # range first (NaN and inf fail it); then the screen, which implies
-        # the exact test, and near the tolerance the exact test itself
+        # range first (NaN and inf fail it); |u*m - near| <= GRID_TOL*m/2
+        # implies |u - near/m| <= GRID_TOL despite rounding
         if not (near.min() >= 0 and near.max() <= m):
             _raise_u_fault(u, m)
         np.subtract(w, near, out=w)
@@ -315,17 +249,13 @@ def bin_observations(u: np.ndarray, design: GridDesign) -> BinnedData:
         seen[grid_code] = True
         if not seen.all():
             _raise_u_fault(u, m)
-
-    # grid_code is now a permutation of range(n), the identity if ordered
     return BinnedData(design=design, y_grid=None, grid_code=grid_code,
                       ordered=ordered)
 
 
 def _raise_u_fault(u: np.ndarray, m: int) -> NoReturn:
-    """Raise the error of a u that failed the blocked check, decided and
-    worded over the whole array: the first non-finite entry, else the first
-    coordinate out of range, else the farthest off the grid, else the most
-    repeated grid point."""
+    """Raise the error of a u that failed a check, decided and worded over
+    the whole array (see :func:`bin_observations`)."""
     near = np.rint(u * m)
     if not (near.min() >= 0 and near.max() <= m):
         _check_finite("u", "coordinate", u)

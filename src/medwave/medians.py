@@ -17,30 +17,14 @@ the estimation pipeline:
 
   with bins ordered lexicographically and paired consecutively. Where f is
   flat across each pair its expectation is 4 kappa Var(median of kappa
-  draws), which reaches
-  h^{-2}(0) only as kappa -> infinity (the variance of a bin median is
-  1/(4 kappa h^2(0)) asymptotically). At kappa = 16 the exact value is
-  7.9% below h^{-2}(0) for Gaussian errors and 17.7% above it for Cauchy
-  errors. A single bin (V = 1) has no pair: its estimate is 0, clamped
-  to the floor and flagged. A known level replaces the estimate and is
-  used as given. The per-coefficient noise scale is then
-  sigma = sqrt(h_inv_sq) / (2 sqrt(n)).
+  draws), which reaches h^{-2}(0) only as kappa -> infinity (at kappa = 16
+  it is 7.9% below for Gaussian errors and 17.7% above for Cauchy errors).
+  A single bin (V = 1) has no pair: its estimate is 0, clamped to the
+  floor and flagged.
 
 Medians use the usual midpoint convention for even counts (mean of the two
-middle order statistics).
-
-The responses arrive in grid order (see :mod:`medwave.grid`), where a bin is
-a product of axis intervals. An axis has at most two interval lengths, so
-the bins fall into at most 2^q count classes. Each class is selected
-axis by axis: a plain slice, reshaped to (intervals, step) and cut to the
-interval length, where the class's intervals are an evenly spaced run (so
-every full-bin class when T divides m or m+1), otherwise a ``take`` of
-their points. The half-bins, which take the same length
-floor((m+1)/(2T)) on every axis, are always one class. These selections
-depend on the design alone: they are built once, by the fit plan or on
-first use, and kept on the :class:`GridDesign` (``median_selections``).
-A fit then makes one copy per class with one row per bin and stack
-member, sorts the rows in place, and their middle values are the medians.
+middle order statistics). An axis has at most two interval lengths, so the
+bins fall into at most 2^q count classes, and the half-bins into one.
 """
 
 from __future__ import annotations
@@ -54,14 +38,8 @@ import numpy as np
 from .errors import EmptyBin, ShapeMismatch
 from .grid import BinnedData, GridDesign
 
-__all__ = [
-    "MedianSummary",
-    "NoiseEstimate",
-    "bin_medians",
-    "bias_correction",
-    "estimate_noise_level",
-    "NOISE_FLOOR",
-]
+__all__ = ["MedianSummary", "NoiseEstimate", "bin_medians", "bias_correction",
+           "estimate_noise_level", "NOISE_FLOOR"]
 
 #: clamp floor for the noise-level estimate (all medians identical)
 NOISE_FLOOR = 1e-12
@@ -70,11 +48,8 @@ NOISE_FLOOR = 1e-12
 @dataclass(frozen=True)
 class MedianSummary:
     """Medians of every bin and half-bin of B stack members, as
-    (B,) + (T,)*q stacks of tensors in C order.
-
-    ``q_half`` is None when the half-bins are empty: only the bias
-    correction reads it, and it raises then.
-    """
+    (B,) + (T,)*q stacks of tensors in C order; ``q_half`` is None when the
+    half-bins are empty."""
 
     design: GridDesign
     q_full: np.ndarray
@@ -94,26 +69,21 @@ class MedianSummary:
 
 @dataclass(frozen=True)
 class NoiseEstimate:
-    """Noise level 1/h^2(0) and the implied per-coefficient scale sigma.
-
-    ``source`` is "known" for a level the caller gave, else "estimate".
-    ``degenerate`` is True when an estimate fell below the clamp floor (all
-    medians identical, or a single bin); the level is then the floor itself
-    and callers may escalate via the CLI --strict flag.
+    """Noise level 1/h^2(0) used by the shrinkage rule. ``source`` is
+    "known" for a level the caller gave, else "estimate". ``degenerate``
+    says an estimate fell below the clamp floor (all medians identical, or
+    a single bin) and was set to it; the CLI's --strict makes it an error.
     """
 
     h_inv_sq: float
-    sigma: float
     degenerate: bool = False
     source: str = "estimate"
 
 
 def _row_medians(rows: np.ndarray) -> np.ndarray:
-    """``np.median(rows, axis=-1)`` bit for bit, for rows without NaN.
-
-    Sorts ``rows`` in place. The middle values are averaged as ``np.mean``
-    does in ``np.median``: its leading ``0.0 +`` turns -0.0 into +0.0.
-    """
+    """``np.median(rows, axis=-1)`` bit for bit for rows without NaN,
+    sorting ``rows`` in place. The leading ``0.0 +`` is ``np.median``'s: it
+    turns -0.0 into +0.0."""
     rows.sort(axis=-1)
     k = rows.shape[-1] // 2
     if rows.shape[-1] % 2:
@@ -123,8 +93,7 @@ def _row_medians(rows: np.ndarray) -> np.ndarray:
 
 def _even_step(starts: np.ndarray, length: int, size: int):
     """The step of the axis intervals ``[starts[i], starts[i] + length)``
-    when they are an evenly spaced run whose last step ends within the
-    axis of ``size`` points, else None."""
+    if they are an evenly spaced run ending within ``size`` points."""
     step = int(starts[1] - starts[0]) if starts.size > 1 else length
     if starts[0] + starts.size * step > size:
         return None
@@ -134,9 +103,9 @@ def _even_step(starts: np.ndarray, length: int, size: int):
 def _class_selections(starts: np.ndarray, lengths: np.ndarray, size: int,
                       q: int) -> list:
     """Per count class of the bins ``[starts[l], starts[l] + lengths[l])``:
-    on each axis (k intervals, their length, a run slice and its step where
-    :func:`_even_step` finds one, else a ``take`` index and None), and the
-    ``np.ix_`` index of the class's medians in the (T,)*q tensor."""
+    on each axis (k intervals, their length, a run slice and its step, or a
+    ``take`` index and None), and the ``np.ix_`` index of the class's
+    medians in the (T,)*q tensor."""
     axis_classes = []
     for length in np.unique(lengths).tolist():
         ls = np.flatnonzero(lengths == length)
@@ -150,7 +119,7 @@ def _class_selections(starts: np.ndarray, lengths: np.ndarray, size: int,
 
 def median_selections(design: GridDesign) -> tuple:
     """The count classes of the full bins and of the half-bins (None when
-    empty), built once per design as :attr:`GridDesign.median_selections`."""
+    empty), kept as :attr:`GridDesign.median_selections`."""
     lengths = design.axis_lengths
     starts = np.cumsum(lengths) - lengths
     half = (design.m + 1) // (2 * design.T)
@@ -162,10 +131,8 @@ def median_selections(design: GridDesign) -> tuple:
 def _interval_medians(y_grid: np.ndarray, classes: list,
                       shape: tuple) -> np.ndarray:
     """Median over every bin of the count ``classes``, as a (B,) + ``shape``
-    stack for the (B,) + (m+1,)*q stack ``y_grid``. Each class is selected
-    axis by axis, then one copy lays it out as (stack, bins..., count)
-    rows, which are sorted in place. The copy is needed even where the
-    selection is a view, so ``y_grid`` is never sorted."""
+    stack for the (B,) + (m+1,)*q stack ``y_grid``, which is never sorted:
+    each class is copied as (stack, bins..., count) rows first."""
     q = len(shape)
     out = np.empty(y_grid.shape[:1] + shape)
     for axes, index in classes:
@@ -196,8 +163,7 @@ def bin_medians(binned: BinnedData) -> MedianSummary:
     member of the stack ``binned.y_grid``.
 
     Q* is left as None when the half-bins are empty, which happens on every
-    design with fewer than 2T points per axis. The count classes are those
-    the design keeps (:attr:`GridDesign.median_selections`).
+    design with fewer than 2T points per axis.
     """
     design = binned.design
     q_full, q_half = (
@@ -209,13 +175,7 @@ def bin_medians(binned: BinnedData) -> MedianSummary:
 
 def bias_correction(summary: MedianSummary) -> np.ndarray:
     """Global bias estimate of each member, the mean over its bins of
-    (Q* - Q): a (B,) array.
-
-    Raises
-    ------
-    EmptyBin
-        If the half-bins are empty (``q_half`` is None).
-    """
+    (Q* - Q): a (B,) array. Raises EmptyBin if the half-bins are empty."""
     if summary.q_half is None:
         # every axis interval has the same half length floor((m+1)/(2T)),
         # so the half-bins are empty all at once and the first is (1,...,1)
@@ -242,13 +202,10 @@ def estimate_noise_level(summary: MedianSummary,
                 * np.sum(diffs * diffs, axis=1)).tolist()
     else:
         raws = [float(known)] * summary.q_full.shape[0]
-    root_n = np.sqrt(design.n)
     noise = []
     for raw in raws:
         degenerate = known is None and raw < NOISE_FLOOR
-        h_inv_sq = NOISE_FLOOR if degenerate else raw
         noise.append(NoiseEstimate(
-            h_inv_sq=h_inv_sq, sigma=float(np.sqrt(h_inv_sq) / (2.0 * root_n)),
-            degenerate=degenerate,
+            h_inv_sq=NOISE_FLOOR if degenerate else raw, degenerate=degenerate,
             source="estimate" if known is None else "known"))
     return noise

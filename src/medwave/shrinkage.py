@@ -1,17 +1,14 @@
 """Block James-Stein shrinkage of detail coefficients.
 
-:func:`shrink` is the one entry point. It takes the (B,) + (2^J,)^q
-coefficient array that :func:`medwave.wavelets.dwt_qd` returns, with the
-primary level j0 it was made at, and shrinks every member, each with its
-own noise level, in the same array operations. The rule depends only on
+:func:`shrink` takes the (B,) + (2^J,)^q coefficient array that
+:func:`medwave.wavelets.dwt_qd` returns, with its primary level j0, and
+shrinks every member with its own noise level. The rule depends only on
 the sample size n, the noise level h_inv_sq = 1/hhat^2(0), the target
 block size L and the constant lambda*. Detail subbands are tiled by
 :func:`partition_blocks` into axis-aligned hypercube blocks of side
-len = max(1, floor(L^{1/q})).
-The tiling of level j is one array of tile starts, arange(0, 2^j, len),
-shared by every axis and every subband of the level; the last tile of an
-axis is truncated at 2^j, so a subband with at most L coefficients forms a
-single block. Each block is scaled by the nonnegative James-Stein factor
+len = max(1, floor(L^{1/q})), the last tile of an axis truncated at 2^j,
+so a subband with at most L coefficients forms a single block. Each block
+is scaled by the nonnegative James-Stein factor
 
     c_B = max(0, 1 - lambda* L_B / (4 hhat^2(0) n S_B^2)),
 
@@ -22,8 +19,7 @@ The constant lambda* (Cai 1999) is the root of
     lambda - ln(lambda) = 3,    lambda* ~ 4.50524...
 
 Blocks with S_B^2 = 0 are zeroed outright. Gross (approximation)
-coefficients pass through untouched. A level's tiling geometry, which
-depends on its size, q and tiling alone, is shared read-only by all calls.
+coefficients pass through untouched.
 """
 
 from __future__ import annotations
@@ -37,22 +33,13 @@ import numpy as np
 from .errors import BadValue
 from .wavelets import _detail_levels
 
-__all__ = [
-    "ShrinkageDiagnostics",
-    "solve_lambda_star",
-    "default_block_cardinality",
-    "partition_blocks",
-    "shrink",
-]
+__all__ = ["ShrinkageDiagnostics", "solve_lambda_star",
+           "default_block_cardinality", "partition_blocks", "shrink"]
 
 
 def solve_lambda_star() -> float:
-    """Root of lambda - ln(lambda) = 3 on (1, 10), to full precision.
-
-    The literal is the root scipy's ``brentq`` finds on that bracket with
-    xtol=1e-14, rtol=8.9e-16, to the bit (a Newton solve lands one ulp
-    higher); its residual is below 1e-12. The tests re-solve and compare.
-    """
+    """Root of lambda - ln(lambda) = 3 on (1, 10), to full precision; the
+    tests re-solve it and compare."""
     return 4.505241495792882
 
 
@@ -73,11 +60,8 @@ def _block_side(L: int, q: int) -> int:
 
 def partition_blocks(levels: range, q: int, L: int) -> dict:
     """Tile starts of the detail ``levels`` of a q-dimensional stack:
-    level j -> ``arange(0, 2^j, side)``.
-
-    The starts are shared by every axis and every subband of a level; the
-    last tile of an axis is truncated at 2^j.
-    """
+    level j -> ``arange(0, 2^j, side)``, shared by every axis and subband of
+    the level."""
     side = _block_side(L, q)
     return {j: np.arange(0, 2 ** j, side) for j in levels}
 
@@ -106,13 +90,9 @@ def _level_tiles(size: int, q: int, tiles: tuple) -> tuple:
 @dataclass
 class ShrinkageDiagnostics:
     """What the shrinkage step did to one stack member, per level and
-    overall.
-
-    The record that :func:`shrink` returns beside the shrunk stack sums the
-    counts and the histogram over the stack, takes the minimum and the mean
-    over all its factors, and holds the record of each member in ``rows``
-    (empty in a member's own record).
-    """
+    overall. The record that :func:`shrink` returns for a whole stack sums
+    the counts and histograms, takes the minimum and mean over all its
+    factors, and holds each member's record in ``rows``."""
 
     blocks_per_level: dict
     zeroed_per_level: dict
@@ -155,20 +135,14 @@ def shrink(coeffs: np.ndarray, j0: int, n: int, h_inv_sq: np.ndarray,
     over the stack).
 
     ``n`` is the sample size, ``h_inv_sq`` the (B,) noise levels
-    1/hhat^2(0), one per member, and ``L`` the target block size; the
-    blocks are those of :func:`partition_blocks`. The gross coefficients
-    are passed through bit-identically; every detail block is multiplied
-    by its factor c_B (with S_B^2 = 0 forcing c_B = 0). Each member's own
-    record is in the summed record's ``rows``; the sum itself is kept only
-    for the benchmark tracer's counters (``perfbench/spans.py``).
+    1/hhat^2(0), one per member, and ``L`` the target block size. The gross
+    coefficients pass through bit-identically. Each member's own record is
+    in the summed record's ``rows``; only the benchmark tracer reads the
+    sum (``perfbench/spans.py``).
 
-    Raises
-    ------
-    BadShape, BadPrimaryLevel
-        As :func:`medwave.wavelets.dwt_qd` does.
-    BadValue
-        If n < 1, L < 1, ``h_inv_sq`` is not a (B,) array, or some
-        h_inv_sq is not positive and finite.
+    Raises BadShape and BadPrimaryLevel as :func:`medwave.wavelets.dwt_qd`
+    does, and BadValue if n < 1, L < 1, ``h_inv_sq`` is not a (B,) array,
+    or some h_inv_sq is not positive and finite.
     """
     out = np.array(coeffs, dtype=float)
     levels = _detail_levels(out, j0)

@@ -18,25 +18,8 @@ absorb, so the harness exists to measure how well f is recovered:
 
 Reproducibility: every replication derives its own numpy Generator from the
 tuple (seed, n, replication index); nothing touches global RNG state, and
-identical triples give bit-identical datasets. Everything that depends on
-the sample size alone is made once per n and shared by its replications:
-the grid design, the design points u, the truth f at them and at the V
-estimation points, the fit plan of u on that design (the grid checks, the
-median classes, the filter, j0 and L) and the row template that
-``medwave simulate`` fills to write each dataset (the text of u).
-Each replication draws only its X and xi, from its own generator, and is
-written through that template, or fitted through that plan.
-
-A rate study fits its replications in stacks of up to 2^17 observations
-(max(1, 2^17 // n) replications): each replication's responses fill one
-row of a preallocated stack, and :meth:`FitPlan.fit_many` fits the stack
-in one pass of every stage. The stacks of all sizes form one sequence,
-and its draw runs one stack ahead: while the calling thread fits and
-scores stack k, one helper thread draws stack k + 1 into the other of two
-buffers, also when k + 1 is the next size's first (numpy draws without
-the GIL, so the two overlap on two cores). Each row comes from its own
-generator, so every fit is bit-identical to fitting its replication's
-``generate_dataset`` alone with :func:`fit`, whatever the scheduling.
+identical triples give bit-identical datasets and fits, however a study
+schedules its draws.
 """
 
 from __future__ import annotations
@@ -51,43 +34,24 @@ import numpy as np
 
 from .dataio import RowTemplate
 from .errors import BadCovariance, BadValue, ShapeMismatch, UnknownDensityValue
-from .estimator import EstimatorConfig, FitPlan, _plan_on
+from .estimator import EstimatorConfig, FitPlan, plan_fit
 # ``fit`` is not called here; it stays bound because the benchmark tracer's
 # tests (perfbench/test_checks.py) check that every binding of it is wrapped.
 from .estimator import fit  # noqa: F401
-from .grid import GridDesign, plan_grid, product_grid
+from .grid import GridDesign, _integer, plan_grid, product_grid
 from .medians import _row_medians
 
-__all__ = [
-    "ErrorDist",
-    "DesignDist",
-    "TestFunction",
-    "SimulationConfig",
-    "RatePoint",
-    "RateStudyReport",
-    "CouplingResult",
-    "test_function",
-    "available_test_functions",
-    "sample_elliptical",
-    "sample_errors",
-    "density_at_median",
-    "generate_dataset",
-    "mise",
-    "rate_study",
-    "coupling_check",
-    "replication_rng",
-]
+__all__ = ["ErrorDist", "DesignDist", "TestFunction", "SimulationConfig",
+           "RatePoint", "RateStudyReport", "CouplingResult", "test_function",
+           "available_test_functions", "sample_elliptical", "sample_errors",
+           "density_at_median", "generate_dataset", "mise", "rate_study",
+           "coupling_check", "replication_rng"]
 
 
-#: observations fitted in one stack: a rate study fits max(1, this // n)
-#: replications at once, which bounds the memory of the stack's fit; each
-#: of its two stack buffers holds max(this, largest n) floats
+#: observations fitted in one stack, which bounds a rate study's memory: it
+#: fits max(1, this // n) replications at once
 _STACK_OBS = 2 ** 17
 
-
-# ---------------------------------------------------------------------------
-# distributions
-# ---------------------------------------------------------------------------
 
 _ERROR_KINDS = ("gaussian", "cauchy", "student_t", "laplace",
                 "shifted_exponential")
@@ -133,7 +97,8 @@ class DesignDist:
     All kinds are scale mixtures of a N(0, sigma) vector: student_t divides
     by sqrt(chi2_nu / nu) (cauchy is nu = 1), laplace multiplies by the
     square root of an Exp(1) variable. Only student_t takes a ``nu`` other
-    than 1.
+    than 1. Raises BadCovariance unless sigma is square, finite (naming the
+    first entry that is not), symmetric and positive definite.
     """
 
     kind: str
@@ -154,6 +119,11 @@ class DesignDist:
         sigma = np.asarray(self.sigma, dtype=float)
         if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
             raise BadCovariance(f"sigma must be square, got shape {sigma.shape}")
+        bad = np.argwhere(~np.isfinite(sigma))
+        if bad.size:
+            i, j = bad[0]
+            raise BadCovariance(
+                f"sigma[{i}, {j}] = {sigma[i, j]} is not finite")
         if not np.allclose(sigma, sigma.T, atol=1e-12, rtol=0.0):
             raise BadCovariance("sigma is not symmetric")
         try:
@@ -210,13 +180,8 @@ _STANDARD_INV_H0 = {"gaussian": math.sqrt(2.0 * math.pi), "cauchy": math.pi,
 
 def density_at_median(dist: ErrorDist) -> float:
     """Analytic h(0), the error density at its median: the standard law's
-    h(0) over the scale.
-
-    Raises
-    ------
-    UnknownDensityValue
-        At scale 0, where the law is a point mass.
-    """
+    h(0) over the scale. Raises UnknownDensityValue at scale 0, where the
+    law is a point mass."""
     if dist.scale == 0:
         raise UnknownDensityValue(f"{dist.kind} with scale 0 is degenerate")
     if dist.kind != "student_t":
@@ -237,10 +202,6 @@ def density_at_median(dist: ErrorDist) -> float:
         h0 = series / math.sqrt(2.0 * math.pi)
     return h0 / dist.scale
 
-
-# ---------------------------------------------------------------------------
-# test functions
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class TestFunction:
@@ -306,15 +267,9 @@ def test_function(name: str) -> TestFunction:
     try:
         return _TEST_FUNCTIONS[name]
     except KeyError:
-        raise BadValue(
-            f"unknown test function {name!r}; available: "
-            f"{available_test_functions()}"
-        ) from None
+        raise BadValue(f"unknown test function {name!r}; available: "
+                       f"{available_test_functions()}") from None
 
-
-# ---------------------------------------------------------------------------
-# configuration
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class SimulationConfig:
@@ -332,6 +287,8 @@ class SimulationConfig:
     u0: Optional[tuple] = None
 
     def __post_init__(self):
+        for name in ("q", "replications", "seed"):
+            _integer(name, getattr(self, name))
         if self.q < 1:
             raise BadValue(f"q must be >= 1, got {self.q}")
         if self.replications < 1:
@@ -341,7 +298,8 @@ class SimulationConfig:
         if not self.sample_sizes:
             raise BadValue("sample_sizes must be nonempty")
         object.__setattr__(self, "sample_sizes",
-                           tuple(int(n) for n in self.sample_sizes))
+                           tuple(_integer("sample_sizes entry", n)
+                                 for n in self.sample_sizes))
         object.__setattr__(self, "beta", tuple(float(b) for b in self.beta))
         for n in self.sample_sizes:
             plan_grid(n, self.q)  # raises NonGridSampleSize when invalid
@@ -368,20 +326,13 @@ def replication_rng(seed: int, n: int, index: int) -> np.random.Generator:
     return np.random.default_rng([seed, n, index])
 
 
-# ---------------------------------------------------------------------------
-# data generation and risk
-# ---------------------------------------------------------------------------
-
 def generate_dataset(config: SimulationConfig, n: int,
                      rng: np.random.Generator):
-    """One synthetic dataset of size n.
-
-    Returns (u, y, f_grid): observation locations (n, q), responses (n,),
-    and the ground truth f at the V estimation grid points as a (T,)*q
-    tensor (the quantity MISE is measured against).
-
-    Draw order is fixed (X first when present, then xi) so a given generator
-    state yields a bit-identical dataset.
+    """One synthetic dataset of size n: (u, y, f_grid), the observation
+    locations (n, q), the responses (n,), and the truth f at the V
+    estimation grid points as a (T,)*q tensor (what MISE is measured
+    against). X is drawn before xi, so a given generator state yields a
+    bit-identical dataset.
     """
     ctx = _SizeContext(config, n)
     return ctx.u, ctx.responses(rng), ctx.f_grid
@@ -390,35 +341,23 @@ def generate_dataset(config: SimulationConfig, n: int,
 def mise(f_hat: np.ndarray, f_true: np.ndarray) -> float:
     """Grid-quadrature integrated squared error: V^{-1} sum (f_hat - f)^2."""
     if f_hat.shape != f_true.shape:
-        raise ShapeMismatch(
-            f"shape mismatch: {f_hat.shape} vs {f_true.shape}"
-        )
+        raise ShapeMismatch(f"shape mismatch: {f_hat.shape} vs {f_true.shape}")
     diff = f_hat - f_true
     return float(np.mean(diff * diff))
 
 
 def _covering_bin(u0: tuple, design: GridDesign) -> tuple:
-    """1-based axis indices of the bin containing u0.
-
-    Axis bins are the half-open cells ((l-1)/T, l/T]; a coordinate of 0
-    lands in bin 1, matching the binning convention for observations.
-    """
-    idx = []
-    for v in u0:
-        l = int(math.ceil(v * design.T))
-        idx.append(min(max(l, 1), design.T))
-    return tuple(idx)
+    """1-based axis indices of the bin ((l-1)/T, l/T] containing u0; a
+    coordinate of 0 lands in bin 1, as observations do."""
+    return tuple(min(max(math.ceil(v * design.T), 1), design.T) for v in u0)
 
 
 class _SizeContext:
-    """What every replication at one sample size n shares.
-
-    The ``design``, the design points ``u`` (n, q), the truth ``f_u`` at
-    them, the V estimation points ``grid_points`` (V, q) with the truth
-    ``f_grid`` on them as a (T,)*q tensor, and, made on first use, the fit
-    plan of u on that same design and the row template of u for writing
-    datasets. Replications draw only their X and xi.
-    """
+    """What every replication at one sample size n shares: the ``design``,
+    the design points ``u`` (n, q), the truth ``f_u`` at them, the V
+    estimation points ``grid_points`` (V, q) with the truth ``f_grid`` on
+    them as a (T,)*q tensor, and, made on first use, the fit ``plan`` of u
+    and the ``row_template`` of u for writing datasets."""
 
     def __init__(self, config: SimulationConfig, n: int):
         self.config = config
@@ -433,7 +372,7 @@ class _SizeContext:
 
     @cached_property
     def plan(self) -> FitPlan:
-        return _plan_on(self.u, self.design, self.config.estimator)
+        return plan_fit(self.u, self.config.estimator)
 
     @cached_property
     def row_template(self) -> RowTemplate:
@@ -456,12 +395,10 @@ def _study_scores(config: SimulationConfig) -> list:
     """Per sample size, the (R,) MISE and, when u0 is set, the (R,) squared
     errors at u0 (else None) of every replication of a study.
 
-    One helper thread draws each stack of the one sequence of all sizes
-    into one of two flat buffers, one stack ahead of the fit on this
-    thread. Contexts and plans are made on this thread while the helper
-    draws. The helper calls nothing the benchmark tracer wraps, and it
-    ends with this call: a draw's error is raised here at its stack, and a
-    fit's error once the draw in flight has finished.
+    One helper thread draws stack k + 1 of the sequence of all sizes'
+    stacks while this thread fits stack k; the helper must call nothing the
+    benchmark tracer wraps. A draw's error is raised at its stack, a fit's
+    error once the draw in flight has finished.
     """
     sizes, reps = config.sample_sizes, config.replications
     jobs = [(i, start, min(reps - start, stack))
@@ -504,10 +441,6 @@ def _study_scores(config: SimulationConfig) -> list:
                 scores.append((m, p))
     return scores
 
-
-# ---------------------------------------------------------------------------
-# rate study
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class RatePoint:
@@ -559,11 +492,9 @@ def _theory_warnings(alpha: Optional[float], q: int) -> tuple:
 def rate_study(config: SimulationConfig) -> RateStudyReport:
     """Monte Carlo MISE across sample sizes with a log-log slope fit.
 
-    Every replication is drawn, fitted and scored by ``_study_scores``;
-    this function only aggregates.
-
     Requires at least 3 distinct sample sizes, at least 10 replications,
-    and a nonzero mean risk at every size, or the slope is not defined.
+    and a nonzero mean risk at every size, or the slope is not defined
+    (BadValue).
     """
     sizes = config.sample_sizes
     if len(sizes) < 3:
@@ -588,11 +519,8 @@ def rate_study(config: SimulationConfig) -> RateStudyReport:
 
     logn = np.log([pt.n for pt in points])
     slope = _ols_slope(logn, np.log([pt.mean_mise for pt in points]))
-    ptw_slope = None
-    if config.u0 is not None:
-        ptw_slope = _ols_slope(
-            logn, np.log([pt.mean_pointwise for pt in points])
-        )
+    ptw_slope = None if config.u0 is None else _ols_slope(
+        logn, np.log([pt.mean_pointwise for pt in points]))
     alpha = test_function(config.test_function).nominal_alpha
     target = None if alpha is None else -2.0 * alpha / (2.0 * alpha + config.q)
     return RateStudyReport(
@@ -601,10 +529,6 @@ def rate_study(config: SimulationConfig) -> RateStudyReport:
         warnings=_theory_warnings(alpha, config.q), config=config,
     )
 
-
-# ---------------------------------------------------------------------------
-# coupling check
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class CouplingResult:
@@ -624,6 +548,9 @@ def coupling_check(error_dist: ErrorDist, kappa: int, repetitions: int,
     law with h(0) > 0, so the variance target is 1. ``kappa`` must be odd
     (single middle order statistic).
     """
+    kappa = _integer("kappa", kappa)
+    repetitions = _integer("repetitions", repetitions)
+    seed = _integer("seed", seed)
     if kappa < 1 or kappa % 2 == 0:
         raise BadValue(f"kappa must be odd and positive, got {kappa}")
     if repetitions < 2:
@@ -633,12 +560,10 @@ def coupling_check(error_dist: ErrorDist, kappa: int, repetitions: int,
     scale = math.sqrt(4.0 * kappa) * h0
     meds = np.empty(repetitions)
     chunk = max(1, int(2e6) // kappa)
-    done = 0
-    while done < repetitions:
+    for done in range(0, repetitions, chunk):
         take = min(chunk, repetitions - done)
         draws = sample_errors(error_dist, take * kappa, rng).reshape(take, kappa)
         meds[done:done + take] = _row_medians(draws)
-        done += take
     meds *= scale
     return CouplingResult(
         variance=float(np.var(meds, ddof=1)), target=1.0,

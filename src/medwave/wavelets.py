@@ -8,25 +8,18 @@ approximation and N/2 detail coefficients:
     d_out[i] = sum_k g[k] * x[(2i + k) mod N]
 
 where h is the scaling (low-pass) filter and g[k] = (-1)^k h[L-1-k] its
-quadrature mirror. Decimation keeps the even-indexed output phase. Because
-the filters are orthonormal, the periodized step is an exact orthogonal map
-at every dyadic length (folding preserves the even-lag orthogonality
-relations), so Parseval and perfect reconstruction hold to round-off at any
-primary level j0 >= 0. The inverse step adds tap k's h[k] a + g[k] d into
-the output phase k mod 2 at a circular shift of k//2: two slice adds.
+quadrature mirror. The periodized step is an exact orthogonal map at every
+dyadic length, so Parseval and perfect reconstruction hold to round-off at
+any primary level j0 >= 0.
 
-The transform takes a stack of B q-dimensional tensors, a (B,) + (2^J,)^q
-array, and transforms every member at once, in place, each in the standard
-Mallat layout. Level j (from J-1 down to j0) works on the member's cube
-c[:2^{j+1}, ..., :2^{j+1}] and applies the 1-D step along each of its q
-axes in turn, writing the low half of each axis to [0, 2^j) and the high
-half to [2^j, 2^{j+1}). Detail subband i (1 <= i <= 2^q - 1) of level j
-is the orthant that takes [2^j, 2^{j+1}) on the axes s whose bit is set in
-i (bit s of i == 1 iff the member's axis s was high-passed) and [0, 2^j)
-on the others; the low orthant recurses. Recursion stops at level j0,
-leaving the "gross" coefficients in the corner [:2^{j0}]^q. The
-coefficients are one plain array: :func:`dwt_qd` returns it and
-:func:`idwt_qd` takes it back, each told j0.
+A stack of B q-dimensional tensors is a (B,) + (2^J,)^q array, every member
+in the standard Mallat layout. Level j (from J-1 down to j0) works on the
+cube [:2^{j+1}]^q and applies the 1-D step along each of its q axes,
+writing the low half of each axis to [0, 2^j) and the high half to
+[2^j, 2^{j+1}). Detail subband i (1 <= i <= 2^q - 1) of level j is the
+orthant that takes [2^j, 2^{j+1}) on the axes s whose bit is set in i and
+[0, 2^j) on the others; the low orthant recurses, and the gross
+coefficients are the corner [:2^{j0}]^q.
 """
 
 from __future__ import annotations
@@ -38,14 +31,8 @@ import numpy as np
 
 from .errors import BadPrimaryLevel, BadShape, UnknownFilter
 
-__all__ = [
-    "WaveletFilter",
-    "build_filter",
-    "available_filters",
-    "default_primary_level",
-    "dwt_qd",
-    "idwt_qd",
-]
+__all__ = ["WaveletFilter", "build_filter", "available_filters",
+           "default_primary_level", "dwt_qd", "idwt_qd"]
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -68,19 +55,10 @@ _FILTER_TABLE = {
 
 @dataclass(frozen=True)
 class WaveletFilter:
-    """Orthonormal scaling/wavelet filter pair.
-
-    Attributes
-    ----------
-    name : str
-        Registry name ("haar", "db2", "db4").
-    taps_scaling : np.ndarray
-        Low-pass filter h; sum sqrt(2), unit energy, shift-orthogonal.
-    taps_wavelet : np.ndarray
-        High-pass mirror g[k] = (-1)^k h[L-1-k].
-    vanishing_moments : int
-        Number of vanishing moments r of g: sum_k k^p g[k] = 0, p < r.
-    """
+    """Orthonormal scaling/wavelet filter pair: the low-pass taps h (sum
+    sqrt(2), unit energy, shift-orthogonal), the high-pass mirror
+    g[k] = (-1)^k h[L-1-k], and the number r of vanishing moments of g
+    (sum_k k^p g[k] = 0 for p < r)."""
 
     name: str
     taps_scaling: np.ndarray = field(repr=False)
@@ -97,13 +75,8 @@ def available_filters() -> tuple:
 
 
 def build_filter(name: str) -> WaveletFilter:
-    """Look up a filter by name.
-
-    Raises
-    ------
-    UnknownFilter
-        For names outside the registry.
-    """
+    """Look up a filter by name; UnknownFilter for names outside the
+    registry."""
     try:
         r, taps = _FILTER_TABLE[name]
     except KeyError:
@@ -182,15 +155,8 @@ def _synthesis_step(lo: np.ndarray, hi: np.ndarray, h: np.ndarray,
 def dwt_qd(tensor: np.ndarray, filt: WaveletFilter, j0: int) -> np.ndarray:
     """Full periodized transform down to level j0 of every member of the
     (B,) + (2^J,)^q stack ``tensor``; returns the coefficients in an array
-    of the same shape, each member in the Mallat layout.
-
-    Raises
-    ------
-    BadShape
-        Unless ``tensor`` is a (B,) + (2^J,)^q stack with q >= 1.
-    BadPrimaryLevel
-        Unless 0 <= j0 < J.
-    """
+    of the same shape. Raises BadShape unless ``tensor`` is such a stack
+    with q >= 1, and BadPrimaryLevel unless 0 <= j0 < J."""
     out = np.array(tensor, dtype=float)
     h, g = filt.taps_scaling, filt.taps_wavelet
     for j in reversed(_detail_levels(out, j0)):

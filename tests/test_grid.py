@@ -1,5 +1,6 @@
 """Binning geometry and observation assignment."""
 
+import math
 import tracemalloc
 from functools import reduce
 
@@ -63,17 +64,33 @@ def valid_designs():
     return out
 
 
+def half_bin_points(d):
+    """Observations per half-bin, read from the one count class that the
+    medians take the half-bins in (0 when they are empty)."""
+    if d.median_selections[1] is None:
+        return 0
+    [(axes, _)] = d.median_selections[1]
+    return math.prod(length for _, length, _, _ in axes)
+
+
 def test_known_design_sizes():
     d = plan_grid(128, 1)
-    assert (d.m, d.J, d.T, d.V, d.kappa, d.nu) == (127, 5, 32, 32, 4, 2)
+    assert (d.m, d.J, d.T, d.V, d.kappa, half_bin_points(d)) == (
+        127, 5, 32, 32, 4, 2)
     d = plan_grid(4096, 2)
-    assert (d.m, d.J, d.T, d.V, d.kappa, d.nu) == (63, 4, 16, 256, 16, 4)
+    assert (d.m, d.J, d.T, d.V, d.kappa, half_bin_points(d)) == (
+        63, 4, 16, 256, 16, 4)
     d = plan_grid(65536, 2)
-    assert (d.m, d.J, d.T, d.V, d.kappa, d.nu) == (255, 6, 64, 4096, 16, 4)
+    assert (d.m, d.J, d.T, d.V, d.kappa, half_bin_points(d)) == (
+        255, 6, 64, 4096, 16, 4)
     d = plan_grid(4096, 3)
-    assert (d.m, d.J, d.T, d.V, d.kappa, d.nu) == (15, 3, 8, 512, 8, 1)
+    assert (d.m, d.J, d.T, d.V, d.kappa, half_bin_points(d)) == (
+        15, 3, 8, 512, 8, 1)
     d = plan_grid(16, 1)
-    assert (d.m, d.J, d.T, d.V, d.kappa, d.nu) == (15, 3, 8, 8, 2, 1)
+    assert (d.m, d.J, d.T, d.V, d.kappa, half_bin_points(d)) == (
+        15, 3, 8, 8, 2, 1)
+    # fewer than 2T points per axis: the half-bins are empty
+    assert half_bin_points(plan_grid(27, 3)) == 0
 
 
 def test_depth_is_maximal_dyadic():
@@ -145,7 +162,7 @@ def test_zero_coordinate_joins_bin_one():
 def test_bin_observations_small_by_hand():
     # n=16, q=2: m=3, J=1, T=2, V=4, kappa=4
     d = plan_grid(16, 2)
-    assert (d.T, d.V, d.kappa, d.nu) == (2, 4, 4, 1)
+    assert (d.T, d.V, d.kappa, half_bin_points(d)) == (2, 4, 4, 1)
     u = full_grid(3, 2)
     y = np.arange(16.0)
     b = bin_one(u, y, d)

@@ -80,6 +80,17 @@ def test_design_covariance_validation():
             DesignDist("student_t", np.eye(2), nu=nu)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_design_covariance_must_be_finite(bad):
+    # checked before symmetry, and named: a NaN is not "not symmetric", and
+    # an inf would make every response NaN
+    sigma = np.eye(3)
+    sigma[2, 1] = sigma[1, 2] = bad
+    with pytest.raises(BadCovariance, match=rf"sigma\[1, 2\] = {bad} is "
+                       "not finite"):
+        DesignDist("gaussian", sigma)
+
+
 # ---------------------------------------------------------------------------
 # error distributions
 # ---------------------------------------------------------------------------
@@ -749,14 +760,31 @@ def test_rate_study_checks_u_once_per_size(monkeypatch):
     assert checked == [256, 1024, 4096]
 
 
-def test_a_size_shares_one_design_with_its_plan():
-    # the median classes are built on the one design of the size
+def test_a_size_builds_its_median_classes_once_in_its_plan(monkeypatch):
+    # the plan is made on first use and builds the median classes of its
+    # design before any response is fitted; a study builds them once a size
+    import medwave.medians as medians_module
+
     cfg = SimulationConfig(q=2, sample_sizes=(1089,), seed=0,
                            error_dist=ErrorDist("gaussian", 1.0))
     ctx = simulate._SizeContext(cfg, 1089)
-    assert "median_selections" not in vars(ctx.design)
-    assert ctx.plan.design is ctx.design
-    assert "median_selections" in vars(ctx.design)
+    assert "plan" not in vars(ctx)
+    plan = ctx.plan
+    assert ctx.plan is plan
+    assert "median_selections" in vars(plan.design)
+    assert (plan.design.n, plan.design.q) == (ctx.design.n, ctx.design.q)
+
+    built, classes = [], medians_module.median_selections
+
+    def counting(design):
+        built.append(design.n)
+        return classes(design)
+
+    monkeypatch.setattr(medians_module, "median_selections", counting)
+    rate_study(SimulationConfig(q=2, error_dist=ErrorDist("gaussian", 1.0),
+                                sample_sizes=(256, 1024, 4096),
+                                replications=10, seed=0))
+    assert built == [256, 1024, 4096]
 
 
 def test_medwave_simulate_builds_no_plan(tmp_path, capsys, monkeypatch):
@@ -765,7 +793,7 @@ def test_medwave_simulate_builds_no_plan(tmp_path, capsys, monkeypatch):
     from medwave.cli import main
 
     built = []
-    monkeypatch.setattr(simulate, "_plan_on", lambda *args: built.append(args))
+    monkeypatch.setattr(simulate, "plan_fit", lambda *args: built.append(args))
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("q = 2\nsample_sizes = 289, 1089\nreplications = 2\n"
                    "error_dist = gaussian:1\nseed = 1\n")
