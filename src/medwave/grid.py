@@ -19,6 +19,9 @@ Conventions
   multi-index (l1, ..., lq).
 * Half-bins, which the bias estimate uses, take the first floor((m+1)/(2T))
   grid points of each axis interval, in increasing coordinate order.
+* Grid order is the C order of the grid points. u's leading rows in grid
+  order are checked against the points their positions imply; a u whose
+  rows are all in grid order gets no grid code (``grid_code`` None).
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field, replace
 from functools import cached_property, reduce
+from numbers import Real
 from typing import NoReturn, Optional
 
 import numpy as np
@@ -117,12 +121,25 @@ def plan_grid(n: int, q: int) -> GridDesign:
                       axis_bins=axis_bins)
 
 
-def _integer(name: str, value) -> int:
-    """``operator.index(value)``, or BadValue naming the parameter."""
+def _integer(name: str, value, low: Optional[int] = None) -> int:
+    """``operator.index(value)``, or BadValue naming the parameter if that
+    fails or gives an integer below ``low``."""
     try:
-        return operator.index(value)
+        value = operator.index(value)
     except TypeError:
         raise BadValue(f"{name} must be an integer, got {value!r}") from None
+    if low is not None and value < low:
+        raise BadValue(f"{name} must be >= {low}, got {value}")
+    return value
+
+
+def _real(name: str, value):
+    """``value`` as a float (a float array for an array), or BadValue naming
+    the parameter if it holds anything but real numbers."""
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "biuf" and not isinstance(value, Real):
+        raise BadValue(f"{name} must be real, got {value!r}")
+    return float(arr) if arr.ndim == 0 else arr.astype(float, copy=False)
 
 
 def product_grid(axis: np.ndarray, q: int) -> np.ndarray:
@@ -139,14 +156,19 @@ class BinnedData:
 
     ``y_grid[b, i1, ..., iq]`` is member b's response at (i1/m, ..., iq/m);
     it is None until :meth:`with_responses` gives responses. ``grid_code[i]``
-    is the flat grid position of row i of the checked u, and ``ordered``
-    says that it is range(n).
+    is the flat grid position of row i of the checked u; it is None when
+    u's rows are in grid order, so that row i is grid point i.
     """
 
     design: GridDesign
     y_grid: Optional[np.ndarray]
-    grid_code: np.ndarray = field(repr=False, compare=False)
-    ordered: bool = False
+    grid_code: Optional[np.ndarray] = field(default=None, repr=False,
+                                            compare=False)
+
+    @property
+    def ordered(self) -> bool:
+        """Whether u's rows are in grid order."""
+        return self.grid_code is None
 
     @property
     def counts(self) -> np.ndarray:
@@ -201,6 +223,9 @@ def bin_observations(u: np.ndarray, design: GridDesign) -> BinnedData:
     the grid position of each row; the result carries no responses (see
     :meth:`BinnedData.with_responses`).
 
+    Leading rows in grid order (row i within 1e-9 of grid point i) pass
+    by that one test; only the rest are rounded, tested and coded.
+
     Raises, in this order of precedence: BadValue naming the first NaN or
     infinite coordinate; OffGridPoint for a coordinate that rounds to a
     grid index outside [0, m], or else naming the farthest one off a
@@ -217,13 +242,16 @@ def bin_observations(u: np.ndarray, design: GridDesign) -> BinnedData:
             f"expected {design.n} observations in {design.q} dims, "
             f"got u{u.shape}")
     m = design.m
+    start = _grid_order_prefix(u, m)
+    if start == n:
+        return BinnedData(design=design, y_grid=None)
     place = float(m + 1) ** np.arange(q - 1, -1, -1)
     grid_code = np.empty(n, dtype=np.int64)
-    ordered, last = True, -1
+    grid_code[:start] = np.arange(start)
     # every entry takes the operations of one whole-array pass, so no
     # decision and no code depends on the blocks
-    for start in range(0, n, _BLOCK_ROWS):
-        ub = u[start:start + _BLOCK_ROWS]
+    for lo in range(start, n, _BLOCK_ROWS):
+        ub = u[lo:lo + _BLOCK_ROWS]
         w = ub * m
         near = np.rint(w)
         # range first (NaN and inf fail it); |u*m - near| <= GRID_TOL*m/2
@@ -237,20 +265,39 @@ def bin_observations(u: np.ndarray, design: GridDesign) -> BinnedData:
             _raise_u_fault(u, m)
         # flat C-order grid code; every partial sum is an integer below
         # n < 2^53, so the float dot is exact
-        code = grid_code[start:start + _BLOCK_ROWS]
-        code[...] = near @ place
-        if ordered:
-            ordered = bool(code[0] > last and (code[1:] > code[:-1]).all())
-            last = code[-1]
-    # n strictly increasing codes in range(n) are range(n); other codes
-    # cover range(n) only if none repeats
-    if not ordered:
-        seen = np.zeros(n, dtype=bool)
-        seen[grid_code] = True
-        if not seen.all():
-            _raise_u_fault(u, m)
-    return BinnedData(design=design, y_grid=None, grid_code=grid_code,
-                      ordered=ordered)
+        grid_code[lo:lo + _BLOCK_ROWS] = near @ place
+    # n codes cover range(n) only if none repeats
+    seen = np.zeros(n, dtype=bool)
+    seen[:start] = True
+    seen[grid_code[start:]] = True
+    if not seen.all():
+        _raise_u_fault(u, m)
+    return BinnedData(design=design, y_grid=None, grid_code=grid_code)
+
+
+def _grid_order_prefix(u: np.ndarray, m: int) -> int:
+    """How many leading rows of u lie within GRID_TOL of the grid point
+    their position implies in C order, by the general check's own test;
+    such a row rounds to that point too (GRID_TOL * m < 1/2 for n < 5e8)."""
+    n, q = u.shape
+    # rows in another order seldom start at the origin: stop before allocating
+    if not (np.abs(u[0]) <= GRID_TOL).all():
+        return 0
+    axis = np.arange(m + 1) / m
+    inner = n // (m + 1)                        # rows per leading index
+    lead = min(max(1, _BLOCK_ROWS // inner), m + 1)
+    point = np.empty((lead,) + (m + 1,) * (q - 1) + (q,))
+    for j in range(1, q):   # trailing coordinates: the same in every slab
+        point[..., j] = axis.reshape((-1,) + (1,) * (q - 1 - j))
+    slabs = u.reshape((m + 1,) * q + (q,))
+    for a in range(0, m + 1, lead):
+        pt = point[:m + 1 - a]
+        pt[..., 0] = axis[a:a + lead].reshape((-1,) + (1,) * (q - 1))
+        d = slabs[a:a + lead] - pt
+        if not (d.max() <= GRID_TOL and d.min() >= -GRID_TOL):  # NaN fails
+            fails = ~(np.abs(d.ravel()) <= GRID_TOL)
+            return a * inner + int(np.argmax(fails)) // q
+    return n
 
 
 def _raise_u_fault(u: np.ndarray, m: int) -> NoReturn:

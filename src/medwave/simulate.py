@@ -38,7 +38,7 @@ from .estimator import EstimatorConfig, FitPlan, plan_fit
 # ``fit`` is not called here; it stays bound because the benchmark tracer's
 # tests (perfbench/test_checks.py) check that every binding of it is wrapped.
 from .estimator import fit  # noqa: F401
-from .grid import GridDesign, _integer, plan_grid, product_grid
+from .grid import GridDesign, _integer, _real, plan_grid, product_grid
 from .medians import _row_medians
 
 __all__ = ["ErrorDist", "DesignDist", "TestFunction", "SimulationConfig",
@@ -62,7 +62,7 @@ def _check_nu(kind: str, nu: float) -> None:
     """student_t takes a finite nu > 0; every other kind reads no nu and
     takes only the default 1."""
     if kind == "student_t":
-        if not (np.isfinite(nu) and nu > 0):
+        if not (np.isfinite(_real("nu", nu)) and nu > 0):
             raise BadValue(f"student_t needs a finite nu > 0, got {nu}")
     elif nu != 1:
         raise BadValue(f"{kind} takes no nu, got nu={nu}")
@@ -85,7 +85,7 @@ class ErrorDist:
     def __post_init__(self):
         if self.kind not in _ERROR_KINDS:
             raise BadValue(f"unknown error distribution {self.kind!r}")
-        if not (np.isfinite(self.scale) and self.scale >= 0):
+        if not (np.isfinite(_real("scale", self.scale)) and self.scale >= 0):
             raise BadValue(f"scale must be finite and >= 0, got {self.scale}")
         _check_nu(self.kind, self.nu)
 
@@ -116,7 +116,7 @@ class DesignDist:
     def __post_init__(self):
         if self.kind not in _DESIGN_KINDS:
             raise BadValue(f"unknown design distribution {self.kind!r}")
-        sigma = np.asarray(self.sigma, dtype=float)
+        sigma = np.asarray(_real("sigma", self.sigma))
         if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
             raise BadCovariance(f"sigma must be square, got shape {sigma.shape}")
         bad = np.argwhere(~np.isfinite(sigma))
@@ -287,20 +287,15 @@ class SimulationConfig:
     u0: Optional[tuple] = None
 
     def __post_init__(self):
-        for name in ("q", "replications", "seed"):
-            _integer(name, getattr(self, name))
-        if self.q < 1:
-            raise BadValue(f"q must be >= 1, got {self.q}")
-        if self.replications < 1:
-            raise BadValue(f"replications must be >= 1, got {self.replications}")
-        if self.seed < 0:
-            raise BadValue(f"seed must be >= 0, got {self.seed}")
+        for name, low in (("q", 1), ("replications", 1), ("seed", 0)):
+            _integer(name, getattr(self, name), low)
         if not self.sample_sizes:
             raise BadValue("sample_sizes must be nonempty")
         object.__setattr__(self, "sample_sizes",
                            tuple(_integer("sample_sizes entry", n)
                                  for n in self.sample_sizes))
-        object.__setattr__(self, "beta", tuple(float(b) for b in self.beta))
+        object.__setattr__(self, "beta",
+                           tuple(_real("beta", b) for b in self.beta))
         for n in self.sample_sizes:
             plan_grid(n, self.q)  # raises NonGridSampleSize when invalid
         test_function(self.test_function)
@@ -315,7 +310,7 @@ class SimulationConfig:
         if not all(np.isfinite(self.beta)):
             raise BadValue("beta must be finite")
         if self.u0 is not None:
-            u0 = tuple(float(v) for v in self.u0)
+            u0 = tuple(_real("u0", v) for v in self.u0)
             if len(u0) != self.q or not all(0.0 <= v <= 1.0 for v in u0):
                 raise BadValue(f"u0 must be {self.q} coordinates in [0,1]")
             object.__setattr__(self, "u0", u0)
@@ -550,7 +545,7 @@ def coupling_check(error_dist: ErrorDist, kappa: int, repetitions: int,
     """
     kappa = _integer("kappa", kappa)
     repetitions = _integer("repetitions", repetitions)
-    seed = _integer("seed", seed)
+    seed = _integer("seed", seed, 0)
     if kappa < 1 or kappa % 2 == 0:
         raise BadValue(f"kappa must be odd and positive, got {kappa}")
     if repetitions < 2:

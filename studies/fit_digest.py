@@ -26,6 +26,11 @@ bin points. The JSON goes to ``--output`` (default
 configuration whose digest differs from OLD's (or that only one side
 has), with the largest change of ``b_hat``, ``h_inv_sq`` and MISE, and
 exits 1 if any moved.
+
+Every configuration is also fitted with u's rows, and the responses with
+them, in one fixed permutation per design, so that the check of rows out
+of grid order is run too; the script lists and exits 1 on any digest that
+differs from the grid-order fit's.
 """
 
 from __future__ import annotations
@@ -100,11 +105,14 @@ def digest(results: list) -> str:
     return h.hexdigest()
 
 
-def run() -> dict:
-    fits = {}
+def run() -> tuple:
+    """The record of every configuration, and the keys of those whose fit
+    on permuted rows has another digest."""
+    fits, unequal = {}, []
     for n, q in DESIGNS:
         J = plan_grid(n, q).J
         data = stacks(n, q)
+        perm = np.random.default_rng(n).permutation(n)
         for wavelet, shrinkage, bias, known, law in itertools.product(
                 WAVELETS if J else ("db4",), (True, False), (True, False),
                 (False, True), LAWS):
@@ -119,13 +127,17 @@ def run() -> dict:
                 key = (f"q={q} n={n} {wavelet} j0={j0} shrink={int(shrinkage)}"
                        f" bias={int(bias)} noise={'known' if known else 'est'}"
                        f" {law}")
+                sha = digest(results)
+                permuted = plan_fit(u[perm], config).fit_many(Y[:, perm])
+                if digest(permuted) != sha:
+                    unequal.append(key)
                 fits[key] = {
-                    "sha256": digest(results),
+                    "sha256": sha,
                     "b_hat": [r.b_hat for r in results],
                     "h_inv_sq": [r.noise.h_inv_sq for r in results],
                     "mise": [mise(r.f_hat, truth) for r in results],
                 }
-    return fits
+    return fits, unequal
 
 
 def compare(new: dict, old: dict) -> list:
@@ -149,7 +161,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     start = time.perf_counter()
-    fits = run()
+    fits, unequal = run()
     seconds = time.perf_counter() - start
     total = hashlib.sha256("".join(
         f"{k} {v['sha256']}\n" for k, v in fits.items()).encode()).hexdigest()
@@ -165,14 +177,17 @@ def main(argv=None) -> int:
         "{\n" + ",\n".join(entries + [f' "fits": {{\n{body}\n }}']) + "\n}\n")
     print(f"{len(fits)} configurations, {REPLICATIONS} fits each, "
           f"sha256 {total[:16]}..., {seconds:.1f} s")
+    for key in unequal:
+        print(f"{key}: permuted rows give another digest")
+    print(f"{len(unequal)} of {len(fits)} differ on permuted rows")
     if args.compare is None:
-        return 0
+        return 1 if unequal else 0
     old = json.loads(Path(args.compare).read_text())["fits"]
     moved = compare(fits, old)
     if moved:
         print("\n".join(moved))
     print(f"{len(moved)} of {len(set(fits) | set(old))} moved")
-    return 1 if moved else 0
+    return 1 if moved or unequal else 0
 
 
 if __name__ == "__main__":

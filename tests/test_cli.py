@@ -504,6 +504,12 @@ def test_coupling_check_validation(capsys):
     capsys.readouterr()
 
 
+def test_coupling_check_negative_seed_exits_2(capsys):
+    assert main(["coupling-check", "--error-dist", "gaussian",
+                 "--seed", "-1"]) == 2
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # parser-level behavior
 # ---------------------------------------------------------------------------

@@ -3,13 +3,15 @@
 import ast
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import medwave.errors
 from medwave.errors import BadValue
 from medwave.estimator import EstimatorConfig
 from medwave.grid import plan_grid
-from medwave.simulate import ErrorDist, SimulationConfig, coupling_check
+from medwave.simulate import (DesignDist, ErrorDist, SimulationConfig,
+                              coupling_check)
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "medwave"
 
@@ -64,13 +66,26 @@ CASES = {
         lambda: coupling_check(ErrorDist("gaussian"), 3, 10.0),
     "coupling_check-seed":
         lambda: coupling_check(ErrorDist("gaussian"), 3, 10, seed=0.5),
+    "ErrorDist-scale": lambda: ErrorDist("gaussian", scale="1"),
+    "ErrorDist-nu": lambda: ErrorDist("student_t", nu="3"),
+    "DesignDist-sigma":
+        lambda: DesignDist("gaussian", [[1.0, "x"], ["x", 1.0]]),
+    "SimulationConfig-beta":
+        lambda: simulation(design_dist=DesignDist("gaussian", np.eye(1)),
+                           beta=("a",)),
+    "SimulationConfig-u0": lambda: simulation(u0=("a", 0.5)),
 }
 
 
 @pytest.mark.parametrize("case", CASES)
 def test_a_parameter_of_the_wrong_type_raises_bad_value(case):
-    # an integer parameter takes what operator.index takes, and a noise
-    # level only a real number; anything else is named, not truncated
+    # an integer parameter takes what operator.index takes, and a real one
+    # only real numbers; anything else is named, not truncated or parsed
     name = case.split("-")[1]
     with pytest.raises(BadValue, match=rf"^{name}\b"):
         CASES[case]()
+
+
+def test_a_negative_coupling_check_seed_raises_bad_value():
+    with pytest.raises(BadValue, match=r"^seed must be >= 0, got -1$"):
+        coupling_check(ErrorDist("gaussian"), 3, 10, seed=-1)

@@ -6,6 +6,8 @@ from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from medwave.dataio import read_grid_csv, write_dataset_csv
 from medwave.errors import (BadValue, IncompleteGrid, NonGridSampleSize,
@@ -367,7 +369,7 @@ def test_off_grid_decision_matches_the_exact_test(r, q):
                 outcomes.add(want is None)
                 if want is None:
                     b = bin_observations(bad, d)
-                    assert np.array_equal(b.grid_code, np.arange(d.n))
+                    assert b.ordered and b.grid_code is None
                 else:
                     with pytest.raises(OffGridPoint) as exc:
                         bin_observations(bad, d)
@@ -507,7 +509,7 @@ def test_off_grid_decision_at_block_boundaries(r, q):
                     outcomes.add(want is None)
                     if want is None:
                         b = bin_observations(bad, d)
-                        assert np.array_equal(b.grid_code, np.arange(d.n))
+                        assert b.ordered and b.grid_code is None
                     else:
                         with pytest.raises(OffGridPoint) as exc:
                             bin_observations(bad, d)
@@ -554,8 +556,7 @@ def test_u_in_grid_order_is_recorded_as_ordered(r, q):
     d = plan_grid(r ** q, q)
     u = full_grid(d.m, q)
     b = bin_observations(u, d)
-    assert b.ordered
-    assert np.array_equal(b.grid_code, np.arange(d.n))
+    assert b.ordered and b.grid_code is None
     for perm in out_of_order(d.n, np.random.default_rng(r + q)):
         b = bin_observations(u[perm], d)
         assert not b.ordered
@@ -574,6 +575,88 @@ def test_increasing_u_with_a_repeat_is_incomplete(r, q):
         with pytest.raises(IncompleteGrid) as exc:
             bin_observations(u, d)
         assert str(exc.value) == oracle_incomplete(u, d)
+
+
+# q = 1, 2 and 3, each with a design whose axis intervals take one length
+# and one whose intervals take two, and the multi-block designs
+PREFIX_DESIGNS = ([(40, 1), (17, 1), (16, 2), (9, 2), (8, 3), (5, 3)]
+                  + MULTI_BLOCK)
+
+
+def boundary_rows(d):
+    """The first two and last two rows, and the rows either side of every
+    boundary of a slab of leading indices (about _BLOCK_ROWS rows) and of
+    a block of _BLOCK_ROWS rows."""
+    inner = d.n // (d.m + 1)
+    slab = max(1, _BLOCK_ROWS // inner) * inner
+    rows = {0, 1, d.n - 2, d.n - 1}
+    for step in (slab, _BLOCK_ROWS):
+        for edge in range(step, d.n, step):
+            rows |= {edge - 1, edge}
+    return sorted(rows)
+
+
+# (row pick, column pick, side of the tolerance, ulps from its edge)
+MOVES = st.lists(st.tuples(st.integers(0, 99), st.integers(0, 2),
+                           st.sampled_from((-1.0, 1.0)), st.integers(-3, 3)),
+                 min_size=1, max_size=3)
+PAIRS = st.none() | st.tuples(st.integers(0, 99), st.integers(0, 99))
+
+
+@settings(max_examples=150, deadline=None)
+@given(design=st.sampled_from(PREFIX_DESIGNS), moves=MOVES, swap=PAIRS,
+       repeat=PAIRS, seed=st.integers(0, 2 ** 32 - 1))
+@example(design=(40, 1), moves=[(0, 0, 1.0, 0)], swap=None, repeat=None,
+         seed=0)
+@example(design=(5, 3), moves=[(0, 2, -1.0, 0)], swap=None, repeat=None,
+         seed=0)
+def test_grid_order_check_matches_the_exact_test(design, moves, swap, repeat,
+                                                 seed):
+    # u in grid order with coordinates moved to a few ulps either side of
+    # j/m +- GRID_TOL at slab and block boundaries and at the first and
+    # last row, two rows swapped or one repeated: u is ordered exactly when
+    # every row is within GRID_TOL of its own grid point, every error is
+    # the exact test's, and the fit equals the fit on permuted rows
+    r, q = design
+    d = plan_grid(r ** q, q)
+    grid = full_grid(d.m, q)
+    u = grid.copy()
+    rows = boundary_rows(d)
+    for pick, col, sign, ulps in moves:
+        at = rows[pick % len(rows)], col % q
+        x = grid[at] + sign * GRID_TOL
+        for _ in range(abs(ulps)):
+            x = np.nextafter(x, ulps * np.inf)
+        u[at] = x
+    if swap is not None:
+        i, k = rows[swap[0] % len(rows)], rows[swap[1] % len(rows)]
+        u[[i, k]] = u[[k, i]]
+    if repeat is not None:
+        i, k = rows[repeat[0] % len(rows)], rows[repeat[1] % len(rows)]
+        u[k] = u[i]
+    off = oracle_off_grid(u, d.m)
+    if off is not None:
+        with pytest.raises(OffGridPoint) as exc:
+            bin_observations(u, d)
+        assert str(exc.value) == off
+        return
+    if len(np.unique(oracle_grid_code(u, d))) < d.n:
+        with pytest.raises(IncompleteGrid) as exc:
+            bin_observations(u, d)
+        assert str(exc.value) == oracle_incomplete(u, d)
+        return
+    b = bin_observations(u, d)
+    assert b.ordered == bool(np.abs(u - grid).max() <= GRID_TOL)
+    if not b.ordered:
+        assert np.array_equal(b.grid_code, oracle_grid_code(u, d))
+    rng = np.random.default_rng(seed)
+    Y = rng.standard_cauchy((2, d.n))
+    perm = rng.permutation(d.n)
+    got = plan_fit(u).fit_many(Y)
+    want = plan_fit(u[perm]).fit_many(Y[:, perm])
+    for a, w in zip(got, want):
+        assert a.f_hat.tobytes() == w.f_hat.tobytes()
+        assert (a.b_hat, a.noise.h_inv_sq) == (w.b_hat, w.noise.h_inv_sq)
 
 
 @pytest.mark.parametrize("r, q", [(40, 1), (9, 2), (5, 3)])
@@ -618,3 +701,18 @@ def test_plan_fit_peak_memory_stays_below_u():
     finally:
         tracemalloc.stop()
     assert peak < u.nbytes, (peak, u.nbytes)
+
+
+def test_plan_fit_on_u_in_grid_order_builds_no_grid_code():
+    # rows in grid order are checked one slab of temporaries at a time and
+    # need no n-entry grid code (u.nbytes / 2 on its own)
+    u = full_grid(512, 2)
+    plan_fit(u)  # warm lazy imports and caches
+    tracemalloc.start()
+    try:
+        plan = plan_fit(u)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert plan.binned.ordered
+    assert peak < u.nbytes / 4, (peak, u.nbytes)
