@@ -7,8 +7,9 @@ filter and fixes the primary level j0 and the block size L.
 :meth:`FitPlan.fit_many` then runs every step below once for a whole
 (B, n) stack of response vectors:
 
-1. check the stack and put it in grid order,
-2. take per-bin medians Q (and half-bin medians for the bias estimate),
+1. put the stack in grid order,
+2. take per-bin medians Q (and half-bin medians for the bias estimate);
+   the sorted bins also show that every response is finite,
 3. estimate the noise level 1/h^2(0) from paired medians (or take a
    known value as given),
 4. transform Q / sqrt(V) with a periodized orthonormal wavelet down to j0,
@@ -165,7 +166,9 @@ class FitPlan:
 
         Row i's result equals ``self.fit(Y[i])`` bit for bit; its ``f_hat``
         is a view into one (B,) + (T,)*q array. Raises IncompleteGrid if
-        ``Y`` is not a (B, n) array.
+        ``Y`` is not a (B, n) array, and BadValue naming the first response
+        ``y[b, i]`` that is NaN or infinite; :func:`bin_medians` finds it
+        from the sorted bins, before any arithmetic on them.
         """
         binned = self.binned.with_responses(Y)
         config, design = self.config, self.design

@@ -178,18 +178,18 @@ class BinnedData:
         return reduce(np.multiply.outer, [lengths] * self.design.q)
 
     def with_responses(self, y: np.ndarray) -> BinnedData:
-        """Check a (B, n) stack of responses ``y``, each row in the row
-        order of u, and put it in grid order. If u is ordered, ``y_grid``
-        is a read-only reshape of ``y``, a view where ``y`` allows one.
+        """Put a (B, n) stack of responses ``y``, each row in the row order
+        of u, in grid order. If u is ordered, ``y_grid`` is a read-only
+        reshape of ``y``, a view where ``y`` allows one.
 
-        Raises IncompleteGrid if ``y`` is not a (B, n) stack, and BadValue
-        naming the first response that is NaN or infinite.
+        Raises IncompleteGrid if ``y`` is not a (B, n) stack. Whether every
+        response is finite is read off the sorted bins by
+        :func:`~medwave.medians.bin_medians`, not here.
         """
         d = self.design
         y = np.asarray(y, dtype=float)
         if y.ndim != 2 or y.shape[1] != d.n:
             raise responses_mismatch(d, y.shape)
-        _check_finite("y", "response", y)
         shape = (len(y),) + (d.m + 1,) * d.q
         if self.ordered:
             y_grid = np.ascontiguousarray(y).reshape(shape)
@@ -200,6 +200,13 @@ class BinnedData:
             for member, values in zip(y_grid.reshape(y.shape), y):
                 member[self.grid_code] = values
         return replace(self, y_grid=y_grid)
+
+    def check_responses(self) -> None:
+        """Raise BadValue naming the first response y[b, i] of the stack,
+        in the row order of u, that is NaN or infinite."""
+        y = self.y_grid.reshape(len(self.y_grid), -1)
+        _check_finite("y", "response", y if self.ordered
+                      else y[:, self.grid_code])
 
 
 def responses_mismatch(design: GridDesign, shape: tuple) -> IncompleteGrid:
@@ -289,11 +296,16 @@ def _grid_order_prefix(u: np.ndarray, m: int) -> int:
     point = np.empty((lead,) + (m + 1,) * (q - 1) + (q,))
     for j in range(1, q):   # trailing coordinates: the same in every slab
         point[..., j] = axis.reshape((-1,) + (1,) * (q - 1 - j))
+    equal = np.empty(point.shape, dtype=bool)
     slabs = u.reshape((m + 1,) * q + (q,))
     for a in range(0, m + 1, lead):
         pt = point[:m + 1 - a]
         pt[..., 0] = axis[a:a + lead].reshape((-1,) + (1,) * (q - 1))
-        d = slabs[a:a + lead] - pt
+        slab = slabs[a:a + lead]
+        # equal implies |d| = 0: only a slab with an unequal entry takes d
+        if np.equal(slab, pt, out=equal[:len(pt)]).all():
+            continue
+        d = slab - pt
         if not (d.max() <= GRID_TOL and d.min() >= -GRID_TOL):  # NaN fails
             fails = ~(np.abs(d.ravel()) <= GRID_TOL)
             return a * inner + int(np.argmax(fails)) // q

@@ -24,7 +24,9 @@ the estimation pipeline:
 
 Medians use the usual midpoint convention for even counts (mean of the two
 middle order statistics). An axis has at most two interval lengths, so the
-bins fall into at most 2^q count classes, and the half-bins into one.
+bins fall into at most 2^q count classes. A half-bin is cut from its bin's
+class, and the sorted bins of each class show whether every response is
+finite: neither the half-bins nor the check take a pass of their own.
 """
 
 from __future__ import annotations
@@ -82,13 +84,22 @@ class NoiseEstimate:
 
 def _row_medians(rows: np.ndarray) -> np.ndarray:
     """``np.median(rows, axis=-1)`` bit for bit for rows without NaN,
-    sorting ``rows`` in place. The leading ``0.0 +`` is ``np.median``'s: it
-    turns -0.0 into +0.0."""
+    sorting ``rows`` in place."""
     rows.sort(axis=-1)
+    return _sorted_medians(rows)
+
+
+def _sorted_medians(rows: np.ndarray) -> np.ndarray:
+    """The median of each sorted row of ``rows``, ``np.median``'s
+    arithmetic in place so that one temporary lives. The leading ``0.0 +``
+    is ``np.median``'s: it turns -0.0 into +0.0."""
     k = rows.shape[-1] // 2
     if rows.shape[-1] % 2:
         return 0.0 + rows[..., k]
-    return (0.0 + rows[..., k - 1] + rows[..., k]) / 2.0
+    mid = 0.0 + rows[..., k - 1]
+    mid += rows[..., k]
+    mid /= 2.0
+    return mid
 
 
 def _even_step(starts: np.ndarray, length: int, size: int):
@@ -100,76 +111,90 @@ def _even_step(starts: np.ndarray, length: int, size: int):
     return step if (np.diff(starts) == step).all() else None
 
 
-def _class_selections(starts: np.ndarray, lengths: np.ndarray, size: int,
-                      q: int) -> list:
-    """Per count class of the bins ``[starts[l], starts[l] + lengths[l])``:
-    on each axis (k intervals, their length, a run slice and its step, or a
-    ``take`` index and None), and the ``np.ix_`` index of the class's
-    medians in the (T,)*q tensor."""
+def median_selections(design: GridDesign) -> list:
+    """Per count class of the bins, kept as
+    :attr:`GridDesign.median_selections`: on each axis (k intervals, their
+    length, a run slice and its step, or a ``take`` index and None), and
+    the ``np.ix_`` index of the class's medians in the (T,)*q tensor."""
+    lengths = design.axis_lengths
+    starts = np.cumsum(lengths) - lengths
     axis_classes = []
     for length in np.unique(lengths).tolist():
         ls = np.flatnonzero(lengths == length)
-        step = _even_step(starts[ls], length, size)
+        step = _even_step(starts[ls], length, design.m + 1)
         sel = ((starts[ls, None] + np.arange(length)).ravel() if step is None
                else slice(starts[ls[0]], starts[ls[0]] + ls.size * step))
         axis_classes.append((ls, (ls.size, length, sel, step)))
     return [(tuple(sel for _, sel in combo), np.ix_(*(ls for ls, _ in combo)))
-            for combo in product(axis_classes, repeat=q)]
+            for combo in product(axis_classes, repeat=design.q)]
 
 
-def median_selections(design: GridDesign) -> tuple:
-    """The count classes of the full bins and of the half-bins (None when
-    empty), kept as :attr:`GridDesign.median_selections`."""
-    lengths = design.axis_lengths
-    starts = np.cumsum(lengths) - lengths
-    half = (design.m + 1) // (2 * design.T)
-    return (_class_selections(starts, lengths, design.m + 1, design.q),
-            None if half == 0 else _class_selections(
-                starts, np.full_like(lengths, half), design.m + 1, design.q))
+def _class_block(y_grid: np.ndarray, axes: tuple) -> np.ndarray:
+    """The bins of one count class of the (B,) + (m+1,)*q stack ``y_grid``
+    as a (B, k1, L1, ..., kq, Lq) block: a view where every axis is a run,
+    else a ``take`` copy."""
+    block = y_grid
+    for a, (k, length, sel, step) in enumerate(axes):
+        # axis 1 + 2a becomes the class's k intervals, 2 + 2a their points
+        at = 1 + 2 * a
+        lead = (slice(None),) * at
+        head, tail = block.shape[:at], block.shape[at + 1:]
+        if step is None:
+            block = block.take(sel, axis=at).reshape(head + (k, length) + tail)
+        else:
+            block = block[lead + (sel,)].reshape(head + (k, step) + tail)
+            block = block[lead + (slice(None), slice(0, length))]
+    return block
 
 
-def _interval_medians(y_grid: np.ndarray, classes: list,
-                      shape: tuple) -> np.ndarray:
-    """Median over every bin of the count ``classes``, as a (B,) + ``shape``
-    stack for the (B,) + (m+1,)*q stack ``y_grid``, which is never sorted:
-    each class is copied as (stack, bins..., count) rows first."""
-    q = len(shape)
-    out = np.empty(y_grid.shape[:1] + shape)
-    for axes, index in classes:
-        block = y_grid
-        for a, (k, length, sel, step) in enumerate(axes):
-            # axis 1 + 2a becomes the class's k intervals, 2 + 2a their
-            # points
-            at = 1 + 2 * a
-            lead = (slice(None),) * at
-            head, tail = block.shape[:at], block.shape[at + 1:]
-            if step is None:
-                block = block.take(sel, axis=at).reshape(
-                    head + (k, length) + tail)
-            else:
-                block = block[lead + (sel,)].reshape(head + (k, step) + tail)
-                block = block[lead + (slice(None), slice(0, length))]
-        # (stack, k1, L1, ..., kq, Lq) -> one C-order copy of
-        # (stack, k1..kq, L1..Lq)
-        rows = block.transpose([0, *range(1, 2 * q, 2),
-                                *range(2, 2 * q + 1, 2)]).copy()
-        out[(slice(None),) + index] = _row_medians(
-            rows.reshape(rows.shape[:1 + q] + (-1,)))
-    return out
+def _block_medians(block: np.ndarray, binned: BinnedData) -> np.ndarray:
+    """The median of each bin of a (B, k1, L1, ..., kq, Lq) ``block`` of
+    ``binned.y_grid``, as (B, k1, ..., kq), from one C-order copy of its
+    rows sorted in place; the copy is released on return.
+
+    numpy sorts -inf first and +inf and NaN last, so the ends of the
+    sorted rows show, before any arithmetic on them, whether every value
+    is finite. If one is not, :meth:`BinnedData.check_responses` raises
+    BadValue naming it.
+    """
+    q = (block.ndim - 1) // 2
+    rows = block.transpose([0, *range(1, 2 * q, 2),
+                            *range(2, 2 * q + 1, 2)]).copy()
+    rows = rows.reshape(rows.shape[:1 + q] + (-1,))
+    rows.sort(axis=-1)
+    if not (np.isfinite(rows[..., 0]).all()
+            and np.isfinite(rows[..., -1]).all()):
+        binned.check_responses()
+    return _sorted_medians(rows)
 
 
 def bin_medians(binned: BinnedData) -> MedianSummary:
     """Compute the bin-median tensor Q and the half-bin tensor Q* of every
-    member of the stack ``binned.y_grid``.
+    member of the stack ``binned.y_grid``, which is never sorted.
+
+    Each count class of the bins is copied and sorted, one class at a
+    time; its half-bins are the first floor((m+1)/(2T)) points of each
+    axis interval of the same block, copied after the class's bins are
+    released. The full bins partition the grid, so their sorted ends show
+    whether every response is finite (see :func:`_block_medians`); a
+    response that is not raises BadValue naming ``y[b, i]``.
 
     Q* is left as None when the half-bins are empty, which happens on every
     design with fewer than 2T points per axis.
     """
-    design = binned.design
-    q_full, q_half = (
-        None if classes is None else
-        _interval_medians(binned.y_grid, classes, design.tensor_shape())
-        for classes in design.median_selections)
+    design, y_grid = binned.design, binned.y_grid
+    half = (design.m + 1) // (2 * design.T)
+    shape = y_grid.shape[:1] + design.tensor_shape()
+    q_full = np.empty(shape)
+    q_half = np.empty(shape) if half else None
+    for axes, index in design.median_selections:
+        block = _class_block(y_grid, axes)
+        at = (slice(None),) + index
+        q_full[at] = _block_medians(block, binned)
+        if half:
+            q_half[at] = _block_medians(
+                block[(slice(None),) + (slice(None), slice(0, half))
+                      * design.q], binned)
     return MedianSummary(design=design, q_full=q_full, q_half=q_half)
 
 

@@ -116,7 +116,12 @@ class DesignDist:
     def __post_init__(self):
         if self.kind not in _DESIGN_KINDS:
             raise BadValue(f"unknown design distribution {self.kind!r}")
-        sigma = np.asarray(_real("sigma", self.sigma))
+        try:
+            sigma = np.asarray(_real("sigma", self.sigma))
+        except ValueError:      # numpy refuses a ragged nesting
+            shape = np.asarray(self.sigma, dtype=object).shape
+            raise BadCovariance("sigma must be square, got a ragged array "
+                                f"of shape {shape}") from None
         if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
             raise BadCovariance(f"sigma must be square, got shape {sigma.shape}")
         bad = np.argwhere(~np.isfinite(sigma))

@@ -31,6 +31,11 @@ Every configuration is also fitted with u's rows, and the responses with
 them, in one fixed permutation per design, so that the check of rows out
 of grid order is run too; the script lists and exits 1 on any digest that
 differs from the grid-order fit's.
+
+For every design, a non-finite pass then puts nan, +inf and -inf in turn
+at one row of the last member of the Cauchy stack, in grid order and in
+the permuted order, and lists and exits 1 on any ``fit_many`` that does
+not raise BadValue naming that member and row.
 """
 
 from __future__ import annotations
@@ -54,8 +59,9 @@ sys.path.insert(0, str(HERE.parent / "src"))
 
 import numpy as np  # noqa: E402
 
-from medwave import (EstimatorConfig, build_filter,  # noqa: E402
-                     default_primary_level, plan_fit, plan_grid)
+from medwave import (BadValue, EstimatorConfig,  # noqa: E402
+                     build_filter, default_primary_level, plan_fit,
+                     plan_grid)
 from medwave.simulate import (ErrorDist, SimulationConfig,  # noqa: E402
                               density_at_median, generate_dataset, mise,
                               replication_rng)
@@ -105,14 +111,41 @@ def digest(results: list) -> str:
     return h.hexdigest()
 
 
+def non_finite_faults(u: np.ndarray, Y: np.ndarray, perm: np.ndarray) -> list:
+    """A line per non-finite stack that ``fit_many`` does not refuse with
+    BadValue naming its row: nan, +inf and -inf at row n // 3 of the last
+    member, in grid order and in the order ``perm``."""
+    faults = []
+    b, i = len(Y) - 1, len(u) // 3
+    for order, rows in (("grid order", np.arange(len(u))), ("permuted", perm)):
+        plan = plan_fit(u[rows])
+        at = int(np.flatnonzero(rows == i)[0])
+        for bad in (np.nan, np.inf, -np.inf):
+            bad_Y = Y[:, rows]
+            bad_Y[b, at] = bad
+            want = f"response y[{b}, {at}] = {bad} is not finite"
+            try:
+                plan.fit_many(bad_Y)
+                got = "no error"
+            except BadValue as err:
+                got = str(err)
+                if got.startswith(want):
+                    continue
+            faults.append(f"n={len(u)} q={u.shape[1]} {order} y[{b}, {at}] = "
+                          f"{bad}: {got}")
+    return faults
+
+
 def run() -> tuple:
-    """The record of every configuration, and the keys of those whose fit
-    on permuted rows has another digest."""
-    fits, unequal = {}, []
+    """The record of every configuration, the keys of those whose fit on
+    permuted rows has another digest, and the non-finite stacks that were
+    not refused as they should be."""
+    fits, unequal, faults = {}, [], []
     for n, q in DESIGNS:
         J = plan_grid(n, q).J
         data = stacks(n, q)
         perm = np.random.default_rng(n).permutation(n)
+        faults += non_finite_faults(data["cauchy"][0], data["cauchy"][1], perm)
         for wavelet, shrinkage, bias, known, law in itertools.product(
                 WAVELETS if J else ("db4",), (True, False), (True, False),
                 (False, True), LAWS):
@@ -137,7 +170,7 @@ def run() -> tuple:
                     "h_inv_sq": [r.noise.h_inv_sq for r in results],
                     "mise": [mise(r.f_hat, truth) for r in results],
                 }
-    return fits, unequal
+    return fits, unequal, faults
 
 
 def compare(new: dict, old: dict) -> list:
@@ -161,7 +194,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     start = time.perf_counter()
-    fits, unequal = run()
+    fits, unequal, faults = run()
     seconds = time.perf_counter() - start
     total = hashlib.sha256("".join(
         f"{k} {v['sha256']}\n" for k, v in fits.items()).encode()).hexdigest()
@@ -180,14 +213,18 @@ def main(argv=None) -> int:
     for key in unequal:
         print(f"{key}: permuted rows give another digest")
     print(f"{len(unequal)} of {len(fits)} differ on permuted rows")
+    for line in faults:
+        print(f"{line}: not refused as a non-finite response")
+    print(f"{len(faults)} of {6 * len(DESIGNS)} non-finite stacks not refused "
+          "naming their row")
     if args.compare is None:
-        return 1 if unequal else 0
+        return 1 if unequal or faults else 0
     old = json.loads(Path(args.compare).read_text())["fits"]
     moved = compare(fits, old)
     if moved:
         print("\n".join(moved))
     print(f"{len(moved)} of {len(set(fits) | set(old))} moved")
-    return 1 if moved or unequal else 0
+    return 1 if moved or unequal or faults else 0
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
 """End-to-end pipeline: identity paths, equivariances, denoising value."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -494,6 +495,23 @@ def test_errors_in_y_raise_from_the_plan_fit(bad):
         assert str(from_plan.value) == str(from_fit.value) == (
             f"expected 289 observations in 2 dims, got u(289, 2), "
             f"y{short.shape}")
+
+
+def test_a_fit_at_1025_squared_holds_one_bin_class_copy_at_a_time():
+    # the medians copy and sort one bin class at a time, the largest being
+    # 127^2 bins of 64 points (8.26 MB), and cut its half-bins from the
+    # block only after that copy is released: 8.67 MB in all. Two class
+    # copies alive at once would peak above 10 MB
+    u = grid_2d(1025)
+    y = np.random.default_rng(35).standard_cauchy(len(u))
+    fit(u, y)  # warm lazy imports and caches
+    tracemalloc.start()
+    try:
+        fit(u, y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8_800_000, peak
 
 
 def test_fit_many_checks_the_stack():

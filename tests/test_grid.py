@@ -1,6 +1,5 @@
 """Binning geometry and observation assignment."""
 
-import math
 import tracemalloc
 from functools import reduce
 
@@ -67,12 +66,16 @@ def valid_designs():
 
 
 def half_bin_points(d):
-    """Observations per half-bin, read from the one count class that the
-    medians take the half-bins in (0 when they are empty)."""
-    if d.median_selections[1] is None:
-        return 0
-    [(axes, _)] = d.median_selections[1]
-    return math.prod(length for _, length, _, _ in axes)
+    """Observations per half-bin, counted by :func:`oracle_bins` (0 when
+    the half-bins are empty); every half-bin holds as many, and the medians
+    give a half-bin tensor exactly when there are any."""
+    u = full_grid(d.m, d.q)
+    codes, half = oracle_bins(d, u)
+    counts = np.bincount(codes[half], minlength=d.V)
+    assert (counts == counts[0]).all()
+    summary = bin_medians(bin_one(u, np.zeros(d.n), d))
+    assert (summary.q_half is None) == (counts[0] == 0)
+    return int(counts[0])
 
 
 def test_known_design_sizes():

@@ -160,29 +160,30 @@ def test_bin_medians_leave_y_grid_unchanged():
                               before.view(np.uint64)), (r, q)
 
 
-#: (r, q) -> route of each full-bin length class, route of the half-bins.
-#: T | r: one evenly spaced run per axis. T | m = r - 1: the long first
-#: interval and the rest are runs, the half-bins are not. r = 100, 19, 21:
-#: the classes interleave; at 21 the short class is still evenly spaced.
+#: (r, q) -> route of each bin length class. T | r: one evenly spaced run
+#: per axis. T | m = r - 1: the long first interval and the rest are runs.
+#: r = 100, 19, 21: the classes interleave; at 21 the short class is still
+#: evenly spaced. The half-bins take no route of their own: each is cut
+#: from its bin's class.
 MEDIAN_ROUTES = {
-    (64, 1): ({4: "slice"}, "slice"),
-    (65, 1): ({4: "slice", 5: "slice"}, "take"),
-    (100, 1): ({6: "take", 7: "take"}, "take"),
-    (16, 2): ({2: "slice"}, "slice"),
-    (33, 2): ({4: "slice", 5: "slice"}, "take"),
-    (100, 2): ({6: "take", 7: "take"}, "take"),
-    (16, 3): ({2: "slice"}, "slice"),
-    (17, 3): ({2: "slice", 3: "slice"}, "take"),
-    (19, 3): ({2: "take", 3: "take"}, "take"),
-    (21, 3): ({2: "slice", 3: "take"}, "take"),
+    (64, 1): {4: "slice"},
+    (65, 1): {4: "slice", 5: "slice"},
+    (100, 1): {6: "take", 7: "take"},
+    (16, 2): {2: "slice"},
+    (33, 2): {4: "slice", 5: "slice"},
+    (100, 2): {6: "take", 7: "take"},
+    (16, 3): {2: "slice"},
+    (17, 3): {2: "slice", 3: "slice"},
+    (19, 3): {2: "take", 3: "take"},
+    (21, 3): {2: "slice", 3: "take"},
 }
 
 
 @pytest.mark.parametrize("r, q", list(MEDIAN_ROUTES))
 def test_bin_medians_take_each_selection_route(r, q, monkeypatch):
-    # each class is selected by the route its design calls for, and both
-    # routes give the oracle's medians bit for bit: rows in random order,
-    # rounded Cauchy ties, -0.0 mixed with +0.0
+    # each bin class is selected by the route its design calls for, and
+    # both routes give the oracle's bin and half-bin medians bit for bit:
+    # rows in random order, rounded Cauchy ties, -0.0 mixed with +0.0
     routes = {}
     even_step = medians_module._even_step
 
@@ -203,12 +204,9 @@ def test_bin_medians_take_each_selection_route(r, q, monkeypatch):
     before = binned.y_grid.copy()
     med = bin_medians(binned)
 
-    full, half = MEDIAN_ROUTES[r, q]
-    half_length = (d.m + 1) // (2 * d.T)
-    assert half_length not in full
+    full = MEDIAN_ROUTES[r, q]
     assert sorted(full) == np.unique(d.axis_lengths).tolist()
-    assert routes == {**{k: {v} for k, v in full.items()},
-                      half_length: {half}}
+    assert routes == {k: {v} for k, v in full.items()}
     q_full, q_half = oracle_medians(d, u, y)
     assert np.array_equal(med.q_full[0].view(np.uint64),
                           q_full.view(np.uint64))

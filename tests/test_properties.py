@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from medwave.errors import BadValue
 from medwave.estimator import EstimatorConfig, fit, plan_fit
 from medwave.grid import bin_observations, plan_grid, product_grid
 from medwave.medians import bin_medians
@@ -155,3 +156,63 @@ def test_stack_rows_fit_bit_identical_to_single_fits(wavelet, case):
         if options["known_h_inv_sq"] is None:
             assert [r.noise.degenerate for r in results] == [
                 i == flat for i in range(len(Y))]
+
+
+def bad_response_message(index, value):
+    """The BadValue text that names the response ``y[index]``."""
+    return (f"response y[{', '.join(map(str, index))}] = {value} is not "
+            "finite (rows count from 0); every response must be finite")
+
+
+def first_bad(Y):
+    """The C-order index of the first entry of ``Y`` that is not finite."""
+    return np.unravel_index(np.flatnonzero(~np.isfinite(Y))[0], Y.shape)
+
+
+@st.composite
+def non_finite_cases(draw):
+    """u on a full grid (single-bin designs too), in grid order or
+    permuted, and a (B, n) stack of 1 to 3 Cauchy members with nan, +inf
+    or -inf at 1 to 4 drawn entries."""
+    q = draw(st.sampled_from((1, 2, 3)))
+    side = draw(st.integers(2, SIDES[q][1]))
+    n = side ** q
+    u = product_grid(np.arange(side) / (side - 1), q)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    Y = rng.standard_cauchy((draw(st.integers(1, 3)), n))
+    for _ in range(draw(st.integers(1, 4))):
+        Y[draw(st.integers(0, len(Y) - 1)), draw(st.integers(0, n - 1))] = (
+            draw(st.sampled_from((np.nan, np.inf, -np.inf))))
+    if draw(st.booleans()):
+        perm = rng.permutation(n)
+        u, Y = u[perm], Y[:, perm]
+    return u, Y
+
+
+# a 4x4 design has 4 bins of 2x2 points; the first holds rows 0, 1, 4, 5,
+# here -inf, +inf, -inf, +inf, so its two middle order statistics are -inf
+# and +inf and their mean would warn "invalid value" before any error
+MIDDLE_INFS = np.zeros((1, 16))
+MIDDLE_INFS[0, [0, 4]], MIDDLE_INFS[0, [1, 5]] = -np.inf, np.inf
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=non_finite_cases())
+@example(case=(product_grid(np.arange(4) / 3, 2), MIDDLE_INFS))
+def test_a_non_finite_response_raises_bad_value_naming_it(case):
+    # fit_many names y[b, i], the first in C order of the stack; fit and
+    # FitPlan.fit name y[i] of the member; never a numpy warning
+    u, Y = case
+    plan = plan_fit(u)
+    with pytest.raises(BadValue) as err:
+        plan.fit_many(Y)
+    at = first_bad(Y)
+    assert str(err.value) == bad_response_message(at, Y[at])
+    for y in Y:
+        if np.isfinite(y).all():
+            continue
+        (i,) = first_bad(y)
+        for run in (plan.fit, lambda y: fit(u, y)):
+            with pytest.raises(BadValue) as err:
+                run(y)
+            assert str(err.value) == bad_response_message((i,), y[i])

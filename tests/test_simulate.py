@@ -1,6 +1,7 @@
 """Synthetic data machinery: distributions, datasets, risk, rate study."""
 
 import math
+import re
 import sys
 import threading
 
@@ -78,6 +79,19 @@ def test_design_covariance_validation():
     for nu in (0.0, math.inf, math.nan):
         with pytest.raises(BadValue):
             DesignDist("student_t", np.eye(2), nu=nu)
+
+
+@pytest.mark.parametrize("sigma, shape", [
+    ([[1.0], [1.0, 2.0]], "(2,)"),
+    ([[1.0, 0.0], [0.0]], "(2,)"),
+    ([1.0, [1.0, 2.0]], "(2,)"),
+])
+def test_ragged_design_covariance_raises_bad_covariance(sigma, shape):
+    # numpy cannot make an array of a ragged nesting; the error names the
+    # shape it can make of it, not numpy's "inhomogeneous shape"
+    with pytest.raises(BadCovariance, match=rf"^sigma must be square, got "
+                       rf"a ragged array of shape {re.escape(shape)}$"):
+        DesignDist("gaussian", sigma)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
