@@ -1,7 +1,9 @@
 """Simulation config files: plain ``key = value`` text.
 
 One pair per line; ``#`` starts a comment and blank lines are ignored.
-Recognized keys (all others raise UnknownKey):
+Files are read as UTF-8: a byte that is not UTF-8 makes its line, even a
+comment line, a ``ParseError`` that names ``path:line``. Recognized keys
+(all others raise UnknownKey):
 
     q                  dimension (int >= 1)                         required
     sample_sizes       comma list of ints, each a perfect q-th power required
@@ -10,7 +12,7 @@ Recognized keys (all others raise UnknownKey):
     test_function      sine_product | blocks | zero    (default sine_product)
     design_dist        none | gaussian | student_t:NU | cauchy | laplace
                                                        (default none)
-    p                  design dimension                (default len(beta))
+    p                  design dimension, int >= 0      (default len(beta))
     beta               comma list of floats            (default empty)
     seed               int >= 0                        (default 0)
     wavelet            haar | db2 | db4                (default db4)
@@ -19,11 +21,12 @@ Recognized keys (all others raise UnknownKey):
     noise_mode         estimate | known:VALUE          (default estimate)
     u0                 comma list of q floats in [0,1] (default empty)
 
-Distribution parameters: ``gaussian``/``cauchy``/``laplace`` take an
-optional ``:scale`` (default 1.0); ``student_t`` requires ``:nu``;
-``shifted_exponential`` takes none, and both are at scale 1. Design
-covariances are the identity ``p x p`` matrix (the library API accepts
-arbitrary SPD matrices and scales; the file format deliberately does not).
+Distribution parameters (the tables ``_ERROR_LAWS`` and ``_DESIGN_LAWS``):
+``student_t`` requires ``:nu``, the error laws ``gaussian``/``cauchy``/
+``laplace`` take an optional ``:scale`` (default 1.0), and every other
+kind takes none. Design covariances are the identity ``p x p`` matrix (the
+library API accepts arbitrary SPD matrices and scales; the file format
+deliberately does not).
 """
 
 from __future__ import annotations
@@ -56,39 +59,40 @@ def _parse_kind_param(text: str, key: str):
     return text.strip(), None
 
 
+#: what follows ``kind:`` in each law's spelling: an optional scale, a
+#: required nu, or nothing (None)
+_ERROR_LAWS = {"gaussian": "scale", "cauchy": "scale", "laplace": "scale",
+               "student_t": "nu", "shifted_exponential": None}
+_DESIGN_LAWS = {"none": None, "gaussian": None, "cauchy": None,
+                "laplace": None, "student_t": "nu"}
+
+
+def _law_fields(key: str, kind: str, param, laws: dict) -> dict:
+    """The keyword fields of ``kind:param`` by its spelling in ``laws``;
+    BadValue naming ``key`` for an unknown kind or a wrong parameter."""
+    if kind not in laws:
+        raise BadValue(f"unknown {key} kind {kind!r}")
+    takes = laws[kind]
+    if takes == "nu" and param is None:
+        raise BadValue(f"{key} {kind} requires :nu")
+    if takes is None and param is not None:
+        raise BadValue(f"{key} {kind} takes no parameter")
+    return {} if param is None else {takes: param}
+
+
 def _parse_error_dist(text: str) -> ErrorDist:
     kind, param = _parse_kind_param(text, "error_dist")
-    if kind == "student_t":
-        if param is None:
-            raise BadValue("error_dist student_t requires :nu")
-        return ErrorDist(kind="student_t", nu=param)
-    if kind == "shifted_exponential":
-        if param is not None:
-            raise BadValue("error_dist shifted_exponential takes no parameter")
-        return ErrorDist(kind="shifted_exponential")
-    if kind in ("gaussian", "cauchy", "laplace"):
-        return ErrorDist(kind=kind, scale=1.0 if param is None else param)
-    raise BadValue(f"unknown error_dist kind {kind!r}")
+    return ErrorDist(kind=kind, **_law_fields("error_dist", kind, param,
+                                              _ERROR_LAWS))
 
 
 def _parse_design_dist(text: str, p: int):
     kind, param = _parse_kind_param(text, "design_dist")
-    if kind == "none":
-        if param is not None:
-            raise BadValue("design_dist none takes no parameter")
-        return None
-    if p < 1:
+    if kind != "none" and p < 1:
         raise BadValue("design_dist requires p >= 1 (set p or beta)")
-    sigma = np.eye(p)
-    if kind == "student_t":
-        if param is None:
-            raise BadValue("design_dist student_t requires :nu")
-        return DesignDist(kind="student_t", sigma=sigma, nu=param)
-    if kind in ("gaussian", "cauchy", "laplace"):
-        if param is not None:
-            raise BadValue(f"design_dist {kind} takes no parameter")
-        return DesignDist(kind=kind, sigma=sigma)
-    raise BadValue(f"unknown design_dist kind {kind!r}")
+    fields = _law_fields("design_dist", kind, param, _DESIGN_LAWS)
+    return (None if kind == "none"
+            else DesignDist(kind=kind, sigma=np.eye(p), **fields))
 
 
 def _int_value(key: str, text: str) -> int:
@@ -117,6 +121,11 @@ def parse_config_text(text: str, source: str = "<config>") -> SimulationConfig:
     """
     raw = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError:      # a byte read by surrogateescape
+            raise ParseError(f"{source}:{lineno}: a byte that is not UTF-8 "
+                             f"in {line!r}") from None
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
@@ -137,6 +146,8 @@ def parse_config_text(text: str, source: str = "<config>") -> SimulationConfig:
     q = _int_value("q", raw["q"])
     beta = _float_list("beta", raw.get("beta", ""))
     p = _int_value("p", raw["p"]) if raw.get("p") else len(beta)
+    if p < 0:
+        raise BadValue(f"p must be >= 0, got {p}")
     if beta and p != len(beta):
         raise BadValue(f"p={p} does not match beta of length {len(beta)}")
     if p and not beta:
@@ -179,20 +190,18 @@ def parse_config_text(text: str, source: str = "<config>") -> SimulationConfig:
 
 def parse_config(path) -> SimulationConfig:
     """Parse a config file from disk."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         return parse_config_text(fh.read(), source=str(path))
 
 
 def _emit_dist(dist) -> str:
     if dist is None:
         return "none"
-    if dist.kind == "student_t":
-        return f"student_t:{_fmt(dist.nu)}"
-    if dist.kind == "shifted_exponential":
-        return "shifted_exponential"
-    if isinstance(dist, ErrorDist):
-        return f"{dist.kind}:{_fmt(dist.scale)}"
-    return dist.kind
+    laws = _ERROR_LAWS if isinstance(dist, ErrorDist) else _DESIGN_LAWS
+    takes = laws[dist.kind]
+    if takes is None:
+        return dist.kind
+    return f"{dist.kind}:{_fmt(getattr(dist, takes))}"
 
 
 def emit_config(config: SimulationConfig) -> str:
@@ -208,7 +217,7 @@ def emit_config(config: SimulationConfig) -> str:
     ):
         raise BadValue("config files support identity design covariance only")
     error = config.error_dist
-    if error.kind in ("student_t", "shifted_exponential") and error.scale != 1:
+    if _ERROR_LAWS[error.kind] != "scale" and error.scale != 1:
         raise BadValue(f"config files support {error.kind} errors at scale 1 "
                        f"only, got {error.scale}")
     est = config.estimator

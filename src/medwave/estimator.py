@@ -33,9 +33,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import BadPrimaryLevel, BadValue
-from .grid import (BinnedData, GridDesign, _check_finite, _integer,
-                   bin_observations, plan_grid, product_grid,
-                   responses_mismatch)
+from .grid import (BinnedData, GridDesign, _bin_points, _check_finite,
+                   _integer, bin_observations, plan_grid, responses_mismatch)
 from .medians import (NoiseEstimate, bias_correction, bin_medians,
                       estimate_noise_level)
 from .shrinkage import ShrinkageDiagnostics, default_block_cardinality, shrink
@@ -67,7 +66,7 @@ class EstimatorConfig:
     ``known_h_inv_sq`` is a known noise level 1/h^2(0), finite and
     positive, used as given; None estimates it from paired medians.
     ``shrinkage_enabled`` off gives the raw median pipeline, and
-    ``bias_correction`` off forces b_hat = 0.
+    ``bias_correction`` off forces b_hat = 0; both take only a bool.
     """
 
     wavelet: str = "db4"
@@ -84,6 +83,10 @@ class EstimatorConfig:
         if (self.block_cardinality is not None
                 and _integer("block_cardinality", self.block_cardinality) < 1):
             raise BadValue("block_cardinality must be >= 1")
+        for key in ("shrinkage_enabled", "bias_correction"):
+            value = getattr(self, key)
+            if not isinstance(value, (bool, np.bool_)):
+                raise BadValue(f"{key} must be a bool, got {value!r}")
 
 
 @dataclass
@@ -244,6 +247,5 @@ def evaluate_on_grid(result: FitResult) -> np.ndarray:
     """The estimate at the V grid points of ``result.design`` in
     lexicographic order: a (V, q+1) array of q coordinate columns (l/T per
     axis) followed by the estimate value."""
-    design = result.design
-    coords = product_grid(np.arange(1, design.T + 1) / design.T, design.q)
-    return np.column_stack([coords, result.f_hat.ravel()])
+    return np.column_stack([_bin_points(result.design),
+                            result.f_hat.ravel()])

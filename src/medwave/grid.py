@@ -37,7 +37,7 @@ import numpy as np
 from .errors import BadValue, IncompleteGrid, NonGridSampleSize, OffGridPoint
 
 __all__ = ["GridDesign", "BinnedData", "plan_grid", "bin_observations",
-           "product_grid"]
+           "product_grid", "integer_root"]
 
 #: tolerance for deciding that a coordinate sits on the grid
 GRID_TOL = 1e-9
@@ -78,24 +78,19 @@ class GridDesign:
         return median_selections(self)
 
 
-def _integer_root(n: int, q: int):
-    """Return r with r**q == n, or None. Exact integer arithmetic."""
-    if n < 1:
-        return None
-    r = round(n ** (1.0 / q))
-    for cand in (r - 1, r, r + 1):
-        if cand >= 1 and cand ** q == n:
-            return cand
-    return None
-
-
-def _dyadic_depth(n: int, q: int) -> int:
-    """Largest J with 2^(4*q*J) <= n^3, i.e. floor(log2(n^(3/4)) / q)."""
-    target = n ** 3
-    J = 0
-    while 2 ** (4 * q * (J + 1)) <= target:
-        J += 1
-    return J
+def integer_root(n: int, q: int) -> int:
+    """The largest r with r**q <= n, for integers n >= 1 and q >= 1: integer
+    Newton steps down from 2^ceil(bits/q), with no float anywhere."""
+    n = operator.index(n)
+    bits = n.bit_length()
+    if bits <= q:                   # n < 2^q
+        return 1
+    r = 1 << -(-bits // q)
+    while True:
+        s = ((q - 1) * r + n // r ** (q - 1)) // q
+        if s >= r:
+            return r
+        r = s
 
 
 def plan_grid(n: int, q: int) -> GridDesign:
@@ -105,13 +100,14 @@ def plan_grid(n: int, q: int) -> GridDesign:
     n, q = _integer("n", n), _integer("q", q)
     if q < 1:
         raise NonGridSampleSize(f"dimension q must be >= 1, got {q}")
-    root = _integer_root(n, q)
-    if root is None or root < 2:
+    root = integer_root(n, q) if n >= 1 else 0
+    if root < 2 or root ** q != n:
         raise NonGridSampleSize(
             f"n={n} is not a perfect {q}-th power (m+1)^q with m >= 1"
         )
     m = root - 1
-    J = _dyadic_depth(n, q)
+    # the largest J with 2^(4qJ) <= n^3, i.e. floor(log2(n^(3/4)) / q)
+    J = ((n ** 3).bit_length() - 1) // (4 * q)
     T = 2 ** J
     # Interval index of grid coordinate i/m: the l with (l-1)/T < i/m <= l/T,
     # computed in exact integer arithmetic; i = 0 goes to bin 1.
@@ -147,6 +143,12 @@ def product_grid(axis: np.ndarray, q: int) -> np.ndarray:
     shape (len(axis)^q, q)."""
     mesh = np.meshgrid(*([axis] * q), indexing="ij")
     return np.stack([g.ravel() for g in mesh], axis=1)
+
+
+def _bin_points(design: GridDesign) -> np.ndarray:
+    """Where each of the V bins lives: (l1/T, ..., lq/T), the right end of
+    its interval on every axis, in lexicographic order, shape (V, q)."""
+    return product_grid(np.arange(1, design.T + 1) / design.T, design.q)
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BadValue
+from .grid import _integer, integer_root
 from .wavelets import _detail_levels
 
 __all__ = ["ShrinkageDiagnostics", "solve_lambda_star",
@@ -48,21 +49,11 @@ def default_block_cardinality(n: int) -> int:
     return max(1, int(math.floor(math.log(n))))
 
 
-def _block_side(L: int, q: int) -> int:
-    """Largest integer side with side**q <= L (at least 1), exactly."""
-    side = max(1, int(round(L ** (1.0 / q))))
-    while side > 1 and side ** q > L:
-        side -= 1
-    while (side + 1) ** q <= L:
-        side += 1
-    return side
-
-
 def partition_blocks(levels: range, q: int, L: int) -> dict:
     """Tile starts of the detail ``levels`` of a q-dimensional stack:
     level j -> ``arange(0, 2^j, side)``, shared by every axis and subband of
     the level."""
-    side = _block_side(L, q)
+    side = integer_root(L, q)
     return {j: np.arange(0, 2 ** j, side) for j in levels}
 
 
@@ -141,12 +132,12 @@ def shrink(coeffs: np.ndarray, j0: int, n: int, h_inv_sq: np.ndarray,
     sum (``perfbench/spans.py``).
 
     Raises BadShape and BadPrimaryLevel as :func:`medwave.wavelets.dwt_qd`
-    does, and BadValue if n < 1, L < 1, ``h_inv_sq`` is not a (B,) array,
-    or some h_inv_sq is not positive and finite.
+    does, and BadValue if n < 1, L is not an integer >= 1, ``h_inv_sq`` is
+    not a (B,) array, or some h_inv_sq is not positive and finite.
     """
     out = np.array(coeffs, dtype=float)
     levels = _detail_levels(out, j0)
-    if L < 1:
+    if _integer("block_cardinality", L) < 1:
         raise BadValue("block_cardinality must be >= 1")
     if n < 1:
         raise BadValue("n must be >= 1")

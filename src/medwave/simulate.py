@@ -38,7 +38,8 @@ from .estimator import EstimatorConfig, FitPlan, plan_fit
 # ``fit`` is not called here; it stays bound because the benchmark tracer's
 # tests (perfbench/test_checks.py) check that every binding of it is wrapped.
 from .estimator import fit  # noqa: F401
-from .grid import GridDesign, _integer, _real, plan_grid, product_grid
+from .grid import (GridDesign, _bin_points, _integer, _real, plan_grid,
+                   product_grid)
 from .medians import _row_medians
 
 __all__ = ["ErrorDist", "DesignDist", "TestFunction", "SimulationConfig",
@@ -366,8 +367,7 @@ class _SizeContext:
         fn = test_function(config.test_function)
         self.u = product_grid(np.arange(design.m + 1) / design.m, design.q)
         self.f_u = fn(self.u)
-        self.grid_points = product_grid(
-            np.arange(1, design.T + 1) / design.T, design.q)
+        self.grid_points = _bin_points(design)
         self.f_grid = fn(self.grid_points).reshape(design.tensor_shape())
 
     @cached_property

@@ -92,10 +92,7 @@ def build_filter(name: str) -> WaveletFilter:
 
 def default_primary_level(filt: WaveletFilter) -> int:
     """Smallest j0 with 2^{j0} >= tap count."""
-    j0 = 0
-    while 2 ** j0 < filt.length:
-        j0 += 1
-    return j0
+    return (filt.length - 1).bit_length()
 
 
 def _detail_levels(coeffs: np.ndarray, j0: int) -> range:

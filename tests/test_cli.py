@@ -131,6 +131,20 @@ def test_estimate_non_utf8_input_exits_2(tmp_path, capsys, raw):
     assert "Traceback" not in err
 
 
+def test_estimate_with_a_400_digit_block_cardinality_exits_0(tmp_path):
+    # past 2^1024 a float root of L overflows; one block per subband
+    data, u, y = make_dataset(tmp_path)
+    out = tmp_path / "est.csv"
+    L = 10 ** 399
+    rc = main(["estimate", "--input", str(data), "--output", str(out),
+               "--block-cardinality", str(L)])
+    assert rc == 0
+    _, fhat = read_estimate_csv(out)
+    result = fit(u, y, EstimatorConfig(block_cardinality=L))
+    assert np.array_equal(fhat, result.f_hat.ravel())
+    assert set(result.diagnostics.blocks_per_level.values()) == {1}
+
+
 def test_estimate_non_finite_response_exits_2(tmp_path, capsys):
     data, u, y = make_dataset(tmp_path)
     y[5] = np.nan
@@ -345,6 +359,36 @@ def test_simulate_bad_config(tmp_path, capsys):
                "--output-dir", str(tmp_path / "out")])
     assert rc == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "rate-study"])
+@pytest.mark.parametrize("text, bad_line", [
+    ("# r\xe9sum\xe9 of the run\n" + CONFIG, 1),
+    (CONFIG + "test_function = z\xe9ro\n", 6),
+    (CONFIG + "# \xff", 6)], ids=["comment", "value", "last-comment"])
+def test_a_config_byte_that_is_not_utf8_exits_2(tmp_path, capsys, command,
+                                                text, bad_line):
+    # Latin-1 bytes: each names its own line, even in a comment
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_bytes(text.encode("latin-1"))
+    rc = main([command, "--config", str(cfg),
+               "--output-dir", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"medwave: error: {cfg}:{bad_line}: a byte that is "
+                          f"not UTF-8 in ")
+    assert "Traceback" not in err
+
+
+def test_simulate_a_400_digit_sample_size_exits_2(tmp_path, capsys):
+    # past 2^1024 a float root of n overflows; the integer root refuses it
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"q = 2\nsample_sizes = {10 ** 400 + 1}\n"
+                   "error_dist = gaussian\n")
+    rc = main(["simulate", "--config", str(cfg),
+               "--output-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert "is not a perfect 2-th power" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,10 @@ CASES = {
         lambda: EstimatorConfig(block_cardinality=2.5),
     "EstimatorConfig-known_h_inv_sq":
         lambda: EstimatorConfig(known_h_inv_sq="1"),
+    "EstimatorConfig-shrinkage_enabled":
+        lambda: EstimatorConfig(shrinkage_enabled="no"),
+    "EstimatorConfig-bias_correction":
+        lambda: EstimatorConfig(bias_correction=0),
     "SimulationConfig-q": lambda: simulation(q=2.5),
     "SimulationConfig-replications": lambda: simulation(replications=2.5),
     "SimulationConfig-seed": lambda: simulation(seed=1.5),
@@ -84,6 +88,17 @@ def test_a_parameter_of_the_wrong_type_raises_bad_value(case):
     name = case.split("-")[1]
     with pytest.raises(BadValue, match=rf"^{name}\b"):
         CASES[case]()
+
+
+def test_a_switch_takes_a_bool_and_nothing_truthy():
+    # any truthy value read as a switch would turn the stage on ("no" too)
+    for key in ("shrinkage_enabled", "bias_correction"):
+        for value in (1, None, np.array(True)):
+            with pytest.raises(BadValue,
+                               match=rf"^{key} must be a bool, got"):
+                EstimatorConfig(**{key: value})
+        for value in (False, True, np.False_, np.True_):
+            assert getattr(EstimatorConfig(**{key: value}), key) == value
 
 
 def test_a_negative_coupling_check_seed_raises_bad_value():

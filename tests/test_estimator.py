@@ -260,6 +260,19 @@ def test_config_validation():
         EstimatorConfig(block_cardinality=0)
 
 
+def test_a_numpy_integer_block_cardinality_fits_as_its_int():
+    # the tile side is an integer root, which reads the value's index
+    u = np.arange(256) / 255
+    y = np.sin(6 * u)
+    want = fit(u, y, EstimatorConfig(block_cardinality=4))
+    got = fit(u, y, EstimatorConfig(block_cardinality=np.int64(4)))
+    assert np.array_equal(got.f_hat, want.f_hat)
+    assert (got.diagnostics.blocks_per_level
+            == want.diagnostics.blocks_per_level == {3: 2, 4: 4, 5: 8})
+    with pytest.raises(BadValue, match="^block_cardinality must be an integer"):
+        shrink(np.zeros((1, 8)), 1, 16, np.ones(1), 2.5)
+
+
 def test_config_has_one_field_for_the_noise_level():
     # None estimates the level; there is no second field that could
     # contradict a given value

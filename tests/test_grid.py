@@ -12,7 +12,8 @@ from medwave.dataio import read_grid_csv, write_dataset_csv
 from medwave.errors import (BadValue, IncompleteGrid, NonGridSampleSize,
                             OffGridPoint)
 from medwave.estimator import plan_fit
-from medwave.grid import _BLOCK_ROWS, GRID_TOL, bin_observations, plan_grid
+from medwave.grid import (_BLOCK_ROWS, GRID_TOL, bin_observations,
+                          integer_root, plan_grid)
 from medwave.medians import bin_medians
 
 
@@ -107,6 +108,51 @@ def test_depth_is_maximal_dyadic():
         assert 2 ** (4 * q * (d.J + 1)) > n ** 3
         cases += 1
     assert cases >= 100
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 2 ** 4000), q=st.integers(1, 12))
+@example(n=2 ** 1024, q=2)          # past what a float holds
+@example(n=10 ** 400 + 1, q=2)
+def test_integer_root_is_the_floor_root(n, q):
+    r = integer_root(n, q)
+    assert r ** q <= n < (r + 1) ** q
+
+
+@settings(max_examples=300, deadline=None)
+@given(r=st.integers(1, 2 ** 400), q=st.integers(2, 12),
+       offset=st.sampled_from((-1, 0, 1)))
+def test_integer_root_at_perfect_powers(r, q, offset):
+    # random n seldom lands next to a perfect power, where a root is off
+    # by one first (q = 1 has no n that is not a power)
+    n = max(1, r ** q + offset)
+    assert integer_root(n, q) == (r - 1 if offset < 0 and r > 1 else r)
+
+
+def test_plan_grid_matches_its_definition_for_every_small_n():
+    # m + 1 is the integer r >= 2 with r^q = n, found by counting up, and
+    # J the largest integer with 2^(4qJ) <= n^3; every other n is refused.
+    # At q = 1 every n >= 2 is a design of n axis points, so n stops at 10^4
+    for q, top in ((1, 10 ** 4), (2, 10 ** 5), (3, 10 ** 5), (4, 10 ** 5)):
+        roots = {}
+        r = 2
+        while r ** q <= top:
+            roots[r ** q] = r
+            r += 1
+        for n in range(1, top + 1):
+            if n not in roots:
+                with pytest.raises(NonGridSampleSize):
+                    plan_grid(n, q)
+                continue
+            d = plan_grid(n, q)
+            J = max(J for J in range(64) if 2 ** (4 * q * J) <= n ** 3)
+            assert (d.m, d.J) == (roots[n] - 1, J), (n, q)
+
+
+def test_a_sample_size_past_the_float_range_is_refused_by_name():
+    # a float root overflows past 2^1024; the integer root does not
+    with pytest.raises(NonGridSampleSize, match=r"is not a perfect 2-th"):
+        plan_grid(10 ** 400 + 1, 2)
 
 
 def test_binning_never_degenerate():

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from medwave.config import emit_config, parse_config, parse_config_text
+from medwave.config import (_parse_design_dist, _parse_error_dist,
+                            emit_config, parse_config, parse_config_text)
 from medwave.dataio import (
     RowTemplate,
     _parse_lines,
@@ -24,6 +25,7 @@ from medwave.dataio import (
 from medwave.errors import (
     BadValue,
     HeaderMismatch,
+    MedwaveError,
     ParseError,
     ShapeMismatch,
     UnknownKey,
@@ -652,6 +654,85 @@ def test_config_value_errors():
         parse_config_text(MINIMAL + "u0 = 0.3, 0.7\n")      # wrong length
     with pytest.raises(BadValue):
         parse_config_text("q = 1\nsample_sizes = ten\nerror_dist = gaussian\n")
+
+
+def test_a_negative_p_is_refused():
+    with pytest.raises(BadValue, match=r"^p must be >= 0, got -1$"):
+        parse_config_text(MINIMAL + "p = -1\n")
+
+
+#: the design laws' refusal at p = 0, which comes before the kind's own
+NO_P = (BadValue, "design_dist requires p >= 1 (set p or beta)")
+
+#: spelling -> what it reads as an error law, and as a design law at p = 0
+#: and at p = 2: a law, None (no design), or the (class, message) raised
+LAW_SPELLINGS = {
+    "gaussian": (ErrorDist("gaussian"), NO_P,
+                 DesignDist("gaussian", np.eye(2))),
+    "gaussian:2": (ErrorDist("gaussian", 2.0), NO_P,
+                   (BadValue, "design_dist gaussian takes no parameter")),
+    "cauchy": (ErrorDist("cauchy"), NO_P, DesignDist("cauchy", np.eye(2))),
+    "cauchy:0.5": (ErrorDist("cauchy", 0.5), NO_P,
+                   (BadValue, "design_dist cauchy takes no parameter")),
+    "laplace": (ErrorDist("laplace"), NO_P,
+                DesignDist("laplace", np.eye(2))),
+    "laplace:-1": ((BadValue, "scale must be finite and >= 0, got -1.0"),
+                   NO_P,
+                   (BadValue, "design_dist laplace takes no parameter")),
+    "student_t": ((BadValue, "error_dist student_t requires :nu"), NO_P,
+                  (BadValue, "design_dist student_t requires :nu")),
+    "student_t:3": (ErrorDist("student_t", nu=3.0), NO_P,
+                    DesignDist("student_t", np.eye(2), nu=3.0)),
+    "student_t:0": ((BadValue, "student_t needs a finite nu > 0, got 0.0"),
+                    NO_P,
+                    (BadValue, "student_t needs a finite nu > 0, got 0.0")),
+    "student_t:inf": ((BadValue, "student_t needs a finite nu > 0, got inf"),
+                      NO_P,
+                      (BadValue, "student_t needs a finite nu > 0, got inf")),
+    "shifted_exponential": (
+        ErrorDist("shifted_exponential"), NO_P,
+        (BadValue, "unknown design_dist kind 'shifted_exponential'")),
+    "shifted_exponential:1": (
+        (BadValue, "error_dist shifted_exponential takes no parameter"), NO_P,
+        (BadValue, "unknown design_dist kind 'shifted_exponential'")),
+    "none": ((BadValue, "unknown error_dist kind 'none'"), None, None),
+    "none:1": ((BadValue, "unknown error_dist kind 'none'"),
+               (BadValue, "design_dist none takes no parameter"),
+               (BadValue, "design_dist none takes no parameter")),
+    "none:x": ((BadValue, "error_dist: bad numeric parameter in 'none:x'"),
+               (BadValue, "design_dist: bad numeric parameter in 'none:x'"),
+               (BadValue, "design_dist: bad numeric parameter in 'none:x'")),
+    "foo": ((BadValue, "unknown error_dist kind 'foo'"), NO_P,
+            (BadValue, "unknown design_dist kind 'foo'")),
+    "foo:1": ((BadValue, "unknown error_dist kind 'foo'"), NO_P,
+              (BadValue, "unknown design_dist kind 'foo'")),
+    "gaussian:x": (
+        (BadValue, "error_dist: bad numeric parameter in 'gaussian:x'"),
+        (BadValue, "design_dist: bad numeric parameter in 'gaussian:x'"),
+        (BadValue, "design_dist: bad numeric parameter in 'gaussian:x'")),
+    " cauchy : 2 ": (ErrorDist("cauchy", 2.0), NO_P,
+                     (BadValue, "design_dist cauchy takes no parameter")),
+    "": ((BadValue, "unknown error_dist kind ''"), NO_P,
+         (BadValue, "unknown design_dist kind ''")),
+    ":1": ((BadValue, "unknown error_dist kind ''"), NO_P,
+           (BadValue, "unknown design_dist kind ''")),
+}
+
+LAW_READERS = {"error": _parse_error_dist,
+               "design-p0": lambda text: _parse_design_dist(text, 0),
+               "design-p2": lambda text: _parse_design_dist(text, 2)}
+
+
+@pytest.mark.parametrize("text, reader, expected", [
+    pytest.param(text, reader, expected, id=f"{reader}-{text!r}")
+    for text, row in LAW_SPELLINGS.items()
+    for reader, expected in zip(LAW_READERS, row)])
+def test_a_law_spelling_reads_as_pinned(text, reader, expected):
+    try:
+        got = LAW_READERS[reader](text)
+    except MedwaveError as exc:
+        got = (type(exc), str(exc))
+    assert got == expected
 
 
 def test_parse_config_from_file(tmp_path):
