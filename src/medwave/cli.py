@@ -12,7 +12,9 @@ files and malformed flags); 3 numerical degeneracy — a noise estimate at
 the clamp floor under ``--strict``.
 
 Each handler imports only what it needs: ``estimate`` runs without loading
-any simulation machinery.
+any simulation machinery. ``simulate`` draws each replication on one helper
+thread while it writes the one before, so it keeps at most two cores busy;
+its files and its output do not depend on the scheduling.
 """
 
 from __future__ import annotations
@@ -138,19 +140,22 @@ def _run_estimate(args) -> int:
 
 
 def _run_simulate(args) -> int:
+    from contextlib import closing
+
     from .config import parse_config
     from .dataio import write_dataset_csv, write_estimate_csv
-    from .simulate import _SizeContext, replication_rng
+    from .simulate import _drawn_stacks
 
     config = parse_config(args.config)
     os.makedirs(args.output_dir, exist_ok=True)
-    for n in config.sample_sizes:
-        ctx = _SizeContext(config, n)
-        for rep in range(config.replications):
-            y = ctx.responses(replication_rng(config.seed, n, rep))
+    # stacks of one replication: the next is drawn while this one is written
+    stacks = _drawn_stacks(config, 1, lambda ctx: ctx.row_template)
+    with closing(stacks):
+        for ctx, rep, Y in stacks:
+            n = ctx.n
             path = os.path.join(args.output_dir,
                                 f"dataset_n{n}_rep{rep}.csv")
-            write_dataset_csv(path, ctx.row_template, y)
+            write_dataset_csv(path, ctx.row_template, Y[0])
             print(path)
             if rep == 0:
                 table = np.column_stack([ctx.grid_points, ctx.f_grid.ravel()])

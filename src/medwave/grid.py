@@ -26,6 +26,7 @@ Conventions
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field, replace
 from functools import cached_property, reduce
@@ -41,6 +42,14 @@ __all__ = ["GridDesign", "BinnedData", "plan_grid", "bin_observations",
 
 #: tolerance for deciding that a coordinate sits on the grid
 GRID_TOL = 1e-9
+
+#: the most floats one numpy array holds (its bytes must fit in an intp);
+#: a design's u is n x q of them
+_MAX_FLOATS = np.iinfo(np.intp).max // np.dtype(float).itemsize
+
+#: a sample size of more bits is named by its digit count, as Python refuses
+#: to print an integer of more than 4,300 digits
+_NAMED_BITS = 4096
 
 #: rows of u checked per block, so that a block's temporaries stay in cache
 _BLOCK_ROWS = 16_384
@@ -96,14 +105,20 @@ def integer_root(n: int, q: int) -> int:
 def plan_grid(n: int, q: int) -> GridDesign:
     """Derive the binning geometry for a sample of n points in q dimensions.
     Raises BadValue if n or q is not an integer, and NonGridSampleSize if n
-    is not a perfect q-th power (m+1)^q with m >= 1."""
+    is not a perfect q-th power (m+1)^q with m >= 1 or its points do not
+    fit in a numpy array, before any array is built."""
     n, q = _integer("n", n), _integer("q", q)
     if q < 1:
         raise NonGridSampleSize(f"dimension q must be >= 1, got {q}")
     root = integer_root(n, q) if n >= 1 else 0
     if root < 2 or root ** q != n:
         raise NonGridSampleSize(
-            f"n={n} is not a perfect {q}-th power (m+1)^q with m >= 1"
+            f"{_named(n)} is not a perfect {q}-th power (m+1)^q with m >= 1"
+        )
+    if n * q > _MAX_FLOATS:
+        raise NonGridSampleSize(
+            f"{_named(n)} is (m+1)^{q}, but its n x {q} points are more "
+            f"floats than one numpy array holds ({_MAX_FLOATS})"
         )
     m = root - 1
     # the largest J with 2^(4qJ) <= n^3, i.e. floor(log2(n^(3/4)) / q)
@@ -115,6 +130,18 @@ def plan_grid(n: int, q: int) -> GridDesign:
     axis_bins = np.maximum(-((-i * T) // m), 1).astype(np.int64)
     return GridDesign(n=n, q=q, m=m, J=J, T=T, V=T ** q, kappa=n // T ** q,
                       axis_bins=axis_bins)
+
+
+def _named(n: int) -> str:
+    """``n=<n>``, or n's digit count when n is too long to print."""
+    if n.bit_length() <= _NAMED_BITS:
+        return f"n={n}"
+    # the d with 10^(d-1) <= n < 10^d, counted up from a float estimate
+    # that is never above it
+    digits = int((n.bit_length() - 1) * math.log10(2))
+    while n >= 10 ** digits:
+        digits += 1
+    return f"n of {digits} digits"
 
 
 def _integer(name: str, value, low: Optional[int] = None) -> int:

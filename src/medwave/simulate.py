@@ -20,12 +20,19 @@ Reproducibility: every replication derives its own numpy Generator from the
 tuple (seed, n, replication index); nothing touches global RNG state, and
 identical triples give bit-identical datasets and fits, however a study
 schedules its draws.
+
+Threads: ``rate_study`` and ``medwave simulate`` both walk their
+replications through ``_drawn_stacks``, which draws the next stack on one
+helper thread, opened and joined inside the call, while the caller fits or
+writes the current one. They keep at most two cores busy, and their bytes
+do not depend on the scheduling.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional
@@ -145,17 +152,31 @@ class DesignDist:
         return self.sigma.shape[0]
 
 
-def sample_elliptical(dist: DesignDist, count: int,
-                      rng: np.random.Generator) -> np.ndarray:
-    """Draw ``count`` i.i.d. vectors from the elliptical design law."""
-    z = rng.standard_normal((count, dist.p)) @ dist._chol.T
+def sample_elliptical(dist: DesignDist, count: int, rng: np.random.Generator,
+                      out: Optional[tuple] = None) -> np.ndarray:
+    """Draw ``count`` i.i.d. vectors from the elliptical design law. ``out``,
+    when given, is the buffers the draw fills in place: the normal draws and
+    the returned vectors, both (count, p), and the mixing weights (count,).
+
+    numpy draws chisquare(nu) as 2 * standard_gamma(nu / 2) and
+    exponential(1) as standard_exponential(), so the weights fill their
+    buffer with the values those two calls would return.
+    """
+    z, x, w = out if out is not None else (
+        np.empty((count, dist.p)), np.empty((count, dist.p)), np.empty(count))
+    rng.standard_normal(out=z)
+    np.matmul(z, dist._chol.T, out=x)
     if dist.kind == "gaussian":
-        return z
-    if dist.kind in ("student_t", "cauchy"):
-        w = rng.chisquare(dist.nu, size=count) / dist.nu  # cauchy: nu = 1
-        return z / np.sqrt(w)[:, None]
-    w = rng.exponential(1.0, size=count)  # laplace
-    return z * np.sqrt(w)[:, None]
+        return x
+    if dist.kind == "laplace":
+        rng.standard_exponential(out=w)
+        x *= np.sqrt(w, out=w)[:, None]
+    else:
+        rng.standard_gamma(dist.nu / 2, out=w)  # cauchy: nu = 1
+        w *= 2.0
+        w /= dist.nu
+        x /= np.sqrt(w, out=w)[:, None]
+    return x
 
 
 def sample_errors(dist: ErrorDist, count: int,
@@ -357,8 +378,9 @@ class _SizeContext:
     """What every replication at one sample size n shares: the ``design``,
     the design points ``u`` (n, q), the truth ``f_u`` at them, the V
     estimation points ``grid_points`` (V, q) with the truth ``f_grid`` on
-    them as a (T,)*q tensor, and, made on first use, the fit ``plan`` of u
-    and the ``row_template`` of u for writing datasets."""
+    them as a (T,)*q tensor, the buffers the design vectors are drawn into,
+    and, made on first use, the fit ``plan`` of u and the ``row_template``
+    of u for writing datasets."""
 
     def __init__(self, config: SimulationConfig, n: int):
         self.config = config
@@ -369,6 +391,10 @@ class _SizeContext:
         self.f_u = fn(self.u)
         self.grid_points = _bin_points(design)
         self.f_grid = fn(self.grid_points).reshape(design.tensor_shape())
+        if config.design_dist is not None:
+            p = config.design_dist.p
+            self._beta = np.asarray(config.beta)
+            self._draws = (np.empty((n, p)), np.empty((n, p)), np.empty(n))
 
     @cached_property
     def plan(self) -> FitPlan:
@@ -380,36 +406,41 @@ class _SizeContext:
 
     def responses(self, rng: np.random.Generator,
                   out: Optional[np.ndarray] = None) -> np.ndarray:
-        """One replication's y, written into ``out`` when given; X is drawn
-        first when present, then xi."""
+        """One replication's y = f_u + X beta + xi, written into ``out``
+        when given; X is drawn first when present, then xi. X is drawn into
+        buffers of this context, so the error vector is all it allocates
+        (with y, when ``out`` is not given)."""
         config = self.config
         y = self.f_u
         if config.design_dist is not None:
-            x = sample_elliptical(config.design_dist, self.n, rng)
-            y = y + x @ np.asarray(config.beta)
+            x = sample_elliptical(config.design_dist, self.n, rng,
+                                  out=self._draws)
+            y = np.matmul(x, self._beta, out=out)
+            y += self.f_u
         return np.add(y, sample_errors(config.error_dist, self.n, rng),
                       out=out)
 
 
-def _study_scores(config: SimulationConfig) -> list:
-    """Per sample size, the (R,) MISE and, when u0 is set, the (R,) squared
-    errors at u0 (else None) of every replication of a study.
+def _drawn_stacks(config: SimulationConfig, stack_obs: int,
+                  prepare: Callable[[_SizeContext], object]):
+    """Yield (ctx, first replication, Y) for every stack of every size of
+    ``config``, in order: Y holds the responses of up to
+    max(1, stack_obs // n) replications, one per row, and is valid until
+    the next stack is asked for. Close the iterator
+    (``contextlib.closing``) when done with it.
 
-    One helper thread draws stack k + 1 of the sequence of all sizes'
-    stacks while this thread fits stack k; the helper must call nothing the
-    benchmark tracer wraps. A draw's error is raised at its stack, a fit's
-    error once the draw in flight has finished.
+    One helper thread draws stack k + 1 into one of two buffers while the
+    caller uses stack k from the other; ``prepare(ctx)`` runs on the calling
+    thread once a size, while the helper draws that size's first stack. The
+    helper runs only ``_SizeContext.responses``, so it must call nothing the
+    benchmark tracer wraps. A draw's error is raised at its stack; closing
+    the iterator waits for the draw in flight and ends the thread.
     """
     sizes, reps = config.sample_sizes, config.replications
-    jobs = [(i, start, min(reps - start, stack))
-            for i, stack in enumerate(max(1, _STACK_OBS // n) for n in sizes)
-            for start in range(0, reps, stack)]
-    buffers = np.empty((2, max(_STACK_OBS, *sizes)))
-    if config.u0 is not None:
-        # The fitted function is piecewise constant on bins, so its value
-        # at u0 is the estimate in the covering bin; the error is taken
-        # against f at u0 itself (discretization offset included).
-        f_u0 = float(test_function(config.test_function)([config.u0])[0])
+    jobs = [(i, start, min(reps - start, rows))
+            for i, rows in enumerate(max(1, stack_obs // n) for n in sizes)
+            for start in range(0, reps, rows)]
+    buffers = np.empty((2, max(count * sizes[i] for i, _, count in jobs)))
 
     def draw(ctx: _SizeContext, k: int) -> np.ndarray:
         Y = buffers[k % 2, :jobs[k][2] * ctx.n].reshape(-1, ctx.n)
@@ -417,28 +448,51 @@ def _study_scores(config: SimulationConfig) -> list:
             ctx.responses(replication_rng(config.seed, ctx.n, r), out=row)
         return Y
 
-    scores, upcoming = [], _SizeContext(config, sizes[0])
+    upcoming = _SizeContext(config, sizes[0])
     with ThreadPoolExecutor(max_workers=1) as helper:
         drawn = helper.submit(draw, upcoming, 0)
-        for k, (i, start, count) in enumerate(jobs):
+        for k, (i, start, _) in enumerate(jobs):
             if start == 0:      # made while the helper draws stack k
-                ctx, plan, m, p = upcoming, upcoming.plan, np.empty(reps), None
-                if config.u0 is not None:
-                    p = np.empty(reps)
-                    pos = tuple(l - 1
-                                for l in _covering_bin(config.u0, ctx.design))
+                ctx = upcoming
+                prepare(ctx)
                 if i + 1 < len(sizes):
                     upcoming = _SizeContext(config, sizes[i + 1])
             Y = drawn.result()
             if k + 1 < len(jobs):
                 drawn = helper.submit(
                     draw, upcoming if jobs[k + 1][1] == 0 else ctx, k + 1)
-            for r, result in enumerate(plan.fit_many(Y), start):
+            yield ctx, start, Y
+
+
+def _study_scores(config: SimulationConfig) -> list:
+    """Per sample size, the (R,) MISE and, when u0 is set, the (R,) squared
+    errors at u0 (else None) of every replication of a study.
+
+    Replications are fitted max(1, _STACK_OBS // n) at a time, each stack
+    while the helper of :func:`_drawn_stacks` draws the next; a fit's error
+    is raised once the draw in flight has finished.
+    """
+    reps = config.replications
+    if config.u0 is not None:
+        # The fitted function is piecewise constant on bins, so its value
+        # at u0 is the estimate in the covering bin; the error is taken
+        # against f at u0 itself (discretization offset included).
+        f_u0 = float(test_function(config.test_function)([config.u0])[0])
+    scores = []
+    stacks = _drawn_stacks(config, _STACK_OBS, lambda ctx: ctx.plan)
+    with closing(stacks):
+        for ctx, start, Y in stacks:
+            if start == 0:
+                m, p = np.empty(reps), None
+                if config.u0 is not None:
+                    p = np.empty(reps)
+                    pos = tuple(l - 1
+                                for l in _covering_bin(config.u0, ctx.design))
+                scores.append((m, p))
+            for r, result in enumerate(ctx.plan.fit_many(Y), start):
                 m[r] = mise(result.f_hat, ctx.f_grid)
                 if p is not None:
                     p[r] = (result.f_hat[pos] - f_u0) ** 2
-            if start + count == reps:
-                scores.append((m, p))
     return scores
 
 

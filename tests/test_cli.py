@@ -4,6 +4,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -391,6 +392,19 @@ def test_simulate_a_400_digit_sample_size_exits_2(tmp_path, capsys):
     assert "is not a perfect 2-th power" in capsys.readouterr().err
 
 
+def test_simulate_a_perfect_power_too_large_to_build_exits_2(tmp_path, capsys):
+    # 10^400 = (10^200)^2: an axis of 10^200 points cannot be built
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"q = 2\nsample_sizes = {10 ** 400}\n"
+                   "error_dist = gaussian\n")
+    rc = main(["simulate", "--config", str(cfg),
+               "--output-dir", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "is (m+1)^2, but its n x 2 points are more floats than" in err
+    assert "Traceback" not in err and not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # rate-study
 # ---------------------------------------------------------------------------
@@ -484,6 +498,98 @@ def test_simulate_bytes_are_unchanged(tmp_path, capsys):
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in outdir.iterdir()}
     assert digests == SIMULATE_SHA256
+
+
+# the same config with a second, smaller size, and the sha256 of the files of
+# that size as the serial loop wrote them
+TWO_SIZE_CONFIG = SIMULATE_CONFIG.replace("sample_sizes = 4096",
+                                          "sample_sizes = 4096, 1089")
+TWO_SIZE_SHA256 = dict(SIMULATE_SHA256, **{
+    "dataset_n1089_rep0.csv":
+        "4756cb082977716c2c70044f5b3080f46ef6e928f8c1269417eb2308a6214ea7",
+    "dataset_n1089_rep1.csv":
+        "747911ab64044abcab5eae89dff978ed40c614550c476abc43405ae12aef55bd",
+    "truth_n1089.csv":
+        "ef46da208da5f10403911e5130394d69b9ae005a1d4b7e0d06db76083013a4d6",
+})
+
+
+def test_simulate_bytes_hold_under_fast_thread_switching(tmp_path, capsys):
+    # the helper draws the next replication into one buffer while this
+    # thread writes the other; the buffers are viewed in a new shape when
+    # the size changes. Paths print in the order the serial loop printed
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(TWO_SIZE_CONFIG)
+    outdir = tmp_path / "out"
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        rc = main(["simulate", "--config", str(cfg),
+                   "--output-dir", str(outdir)])
+    finally:
+        sys.setswitchinterval(interval)
+    assert rc == 0
+    order = ["dataset_n4096_rep0.csv", "truth_n4096.csv",
+             "dataset_n4096_rep1.csv", "dataset_n1089_rep0.csv",
+             "truth_n1089.csv", "dataset_n1089_rep1.csv"]
+    assert capsys.readouterr().out \
+        == "".join(f"{outdir / name}\n" for name in order)
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in outdir.iterdir()}
+    assert digests == TWO_SIZE_SHA256
+
+
+def recorded_draws(monkeypatch):
+    """The (thread, n) of every finished draw of a replication's y."""
+    from medwave import simulate
+
+    drawn = []
+    responses = simulate._SizeContext.responses
+
+    def recording(ctx, rng, out=None):
+        y = responses(ctx, rng, out=out)
+        drawn.append((threading.get_ident(), ctx.n))
+        return y
+
+    monkeypatch.setattr(simulate._SizeContext, "responses", recording)
+    return drawn
+
+
+def test_simulate_draws_on_one_helper_thread(tmp_path, capsys, monkeypatch):
+    drawn = recorded_draws(monkeypatch)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(TWO_SIZE_CONFIG.replace("replications = 2",
+                                           "replications = 3"))
+    threads = threading.active_count()
+    assert main(["simulate", "--config", str(cfg),
+                 "--output-dir", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    assert [n for _, n in drawn] == [4096] * 3 + [1089] * 3
+    helpers = {t for t, _ in drawn}
+    assert len(helpers) == 1 and threading.get_ident() not in helpers
+    assert threading.active_count() == threads
+
+
+def test_simulate_write_error_waits_for_the_draw_in_flight(tmp_path, capsys,
+                                                          monkeypatch):
+    # replication 1's path is a directory: its write fails while the helper
+    # draws replication 2, which runs to its end; nothing after it is drawn
+    drawn = recorded_draws(monkeypatch)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(SIMULATE_CONFIG.replace("replications = 2",
+                                           "replications = 4"))
+    outdir = tmp_path / "out"
+    (outdir / "dataset_n4096_rep1.csv").mkdir(parents=True)
+    threads = threading.active_count()
+    rc = main(["simulate", "--config", str(cfg), "--output-dir", str(outdir)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "medwave: i/o error:" in captured.err
+    assert captured.out == "".join(
+        f"{outdir / name}\n"
+        for name in ("dataset_n4096_rep0.csv", "truth_n4096.csv"))
+    assert len(drawn) == 3
+    assert threading.active_count() == threads
 
 
 def test_rate_study_rejects_insufficient_config(tmp_path, capsys):

@@ -155,6 +155,26 @@ def test_a_sample_size_past_the_float_range_is_refused_by_name():
         plan_grid(10 ** 400 + 1, 2)
 
 
+@pytest.mark.parametrize("n, q", [(10 ** 400, 2), (2 ** 70, 2),
+                                  (np.iinfo(np.intp).max // 8 + 1, 1)],
+                         ids=["10^400", "2^70", "one-past-numpy"])
+def test_a_perfect_power_too_large_for_numpy_is_refused_by_name(n, q):
+    # each is (m+1)^q; building its axis would fail in numpy (a 10^200
+    # axis, a 256 GiB one, and a 2^60-float one)
+    with pytest.raises(NonGridSampleSize,
+                       match=rf"is \(m\+1\)\^{q}, but its n x {q} points are "
+                             r"more floats than one numpy array holds"):
+        plan_grid(n, q)
+
+
+def test_a_sample_size_too_long_to_print_is_named_by_its_digits():
+    with pytest.raises(NonGridSampleSize,
+                       match=r"^n of 5001 digits is not a perfect 2-th power"):
+        plan_grid(10 ** 5000 + 1, 2)
+    with pytest.raises(NonGridSampleSize, match=r"^n of 1301 digits is \("):
+        plan_grid(10 ** 1300, 1)
+
+
 def test_binning_never_degenerate():
     # T <= m+1 for every valid design, so every axis interval is nonempty.
     for n, q in valid_designs():

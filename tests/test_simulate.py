@@ -318,6 +318,63 @@ def test_heavy_tailed_design_moves_responses():
     assert np.max(np.abs(y - fn_vals)) > 10.0
 
 
+def textbook_design(dist, count, rng):
+    """X drawn by plain expressions, each making a new array."""
+    z = rng.standard_normal((count, dist.p)) @ dist._chol.T
+    if dist.kind == "gaussian":
+        return z
+    if dist.kind in ("student_t", "cauchy"):
+        w = rng.chisquare(dist.nu, size=count) / dist.nu
+        return z / np.sqrt(w)[:, None]
+    w = rng.exponential(1.0, size=count)
+    return z * np.sqrt(w)[:, None]
+
+
+SIGMAS = {1: [[2.0]], 2: [[1.0, 0.3], [0.3, 2.0]],
+          3: [[1.0, 0.2, 0.1], [0.2, 1.5, -0.3], [0.1, -0.3, 0.8]]}
+DESIGNS = [None] + [(kind, p) for kind in simulate._DESIGN_KINDS
+                    for p in (1, 2, 3)]
+ERRORS = [ErrorDist("gaussian", 0.5), ErrorDist("cauchy", 2.0),
+          ErrorDist("student_t", 1.5, nu=2.5), ErrorDist("laplace", 0.7),
+          ErrorDist("shifted_exponential", 1.2)]
+
+
+@pytest.mark.parametrize("error", ERRORS, ids=lambda e: e.kind)
+@pytest.mark.parametrize("design", DESIGNS, ids=str)
+def test_in_place_draw_is_the_textbook_sum(design, error):
+    # y = f_u + X beta + xi, summed in that order, with X and xi drawn by
+    # the generator calls that allocate: the draw into a row of a buffer and
+    # generate_dataset are both bit for bit this sum
+    n, reps = 1089, 3
+    if design is None:
+        law, beta = None, ()
+    else:
+        kind, p = design
+        law = DesignDist(kind, np.array(SIGMAS[p]),
+                         nu=3.0 if kind == "student_t" else 1.0)
+        beta = (1.0, -0.5, 0.25)[:p]
+    cfg = SimulationConfig(q=2, sample_sizes=(n,), error_dist=error,
+                           design_dist=law, beta=beta, seed=7)
+    u = product_grid(np.arange(33) / 32, 2)
+    f_u = regression_function(cfg.test_function)(u)
+    expected = []
+    for r in range(reps):
+        rng = replication_rng(7, n, r)
+        y = f_u if law is None else \
+            f_u + textbook_design(law, n, rng) @ np.asarray(beta)
+        expected.append(y + sample_errors(error, n, rng))
+    bits = lambda v: np.asarray(v).view(np.uint64).tolist()
+    ctx = simulate._SizeContext(cfg, n)
+    Y = np.full((reps, n), np.nan)
+    for r, row in enumerate(Y):
+        assert ctx.responses(replication_rng(7, n, r), out=row) is row
+    assert bits(Y) == bits(expected)
+    for r in range(reps):
+        u_r, y_r, _ = generate_dataset(cfg, n, replication_rng(7, n, r))
+        assert np.array_equal(u_r, u)
+        assert bits(y_r) == bits(expected[r])
+
+
 # ---------------------------------------------------------------------------
 # risk functional
 # ---------------------------------------------------------------------------
