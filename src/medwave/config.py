@@ -1,8 +1,9 @@
 """Simulation config files: plain ``key = value`` text.
 
 One pair per line; ``#`` starts a comment and blank lines are ignored.
-Files are read as UTF-8: a byte that is not UTF-8 makes its line, even a
-comment line, a ``ParseError`` that names ``path:line``. Recognized keys
+Files are read as UTF-8, past a leading byte-order mark: a byte that is
+not UTF-8 makes its line, even a comment line, a ``ParseError`` that names
+``path:line``. Recognized keys
 (all others raise UnknownKey):
 
     q                  dimension (int >= 1)                         required
@@ -190,7 +191,7 @@ def parse_config_text(text: str, source: str = "<config>") -> SimulationConfig:
 
 def parse_config(path) -> SimulationConfig:
     """Parse a config file from disk."""
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
         return parse_config_text(fh.read(), source=str(path))
 
 

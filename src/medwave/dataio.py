@@ -15,7 +15,8 @@ download) is read once as a list of lines. If loadtxt refuses the body or
 returns the wrong number of columns, a line parser takes over: it skips
 lines that strip to nothing, accepts every field ``float()`` accepts, gives
 bit-identical values on a body that loadtxt accepts, and names the
-offending ``path:line`` in its ``ParseError``. Files are read as UTF-8: a
+offending ``path:line`` in its ``ParseError``. Files are read as UTF-8,
+past a leading byte-order mark (as spreadsheets write "CSV UTF-8"): a
 byte that is not UTF-8 makes its line a ``ParseError``, or the header a
 ``HeaderMismatch``.
 
@@ -76,7 +77,7 @@ def _parse_lines(fh, path, q: int):
 
 def _read_numeric_csv(path, value_column: str):
     """Shared reader for ``u1..uq,<value_column>`` files."""
-    with open(path, "r", encoding="utf-8", errors="surrogateescape",
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape",
               newline="") as fh:
         header = fh.readline()
         if not header:

@@ -19,6 +19,11 @@ Conventions
   multi-index (l1, ..., lq).
 * Half-bins, which the bias estimate uses, take the first floor((m+1)/(2T))
   grid points of each axis interval, in increasing coordinate order.
+* An axis has at most two interval lengths, so the bins fall into at most
+  2^q count classes. ``GridDesign.median_selections`` builds them once
+  per design: a class reads an axis by a slice where its intervals are
+  consecutive, else by a ``take`` index of their points.
+  :mod:`medwave.medians` copies, sorts and takes the medians of each.
 * Grid order is the C order of the grid points. u's leading rows in grid
   order are checked against the points their positions imply; a u whose
   rows are all in grid order gets no grid code (``grid_code`` None).
@@ -30,6 +35,7 @@ import math
 import operator
 from dataclasses import dataclass, field, replace
 from functools import cached_property, reduce
+from itertools import product
 from numbers import Real
 from typing import NoReturn, Optional
 
@@ -81,10 +87,30 @@ class GridDesign:
         return (self.T,) * self.q
 
     @cached_property
-    def median_selections(self) -> tuple:
-        """The bin-median count classes, built on first use and kept."""
-        from .medians import median_selections
-        return median_selections(self)
+    def median_selections(self) -> list:
+        """The count classes of the bins, built on first use and kept. Per
+        class: on each axis (k intervals, their length, a slice of their
+        points if the intervals are consecutive, else a ``take`` index of
+        them), and where the class's medians go in the (T,)*q tensor, by
+        slices if its intervals are consecutive on every axis, else by an
+        ``np.ix_`` index."""
+        lengths = self.axis_lengths
+        starts = np.cumsum(lengths) - lengths
+        axis_classes = []
+        for length in np.unique(lengths).tolist():
+            ls = np.flatnonzero(lengths == length)
+            if ls[-1] - ls[0] + 1 == ls.size:       # consecutive intervals
+                sel = slice(starts[ls[0]], starts[ls[0]] + ls.size * length)
+            else:
+                sel = (starts[ls, None] + np.arange(length)).ravel()
+            axis_classes.append((ls, (ls.size, length, sel)))
+        classes = []
+        for combo in product(axis_classes, repeat=self.q):
+            ls, axes = zip(*combo)
+            slices = all(isinstance(sel, slice) for _, _, sel in axes)
+            classes.append((axes, tuple(slice(i[0], i[-1] + 1) for i in ls)
+                            if slices else np.ix_(*ls)))
+        return classes
 
 
 def integer_root(n: int, q: int) -> int:

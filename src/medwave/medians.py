@@ -23,16 +23,17 @@ the estimation pipeline:
   floor and flagged.
 
 Medians use the usual midpoint convention for even counts (mean of the two
-middle order statistics). An axis has at most two interval lengths, so the
-bins fall into at most 2^q count classes. A half-bin is cut from its bin's
-class, and the sorted bins of each class show whether every response is
-finite: neither the half-bins nor the check take a pass of their own.
+middle order statistics). The bins fall into at most 2^q count classes,
+which :attr:`~medwave.grid.GridDesign.median_selections` builds; this
+module copies each class, sorts it and takes its medians. A half-bin is
+cut from its bin's class, and the sorted bins of each class show whether
+every response is finite: neither the half-bins nor the check take a pass
+of their own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Optional
 
 import numpy as np
@@ -102,48 +103,19 @@ def _sorted_medians(rows: np.ndarray) -> np.ndarray:
     return mid
 
 
-def _even_step(starts: np.ndarray, length: int, size: int):
-    """The step of the axis intervals ``[starts[i], starts[i] + length)``
-    if they are an evenly spaced run ending within ``size`` points."""
-    step = int(starts[1] - starts[0]) if starts.size > 1 else length
-    if starts[0] + starts.size * step > size:
-        return None
-    return step if (np.diff(starts) == step).all() else None
-
-
-def median_selections(design: GridDesign) -> list:
-    """Per count class of the bins, kept as
-    :attr:`GridDesign.median_selections`: on each axis (k intervals, their
-    length, a run slice and its step, or a ``take`` index and None), and
-    the ``np.ix_`` index of the class's medians in the (T,)*q tensor."""
-    lengths = design.axis_lengths
-    starts = np.cumsum(lengths) - lengths
-    axis_classes = []
-    for length in np.unique(lengths).tolist():
-        ls = np.flatnonzero(lengths == length)
-        step = _even_step(starts[ls], length, design.m + 1)
-        sel = ((starts[ls, None] + np.arange(length)).ravel() if step is None
-               else slice(starts[ls[0]], starts[ls[0]] + ls.size * step))
-        axis_classes.append((ls, (ls.size, length, sel, step)))
-    return [(tuple(sel for _, sel in combo), np.ix_(*(ls for ls, _ in combo)))
-            for combo in product(axis_classes, repeat=design.q)]
-
-
 def _class_block(y_grid: np.ndarray, axes: tuple) -> np.ndarray:
     """The bins of one count class of the (B,) + (m+1,)*q stack ``y_grid``
-    as a (B, k1, L1, ..., kq, Lq) block: a view where every axis is a run,
+    (see :attr:`~medwave.grid.GridDesign.median_selections`) as a
+    (B, k1, L1, ..., kq, Lq) block: a view where every axis is a slice,
     else a ``take`` copy."""
     block = y_grid
-    for a, (k, length, sel, step) in enumerate(axes):
+    for a, (k, length, sel) in enumerate(axes):
         # axis 1 + 2a becomes the class's k intervals, 2 + 2a their points
         at = 1 + 2 * a
-        lead = (slice(None),) * at
         head, tail = block.shape[:at], block.shape[at + 1:]
-        if step is None:
-            block = block.take(sel, axis=at).reshape(head + (k, length) + tail)
-        else:
-            block = block[lead + (sel,)].reshape(head + (k, step) + tail)
-            block = block[lead + (slice(None), slice(0, length))]
+        block = (block[(slice(None),) * at + (sel,)] if isinstance(sel, slice)
+                 else block.take(sel, axis=at))
+        block = block.reshape(head + (k, length) + tail)
     return block
 
 

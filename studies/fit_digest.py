@@ -22,7 +22,8 @@ For each configuration it records the sha256 over the three members'
 ``degenerate``, ``source``) and shrinkage diagnostics, and beside it
 each member's ``b_hat``, ``h_inv_sq`` and MISE against the truth at the
 bin points. The JSON goes to ``--output`` (default
-``studies/fit_digest.json``). ``--compare OLD.json`` then lists every
+``studies/fit_digest.json``). ``--compare OLD.json``, read before the
+output is written so that it may name the same file, then lists every
 configuration whose digest differs from OLD's (or that only one side
 has), with the largest change of ``b_hat``, ``h_inv_sq`` and MISE, and
 exits 1 if any moved.
@@ -192,6 +193,8 @@ def main(argv=None) -> int:
     parser.add_argument("--output", default=str(HERE / "fit_digest.json"))
     parser.add_argument("--compare", metavar="OLD.json", default=None)
     args = parser.parse_args(argv)
+    old = (None if args.compare is None
+           else json.loads(Path(args.compare).read_text())["fits"])
 
     start = time.perf_counter()
     fits, unequal, faults = run()
@@ -217,9 +220,8 @@ def main(argv=None) -> int:
         print(f"{line}: not refused as a non-finite response")
     print(f"{len(faults)} of {6 * len(DESIGNS)} non-finite stacks not refused "
           "naming their row")
-    if args.compare is None:
+    if old is None:
         return 1 if unequal or faults else 0
-    old = json.loads(Path(args.compare).read_text())["fits"]
     moved = compare(fits, old)
     if moved:
         print("\n".join(moved))

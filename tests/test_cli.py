@@ -105,6 +105,23 @@ def test_estimate_reads_a_pipe(tmp_path, capsys):
     assert from_pipe.read_bytes() == from_file.read_bytes()
 
 
+def test_estimate_reads_a_file_that_starts_with_a_byte_order_mark(tmp_path,
+                                                                   capsys):
+    # a 17^2 dataset saved as "CSV UTF-8" (EF BB BF first) estimates as
+    # the plain file does
+    u = product_grid(np.arange(17) / 16, 2)
+    y = np.random.default_rng(17).standard_cauchy(len(u))
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    write_dataset_csv(plain, u, y)
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    outs = [tmp_path / "plain_fhat.csv", tmp_path / "marked_fhat.csv"]
+    for data, out in zip((plain, marked), outs):
+        assert main(["estimate", "--input", str(data),
+                     "--output", str(out)]) == 0
+    capsys.readouterr()
+    assert outs[1].read_bytes() == outs[0].read_bytes()
+
+
 def test_estimate_missing_input(tmp_path, capsys):
     rc = main(["estimate", "--input", str(tmp_path / "nope.csv")])
     assert rc == 2

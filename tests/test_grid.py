@@ -186,6 +186,34 @@ def test_binning_never_degenerate():
         assert np.unique(d.axis_lengths).size <= 2
 
 
+@pytest.mark.parametrize("side", [512, 1025, 64, 128, 256])
+def test_benchmark_designs_read_and_store_every_class_by_slices(side):
+    # the q = 2 designs the benchmark fits (perfbench/workloads.py) have
+    # consecutive intervals in every count class, so each class is read
+    # as a view and its medians are stored through slices
+    d = plan_grid(side ** 2, 2)
+    for axes, index in d.median_selections:
+        assert all(isinstance(sel, slice) for _, _, sel in axes), side
+        assert all(isinstance(at, slice) for at in index), side
+
+
+@pytest.mark.parametrize("r, q", [(64, 1), (100, 1), (33, 2), (100, 2),
+                                  (21, 3)])
+def test_median_classes_cover_every_bin_and_point_once(r, q):
+    # the stored places of all classes tile the (T,)*q tensor, and each
+    # axis class's points are exactly those of its intervals
+    d = plan_grid(r ** q, q)
+    hits = np.zeros(d.tensor_shape(), dtype=int)
+    for axes, index in d.median_selections:
+        hits[index] += 1
+        for k, length, sel in axes:
+            points = np.arange(d.m + 1)[sel]
+            ls = np.unique(d.axis_bins[points])
+            assert (np.diff(points) > 0).all() and points.size == k * length
+            assert ls.size == k and (d.axis_lengths[ls - 1] == length).all()
+    assert (hits == 1).all()
+
+
 def test_axis_bins_match_interval_definition():
     # axis_bins[i] must be the l with (l-1)/T < i/m <= l/T, except i=0 -> 1.
     for n, q in valid_designs():

@@ -282,14 +282,15 @@ def test_every_kind_of_path_reads_the_same(tmp_path, monkeypatch, kind,
     assert isinstance(loadtxt_sources[0], str) == (kind in ("str", "Path"))
 
 
-def read_through_pipe(data: bytes):
-    """``read_grid_csv`` of ``/dev/fd/N``, N the read end of a pipe that
-    holds ``data`` (which must fit in the pipe's buffer)."""
+def read_through_pipe(data: bytes, read=read_grid_csv):
+    """``read`` (by default ``read_grid_csv``) of ``/dev/fd/N``, N the read
+    end of a pipe that holds ``data`` (which must fit in the pipe's
+    buffer)."""
     r, w = os.pipe()
     try:
         os.write(w, data)
         os.close(w)
-        return read_grid_csv(f"/dev/fd/{r}")
+        return read(f"/dev/fd/{r}")
     finally:
         os.close(r)
 
@@ -320,6 +321,30 @@ def test_pipe_body_refused_by_loadtxt_reads_line_by_line(tmp_path):
         read_through_pipe(body.replace(b"0,1,-2", b"0,1,two"))
     assert str(exc.value).startswith("/dev/fd/") \
         and ":4: non-numeric field" in str(exc.value)
+
+
+#: the UTF-8 byte-order mark, which spreadsheets write first in "CSV UTF-8"
+BOM = b"\xef\xbb\xbf"
+
+
+@pytest.mark.parametrize("source", ["file", "pipe"])
+@pytest.mark.parametrize("body", [b"0,0,1.5\n0,1,-2\n1,0,3\n1,1,4\n",
+                                  b"0,0,1.5\n \n0,1,-2\n1,0,3\n1,1,4\n"],
+                         ids=["loadtxt", "line-parser"])
+@pytest.mark.parametrize("read, column", [(read_grid_csv, "y"),
+                                          (read_estimate_csv, "fhat")])
+def test_a_byte_order_mark_before_the_header_is_read_past(
+        tmp_path, source, body, read, column):
+    # a file that starts with the mark reads as the same file without it,
+    # by each parser, from a path and from a pipe
+    plain = f"u1,u2,{column}\n".encode() + body
+    path = tmp_path / "plain.csv"
+    path.write_bytes(plain)
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(BOM + plain)
+    got = (read(marked) if source == "file"
+           else read_through_pipe(BOM + plain, read))
+    assert_bits_equal(got, read(path))
 
 
 @pytest.mark.parametrize("where", ["body", "header"])
@@ -745,6 +770,17 @@ def test_parse_config_from_file(tmp_path):
     with pytest.raises(ParseError) as exc:
         parse_config(bad)
     assert str(bad) in str(exc.value)
+
+
+@pytest.mark.parametrize("source", ["file", "pipe"])
+def test_a_byte_order_mark_before_a_config_is_read_past(tmp_path, source):
+    # the UTF-8 byte-order mark that some editors put first is not a key
+    data = BOM + MINIMAL.encode()
+    path = tmp_path / "exp.cfg"
+    path.write_bytes(data)
+    cfg = (parse_config(path) if source == "file"
+           else read_through_pipe(data, parse_config))
+    assert cfg == parse_config_text(MINIMAL)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-import medwave.medians as medians_module
 from medwave.errors import EmptyBin, ShapeMismatch
 from medwave.grid import plan_grid
 from medwave.medians import (
@@ -160,10 +159,10 @@ def test_bin_medians_leave_y_grid_unchanged():
                               before.view(np.uint64)), (r, q)
 
 
-#: (r, q) -> route of each bin length class. T | r: one evenly spaced run
-#: per axis. T | m = r - 1: the long first interval and the rest are runs.
-#: r = 100, 19, 21: the classes interleave; at 21 the short class is still
-#: evenly spaced. The half-bins take no route of their own: each is cut
+#: (r, q) -> route of each bin length class. T | r: one run of consecutive
+#: intervals per axis. T | m = r - 1: the long first interval and the rest
+#: are runs. r = 100, 19, 21: the classes interleave, so each reads its
+#: points by a take. The half-bins take no route of their own: each is cut
 #: from its bin's class.
 MEDIAN_ROUTES = {
     (64, 1): {4: "slice"},
@@ -175,25 +174,15 @@ MEDIAN_ROUTES = {
     (16, 3): {2: "slice"},
     (17, 3): {2: "slice", 3: "slice"},
     (19, 3): {2: "take", 3: "take"},
-    (21, 3): {2: "slice", 3: "take"},
+    (21, 3): {2: "take", 3: "take"},
 }
 
 
 @pytest.mark.parametrize("r, q", list(MEDIAN_ROUTES))
-def test_bin_medians_take_each_selection_route(r, q, monkeypatch):
+def test_bin_medians_take_each_selection_route(r, q):
     # each bin class is selected by the route its design calls for, and
     # both routes give the oracle's bin and half-bin medians bit for bit:
     # rows in random order, rounded Cauchy ties, -0.0 mixed with +0.0
-    routes = {}
-    even_step = medians_module._even_step
-
-    def recording(starts, length, size):
-        step = even_step(starts, length, size)
-        routes.setdefault(length, set()).add(
-            "take" if step is None else "slice")
-        return step
-
-    monkeypatch.setattr(medians_module, "_even_step", recording)
     rng = np.random.default_rng(r * 3 + q)
     d = plan_grid(r ** q, q)
     u = full_grid(r - 1, q)
@@ -204,6 +193,11 @@ def test_bin_medians_take_each_selection_route(r, q, monkeypatch):
     before = binned.y_grid.copy()
     med = bin_medians(binned)
 
+    routes = {}
+    for axes, _ in d.median_selections:
+        for _, length, sel in axes:
+            routes.setdefault(length, set()).add(
+                "slice" if isinstance(sel, slice) else "take")
     full = MEDIAN_ROUTES[r, q]
     assert sorted(full) == np.unique(d.axis_lengths).tolist()
     assert routes == {k: {v} for k, v in full.items()}

@@ -834,7 +834,7 @@ def test_rate_study_checks_u_once_per_size(monkeypatch):
 def test_a_size_builds_its_median_classes_once_in_its_plan(monkeypatch):
     # the plan is made on first use and builds the median classes of its
     # design before any response is fitted; a study builds them once a size
-    import medwave.medians as medians_module
+    from medwave.grid import GridDesign
 
     cfg = SimulationConfig(q=2, sample_sizes=(1089,), seed=0,
                            error_dist=ErrorDist("gaussian", 1.0))
@@ -845,13 +845,14 @@ def test_a_size_builds_its_median_classes_once_in_its_plan(monkeypatch):
     assert "median_selections" in vars(plan.design)
     assert (plan.design.n, plan.design.q) == (ctx.design.n, ctx.design.q)
 
-    built, classes = [], medians_module.median_selections
+    classes = GridDesign.median_selections
+    built, build = [], classes.func
 
     def counting(design):
         built.append(design.n)
-        return classes(design)
+        return build(design)
 
-    monkeypatch.setattr(medians_module, "median_selections", counting)
+    monkeypatch.setattr(classes, "func", counting)
     rate_study(SimulationConfig(q=2, error_dist=ErrorDist("gaussian", 1.0),
                                 sample_sizes=(256, 1024, 4096),
                                 replications=10, seed=0))
